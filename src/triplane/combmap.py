@@ -35,7 +35,7 @@ def _as_dart(obj) -> Dart:
         edge, seg, direction = obj
     except (TypeError, ValueError):
         raise MapError(f"malformed dart {obj!r}") from None
-    if not isinstance(edge, str) or not isinstance(seg, int) or seg < 0 or direction not in DIRS:
+    if not isinstance(edge, str) or type(seg) is not int or seg < 0 or direction not in DIRS:
         raise MapError(f"malformed dart {obj!r}")
     return (edge, seg, direction)
 

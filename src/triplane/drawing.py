@@ -73,7 +73,7 @@ class Drawing:
         for e in edges:
             _require(isinstance(e.id, str) and bool(e.id), "edge ids must be nonempty strings")
             _require(e.id not in emap, f"duplicate edge id {e.id!r}")
-            _require(len(e.ends) == 2 and all(u in vset for u in e.ends),
+            _require(len(e.ends) == 2 and all(isinstance(u, str) and u in vset for u in e.ends),
                      f"edge {e.id!r} has an end that is not a vertex")
             for i, x in enumerate(e.crossings):
                 _require(isinstance(x, str) and bool(x), f"edge {e.id!r}: crossing ids must be nonempty strings")
@@ -91,9 +91,10 @@ class Drawing:
             tupled = []
             for d in darts:
                 d = (d[0], d[1], d[2])
-                _require(d[0] in emap, f"rotation at {node!r} names unknown edge {d[0]!r}")
+                _require(isinstance(d[0], str) and d[0] in emap,
+                         f"rotation at {node!r} names unknown edge {d[0]!r}")
                 k = len(emap[d[0]].crossings)
-                _require(isinstance(d[1], int) and 0 <= d[1] <= k,
+                _require(type(d[1]) is int and 0 <= d[1] <= k,
                          f"rotation at {node!r}: segment index {d[1]} out of range for edge {d[0]!r}")
                 _require(d[2] in DIRS, f"rotation at {node!r}: bad direction {d[2]!r}")
                 _require(d not in seen, f"dart {d!r} listed more than once")
@@ -198,6 +199,8 @@ def parse_tdr(text: str) -> Drawing:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TDRError(f"syntax: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise TDRError("syntax: JSON nested too deeply") from None
     _require(isinstance(obj, dict), "top level must be an object")
     _require(set(obj) == {"vertices", "edges", "rotations"},
              "top level must have exactly the keys vertices, edges, rotations")

@@ -187,6 +187,8 @@ def parse_scene(text: str) -> GeometricScene:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneError(f"syntax: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise SceneError("syntax: JSON nested too deeply") from None
     if not isinstance(obj, dict) or set(obj) != {"points", "segments"}:
         raise SceneError("top level must have exactly the keys points, segments")
     points = {}

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .census import cells
+from .combmap import Dart, twin
 from .drawing import Drawing, EdgeRecord, validate
 
 
@@ -41,14 +43,56 @@ def is_filled(drawing: Drawing) -> bool:
     return filled_witness(drawing) is None
 
 
+def _cell_witness(walk: Sequence[Dart], tail: Dict[Dart, str],
+                  vertices: FrozenSet[str]) -> Optional[Tuple[str, str]]:
+    """First unjoined vertex pair (u, v) of one face walk, as ``filled_witness`` picks it.
+
+    A segment whose two ends are vertices is a whole uncrossed edge, so the
+    joined pairs are read off consecutive tails of the walk.  It is kept
+    apart from ``filled_witness``, which re-checks the result from scratch.
+    """
+    tails = [tail[d] for d in walk]
+    verts = sorted(vertices.intersection(tails))
+    if len(verts) < 2:
+        return None
+    joined = {(a, b) if a < b else (b, a)
+              for a, b in zip(tails, tails[1:] + tails[:1]) if a in vertices and b in vertices}
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            if (u, v) not in joined:
+                return (u, v)
+    return None
+
+
+def _cyclic(walk: Tuple[Dart, ...], start: int, stop: int) -> Tuple[Dart, ...]:
+    """``walk[start..stop-1]``, wrapping past the end when ``stop <= start``."""
+    return walk[start:stop] if start < stop else walk[start:] + walk[:stop]
+
+
+def _canonical_walk(walk: Tuple[Dart, ...]) -> Tuple[Dart, ...]:
+    """The face walk rotated to start at its smallest dart, as ``CombMap.faces`` gives it."""
+    k = walk.index(min(walk))
+    return walk[k:] + walk[:k]
+
+
 def saturate(drawing: Drawing) -> Drawing:
     """Insert uncrossed edges until the drawing is filled.
 
-    Requires a valid drawing with at least 3 vertices.  Each round takes
-    the first filled-ness witness (cell, u, v) and joins u to v by an
-    uncrossed edge routed through that cell, splicing it at the first
-    boundary occurrences of u and v.  Validity is re-checked after every
-    insertion, so the result is 3-saturated.
+    Requires a valid drawing with at least 3 vertices; the input is
+    validated in full once.  Each round takes the first filled-ness
+    witness (cell, u, v) that ``filled_witness`` would report and joins u
+    to v by an uncrossed edge routed through that cell, splicing it at the
+    first boundary occurrences of u and v exactly as
+    ``CombMap.insert_edge_in_face`` does.  Such an edge splits that one
+    cell in two and changes no other cell, crossing or rotation, so the
+    map is updated in place and only the two new cells are examined: each
+    insertion checks that u differs from v (no loop) and that neither new
+    cell is a two-segment lens (non-homotopic).  Every other validity
+    check is unaffected by such an edge.  One ``Drawing`` is built at the
+    end, then validated in full and re-checked from scratch with
+    ``filled_witness``, so the result is 3-saturated.  Raises
+    ``SaturateError`` if any of these checks fails or the number of
+    insertions exceeds the edge-count bound.
     """
     if len(drawing.vertices) < 3:
         raise SaturateError("saturation requires at least 3 vertices")
@@ -56,34 +100,75 @@ def saturate(drawing: Drawing) -> Drawing:
     if not report.valid:
         raise SaturateError("input drawing is not valid (failing: " + ", ".join(report.failing()) + ")")
 
+    cmap = drawing.planarize()
     # #segments <= 3#nodes - 6 on the sphere bounds how many edges can fit.
     nodes = len(drawing.vertices) + len(drawing.crossings)
-    cap = max(0, 3 * nodes - 6 - drawing.planarize().num_segments()) + 1
+    cap = max(0, 3 * nodes - 6 - cmap.num_segments()) + 1
 
-    current = drawing
+    rotations = {node: list(r) for node, r in cmap.rotations.items()}
+    tail = {d: node for node, r in rotations.items() for d in r}
+    vertices = frozenset(drawing.vertices)
+    # Every face is keyed by its smallest dart, and its index in the sorted
+    # ``keys`` is the ``c{i}`` id that ``cells`` gives it.  ``pending`` maps
+    # the key of each face that is not filled yet to its walk and witness;
+    # filled faces are never split again, so only their keys are kept.
+    keys = []
+    pending = {}
+    for walk in cmap.faces():
+        keys.append(walk[0])
+        witness = _cell_witness(walk, tail, vertices)
+        if witness is not None:
+            pending[walk[0]] = (walk, witness)
+
+    edges = list(drawing.edges.values())
     fresh = 0
     for _ in range(cap + 1):
-        witness = filled_witness(current)
-        if witness is None:
-            return current
-        cell_id, u, v = witness
-        rec = next(r for r in cells(current) if r.cell_id == cell_id)
-        tails = [current.tail(d) for d in rec.walk]
-        occ_u = tails.index(u)
-        occ_v = tails.index(v)
-        while f"s{fresh}" in current.edges:
+        if not pending:
+            break
+        # filled_witness scans cell ids as strings, so "c10" comes before "c2".
+        key = min(pending, key=lambda k: str(bisect_left(keys, k)))
+        cell_id = f"c{bisect_left(keys, key)}"
+        walk, (u, v) = pending.pop(key)
+        del keys[bisect_left(keys, key)]
+
+        tails = [tail[d] for d in walk]
+        i = tails.index(u)
+        j = tails.index(v)
+        while f"s{fresh}" in drawing.edges:
             fresh += 1
         new_id = f"s{fresh}"
         fresh += 1
-        cmap = current.planarize().insert_edge_in_face(rec.walk, occ_u, occ_v, new_id)
-        edges = list(current.edges.values()) + [EdgeRecord(new_id, (u, v), ())]
-        current = Drawing(current.vertices, edges, cmap.rotations)
-        report = validate(current)
-        if not report.valid:
+        edges.append(EdgeRecord(new_id, (u, v), ()))
+        fwd, bwd = (new_id, 0, "fwd"), (new_id, 0, "bwd")
+        for node, after, new in ((u, twin(walk[i - 1]), fwd), (v, twin(walk[j - 1]), bwd)):
+            r = rotations[node]
+            r.insert(r.index(after) + 1, new)
+            tail[new] = node
+
+        splits = (_canonical_walk((fwd,) + _cyclic(walk, j, i)),
+                  _canonical_walk((bwd,) + _cyclic(walk, i, j)))
+        lens = any(len(w) == 2 and w[0][:2] != w[1][:2] for w in splits)
+        failing = [name for name, broken in (("no-loops", u == v), ("non-homotopic", lens)) if broken]
+        if failing:
             raise SaturateError(
                 f"inserting {new_id}={u}-{v} in {cell_id} broke validity "
-                "(failing: " + ", ".join(report.failing()) + ")")
-    raise SaturateError("saturation did not terminate within the edge-count bound")
+                "(failing: " + ", ".join(failing) + ")")
+        for split in splits:
+            insort(keys, split[0])
+            witness = _cell_witness(split, tail, vertices)
+            if witness is not None:
+                pending[split[0]] = (split, witness)
+    else:
+        raise SaturateError("saturation did not terminate within the edge-count bound")
+
+    out = Drawing(drawing.vertices, edges, rotations) if len(edges) > len(drawing.edges) else drawing
+    report = validate(out)
+    if not report.valid:
+        raise SaturateError("saturated drawing is not valid (failing: " + ", ".join(report.failing()) + ")")
+    witness = filled_witness(out)
+    if witness is not None:
+        raise SaturateError("saturated drawing is not filled: {1}-{2} unjoined in {0}".format(*witness))
+    return out
 
 
 def is_3saturated(drawing: Drawing) -> bool:

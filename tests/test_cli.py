@@ -156,6 +156,25 @@ def test_random_is_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("command,text", [
+    ("validate", "[" * 100000),
+    ("ingest", "[" * 100000),
+    ("validate", json.dumps({"vertices": ["a", "b"], "rotations": {},
+                             "edges": [{"id": "e0", "ends": [["a"], "b"], "crossings": []}]})),
+    ("validate", json.dumps({"vertices": ["a", "b"],
+                             "edges": [{"id": "e0", "ends": ["a", "b"], "crossings": []}],
+                             "rotations": {"a": [{"edge": ["e0"], "seg": 0, "dir": "fwd"}],
+                                           "b": [{"edge": "e0", "seg": 0, "dir": "bwd"}]}})),
+], ids=["validate-deep-json", "ingest-deep-json", "validate-list-end", "validate-list-dart-edge"])
+def test_malformed_input_is_usage_error(capsys, tmp_path, command, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and str(p) in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.json")
     assert code == 2

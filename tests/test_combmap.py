@@ -135,3 +135,5 @@ def test_constructor_rejects_bad_maps():
         })
     with pytest.raises(MapError):
         CombMap({"a": [("e", 0, "up")], "b": [("e", 0, "bwd")]})
+    with pytest.raises(MapError):
+        CombMap({"a": [("e", False, "fwd")], "b": [("e", 0, "bwd")]})  # bool is not a segment index

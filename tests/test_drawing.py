@@ -45,6 +45,11 @@ def test_parse_reports_syntax_position():
         parse_tdr('{"vertices": [')
 
 
+def test_parse_rejects_deep_nesting():
+    with pytest.raises(TDRError, match="syntax: JSON nested too deeply"):
+        parse_tdr("[" * 100000)
+
+
 def test_parse_rejects_dangling_crossing():
     obj = json.loads(serialize_tdr(util.x1()))
     obj["edges"][1]["crossings"] = []  # x0 now appears on only one edge
@@ -69,6 +74,9 @@ def _mutate_x1(fn):
         (lambda o: o["rotations"].update(ghost=[]), "unknown node"),
         (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e9", "seg": 0, "dir": "fwd"}), "unknown edge"),
         (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e0", "seg": 5, "dir": "fwd"}), "out of range"),
+        (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e0", "seg": False, "dir": "fwd"}), "out of range"),
+        (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": ["e0"], "seg": 0, "dir": "fwd"}), "unknown edge"),
+        (lambda o: o["edges"][0].__setitem__("ends", [["v0"], "v2"]), "not a vertex"),
         (lambda o: (o["rotations"].__setitem__("v0", [{"edge": "e1", "seg": 0, "dir": "fwd"}]),
                     o["rotations"].__setitem__("v1", [{"edge": "e0", "seg": 0, "dir": "fwd"}])), "tail"),
         (lambda o: o["edges"][0].__setitem__("ends", ["v0", "zz"]), "not a vertex"),

@@ -1,6 +1,7 @@
 import pytest
 
-from triplane.drawing import serialize_tdr, stats, validate
+from triplane.census import cells
+from triplane.drawing import Drawing, EdgeRecord, serialize_tdr, stats, validate
 from triplane.generators import gen_fig3, random_drawing
 from triplane.saturate import (
     SaturateError,
@@ -11,6 +12,74 @@ from triplane.saturate import (
 )
 
 import util
+from test_acceptance import CORPUS_NAMES, corpus_drawing
+
+
+def _saturate_oracle(drawing: Drawing) -> Drawing:
+    """Reference saturation: rebuild the whole drawing and re-validate it after every insertion."""
+    if len(drawing.vertices) < 3:
+        raise SaturateError("saturation requires at least 3 vertices")
+    report = validate(drawing)
+    if not report.valid:
+        raise SaturateError("input drawing is not valid (failing: " + ", ".join(report.failing()) + ")")
+
+    # #segments <= 3#nodes - 6 on the sphere bounds how many edges can fit.
+    nodes = len(drawing.vertices) + len(drawing.crossings)
+    cap = max(0, 3 * nodes - 6 - drawing.planarize().num_segments()) + 1
+
+    current = drawing
+    fresh = 0
+    for _ in range(cap + 1):
+        witness = filled_witness(current)
+        if witness is None:
+            return current
+        cell_id, u, v = witness
+        rec = next(r for r in cells(current) if r.cell_id == cell_id)
+        tails = [current.tail(d) for d in rec.walk]
+        occ_u = tails.index(u)
+        occ_v = tails.index(v)
+        while f"s{fresh}" in current.edges:
+            fresh += 1
+        new_id = f"s{fresh}"
+        fresh += 1
+        cmap = current.planarize().insert_edge_in_face(rec.walk, occ_u, occ_v, new_id)
+        edges = list(current.edges.values()) + [EdgeRecord(new_id, (u, v), ())]
+        current = Drawing(current.vertices, edges, cmap.rotations)
+        report = validate(current)
+        if not report.valid:
+            raise SaturateError(
+                f"inserting {new_id}={u}-{v} in {cell_id} broke validity "
+                "(failing: " + ", ".join(report.failing()) + ")")
+    raise SaturateError("saturation did not terminate within the edge-count bound")
+
+
+def _outcome(fn, drawing):
+    try:
+        return serialize_tdr(fn(drawing))
+    except SaturateError as exc:
+        return f"SaturateError: {exc}"
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_matches_oracle_on_corpus(name):
+    d = corpus_drawing(name)
+    assert _outcome(saturate, d) == _outcome(_saturate_oracle, d)
+
+
+# From n = 8 on the saturation passes 11 cells, so the string order of cell
+# ids ("c10" before "c2") decides which cell is filled next.
+@pytest.mark.parametrize("n", range(3, 61))
+def test_matches_oracle_on_ngon(n):
+    d = util.ngon(n)
+    assert serialize_tdr(saturate(d)) == serialize_tdr(_saturate_oracle(d))
+
+
+def test_large_ngon_saturates_to_a_triangulation():
+    n = 1000
+    out = saturate(util.ngon(n))
+    st = stats(out)
+    assert st.n == n and st.E == 3 * n - 6 and st.X == 0
+    assert is_3saturated(out)
 
 
 def test_k3_is_already_saturated():

@@ -133,3 +133,12 @@ def two_components():
             "d": [("e1", 0, "bwd")],
         },
     )
+
+
+def ngon(n):
+    """A convex n-gon with no chords: vertex v<i> joins v<i+1> by edge e<i>."""
+    return Drawing(
+        [f"v{i}" for i in range(n)],
+        [EdgeRecord(f"e{i}", (f"v{i}", f"v{(i + 1) % n}"), ()) for i in range(n)],
+        {f"v{i}": [(f"e{i}", 0, "fwd"), (f"e{(i - 1) % n}", 0, "bwd")] for i in range(n)},
+    )
