@@ -74,9 +74,6 @@ def _mutate_x1(fn):
         (lambda o: o["rotations"].update(ghost=[]), "unknown node"),
         (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e9", "seg": 0, "dir": "fwd"}), "unknown edge"),
         (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e0", "seg": 5, "dir": "fwd"}), "out of range"),
-        (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e0", "seg": False, "dir": "fwd"}), "out of range"),
-        (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": ["e0"], "seg": 0, "dir": "fwd"}), "unknown edge"),
-        (lambda o: o["edges"][0].__setitem__("ends", [["v0"], "v2"]), "not a vertex"),
         (lambda o: (o["rotations"].__setitem__("v0", [{"edge": "e1", "seg": 0, "dir": "fwd"}]),
                     o["rotations"].__setitem__("v1", [{"edge": "e0", "seg": 0, "dir": "fwd"}])), "tail"),
         (lambda o: o["edges"][0].__setitem__("ends", ["v0", "zz"]), "not a vertex"),
@@ -86,6 +83,20 @@ def _mutate_x1(fn):
     ],
 )
 def test_parse_rejects_structural_defects(mutate, pattern):
+    with pytest.raises(TDRError, match=pattern):
+        parse_tdr(_mutate_x1(mutate))
+
+
+@pytest.mark.parametrize(
+    "mutate,pattern",
+    [
+        (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e0", "seg": False, "dir": "fwd"}), "out of range"),
+        (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": ["e0"], "seg": 0, "dir": "fwd"}), "unknown edge"),
+        (lambda o: o["edges"][0].__setitem__("ends", [["v0"], "v2"]), "not a vertex"),
+    ],
+    ids=["bool-seg", "unhashable-dart-edge", "unhashable-end"],
+)
+def test_parse_rejects_ill_typed_ids(mutate, pattern):
     with pytest.raises(TDRError, match=pattern):
         parse_tdr(_mutate_x1(mutate))
 
