@@ -128,37 +128,48 @@ def _collapse(cell_type: str) -> str:
     return "LARGE" if cell_type == "KITE" else cell_type
 
 
-class _CellIndex:
-    """Shared lookups: dart -> cell, id -> record, id -> type."""
+class _CellView:
+    """One drawing's cells, looked up by id and by dart, and their types.
 
-    def __init__(self, drawing: Drawing, records: Sequence[CellRecord]):
-        self.drawing = drawing
-        self.by_id = {r.cell_id: r for r in records}
-        self.types = {r.cell_id: classify_cell(drawing, r) for r in records}
-        fmap = drawing.planarize().face_of()
-        by_walk = {r.walk: r for r in records}
-        self.cell_of_dart = {d: by_walk[w] for d, w in fmap.items()}
+    ``Drawing._cell_view`` builds it once per drawing.  The types stay
+    ``None`` until ``_classified`` fills them, so a drawing that is only
+    checked for filledness never classifies its cells.
+    """
 
-    def type_of(self, cell_id: str) -> str:
-        return self.types[cell_id]
+    __slots__ = ("records", "by_id", "cell_of_dart", "types")
+
+    def __init__(self, drawing: Drawing):
+        self.records = cells(drawing)
+        self.by_id = {r.cell_id: r for r in self.records}
+        self.cell_of_dart = {d: r for r in self.records for d in r.walk}
+        self.types: Optional[Dict[str, str]] = None
 
     def across(self, dart: Dart) -> CellRecord:
+        """The cell on the other side of ``dart``'s segment."""
         return self.cell_of_dart[twin(dart)]
 
 
-def _march(drawing: Drawing, index: _CellIndex, seg: Segment, direction: str, limit: int):
+def _classified(drawing: Drawing) -> _CellView:
+    """The drawing's cell view, with every cell's type filled in."""
+    view = drawing._cell_view()
+    if view.types is None:
+        view.types = {r.cell_id: classify_cell(drawing, r) for r in view.records}
+    return view
+
+
+def _march(drawing: Drawing, view: _CellView, seg: Segment, direction: str, limit: int):
     """Follow a corridor of XQUADs away from one side of ``seg``.
 
     Returns (cells, exit_segments): the cells starting with the one on this
     side of ``seg`` and ending at the first non-XQUAD, and the inner
     segments consumed after ``seg``.
     """
-    cell = index.cell_of_dart[(seg[0], seg[1], direction)]
+    cell = view.cell_of_dart[(seg[0], seg[1], direction)]
     cells_out = [cell]
     segs_out: List[Segment] = []
     cur = seg
     steps = 0
-    while index.type_of(cell.cell_id) == "XQUAD":
+    while view.types[cell.cell_id] == "XQUAD":
         steps += 1
         if steps > limit:
             raise CensusError("trail corridor does not terminate")
@@ -169,7 +180,7 @@ def _march(drawing: Drawing, index: _CellIndex, seg: Segment, direction: str, li
         if not drawing.is_inner_segment(cur):
             raise CensusError(f"trail corridor exits through outer segment {cur}")
         segs_out.append(cur)
-        cell = index.across(exit_dart)
+        cell = view.across(exit_dart)
         cells_out.append(cell)
     return cells_out, segs_out
 
@@ -179,9 +190,9 @@ def _crosses(drawing: Drawing, edge_id: str, seg: Segment) -> bool:
     return edge_id in (drawing.other_edge_at(a, seg[0]), drawing.other_edge_at(b, seg[0]))
 
 
-def extract_trails(drawing: Drawing, records: Sequence[CellRecord]) -> Tuple[Trail, ...]:
+def extract_trails(drawing: Drawing) -> Tuple[Trail, ...]:
     """The trails of the drawing; their interiors partition the inner segments."""
-    index = _CellIndex(drawing, records)
+    view = _classified(drawing)
     inner = drawing.inner_segments()
     limit = len(inner) + 2
     visited = set()
@@ -190,8 +201,8 @@ def extract_trails(drawing: Drawing, records: Sequence[CellRecord]) -> Tuple[Tra
         if s in visited:
             continue
         visited.add(s)
-        cells_fwd, segs_fwd = _march(drawing, index, s, "fwd", limit)
-        cells_bwd, segs_bwd = _march(drawing, index, s, "bwd", limit)
+        cells_fwd, segs_fwd = _march(drawing, view, s, "fwd", limit)
+        cells_bwd, segs_bwd = _march(drawing, view, s, "bwd", limit)
         visited.update(segs_fwd)
         visited.update(segs_bwd)
         chain = list(reversed(cells_fwd)) + cells_bwd
@@ -208,8 +219,8 @@ def extract_trails(drawing: Drawing, records: Sequence[CellRecord]) -> Tuple[Tra
                 raise CensusError(f"trail through {s} has no well-defined bounding edges")
             walls = (good[0], good[1])
 
-        t0 = _collapse(index.type_of(chain[0].cell_id))
-        t1 = _collapse(index.type_of(chain[-1].cell_id))
+        t0 = _collapse(view.types[chain[0].cell_id])
+        t1 = _collapse(view.types[chain[-1].cell_id])
         trails.append(Trail(
             cells=tuple(c.cell_id for c in chain),
             interior_segments=interior,
@@ -262,36 +273,25 @@ class _TrailEnds:
             raise CensusError(f"no trail ends at cell {cell_id} through {seg}") from None
 
 
-def _opposite_quadrant(drawing: Drawing, index: _CellIndex, rec: CellRecord, x: str) -> CellRecord:
+def _opposite_quadrant(drawing: Drawing, view: _CellView, rec: CellRecord, x: str) -> CellRecord:
     """The cell vertically opposite ``rec`` at crossing ``x``."""
     d = next(dd for dd in rec.walk if drawing.tail(dd) == x)
     rot = drawing.rotations[x]
     i = rot.index(d)
-    return index.cell_of_dart[rot[(i + 2) % len(rot)]]
+    return view.cell_of_dart[rot[(i + 2) % len(rot)]]
 
 
-def _xpent_side_profile(drawing: Drawing, index: _CellIndex, ends: _TrailEnds, rec: CellRecord):
+def _xpent_side_profile(view: _CellView, ends: _TrailEnds, rec: CellRecord):
     """For each side of an XPENT: (other end cell type, trail length)."""
     profile = []
     for d in rec.walk:
         trail, other = ends.at(rec.cell_id, d[:2])
-        profile.append((index.type_of(other), len(trail.cells)))
+        profile.append((view.types[other], len(trail.cells)))
     return profile
-
-
-def is_saturated_xpent(drawing: Drawing, record: CellRecord, trails: Sequence[Trail],
-                       records: Optional[Sequence[CellRecord]] = None) -> bool:
-    """True iff all five trails incident to the cell end in crossing-even cells."""
-    index = _CellIndex(drawing, records if records is not None else cells(drawing))
-    if index.type_of(record.cell_id) != "XPENT":
-        raise CensusError(f"cell {record.cell_id} is not an XPENT")
-    profile = _xpent_side_profile(drawing, index, _TrailEnds(trails), record)
-    return all(t in CROSSING_EVEN_TYPES for t, _ in profile)
 
 
 def detect_configurations(
     drawing: Drawing,
-    records: Sequence[CellRecord],
     trails: Sequence[Trail],
     strict: bool = False,
 ) -> Tuple[Configuration, ...]:
@@ -301,7 +301,8 @@ def detect_configurations(
     mistyped witness cell raises :class:`WitnessError`; otherwise the
     affected configuration is silently skipped (advisory mode).
     """
-    index = _CellIndex(drawing, records)
+    view = _classified(drawing)
+    types = view.types
     ends = _TrailEnds(trails)
     found: List[Configuration] = []
 
@@ -313,8 +314,8 @@ def detect_configurations(
         return False
 
     # CFG13 / CFG14: one per VTRI, across the outer sides of its inner segment.
-    for rec in records:
-        if index.type_of(rec.cell_id) != "VTRI":
+    for rec in view.records:
+        if types[rec.cell_id] != "VTRI":
             continue
         inner_darts = [d for d in rec.walk if drawing.is_inner_segment(d[:2])]
         if not need(len(inner_darts) == 1, rec.cell_id, "VTRI without a unique inner side"):
@@ -322,8 +323,8 @@ def detect_configurations(
         e = inner_darts[0][0]
         k = len(drawing.edges[e].crossings)
         outer = [d for d in rec.walk if d is not inner_darts[0]]
-        neighbors = [(d, index.across(d)) for d in outer]
-        vv = [(d, nb) for d, nb in neighbors if index.type_of(nb.cell_id) == "VVTRI"]
+        neighbors = [(d, view.across(d)) for d in outer]
+        vv = [(d, nb) for d, nb in neighbors if types[nb.cell_id] == "VVTRI"]
         if k == 2:
             if not need(len(vv) == 2, rec.cell_id,
                         "VTRI on a twice-crossed edge must have two VVTRI neighbors"):
@@ -370,27 +371,27 @@ def detect_configurations(
                     f"{pair[0]}-{pair[1]} trail must have length 2"):
             continue
         s = trail.interior_segments[0]
-        recs2 = [index.by_id[c] for c in trail.cells]
+        recs2 = [view.by_id[c] for c in trail.cells]
 
         if pair == ("XPENT", "XTRI"):
-            xtri = next(r for r in recs2 if index.type_of(r.cell_id) == "XTRI")
-            xpent = next(r for r in recs2 if index.type_of(r.cell_id) == "XPENT")
+            xtri = next(r for r in recs2 if types[r.cell_id] == "XTRI")
+            xpent = next(r for r in recs2 if types[r.cell_id] == "XPENT")
             x3 = next(drawing.tail(d) for d in xtri.walk
                       if drawing.tail(d) not in drawing.segment_nodes(s))
-            vv = _opposite_quadrant(drawing, index, xtri, x3)
-            if not need(index.type_of(vv.cell_id) == "VVTRI", xtri.cell_id,
-                        f"opposite quadrant at {x3} is {index.type_of(vv.cell_id)}, not VVTRI"):
+            vv = _opposite_quadrant(drawing, view, xtri, x3)
+            if not need(types[vv.cell_id] == "VVTRI", xtri.cell_id,
+                        f"opposite quadrant at {x3} is {types[vv.cell_id]}, not VVTRI"):
                 continue
             kite = None
             shared: Optional[Segment] = None
             for d in xtri.walk:
                 if d[:2] == s:
                     continue
-                cand = index.across(d)
-                if index.type_of(cand.cell_id) != "KITE":
+                cand = view.across(d)
+                if types[cand.cell_id] != "KITE":
                     continue
                 for dd in vv.walk:
-                    if x3 in drawing.segment_nodes(dd[:2]) and index.across(dd) is cand:
+                    if x3 in drawing.segment_nodes(dd[:2]) and view.across(dd) is cand:
                         kite, shared = cand, dd[:2]
                         break
                 if kite is not None:
@@ -404,13 +405,13 @@ def detect_configurations(
                 designated_segments=(shared,),
             ))
         else:
-            vq = next(r for r in recs2 if index.type_of(r.cell_id) == "VQUAD")
-            other = next(r for r in recs2 if index.type_of(r.cell_id) != "VQUAD")
+            vq = next(r for r in recs2 if types[r.cell_id] == "VQUAD")
+            other = next(r for r in recs2 if types[r.cell_id] != "VQUAD")
             idx = next(i for i, d in enumerate(vq.walk) if d[:2] == s)
             far = vq.walk[(idx + 2) % 4]
-            z = index.across(far)
-            if not need(index.type_of(z.cell_id) == "VVTRI", vq.cell_id,
-                        f"cell across the far side is {index.type_of(z.cell_id)}, not VVTRI"):
+            z = view.across(far)
+            if not need(types[z.cell_id] == "VVTRI", vq.cell_id,
+                        f"cell across the far side is {types[z.cell_id]}, not VVTRI"):
                 continue
             kind = "CFG10" if pair == ("VQUAD", "XPENT") else "CFG12"
             found.append(Configuration(
@@ -420,10 +421,10 @@ def detect_configurations(
             ))
 
     # CFG15: saturated XPENTs, one per window of three consecutive uncrossed trails.
-    for rec in records:
-        if index.type_of(rec.cell_id) != "XPENT":
+    for rec in view.records:
+        if types[rec.cell_id] != "XPENT":
             continue
-        profile = _xpent_side_profile(drawing, index, ends, rec)
+        profile = _xpent_side_profile(view, ends, rec)
         if not all(t in CROSSING_EVEN_TYPES for t, _ in profile):
             continue
         corners = [drawing.tail(d) for d in rec.walk]  # x_i = shared corner of sides i-1, i
@@ -434,11 +435,11 @@ def detect_configurations(
                     "saturated XPENT without three consecutive uncrossed trails"):
             continue
         for i in windows:
-            ca = _opposite_quadrant(drawing, index, rec, corners[(i + 1) % 5])
-            cb = _opposite_quadrant(drawing, index, rec, corners[(i + 2) % 5])
-            ok = need(index.type_of(ca.cell_id) == "VVTRI", rec.cell_id,
+            ca = _opposite_quadrant(drawing, view, rec, corners[(i + 1) % 5])
+            cb = _opposite_quadrant(drawing, view, rec, corners[(i + 2) % 5])
+            ok = need(types[ca.cell_id] == "VVTRI", rec.cell_id,
                       f"opposite quadrant at {corners[(i + 1) % 5]} is not VVTRI") and \
-                 need(index.type_of(cb.cell_id) == "VVTRI", rec.cell_id,
+                 need(types[cb.cell_id] == "VVTRI", rec.cell_id,
                       f"opposite quadrant at {corners[(i + 2) % 5]} is not VVTRI")
             if not ok:
                 continue
@@ -530,10 +531,10 @@ def census(drawing: Drawing, strict: bool = False) -> CensusReport:
     ``strict`` turns missing configuration witnesses into errors; use it
     for 3-saturated inputs, where the counting rows promise them.
     """
-    recs = cells(drawing)
-    types = {r.cell_id: classify_cell(drawing, r) for r in recs}
-    trails = extract_trails(drawing, recs)
-    cfgs = detect_configurations(drawing, recs, trails, strict=strict)
+    view = _classified(drawing)
+    recs, types = view.records, view.types
+    trails = extract_trails(drawing)
+    cfgs = detect_configurations(drawing, trails, strict=strict)
 
     counts: Dict[str, int] = dict(stats(drawing).as_dict())
     for t in CELL_COUNT_KEYS:

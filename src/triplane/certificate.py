@@ -185,8 +185,6 @@ def verify_numeric(
         raise CertificateError(
             "certificate evaluation needs a 3-saturated drawing; "
             "run saturate first (CLI: --saturate)")
-    if len(drawing.vertices) < 3:
-        raise CertificateError("certificate evaluation needs at least 3 vertices")
 
     rep = census(drawing, strict=True)
     val = _valuation(rep.counts)

@@ -66,7 +66,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_check(args) -> int:
     d = _maybe_saturate(_load_drawing(args.file), args.saturate)
-    vrep = validate(d)
+    vrep = d._validation()
     if not vrep.valid:
         print(f"drawing is not valid: {', '.join(vrep.failing())}", file=sys.stderr)
         return 1

@@ -119,31 +119,11 @@ class CombMap:
             self._faces = tuple(out)
         return self._faces
 
-    def face_of(self) -> Dict[Dart, Tuple[Dart, ...]]:
-        """Map each dart to the face walk containing it."""
-        table: Dict[Dart, Tuple[Dart, ...]] = {}
-        for walk in self.faces():
-            for d in walk:
-                table[d] = walk
-        return table
-
     def euler_characteristic(self) -> int:
         return len(self.rotations) - self.num_segments() + len(self.faces())
 
     def is_connected(self) -> bool:
-        if not self.rotations:
-            return True
-        start = min(self.rotations)
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for d in self.rotations[node]:
-                h = self.head(d)
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        return len(seen) == len(self.rotations)
+        return not self.rotations or len(self.component_of(min(self.rotations))) == len(self.rotations)
 
     def component_of(self, node: str) -> frozenset:
         seen = {node}

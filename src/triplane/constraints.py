@@ -6,11 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple, Union
 
-from .census import cells
-from .drawing import Drawing, validate
+from .drawing import Drawing
 
 Rational = Union[int, Fraction]
-LinearForm = Dict[str, Fraction]
 
 SCOPE_ANY = "any-valid-drawing"
 SCOPE_SAT = "3-saturated"
@@ -69,9 +67,6 @@ ROWS: Tuple[ConstraintRow, ...] = (
     ConstraintRow("9.C", "<=", {"CFG10": 1, "CFG9": 1, "CFG12": 1, "CFG13": 1, "CFG14": 2},
                   {"VVTRI": 2}, SCOPE_ANY),
 )
-
-ROW_IDS = tuple(r.id for r in ROWS)
-
 
 def _valuation(counts: Mapping[str, int]) -> Dict[str, int]:
     if "n" not in counts:
@@ -154,7 +149,7 @@ def density_residual(drawing: Drawing, t: Rational) -> Fraction:
     """
     if not drawing.edges:
         raise ConstraintError("density residual needs at least one edge")
-    report = validate(drawing)
+    report = drawing._validation()
     if not report.valid:
         raise ConstraintError(
             "density residual needs a valid drawing (failing: "
@@ -163,5 +158,6 @@ def density_residual(drawing: Drawing, t: Rational) -> Fraction:
     n = len(drawing.vertices)
     x = len(drawing.crossings)
     e = len(drawing.edges)
-    cell_term = sum((t - 1) / 4 * r.size - t for r in cells(drawing))
+    records = drawing._cell_view().records
+    cell_term = (t - 1) / 4 * sum(r.size for r in records) - t * len(records)
     return e - (t * (n - 2) - cell_term - x)

@@ -55,7 +55,8 @@ class Drawing:
     system, crossing alternation, and so on) is the job of ``validate``.
     """
 
-    __slots__ = ("vertices", "edges", "rotations", "_crossings", "_planar", "_vertex_set")
+    __slots__ = ("vertices", "edges", "rotations", "_crossings", "_planar", "_vertex_set",
+                 "_report", "_cells")
 
     def __init__(
         self,
@@ -111,6 +112,8 @@ class Drawing:
         self._vertex_set = vset
         self._crossings = {x: tuple(sorted(p)) for x, p in occ.items()}
         self._planar: CombMap | None = None
+        self._report: ValidationReport | None = None
+        self._cells = None
 
         expected = 0
         for e in emap.values():
@@ -174,6 +177,19 @@ class Drawing:
         if self._planar is None:
             self._planar = CombMap(self.rotations)
         return self._planar
+
+    def _validation(self) -> "ValidationReport":
+        """``validate(self)``, computed on first use and kept."""
+        if self._report is None:
+            self._report = validate(self)
+        return self._report
+
+    def _cell_view(self):
+        """The ``census._CellView`` of this drawing, built on first use and kept."""
+        if self._cells is None:
+            from .census import _CellView
+            self._cells = _CellView(self)
+        return self._cells
 
     def canonical(self) -> str:
         return serialize_tdr(self)
@@ -255,18 +271,6 @@ def serialize_tdr(drawing: Drawing) -> str:
 
 # -- validation -------------------------------------------------------------
 
-CHECK_NAMES = (
-    "no-loops",
-    "3-plane",
-    "no-self-cross",
-    "no-adjacent-cross",
-    "crossing-alternation",
-    "sphere",
-    "connected",
-    "non-homotopic",
-)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -332,12 +336,9 @@ def validate(drawing: Drawing) -> ValidationReport:
     euler = cmap.euler_characteristic()
     results.append(CheckResult("sphere", euler == 2, () if euler == 2 else (f"euler={euler}",)))
 
-    if cmap.is_connected():
-        results.append(CheckResult("connected", True))
-    else:
-        reached = cmap.component_of(min(cmap.rotations)) if cmap.rotations else frozenset()
-        stranded = min(set(cmap.rotations) - reached)
-        results.append(CheckResult("connected", False, (stranded,)))
+    reached = cmap.component_of(min(cmap.rotations)) if cmap.rotations else frozenset()
+    stranded = set(cmap.rotations) - reached
+    results.append(CheckResult("connected", not stranded, (min(stranded),) if stranded else ()))
 
     lenses = set()
     for walk in cmap.faces():

@@ -29,7 +29,7 @@ def frac_from_str(s) -> Fraction:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
             raise SceneError(f"bad rational {s!r}") from None
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise SceneError(f"bad rational {s!r}")
 
@@ -191,8 +191,14 @@ def parse_scene(text: str) -> GeometricScene:
         raise SceneError("syntax: JSON nested too deeply") from None
     if not isinstance(obj, dict) or set(obj) != {"points", "segments"}:
         raise SceneError("top level must have exactly the keys points, segments")
+    if not isinstance(obj["points"], dict):
+        raise SceneError("points must be an object")
+    if not isinstance(obj["segments"], list):
+        raise SceneError("segments must be a list")
     points = {}
     for name, xy in obj["points"].items():
+        if not name:
+            raise SceneError("point names must be nonempty")
         if not isinstance(xy, list) or len(xy) != 2:
             raise SceneError(f"point {name!r} must be a coordinate pair")
         points[name] = (frac_from_str(xy[0]), frac_from_str(xy[1]))
@@ -202,10 +208,13 @@ def parse_scene(text: str) -> GeometricScene:
         if not isinstance(s, dict) or set(s) != {"id", "ends"}:
             raise SceneError(f"segment record must have exactly id, ends: {s!r}")
         sid, ends = s["id"], s["ends"]
+        if not isinstance(sid, str) or not sid:
+            raise SceneError(f"segment id {sid!r} must be a nonempty string")
         if sid in ids:
             raise SceneError(f"duplicate segment id {sid!r}")
         ids.add(sid)
-        if len(ends) != 2 or any(e not in points for e in ends):
+        if not isinstance(ends, list) or len(ends) != 2 or any(
+                not isinstance(e, str) or e not in points for e in ends):
             raise SceneError(f"segment {sid!r} has an end that is not a point")
         if ends[0] == ends[1]:
             raise SceneError(f"segment {sid!r} joins a point to itself")

@@ -5,9 +5,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from .census import cells
 from .combmap import Dart, twin
-from .drawing import Drawing, EdgeRecord, validate
+from .drawing import Drawing, EdgeRecord
 
 
 class SaturateError(ValueError):
@@ -22,7 +21,7 @@ def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
     Cells are scanned in lexicographic id order and vertex pairs in
     lexicographic order, so the witness is deterministic.
     """
-    recs = sorted(cells(drawing), key=lambda r: r.cell_id)
+    recs = sorted(drawing._cell_view().records, key=lambda r: r.cell_id)
     for rec in recs:
         verts = sorted({drawing.tail(d) for d in rec.walk if drawing.is_vertex(drawing.tail(d))})
         if len(verts) < 2:
@@ -96,7 +95,7 @@ def saturate(drawing: Drawing) -> Drawing:
     """
     if len(drawing.vertices) < 3:
         raise SaturateError("saturation requires at least 3 vertices")
-    report = validate(drawing)
+    report = drawing._validation()
     if not report.valid:
         raise SaturateError("input drawing is not valid (failing: " + ", ".join(report.failing()) + ")")
 
@@ -162,7 +161,7 @@ def saturate(drawing: Drawing) -> Drawing:
         raise SaturateError("saturation did not terminate within the edge-count bound")
 
     out = Drawing(drawing.vertices, edges, rotations) if len(edges) > len(drawing.edges) else drawing
-    report = validate(out)
+    report = out._validation()
     if not report.valid:
         raise SaturateError("saturated drawing is not valid (failing: " + ", ".join(report.failing()) + ")")
     witness = filled_witness(out)
@@ -173,4 +172,4 @@ def saturate(drawing: Drawing) -> Drawing:
 
 def is_3saturated(drawing: Drawing) -> bool:
     """Valid on >= 3 vertices, and every cell's vertex pairs are joined along its boundary."""
-    return len(drawing.vertices) >= 3 and validate(drawing).valid and is_filled(drawing)
+    return len(drawing.vertices) >= 3 and drawing._validation().valid and is_filled(drawing)

@@ -81,7 +81,7 @@ def saturated_census(name):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_criterion1_density_identity(name):
     d = corpus_drawing(name)
-    for t in (1, 2, 5):
+    for t in (1, 2, 5, Fraction(7, 3), Fraction(-3, 2)):
         assert density_residual(d, t) == 0
 
 

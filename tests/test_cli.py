@@ -1,4 +1,7 @@
+import hashlib
+import importlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -69,6 +72,36 @@ def test_check_reports_known_failing_row_on_fig3(capsys, fig3_file):
     failing = [r["id"] for r in report["rows"] if r["applicable"] and not r["pass"]]
     assert failing == ["3.E"]
     assert report["density_residuals"] == {"1": "0/1", "2": "0/1", "5": "0/1"}
+
+
+# sha256 of each verdict's stdout on gen_fig3(2): sharing one validation
+# report and one cell view per drawing must not change a byte.
+@pytest.mark.parametrize("argv,code,digest", [
+    (["check"], 1, "63db8bd510f9b0d3f33e570357964faa777fa3c2465161d93945c37e0ed7f123"),
+    (["certify", "--target", "edges"], 0,
+     "137bef95e2f44647118a206f41850ac6887d6684836899ebafa2e673cca343b2"),
+    (["certify", "--target", "crossings"], 0,
+     "0d4701132a180e2f9a5ba75233af6ceef1caf6cc035dd36143a56360a3413909"),
+], ids=["check", "certify-edges", "certify-crossings"])
+def test_verdict_validates_and_builds_cells_once(capsys, monkeypatch, tmp_path, argv, code, digest):
+    p = tmp_path / "fig3.json"
+    p.write_text(serialize_tdr(gen_fig3(2)))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # ``triplane.census`` is the census function; the module is looked up by name.
+    census_mod = importlib.import_module("triplane.census")
+    drawing_mod = importlib.import_module("triplane.drawing")
+    monkeypatch.setattr(census_mod, "cells", counted("cells", census_mod.cells))
+    monkeypatch.setattr(drawing_mod, "validate", counted("validate", drawing_mod.validate))
+    got, out, _ = run(capsys, argv[0], str(p), *argv[1:])
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    assert calls == {"cells": 1, "validate": 1}
 
 
 def test_check_rejects_invalid_drawing(capsys, tmp_path):
@@ -165,7 +198,14 @@ def test_random_is_deterministic(capsys):
                              "edges": [{"id": "e0", "ends": ["a", "b"], "crossings": []}],
                              "rotations": {"a": [{"edge": ["e0"], "seg": 0, "dir": "fwd"}],
                                            "b": [{"edge": "e0", "seg": 0, "dir": "bwd"}]}})),
-], ids=["validate-deep-json", "ingest-deep-json", "validate-list-end", "validate-list-dart-edge"])
+    ("ingest", json.dumps({"points": [], "segments": []})),
+    ("ingest", json.dumps({"points": {"a": ["0", "0"], "b": ["1", "0"]},
+                           "segments": [{"id": ["s"], "ends": ["a", "b"]}]})),
+    ("ingest", json.dumps({"points": {"a": ["0", "0"], "b": ["1", "0"]},
+                           "segments": [{"id": "s", "ends": 5}]})),
+    ("ingest", json.dumps({"points": {"a": [True, "0"], "b": ["1", "0"]}, "segments": []})),
+], ids=["validate-deep-json", "ingest-deep-json", "validate-list-end", "validate-list-dart-edge",
+        "ingest-list-points", "ingest-list-segment-id", "ingest-int-ends", "ingest-bool-coordinate"])
 def test_malformed_input_is_usage_error(capsys, tmp_path, command, text):
     p = tmp_path / "bad.json"
     p.write_text(text)

@@ -30,7 +30,7 @@ def test_frac_round_trip():
 
 
 def test_frac_rejects_garbage():
-    for bad in ("", "x", "1/0", None, 1.5):
+    for bad in ("", "x", "1/0", None, 1.5, True, False):
         with pytest.raises(SceneError):
             frac_from_str(bad)
 
@@ -167,3 +167,17 @@ def test_parse_scene_rejects_malformed_input():
             "points": {"a": ["0", "0"], "b": ["1", "0"], "c": ["0", "1"]},
             "segments": [{"id": "e0", "ends": ["a", "b"]}, {"id": "e0", "ends": ["b", "c"]}],
         }))
+    ab = {"a": ["0", "0"], "b": ["1", "0"]}
+    for bad in (
+        {"points": [], "segments": []},                                    # points not an object
+        {"points": ab, "segments": {}},                                    # segments not a list
+        {"points": ab, "segments": [{"id": ["s"], "ends": ["a", "b"]}]},   # unhashable id
+        {"points": ab, "segments": [{"id": 7, "ends": ["a", "b"]}]},       # id not a string
+        {"points": ab, "segments": [{"id": "", "ends": ["a", "b"]}]},      # empty id
+        {"points": {"": ["0", "0"]}, "segments": []},                      # empty point name
+        {"points": ab, "segments": [{"id": "e0", "ends": 5}]},             # ends not a pair
+        {"points": ab, "segments": [{"id": "e0", "ends": [["a"], "b"]}]},  # unhashable end
+        {"points": {"a": [True, "0"], "b": ["1", "0"]}, "segments": []},   # boolean coordinate
+    ):
+        with pytest.raises(SceneError):
+            parse_scene(json.dumps(bad))

@@ -1,0 +1,35 @@
+"""Every function the benchmark's traced run wraps still exists.
+
+``perfbench/tracer.py`` looks each name in its ``TRACED`` table up with
+``getattr`` when ``perfbench/run.py --trace 1`` starts, so deleting or
+renaming one of them breaks that run.  The table is read from the file's
+source; the benchmark code itself is not imported.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def traced_table():
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED table in {TRACER}")
+
+
+def test_every_traced_name_resolves():
+    table = traced_table()
+    assert table
+    missing = []
+    for mod_name, names in table.items():
+        mod = importlib.import_module(f"triplane.{mod_name}")
+        for name in names:
+            owner_name, _, method = name.partition(".")
+            owner = getattr(mod, owner_name, None)
+            if owner is None or (method and method not in vars(owner)):
+                missing.append(f"{mod_name}.{name}")
+    assert not missing
