@@ -13,7 +13,7 @@ spliced when an edge is inserted inside a face.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 Dart = Tuple[str, int, str]
 
@@ -68,15 +68,8 @@ class CombMap:
         self._faces: Tuple[Tuple[Dart, ...], ...] | None = None
 
     @property
-    def nodes(self) -> Tuple[str, ...]:
-        return tuple(self.rotations)
-
-    @property
     def edge_ids(self) -> frozenset:
         return self._edge_ids
-
-    def darts(self) -> Iterator[Dart]:
-        return iter(self._pos)
 
     def num_segments(self) -> int:
         return len(self._pos) // 2

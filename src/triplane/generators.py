@@ -8,40 +8,111 @@ and all crossings, crossing orders, and angular rotations are computed
 with rational arithmetic in that model.  Because every face walk maps
 orientation-faithfully onto a clockwise polygon, the computed rotations
 splice consistently into the global counterclockwise rotation system.
+Scene ingestion, random scenes and the chord model all accept their
+segments through one exact arrangement, so the three share one rule set.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .combmap import Dart, twin
 from .drawing import Drawing, EdgeRecord
-from .geometry import (GeometricScene, Point, SceneError, ccw_from, ccw_sorted,
-                       orient, segment_relation, sub)
+from .geometry import (GeometricScene, Point, SceneError, ccw_from, ccw_sorted, dot,
+                       on_segment, segment_relation, sub)
 
 
 class GenerationError(ValueError):
     """A generator was misused or an internal construction invariant broke."""
 
 
+# -- the exact arrangement behind every straight-line producer ---------------
+
+class _Arrangement:
+    """Straight segments between fixed points, accepted one at a time.
+
+    A segment is accepted only if no point lies on it and every accepted
+    segment meets it at a shared end or in one proper crossing of
+    non-adjacent segments, at a point no other pair crosses, with no
+    segment crossed more than 3 times.  Points must be distinct and
+    segments non-degenerate.
+    """
+
+    def __init__(self, points: Mapping[Hashable, Point]):
+        self.points = points
+        self.ends: Dict[str, Tuple[Hashable, Hashable]] = {}
+        self.crossings: Dict[str, List[Tuple[Point, str]]] = {}  # (point, other segment)
+        self.owner: Dict[Point, Tuple[str, str]] = {}            # crossing -> (older, newer)
+
+    def add(self, sid: str, u: Hashable, v: Hashable) -> Optional[str]:
+        """Accept segment ``sid`` from u to v, or return why it is refused."""
+        pts = self.points
+        a, b = pts[u], pts[v]
+        for nm, p in pts.items():
+            if nm != u and nm != v and on_segment(p, a, b):
+                return f"vertex-on-edge: point {nm!r} lies on segment {sid!r}"
+        found: List[Tuple[Point, str]] = []
+        for o, (c, d) in self.ends.items():
+            rel = segment_relation(a, b, pts[c], pts[d])
+            kind = rel[0]
+            if kind == "disjoint":
+                continue
+            adjacent = c in (u, v) or d in (u, v)
+            if kind == "shared-endpoint" and adjacent:
+                continue
+            if kind != "proper" or adjacent:
+                return f"{'adjacent-crossing' if kind == 'proper' else kind}: {o!r} and {sid!r}"
+            p = rel[1]
+            if p in self.owner:
+                o1, o2 = self.owner[p]
+                return f"concurrent-crossing: {o1!r}, {o2!r}, {o!r}, {sid!r} meet at one point"
+            if len(self.crossings[o]) == 3:
+                return f"too-many-crossings: {o!r} is crossed 4 times"
+            found.append((p, o))
+            if len(found) == 4:
+                return f"too-many-crossings: {sid!r} is crossed 4 times"
+        self.ends[sid] = (u, v)
+        self.crossings[sid] = found
+        for p, o in found:
+            self.owner[p] = (o, sid)
+            self.crossings[o].append((p, sid))
+        return None
+
+    def along(self, sid: str) -> List[Tuple[Point, str]]:
+        """The crossings on ``sid`` in order from its first end."""
+        u, v = self.ends[sid]
+        a = self.points[u]
+        r = sub(self.points[v], a)
+        return sorted(self.crossings[sid], key=lambda item: dot(sub(item[0], a), r))
+
+    def crossing_rotations(self, names: Mapping[Point, str]) -> Dict[str, List[Dart]]:
+        """The counterclockwise rotation at each crossing, keyed by ``names[point]``."""
+        index = {(sid, p): i for sid in self.ends for i, (p, _) in enumerate(self.along(sid))}
+        rotations: Dict[str, List[Dart]] = {}
+        for p, pair in self.owner.items():
+            items = []
+            for sid in pair:
+                u, v = self.ends[sid]
+                d = sub(self.points[v], self.points[u])
+                i = index[(sid, p)]
+                items.append(((sid, i, "bwd"), (-d[0], -d[1])))
+                items.append(((sid, i + 1, "fwd"), d))
+            rotations[names[p]] = ccw_sorted(items)
+        return rotations
+
+
 # -- geometric ingestion -----------------------------------------------------
-
-def _between(p: Point, a: Point, b: Point) -> bool:
-    """p lies on segment ab (collinearity assumed checked by caller via orient)."""
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
 
 def ingest_geometry(scene: GeometricScene) -> Drawing:
     """Exactly intersect a straight-line scene and emit the drawing.
 
     Rejections (each naming the offending ids): coincident points,
-    degenerate or duplicate segments, collinear overlaps, a vertex lying
-    on another segment, adjacent segments crossing, three segments
-    through one point, more than 3 crossings on a segment.
+    degenerate or duplicate segments, then, for the first segment in scene
+    order that breaks one, collinear overlaps, a vertex lying on another
+    segment, adjacent segments crossing, three segments through one
+    point, more than 3 crossings on a segment.
     """
     pts = scene.points
     names = sorted(pts)
@@ -61,85 +132,26 @@ def ingest_geometry(scene: GeometricScene) -> Drawing:
         if u == v:
             raise SceneError(f"degenerate-segment: {sid!r} has equal ends")
 
-    for nm in names:
-        for sid, (u, v) in segs:
-            if nm in (u, v):
-                continue
-            if orient(pts[u], pts[v], pts[nm]) == 0 and _between(pts[nm], pts[u], pts[v]):
-                raise SceneError(f"vertex-on-edge: point {nm!r} lies on segment {sid!r}")
-
-    per_edge: Dict[str, List[Tuple[Point, str]]] = {sid: [] for sid in sids}
-    cross_owner: Dict[Point, Tuple[str, str]] = {}
-    for (s1, (u1, v1)), (s2, (u2, v2)) in combinations(segs, 2):
-        rel = segment_relation(pts[u1], pts[v1], pts[u2], pts[v2])
-        kind = rel[0]
-        if kind == "disjoint":
-            continue
-        if kind == "collinear-overlap":
-            raise SceneError(f"collinear-overlap: {s1!r} and {s2!r}")
-        if kind == "endpoint-on-interior":
-            raise SceneError(f"vertex-on-edge: an end of {s1!r} or {s2!r} lies on the other")
-        if kind == "shared-endpoint":
-            continue
-        # proper crossing
-        if {u1, v1} & {u2, v2}:
-            raise SceneError(f"adjacent-crossing: {s1!r} and {s2!r}")
-        p = rel[1]
-        if p in cross_owner:
-            o1, o2 = cross_owner[p]
-            raise SceneError(f"concurrent-crossing: {o1!r}, {o2!r}, {s1!r}, {s2!r} meet at one point")
-        cross_owner[p] = (s1, s2)
-        per_edge[s1].append((p, s2))
-        per_edge[s2].append((p, s1))
-
-    for sid in sids:
-        if len(per_edge[sid]) > 3:
-            raise SceneError(f"too-many-crossings: {sid!r} is crossed {len(per_edge[sid])} times")
+    arr = _Arrangement(pts)
+    for sid, (u, v) in segs:
+        reason = arr.add(sid, u, v)
+        if reason is not None:
+            raise SceneError(reason)
 
     prefix = "x"
-    while any(f"{prefix}{i}" in pts for i in range(len(cross_owner))):
+    while any(f"{prefix}{i}" in pts for i in range(len(arr.owner))):
         prefix = "x" + prefix
-    xname = {p: f"{prefix}{i}" for i, p in enumerate(sorted(cross_owner))}
+    xname = {p: f"{prefix}{i}" for i, p in enumerate(sorted(arr.owner))}
 
-    seg_ends = dict(segs)
+    edges = [EdgeRecord(sid, (u, v), tuple(xname[p] for p, _ in arr.along(sid)))
+             for sid, (u, v) in segs]
 
-    def along(sid: str) -> List[Tuple[Point, str]]:
-        u, v = seg_ends[sid]
-        a, b = pts[u], pts[v]
-        # sort crossing points by the parameter along a -> b
-        def key(item):
-            p, _ = item
-            return ((p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1]))
-        return sorted(per_edge[sid], key=key)
-
-    edges = []
-    for sid, (u, v) in segs:
-        ordered = along(sid)
-        edges.append(EdgeRecord(sid, (u, v), tuple(xname[p] for p, _ in ordered)))
-
-    rotations: Dict[str, List] = {nm: [] for nm in names}
     items_at: Dict[str, List[Tuple[Dart, Point]]] = {nm: [] for nm in names}
     for sid, (u, v) in segs:
-        k = len(per_edge[sid])
         items_at[u].append(((sid, 0, "fwd"), sub(pts[v], pts[u])))
-        items_at[v].append(((sid, k, "bwd"), sub(pts[u], pts[v])))
-    for nm in names:
-        rotations[nm] = list(ccw_sorted(items_at[nm])) if items_at[nm] else []
-
-    idx_on: Dict[Tuple[str, Point], int] = {}
-    for sid in sids:
-        for i, (p, _) in enumerate(along(sid)):
-            idx_on[(sid, p)] = i
-    for p, (s1, s2) in cross_owner.items():
-        items = []
-        for sid in (s1, s2):
-            u, v = seg_ends[sid]
-            d = sub(pts[v], pts[u])
-            i = idx_on[(sid, p)]
-            items.append(((sid, i, "bwd"), (-d[0], -d[1])))
-            items.append(((sid, i + 1, "fwd"), d))
-        rotations[xname[p]] = list(ccw_sorted(items))
-
+        items_at[v].append(((sid, len(arr.crossings[sid]), "bwd"), sub(pts[u], pts[v])))
+    rotations = {nm: ccw_sorted(items_at[nm]) for nm in names}
+    rotations.update(arr.crossing_rotations(xname))
     return Drawing(names, edges, rotations)
 
 
@@ -189,67 +201,33 @@ def add_chords_in_face(
         if e in drawing.edges:
             raise GenerationError(f"edge id {e!r} already used")
 
-    # Pairwise chord crossings, exact, in the model.
-    per_chord: Dict[int, List[Tuple[Point, int]]] = {k: [] for k in range(len(chords))}
-    owner: Dict[Point, Tuple[int, int]] = {}
-    for k1, k2 in combinations(range(len(chords)), 2):
-        (i1, j1), (i2, j2) = chords[k1], chords[k2]
-        interleaved = (i1 < i2 < j1 < j2) or (i2 < i1 < j2 < j1)
-        rel = segment_relation(model[i1], model[j1], model[i2], model[j2])
-        if interleaved != (rel[0] == "proper"):
+    arr = _Arrangement(dict(enumerate(model)))
+    for e, (i, j) in zip(eid, chords):
+        reason = arr.add(e, i, j)
+        if reason is not None:
+            raise GenerationError(reason)
+    for e, (i, j) in zip(eid, chords):
+        interleaved = {f for f, (a, b) in zip(eid, chords) if i < a < j < b or a < i < b < j}
+        if {o for _, o in arr.crossings[e]} != interleaved:
             raise GenerationError("model polygon is not convex enough for these chords")
-        if not interleaved:
-            continue
-        p = rel[1]
-        if p in owner:
-            raise GenerationError(
-                f"chords {chords[k1]}, {chords[k2]}, {chords[owner[p][0]]} are concurrent in the model")
-        owner[p] = (k1, k2)
-        per_chord[k1].append((p, k2))
-        per_chord[k2].append((p, k1))
-    for k, lst in per_chord.items():
-        if len(lst) > 3:
-            raise GenerationError(f"chord {chords[k]} would be crossed {len(lst)} times")
 
-    xid = {p: f"{crossing_prefix}{n}" for n, p in enumerate(sorted(owner))}
+    xid = {p: f"{crossing_prefix}{n}" for n, p in enumerate(sorted(arr.owner))}
     for x in xid.values():
         if x in drawing.rotations:
             raise GenerationError(f"crossing id {x!r} already used")
 
-    def ordered(k: int) -> List[Tuple[Point, int]]:
-        i, j = chords[k]
-        a, b = model[i], model[j]
-        return sorted(per_chord[k],
-                      key=lambda it: (it[0][0] - a[0]) * (b[0] - a[0]) + (it[0][1] - a[1]) * (b[1] - a[1]))
-
-    new_edges = []
-    idx_on: Dict[Tuple[int, Point], int] = {}
-    for k, (i, j) in enumerate(chords):
-        lst = ordered(k)
-        for n, (p, _) in enumerate(lst):
-            idx_on[(k, p)] = n
-        new_edges.append(EdgeRecord(eid[k], (cycle[i], cycle[j]), tuple(xid[p] for p, _ in lst)))
-
+    new_edges = [EdgeRecord(e, (cycle[i], cycle[j]), tuple(xid[p] for p, _ in arr.along(e)))
+                 for e, (i, j) in zip(eid, chords)]
     rotations: Dict[str, List[Dart]] = {node: list(ds) for node, ds in drawing.rotations.items()}
-
-    for p, (k1, k2) in owner.items():
-        items = []
-        for k in (k1, k2):
-            i, j = chords[k]
-            d = sub(model[j], model[i])
-            n = idx_on[(k, p)]
-            items.append(((eid[k], n, "bwd"), (-d[0], -d[1])))
-            items.append(((eid[k], n + 1, "fwd"), d))
-        rotations[xid[p]] = list(ccw_sorted(items))
+    rotations.update(arr.crossing_rotations(xid))
 
     for i in range(m):
         incident = []
-        for k, (a, b) in enumerate(chords):
+        for e, (a, b) in zip(eid, chords):
             if a == i:
-                incident.append(((eid[k], 0, "fwd"), sub(model[b], model[a])))
+                incident.append(((e, 0, "fwd"), sub(model[b], model[a])))
             elif b == i:
-                kcross = len(per_chord[k])
-                incident.append(((eid[k], kcross, "bwd"), sub(model[a], model[b])))
+                incident.append(((e, len(arr.crossings[e]), "bwd"), sub(model[a], model[b])))
         if not incident:
             continue
         arrival = aligned[i - 1]
@@ -556,47 +534,13 @@ def build_random_scene(n: int, edge_budget: int, seed: int) -> GeometricScene:
     pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
 
-    accepted: List[Tuple[str, Tuple[str, str]]] = []
-    count: Dict[int, int] = {}
-    cross_pts = set()
+    arr = _Arrangement(pts)
 
     def try_add(u: str, v: str) -> bool:
-        a, b = pts[u], pts[v]
-        if any(nm not in (u, v)
-               and orient(a, b, pts[nm]) == 0 and _between(pts[nm], a, b)
-               for nm in names):
-            return False
-        new_crossings: List[Tuple[Point, int]] = []
-        for idx, (sid2, (u2, v2)) in enumerate(accepted):
-            rel = segment_relation(a, b, pts[u2], pts[v2])
-            kind = rel[0]
-            if kind == "disjoint":
-                continue
-            if kind == "shared-endpoint":
-                if {u, v} & {u2, v2}:
-                    continue
-                return False
-            if kind == "proper" and not ({u, v} & {u2, v2}):
-                new_crossings.append((rel[1], idx))
-                continue
-            return False
-        if len(new_crossings) > 3:
-            return False
-        pts_new = [p for p, _ in new_crossings]
-        if len(set(pts_new)) != len(pts_new) or any(p in cross_pts for p in pts_new):
-            return False
-        if any(count.get(idx, 0) + 1 > 3 for _, idx in new_crossings):
-            return False
-        k = len(accepted)
-        accepted.append((f"e{k}", (u, v)))
-        for p, idx in new_crossings:
-            cross_pts.add(p)
-            count[idx] = count.get(idx, 0) + 1
-            count[k] = count.get(k, 0) + 1
-        return True
+        return arr.add(f"e{len(arr.ends)}", u, v) is None
 
     for u, v in pairs:
-        if len(accepted) >= edge_budget:
+        if len(arr.ends) >= edge_budget:
             break
         try_add(u, v)
 
@@ -609,7 +553,7 @@ def build_random_scene(n: int, edge_budget: int, seed: int) -> GeometricScene:
             x = parent[x]
         return x
 
-    for _, (u, v) in accepted:
+    for u, v in arr.ends.values():
         parent[find(u)] = find(v)
     components = len({find(nm) for nm in names})
     while components > 1:
@@ -621,7 +565,7 @@ def build_random_scene(n: int, edge_budget: int, seed: int) -> GeometricScene:
         else:
             raise GenerationError(
                 f"could not connect the scene for n={n}, seed={seed}")
-    return GeometricScene(pts, tuple(accepted))
+    return GeometricScene(pts, tuple(arr.ends.items()))
 
 
 def random_drawing(n: int, edge_budget: int, seed: int) -> Drawing:

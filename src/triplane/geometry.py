@@ -55,6 +55,13 @@ def orient(o: Point, a: Point, b: Point) -> Fraction:
     return cross(sub(a, o), sub(b, o))
 
 
+def on_segment(p: Point, a: Point, b: Point) -> bool:
+    """p lies on the closed segment ab."""
+    return (orient(a, b, p) == 0
+            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
 def segment_relation(a: Point, b: Point, c: Point, d: Point):
     """How segments ab and cd meet.
 
@@ -134,44 +141,10 @@ def ccw_sorted(items: Sequence[Tuple[object, Point]]) -> List[object]:
 
 
 def ccw_from(base: Point, items: Sequence[Tuple[object, Point]]) -> List[object]:
-    """Sort items counterclockwise starting just after direction ``base``."""
-
-    def angle_cmp(p, q):
-        return _cmp_dir(p[1], q[1])
-
-    def key_from_base(v: Point):
-        # rotate so that base maps to angle 0, then use the global order
-        # (exactness: compare via cross/dot signs against base)
-        c = cross(base, v)
-        d = dot(base, v)
-        # angle in (0, 2pi): class 0 = same direction as base (excluded),
-        # 1 = CCW side (0, pi), 2 = opposite, 3 = CW side (pi, 2pi)
-        if c == 0:
-            cls = 0 if d > 0 else 2
-        elif c > 0:
-            cls = 1
-        else:
-            cls = 3
-        return cls
-
-    def cmp_items(p, q):
-        cp, cq = key_from_base(p[1]), key_from_base(q[1])
-        if cp != cq:
-            return -1 if cp < cq else 1
-        if cp in (0, 2):
-            return 0
-        c = cross(p[1], q[1])
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
-
-    ordered = sorted(items, key=cmp_to_key(cmp_items))
-    for p, q in zip(ordered, ordered[1:]):
-        if cmp_items(p, q) == 0:
-            raise SceneError(f"darts {p[0]!r} and {q[0]!r} leave a node in the same direction")
-    return [k for k, _ in ordered]
+    """Sort items counterclockwise, starting with the first at or after ``base``."""
+    ordered = ccw_sorted(items)
+    start = sum(1 for _, v in items if _cmp_dir(v, base) < 0)  # items before base
+    return ordered[start:] + ordered[:start]
 
 
 # -- scene format ------------------------------------------------------------

@@ -11,6 +11,7 @@ random drawings.  Two tests are expected to fail honestly:
   tests/test_constraints.py pins a minimal 6-vertex witness.
 """
 
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -83,6 +84,14 @@ def test_criterion1_density_identity(name):
     d = corpus_drawing(name)
     for t in (1, 2, 5, Fraction(7, 3), Fraction(-3, 2)):
         assert density_residual(d, t) == 0
+
+
+def test_corpus_bytes_are_pinned():
+    """The producers' output is fixed: one digest over every corpus TDR."""
+    digest = hashlib.sha256()
+    for name in CORPUS_NAMES:
+        digest.update(serialize_tdr(corpus_drawing(name)).encode())
+    assert digest.hexdigest() == "5abc07dc5dcc942928f60354ee58960a5ee1dc85a08458fa65e6f579132daace"
 
 
 # -- criterion 2: symbolic certificates (expected to fail honestly) ------

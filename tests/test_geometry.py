@@ -11,6 +11,7 @@ from triplane.geometry import (
     ccw_sorted,
     frac_from_str,
     frac_to_str,
+    on_segment,
     orient,
     parse_scene,
     segment_param,
@@ -39,6 +40,12 @@ def test_orient_signs():
     assert orient(P(0, 0), P(1, 0), P(0, 1)) > 0
     assert orient(P(0, 0), P(0, 1), P(1, 0)) < 0
     assert orient(P(0, 0), P(1, 1), P(2, 2)) == 0
+    a, b = P(0, 0), P(2, 2)
+    assert on_segment(a, a, b) and on_segment(b, a, b)    # endpoints
+    assert on_segment(P(1, 1), a, b)                       # interior
+    assert not on_segment(P(3, 3), a, b)                   # collinear, outside
+    assert not on_segment(P(-1, -1), a, b)
+    assert not on_segment(P(1, 0), a, b)                   # off the line
 
 
 def test_proper_crossing_with_exact_point():
