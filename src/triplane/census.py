@@ -11,8 +11,8 @@ the small cell clusters the counting rows charge against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combmap import Dart, twin
 from .drawing import Drawing, Segment, stats
@@ -64,15 +64,6 @@ def cells(drawing: Drawing) -> Tuple[CellRecord, ...]:
             degenerate=len(set(tails)) < len(tails),
         ))
     return tuple(out)
-
-
-def walk_features(drawing: Drawing, record: CellRecord) -> List[str]:
-    """The boundary walk as alternating node and segment names."""
-    out = []
-    for d in record.walk:
-        out.append(drawing.tail(d))
-        out.append(f"{d[0]}:{d[1]}")
-    return out
 
 
 def _crossings_adjacent(drawing: Drawing, record: CellRecord) -> bool:

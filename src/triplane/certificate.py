@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
 from .census import census
-from .constraints import ROWS, ConstraintRow, _form_value, _valuation
+from .constraints import ROWS, _form_value, _valuation
 from .drawing import Drawing
 
 LinearForm = Dict[str, Fraction]

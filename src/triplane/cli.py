@@ -57,8 +57,18 @@ def _cmd_validate(args) -> int:
     return 0 if report.valid else 1
 
 
+def _invalid(d: Drawing) -> bool:
+    """Whether ``d`` is not valid; if so, name the failing checks on stderr."""
+    failing = d._validation().failing()
+    if failing:
+        print(f"drawing is not valid: {', '.join(failing)}", file=sys.stderr)
+    return bool(failing)
+
+
 def _cmd_census(args) -> int:
     d = _maybe_saturate(_load_drawing(args.file), args.saturate)
+    if _invalid(d):
+        return 1
     rep = census(d, strict=is_3saturated(d))
     _emit(rep.counts)
     return 0
@@ -66,9 +76,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_check(args) -> int:
     d = _maybe_saturate(_load_drawing(args.file), args.saturate)
-    vrep = d._validation()
-    if not vrep.valid:
-        print(f"drawing is not valid: {', '.join(vrep.failing())}", file=sys.stderr)
+    if _invalid(d):
         return 1
     saturated = is_3saturated(d)
     rep = census(d, strict=saturated)
@@ -181,10 +189,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except GenerationError as exc:
+    except (_UsageError, GenerationError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (SceneError, SaturateError, CensusError, ConstraintError,

@@ -7,8 +7,8 @@ twin is the same segment the other way.  Faces are the orbits of
 ``d -> rotation_successor(twin(d))``.  With counterclockwise rotations a
 bounded face's walk runs clockwise, i.e. every face lies to the right of
 each of its darts, and the gap in a node's rotation just after
-``twin(arrival)`` points into the face — that is where new darts are
-spliced when an edge is inserted inside a face.
+``twin(arrival)`` points into the face — that is where ``Rotations.splice``
+puts new darts when an edge is inserted inside a face.
 """
 
 from __future__ import annotations
@@ -40,6 +40,46 @@ def _as_dart(obj) -> Dart:
     return (edge, seg, direction)
 
 
+class Rotations:
+    """A rotation system edited in place, for producers that insert edges.
+
+    ``lists`` maps each node to its counterclockwise darts and ``tail`` each
+    dart to its node.  A ``CombMap`` or ``Drawing`` built from ``lists``
+    checks the result.
+    """
+
+    __slots__ = ("lists", "tail")
+
+    def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
+        self.lists, self.tail = {}, {}
+        self.update(rotations)
+
+    def update(self, rotations: Mapping[str, Sequence[Dart]]) -> None:
+        """Add nodes, each with its whole rotation."""
+        for node, darts in rotations.items():
+            self.lists[node] = list(darts)
+            self.tail.update(dict.fromkeys(darts, node))
+
+    def walk(self, dart: Dart) -> Tuple[Dart, ...]:
+        """The face walk that starts at ``dart``."""
+        out = [dart]
+        while True:
+            t = twin(out[-1])
+            r = self.lists[self.tail[t]]
+            d = r[(r.index(t) + 1) % len(r)]
+            if d == dart:
+                return tuple(out)
+            out.append(d)
+
+    def splice(self, arrival: Dart, darts: Sequence[Dart]) -> None:
+        """Insert ``darts`` in order just after ``twin(arrival)``, inside the face ``arrival`` walks."""
+        t = twin(arrival)
+        r = self.lists[self.tail[t]]
+        i = r.index(t) + 1
+        r[i:i] = darts
+        self.tail.update(dict.fromkeys(darts, self.tail[t]))
+
+
 class CombMap:
     """An embedded multigraph, immutable once built.
 
@@ -66,10 +106,6 @@ class CombMap:
         self._pos = pos
         self._edge_ids = frozenset(d[0] for d in pos)
         self._faces: Tuple[Tuple[Dart, ...], ...] | None = None
-
-    @property
-    def edge_ids(self) -> frozenset:
-        return self._edge_ids
 
     def num_segments(self) -> int:
         return len(self._pos) // 2
@@ -115,9 +151,6 @@ class CombMap:
     def euler_characteristic(self) -> int:
         return len(self.rotations) - self.num_segments() + len(self.faces())
 
-    def is_connected(self) -> bool:
-        return not self.rotations or len(self.component_of(min(self.rotations))) == len(self.rotations)
-
     def component_of(self, node: str) -> frozenset:
         seen = {node}
         stack = [node]
@@ -155,12 +188,7 @@ class CombMap:
         v = self.tail(walk[occurrence_v])
         if u == v:
             raise MapError(f"occurrences are incidences of the same node {u!r}")
-        new_rot = {n: list(r) for n, r in self.rotations.items()}
-
-        def splice(node: str, after: Dart, new: Dart) -> None:
-            r = new_rot[node]
-            r.insert(r.index(after) + 1, new)
-
-        splice(u, twin(walk[occurrence_u - 1]), (edge_id, 0, "fwd"))
-        splice(v, twin(walk[occurrence_v - 1]), (edge_id, 0, "bwd"))
-        return CombMap(new_rot)
+        rot = Rotations(self.rotations)
+        rot.splice(walk[occurrence_u - 1], [(edge_id, 0, "fwd")])
+        rot.splice(walk[occurrence_v - 1], [(edge_id, 0, "bwd")])
+        return CombMap(rot.lists)

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .combmap import DIRS, CombMap, Dart, twin
+from .combmap import DIRS, CombMap, Dart
 
 Segment = Tuple[str, int]
 
@@ -153,9 +153,6 @@ class Drawing:
     def tail(self, dart: Dart) -> str:
         pts = self.points(dart[0])
         return pts[dart[1]] if dart[2] == "fwd" else pts[dart[1] + 1]
-
-    def head(self, dart: Dart) -> str:
-        return self.tail(twin(dart))
 
     def segment_nodes(self, seg: Segment) -> Tuple[str, str]:
         pts = self.points(seg[0])

@@ -7,7 +7,8 @@ convex polygon (points of a parabola, reversed), chords become secants,
 and all crossings, crossing orders, and angular rotations are computed
 with rational arithmetic in that model.  Because every face walk maps
 orientation-faithfully onto a clockwise polygon, the computed rotations
-splice consistently into the global counterclockwise rotation system.
+splice consistently into the global counterclockwise rotation system,
+which every face edits in place; one ``Drawing`` is built at the end.
 Scene ingestion, random scenes and the chord model all accept their
 segments through one exact arrangement, so the three share one rule set.
 """
@@ -18,10 +19,11 @@ import random
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .combmap import Dart, twin
+from .combmap import Dart, Rotations
 from .drawing import Drawing, EdgeRecord
 from .geometry import (GeometricScene, Point, SceneError, ccw_from, ccw_sorted, dot,
                        on_segment, segment_relation, sub)
+from .saturate import saturate
 
 
 class GenerationError(ValueError):
@@ -158,39 +160,37 @@ def ingest_geometry(scene: GeometricScene) -> Drawing:
 # -- chord insertion in a face ----------------------------------------------
 
 def add_chords_in_face(
-    drawing: Drawing,
+    rot: Rotations,
+    edges: Dict[str, EdgeRecord],
     cycle: Sequence[str],
     chords: Sequence[Tuple[int, int]],
     edge_prefix: str,
     crossing_prefix: str,
-) -> Drawing:
+) -> None:
     """Insert straight chords into the face whose walk visits ``cycle``.
 
-    ``cycle`` must list the face's vertices in boundary-walk order.  Chords
-    are (i, j) index pairs into the cycle, i < j, non-adjacent.  New edges
-    are named ``{edge_prefix}{k}`` in chord order and new crossings
-    ``{crossing_prefix}{k}`` ordered by model position.
+    Edits ``rot`` and ``edges`` (edge id -> record) in place.  ``cycle``
+    lists the face's vertices in walk order; of several such walks, the
+    one whose face has the smallest dart wins, then the one starting
+    nearest it.  Chords are (i, j) index pairs into the cycle, i < j,
+    non-adjacent.  New edges are named ``{edge_prefix}{k}`` in chord order
+    and new crossings ``{crossing_prefix}{k}`` ordered by model position.
     """
     m = len(cycle)
     for i, j in chords:
         if not (0 <= i < j < m) or j - i == 1 or (i == 0 and j == m - 1):
             raise GenerationError(f"bad chord ({i},{j}) for a {m}-cycle")
 
-    cmap = drawing.planarize()
-    aligned: Optional[Tuple[Dart, ...]] = None
-    for walk in cmap.faces():
-        if len(walk) != m:
-            continue
-        tails = [drawing.tail(d) for d in walk]
-        for shift in range(m):
-            if all(tails[(shift + i) % m] == cycle[i] for i in range(m)):
-                aligned = tuple(walk[(shift + i) % m] for i in range(m))
-                break
-        if aligned:
-            break
-    if aligned is None:
+    found = []
+    for d in rot.lists.get(cycle[0], ()) if m else ():
+        walk = rot.walk(d)
+        if len(walk) == m and all(rot.tail[w] == c for w, c in zip(walk, cycle)):
+            first = walk.index(min(walk))
+            found.append((walk[first], -first % m, walk))
+    if not found:
         raise GenerationError(
             f"no face with boundary cycle {list(cycle)} (is it in walk order?)")
+    aligned = min(found)[2]
 
     # Clockwise convex model: parabola points in reversed order.
     t = [Fraction(m - 1 - i) for i in range(m)]
@@ -198,7 +198,7 @@ def add_chords_in_face(
 
     eid = [f"{edge_prefix}{k}" for k in range(len(chords))]
     for e in eid:
-        if e in drawing.edges:
+        if e in edges:
             raise GenerationError(f"edge id {e!r} already used")
 
     arr = _Arrangement(dict(enumerate(model)))
@@ -213,13 +213,12 @@ def add_chords_in_face(
 
     xid = {p: f"{crossing_prefix}{n}" for n, p in enumerate(sorted(arr.owner))}
     for x in xid.values():
-        if x in drawing.rotations:
+        if x in rot.lists:
             raise GenerationError(f"crossing id {x!r} already used")
 
-    new_edges = [EdgeRecord(e, (cycle[i], cycle[j]), tuple(xid[p] for p, _ in arr.along(e)))
-                 for e, (i, j) in zip(eid, chords)]
-    rotations: Dict[str, List[Dart]] = {node: list(ds) for node, ds in drawing.rotations.items()}
-    rotations.update(arr.crossing_rotations(xid))
+    for e, (i, j) in zip(eid, chords):
+        edges[e] = EdgeRecord(e, (cycle[i], cycle[j]), tuple(xid[p] for p, _ in arr.along(e)))
+    rot.update(arr.crossing_rotations(xid))
 
     for i in range(m):
         incident = []
@@ -228,17 +227,8 @@ def add_chords_in_face(
                 incident.append(((e, 0, "fwd"), sub(model[b], model[a])))
             elif b == i:
                 incident.append(((e, len(arr.crossings[e]), "bwd"), sub(model[a], model[b])))
-        if not incident:
-            continue
-        arrival = aligned[i - 1]
-        anchor = twin(arrival)
-        base = sub(model[i - 1] if i else model[m - 1], model[i])
-        order = ccw_from(base, incident)
-        rot = rotations[cycle[i]]
-        pos = rot.index(anchor)
-        rotations[cycle[i]] = rot[:pos + 1] + list(order) + rot[pos + 1:]
-
-    return Drawing(drawing.vertices, list(drawing.edges.values()) + new_edges, rotations)
+        if incident:
+            rot.splice(aligned[i - 1], ccw_from(sub(model[i - 1], model[i]), incident))
 
 
 # -- the hexagonal cylinder family -------------------------------------------
@@ -290,7 +280,8 @@ def gen_fig3(layers: int) -> Drawing:
             rot.append((R(l, p - 1), 0, "bwd"))
             rotations[V(l, p)] = rot
 
-    d = Drawing(vertices, edges, rotations)
+    system = Rotations(rotations)
+    emap = {e.id: e for e in edges}
 
     # Side faces: clockwise walk [b_p, b_p+1, b_p+2, t_p+2, t_p+1, t_p].
     for l in range(1, L + 1):
@@ -298,7 +289,7 @@ def gen_fig3(layers: int) -> Drawing:
             cycle = [V(l - 1, p), V(l - 1, p + 1), V(l - 1, p + 2),
                      V(l, p + 2), V(l, p + 1), V(l, p)]
             chords = list(_HEX_SHORTS) + [(0, 3), (2, 5)]
-            d = add_chords_in_face(d, cycle, chords, f"g{l}p{p}n", f"xg{l}p{p}n")
+            add_chords_in_face(system, emap, cycle, chords, f"g{l}p{p}n", f"xg{l}p{p}n")
 
     # Caps: three long diagonals plus a triangle of alternate shorts, the
     # parity chosen to avoid duplicating layer diagonals on the shared ring.
@@ -306,14 +297,14 @@ def gen_fig3(layers: int) -> Drawing:
     bot_tri_start = 1  # layer-1 verticals sit at even positions
     bot_tri = [((bot_tri_start + s) % 6, (bot_tri_start + s + 2) % 6) for s in (0, 2, 4)]
     bot_chords = list(_HEX_LONGS) + sorted(tuple(sorted(c)) for c in bot_tri)
-    d = add_chords_in_face(d, bot, bot_chords, "gbotn", "xbotn")
+    add_chords_in_face(system, emap, bot, bot_chords, "gbotn", "xbotn")
 
     top = [V(L, p) for p in range(6)]  # counterclockwise walk of the outer face
     top_tri_start = L % 2
     top_tri = [((top_tri_start + s) % 6, (top_tri_start + s + 2) % 6) for s in (0, 2, 4)]
     top_chords = list(_HEX_LONGS) + sorted(tuple(sorted(c)) for c in top_tri)
-    d = add_chords_in_face(d, top, top_chords, "gtopn", "xtopn")
-    return d
+    add_chords_in_face(system, emap, top, top_chords, "gtopn", "xtopn")
+    return Drawing(vertices, list(emap.values()), system.lists)
 
 
 # -- the pentagonal-rings family ----------------------------------------------
@@ -376,16 +367,11 @@ def gen_fig2(rings: int) -> Drawing:
                     in_dart = (S(k - 1, j // 2), 0, "bwd")
                 elif k % 2 == 0:
                     in_dart = (S(k - 1, j), 0, "bwd")
-            rot: List[Dart] = []
-            if out_dart:
-                rot.append(out_dart)
-            rot.append((RE(k, j), 0, "fwd"))
-            if in_dart:
-                rot.append(in_dart)
-            rot.append((RE(k, j - 1), 0, "bwd"))
-            rotations[W(k, j)] = rot
+            ring = ((RE(k, j), 0, "fwd"), (RE(k, j - 1), 0, "bwd"))
+            rotations[W(k, j)] = [d for d in (out_dart, ring[0], in_dart, ring[1]) if d]
 
-    d = Drawing(vertices, edges, rotations)
+    system = Rotations(rotations)
+    emap = {e.id: e for e in edges}
 
     faces: List[List[str]] = []
     faces.append([W(0, 0), W(0, 4), W(0, 3), W(0, 2), W(0, 1)])  # inner cap, clockwise
@@ -401,8 +387,8 @@ def gen_fig2(rings: int) -> Drawing:
         faces.append([W(R, j) for j in range(5)])  # outer cap, counterclockwise walk
 
     for fi, cycle in enumerate(faces):
-        d = add_chords_in_face(d, cycle, list(_PENT_CHORDS), f"q{fi}n", f"xq{fi}n")
-    return d
+        add_chords_in_face(system, emap, cycle, list(_PENT_CHORDS), f"q{fi}n", f"xq{fi}n")
+    return Drawing(vertices, list(emap.values()), system.lists)
 
 
 # -- basic named instances -----------------------------------------------------
@@ -482,28 +468,23 @@ def _basic_lens_bad() -> Drawing:
     return Drawing(["a", "b"], edges, rotations)
 
 
-BASIC_NAMES = ("k2", "k3", "path3", "x1", "lens-bad", "fig3a-micro", "fig4-flower")
+_BASIC = {
+    "k2": _basic_k2,
+    "k3": _basic_k3,
+    "path3": _basic_path3,
+    "x1": _basic_x1,
+    "lens-bad": _basic_lens_bad,
+    "fig3a-micro": lambda: saturate(ingest_geometry(fig3a_micro_scene())),
+    "fig4-flower": lambda: saturate(ingest_geometry(fig4_flower_scene())),
+}
+BASIC_NAMES = tuple(_BASIC)
 
 
 def gen_basic(name: str) -> Drawing:
     """Small named instances; 'lens-bad' is intentionally invalid."""
-    from .saturate import saturate
-
-    if name == "k2":
-        return _basic_k2()
-    if name == "k3":
-        return _basic_k3()
-    if name == "path3":
-        return _basic_path3()
-    if name == "x1":
-        return _basic_x1()
-    if name == "lens-bad":
-        return _basic_lens_bad()
-    if name == "fig3a-micro":
-        return saturate(ingest_geometry(fig3a_micro_scene()))
-    if name == "fig4-flower":
-        return saturate(ingest_geometry(fig4_flower_scene()))
-    raise GenerationError(f"unknown basic drawing {name!r}; known: {', '.join(BASIC_NAMES)}")
+    if name not in _BASIC:
+        raise GenerationError(f"unknown basic drawing {name!r}; known: {', '.join(BASIC_NAMES)}")
+    return _BASIC[name]()
 
 
 # -- random scenes -------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from .combmap import Dart, twin
+from .combmap import Dart, Rotations
 from .drawing import Drawing, EdgeRecord
 
 
@@ -80,18 +80,18 @@ def saturate(drawing: Drawing) -> Drawing:
     Requires a valid drawing with at least 3 vertices; the input is
     validated in full once.  Each round takes the first filled-ness
     witness (cell, u, v) that ``filled_witness`` would report and joins u
-    to v by an uncrossed edge routed through that cell, splicing it at the
-    first boundary occurrences of u and v exactly as
-    ``CombMap.insert_edge_in_face`` does.  Such an edge splits that one
-    cell in two and changes no other cell, crossing or rotation, so the
-    map is updated in place and only the two new cells are examined: each
-    insertion checks that u differs from v (no loop) and that neither new
-    cell is a two-segment lens (non-homotopic).  Every other validity
-    check is unaffected by such an edge.  One ``Drawing`` is built at the
-    end, then validated in full and re-checked from scratch with
-    ``filled_witness``, so the result is 3-saturated.  Raises
-    ``SaturateError`` if any of these checks fails or the number of
-    insertions exceeds the edge-count bound.
+    to v by an uncrossed edge routed through that cell, spliced at the
+    first boundary occurrences of u and v by ``Rotations.splice``, the
+    splice ``CombMap.insert_edge_in_face`` also uses.  Such an edge splits
+    that one cell in two and changes no other cell, crossing or rotation,
+    so the map is updated in place and only the two new cells are
+    examined: each insertion checks that u differs from v (no loop) and
+    that neither new cell is a two-segment lens (non-homotopic).  Every
+    other validity check is unaffected by such an edge.  One ``Drawing``
+    is built at the end, then validated in full and re-checked from
+    scratch with ``filled_witness``, so the result is 3-saturated.
+    Raises ``SaturateError`` if any of these checks fails or the number
+    of insertions exceeds the edge-count bound.
     """
     if len(drawing.vertices) < 3:
         raise SaturateError("saturation requires at least 3 vertices")
@@ -104,8 +104,7 @@ def saturate(drawing: Drawing) -> Drawing:
     nodes = len(drawing.vertices) + len(drawing.crossings)
     cap = max(0, 3 * nodes - 6 - cmap.num_segments()) + 1
 
-    rotations = {node: list(r) for node, r in cmap.rotations.items()}
-    tail = {d: node for node, r in rotations.items() for d in r}
+    rot = Rotations(cmap.rotations)
     vertices = frozenset(drawing.vertices)
     # Every face is keyed by its smallest dart, and its index in the sorted
     # ``keys`` is the ``c{i}`` id that ``cells`` gives it.  ``pending`` maps
@@ -115,7 +114,7 @@ def saturate(drawing: Drawing) -> Drawing:
     pending = {}
     for walk in cmap.faces():
         keys.append(walk[0])
-        witness = _cell_witness(walk, tail, vertices)
+        witness = _cell_witness(walk, rot.tail, vertices)
         if witness is not None:
             pending[walk[0]] = (walk, witness)
 
@@ -130,7 +129,7 @@ def saturate(drawing: Drawing) -> Drawing:
         walk, (u, v) = pending.pop(key)
         del keys[bisect_left(keys, key)]
 
-        tails = [tail[d] for d in walk]
+        tails = [rot.tail[d] for d in walk]
         i = tails.index(u)
         j = tails.index(v)
         while f"s{fresh}" in drawing.edges:
@@ -139,10 +138,8 @@ def saturate(drawing: Drawing) -> Drawing:
         fresh += 1
         edges.append(EdgeRecord(new_id, (u, v), ()))
         fwd, bwd = (new_id, 0, "fwd"), (new_id, 0, "bwd")
-        for node, after, new in ((u, twin(walk[i - 1]), fwd), (v, twin(walk[j - 1]), bwd)):
-            r = rotations[node]
-            r.insert(r.index(after) + 1, new)
-            tail[new] = node
+        rot.splice(walk[i - 1], [fwd])
+        rot.splice(walk[j - 1], [bwd])
 
         splits = (_canonical_walk((fwd,) + _cyclic(walk, j, i)),
                   _canonical_walk((bwd,) + _cyclic(walk, i, j)))
@@ -154,13 +151,13 @@ def saturate(drawing: Drawing) -> Drawing:
                 "(failing: " + ", ".join(failing) + ")")
         for split in splits:
             insort(keys, split[0])
-            witness = _cell_witness(split, tail, vertices)
+            witness = _cell_witness(split, rot.tail, vertices)
             if witness is not None:
                 pending[split[0]] = (split, witness)
     else:
         raise SaturateError("saturation did not terminate within the edge-count bound")
 
-    out = Drawing(drawing.vertices, edges, rotations) if len(edges) > len(drawing.edges) else drawing
+    out = Drawing(drawing.vertices, edges, rot.lists) if len(edges) > len(drawing.edges) else drawing
     report = out._validation()
     if not report.valid:
         raise SaturateError("saturated drawing is not valid (failing: " + ", ".join(report.failing()) + ")")

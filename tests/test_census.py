@@ -10,7 +10,6 @@ from triplane.census import (
     extract_trails,
     tkey,
     trail_counts,
-    walk_features,
 )
 from triplane.generators import gen_basic, ingest_geometry
 from triplane.geometry import parse_scene
@@ -72,7 +71,7 @@ def type_counts(rep):
 
 
 def test_k2_single_cell():
-    rep = census(util.k2())
+    rep = census(gen_basic("k2"))
     assert rep.counts["cells"] == 1
     (rec,) = rep.cells
     assert rec.size == 4
@@ -83,7 +82,7 @@ def test_k2_single_cell():
 
 
 def test_k3_two_hexagonal_cells():
-    rep = census(util.k3())
+    rep = census(gen_basic("k3"))
     assert rep.counts["cells"] == 2
     for rec in rep.cells:
         assert rec.size == 6
@@ -92,12 +91,6 @@ def test_k3_two_hexagonal_cells():
     assert rep.counts["LARGE"] == 2
     assert rep.counts["large_size_sum"] == 12
     assert rep.trails == ()
-
-
-def test_walk_features_renders_nodes_and_segments():
-    d = util.k2()
-    rep = census(d)
-    assert walk_features(d, rep.cells[0]) == ["b", "e0:0", "a", "e0:0"]
 
 
 def test_capped_triangle_cells():
@@ -200,7 +193,7 @@ def test_micro_configuration_counts():
 
 
 def test_census_counts_match_report_dict():
-    rep = census(util.k3())
+    rep = census(gen_basic("k3"))
     d = rep.as_dict()
     assert d["counts"] == rep.counts
     assert len(d["cells"]) == 2

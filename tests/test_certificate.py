@@ -156,7 +156,7 @@ def test_numeric_requires_saturation():
 
 def test_numeric_rejects_tiny_drawings():
     with pytest.raises(CertificateError):
-        verify_numeric(util.k2())
+        verify_numeric(gen_basic("k2"))
 
 
 def test_numeric_report_serializes_fractions_as_strings():

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from triplane.cli import main
-from triplane.drawing import serialize_tdr
+from triplane.drawing import Drawing, serialize_tdr
 from triplane.generators import gen_basic, gen_fig3
 
 import util
@@ -15,7 +15,7 @@ import util
 @pytest.fixture()
 def k3_file(tmp_path):
     p = tmp_path / "k3.json"
-    p.write_text(serialize_tdr(util.k3()))
+    p.write_text(serialize_tdr(gen_basic("k3")))
     return str(p)
 
 
@@ -55,6 +55,21 @@ def test_census_emits_counts(capsys, k3_file):
     counts = json.loads(out)
     assert counts["n"] == 3 and counts["E"] == 3 and counts["X"] == 0
     assert counts["LARGE"] == 2
+
+
+# census refuses an invalid drawing with check's message and exit code.
+@pytest.mark.parametrize("build", [
+    lambda: gen_basic("lens-bad"),
+    util.two_components,
+    lambda: Drawing(["a"], [], {"a": []}),
+], ids=["lens-bad", "two-components", "lone-vertex"])
+def test_census_rejects_invalid_drawing(capsys, tmp_path, build):
+    p = tmp_path / "bad.json"
+    p.write_text(serialize_tdr(build()))
+    for cmd in ("census", "check"):
+        code, out, err = run(capsys, cmd, str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith("drawing is not valid: ")
 
 
 def test_check_passes_on_k3(capsys, k3_file):

@@ -1,6 +1,6 @@
 import pytest
 
-from triplane.combmap import CombMap, MapError, twin
+from triplane.combmap import CombMap, MapError, Rotations, twin
 
 
 def square_map():
@@ -23,7 +23,6 @@ def test_k2_single_face():
     m = CombMap({"a": [("e0", 0, "fwd")], "b": [("e0", 0, "bwd")]})
     assert m.faces() == ((("e0", 0, "bwd"), ("e0", 0, "fwd")),)
     assert m.euler_characteristic() == 2
-    assert m.is_connected()
 
 
 def test_k3_two_faces():
@@ -69,7 +68,6 @@ def test_disconnected():
         "a": [("e0", 0, "fwd")], "b": [("e0", 0, "bwd")],
         "c": [("e1", 0, "fwd")], "d": [("e1", 0, "bwd")],
     })
-    assert not m.is_connected()
     assert m.component_of("a") == frozenset({"a", "b"})
 
 
@@ -87,6 +85,24 @@ def test_insert_diagonal_in_square():
     # the other face of the square is untouched
     other = next(w for w in m.faces() if w is not face)
     assert other in m2.faces()
+
+
+def test_rotations_walks_match_combmap_faces_after_splice():
+    rot = Rotations(square_map().rotations)
+    face = rot.walk(("s0", 0, "fwd"))
+    assert [rot.tail[d] for d in face] == ["p0", "p1", "p2", "p3"]
+    # a chord p0-p2 inside that face: each end goes in after the dart arriving there
+    fwd, bwd = ("d0", 0, "fwd"), ("d0", 0, "bwd")
+    rot.splice(face[3], [fwd])
+    rot.splice(face[1], [bwd])
+    assert rot.tail[fwd] == "p0" and rot.tail[bwd] == "p2"
+    split = {rot.walk(fwd), rot.walk(bwd)}
+    assert split == {(fwd, ("s2", 0, "fwd"), ("s3", 0, "fwd")),
+                     (bwd, ("s0", 0, "fwd"), ("s1", 0, "fwd"))}
+    faces = CombMap(rot.lists).faces()
+    assert len(faces) == 3
+    assert all(rot.walk(w[0]) == w for w in faces)
+    assert split < set(faces)  # "d0" sorts first, so both new faces start at a d0 dart
 
 
 def test_insert_parallel_edge_in_k2():

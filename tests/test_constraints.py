@@ -71,7 +71,7 @@ def row_map(report):
 
 
 def test_k3_saturated_rows_all_pass():
-    rep = census(util.k3(), strict=True)
+    rep = census(gen_basic("k3"), strict=True)
     out = evaluate_constraints(rep.counts, saturated=True)
     assert out.all_pass
     rows = row_map(out)
@@ -94,7 +94,7 @@ def test_flower_rows_pass_with_known_slacks():
 
 
 def test_scope_controls_applicability():
-    rep = census(util.path3())
+    rep = census(gen_basic("path3"))
     out = evaluate_constraints(rep.counts, saturated=False)
     rows = row_map(out)
     for rid in ("2.A", "2.B", "2.C", "2.D", "3.A", "3.B", "3.C", "3.D", "3.E",
@@ -117,7 +117,7 @@ def test_crossing_degree_identity_failure_example():
 
 
 def test_row_results_serialize():
-    rep = census(util.k3(), strict=True)
+    rep = census(gen_basic("k3"), strict=True)
     out = evaluate_constraints(rep.counts, saturated=True)
     d = out.as_dict()
     assert d["saturated"] is True
@@ -167,15 +167,14 @@ def test_trail_pair_bound_violated_by_hexagon_witness():
 
 
 def test_density_residual_zero_across_t():
-    for build in (util.k2, util.k3, util.path3, util.x1,
-                  lambda: gen_basic("fig4-flower")):
-        d = build()
+    for d in (gen_basic("k2"), gen_basic("k3"), gen_basic("path3"), util.x1(),
+              gen_basic("fig4-flower")):
         for t in (1, 2, 5, Fraction(7, 3)):
             assert density_residual(d, t) == 0
 
 
 def test_density_residual_requires_edges():
-    bare = util.k2()
+    bare = gen_basic("k2")
     no_edges = type(bare)(["a", "b", "c"], [], {"a": [], "b": [], "c": []})
     with pytest.raises(ConstraintError):
         density_residual(no_edges, 2)
@@ -183,4 +182,4 @@ def test_density_residual_requires_edges():
 
 def test_density_residual_rejects_invalid_drawing():
     with pytest.raises(ConstraintError):
-        density_residual(util.lens(), 2)
+        density_residual(gen_basic("lens-bad"), 2)

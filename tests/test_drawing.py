@@ -11,13 +11,13 @@ from triplane.drawing import (
     stats,
     validate,
 )
+from triplane.generators import gen_basic
 
 import util
 
 
 def test_round_trip_is_identity_on_canonical_text():
-    for build in (util.k2, util.k3, util.x1, util.path3):
-        d = build()
+    for d in (gen_basic("k2"), gen_basic("k3"), util.x1(), gen_basic("path3")):
         text = serialize_tdr(d)
         assert serialize_tdr(parse_tdr(text)) == text
         assert parse_tdr(text) == d
@@ -110,9 +110,9 @@ def test_parse_rejects_duplicate_dart():
 
 
 def test_validate_valid_fixtures():
-    for build in (util.k2, util.k3, util.x1, util.path3):
-        report = validate(build())
-        assert report.valid, (build.__name__, report.failing())
+    for d in (gen_basic("k2"), gen_basic("k3"), util.x1(), gen_basic("path3")):
+        report = validate(d)
+        assert report.valid, report.failing()
         assert [c.name for c in report.checks] == [
             "no-loops", "3-plane", "no-self-cross", "no-adjacent-cross",
             "crossing-alternation", "sphere", "connected", "non-homotopic",
@@ -120,7 +120,7 @@ def test_validate_valid_fixtures():
 
 
 def test_validate_lens():
-    report = validate(util.lens())
+    report = validate(gen_basic("lens-bad"))
     assert report.failing() == ("non-homotopic",)
     lens_check = report.checks[-1]
     assert lens_check.witnesses == ("e0:0|e1:0",)
@@ -184,13 +184,12 @@ def test_validate_nonsphere():
 def test_stats():
     s = stats(util.x1())
     assert (s.n, s.E, s.X, s.E0, s.E1, s.E2, s.E3, s.Ex) == (4, 2, 1, 0, 2, 0, 0, 2)
-    s = stats(util.k3())
+    s = stats(gen_basic("k3"))
     assert (s.n, s.E, s.X, s.E0, s.Ex) == (3, 3, 0, 3, 0)
 
 
 def test_stats_crossing_identity():
-    for build in (util.k2, util.k3, util.x1, util.overloaded_line):
-        d = build()
+    for d in (gen_basic("k2"), gen_basic("k3"), util.x1(), util.overloaded_line()):
         s = stats(d)
         assert s.E1 + 2 * s.E2 + 3 * s.E3 + sum(
             len(e.crossings) for e in d.edges.values() if len(e.crossings) > 3

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplane.census import census
-from triplane.drawing import serialize_tdr, stats, validate
+from triplane.combmap import Rotations
+from triplane.drawing import Drawing, serialize_tdr, stats, validate
 from triplane.generators import (
     BASIC_NAMES,
     GenerationError,
@@ -169,6 +171,26 @@ def test_fig2_rejects_nonpositive_rings():
         gen_fig2(0)
 
 
+# Chords go into one rotation system shared by every face, so each family
+# builds exactly one Drawing, at the end; the digests pin its bytes.
+@pytest.mark.parametrize("gen,digest", [
+    (gen_fig3, "8a476ba03a9f1a5aee7bac377fcd8c8713a6b588b7c7e2e0c43bdda33dc97327"),
+    (gen_fig2, "a02b0fa92d398b9f3413852c8035a2bd8e633059c46a0f6569aba95ae0b7b312"),
+], ids=["fig3", "fig2"])
+def test_generators_build_one_drawing(monkeypatch, gen, digest):
+    built = []
+    init = Drawing.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Drawing, "__init__", counted)
+    d = gen(3)
+    assert len(built) == 1
+    assert hashlib.sha256(serialize_tdr(d).encode()).hexdigest() == digest
+
+
 def test_gen_basic_names():
     for name in BASIC_NAMES:
         d = gen_basic(name)
@@ -220,20 +242,24 @@ def test_random_scene_segments_stay_in_bounds(n, seed):
     assert stats(d).X == brute_force_crossings(scene)
 
 
+def add_chords(d, *args):
+    add_chords_in_face(Rotations(d.rotations), dict(d.edges), *args)
+
+
 def test_add_chords_rejects_unknown_face():
-    d = util.k3()
+    d = gen_basic("k3")
     with pytest.raises(GenerationError):
-        add_chords_in_face(d, ("a", "c", "b", "a"), [(0, 2)], "g", "xg")
+        add_chords(d, ("a", "c", "b", "a"), [(0, 2)], "g", "xg")
 
 
 def test_add_chords_rejects_bad_indices():
     d = gen_basic("k3")
     with pytest.raises(GenerationError):
-        add_chords_in_face(d, ("a", "b", "c"), [(0, 0)], "g", "xg")
+        add_chords(d, ("a", "b", "c"), [(0, 0)], "g", "xg")
     with pytest.raises(GenerationError):
-        add_chords_in_face(d, ("a", "b", "c"), [(0, 5)], "g", "xg")
+        add_chords(d, ("a", "b", "c"), [(0, 5)], "g", "xg")
     with pytest.raises(GenerationError, match="^collinear-overlap: 'g0' and 'g1'"):
-        add_chords_in_face(util.ngon(6), [f"v{i}" for i in range(6)], [(0, 2), (0, 2)], "g", "xg")
+        add_chords(util.ngon(6), [f"v{i}" for i in range(6)], [(0, 2), (0, 2)], "g", "xg")
 
 
 def test_add_chords_rejects_overcrossed_model():
@@ -241,7 +267,7 @@ def test_add_chords_rejects_overcrossed_model():
     diagonals = [(i, j) for i, j in itertools.combinations(range(6), 2) if j - i not in (1, 5)]
     assert len(diagonals) == 9
     with pytest.raises(GenerationError, match="crossed 4 times"):
-        add_chords_in_face(util.ngon(6), [f"v{i}" for i in range(6)], diagonals, "g", "xg")
+        add_chords(util.ngon(6), [f"v{i}" for i in range(6)], diagonals, "g", "xg")
 
 
 # The repair pass cannot connect these scenes (a known defect); they are the

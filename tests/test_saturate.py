@@ -2,7 +2,7 @@ import pytest
 
 from triplane.census import cells
 from triplane.drawing import Drawing, EdgeRecord, serialize_tdr, stats, validate
-from triplane.generators import gen_fig3, random_drawing
+from triplane.generators import gen_basic, gen_fig3, random_drawing
 from triplane.saturate import (
     SaturateError,
     filled_witness,
@@ -83,14 +83,14 @@ def test_large_ngon_saturates_to_a_triangulation():
 
 
 def test_k3_is_already_saturated():
-    d = util.k3()
+    d = gen_basic("k3")
     assert is_filled(d)
     assert is_3saturated(d)
     assert serialize_tdr(saturate(d)) == serialize_tdr(d)
 
 
 def test_k2_is_filled_but_too_small():
-    d = util.k2()
+    d = gen_basic("k2")
     assert is_filled(d)
     assert not is_3saturated(d)  # needs at least 3 vertices
     with pytest.raises(SaturateError):
@@ -98,7 +98,7 @@ def test_k2_is_filled_but_too_small():
 
 
 def test_path3_witness_and_fill():
-    d = util.path3()
+    d = gen_basic("path3")
     assert filled_witness(d) is not None
     _, u, v = filled_witness(d)
     assert {u, v} == {"a", "c"}
@@ -133,8 +133,8 @@ def test_saturation_preserves_vertices_and_crossings():
 
 
 def test_saturation_is_idempotent():
-    for build in (util.path3, util.x1, lambda: random_drawing(7, 12, 3)):
-        once = saturate(build())
+    for d in (gen_basic("path3"), util.x1(), random_drawing(7, 12, 3)):
+        once = saturate(d)
         twice = saturate(once)
         assert serialize_tdr(twice) == serialize_tdr(once)
 
@@ -155,4 +155,4 @@ def test_fig3_is_born_saturated():
 
 def test_saturate_rejects_invalid_input():
     with pytest.raises(SaturateError):
-        saturate(util.lens())
+        saturate(gen_basic("lens-bad"))

@@ -1,46 +1,12 @@
 """Hand-built fixture drawings used across the test modules.
 
 Each builder returns a fresh Drawing; rotations were derived by hand from
-straight-line layouts (counterclockwise order around every node).
+straight-line layouts (counterclockwise order around every node).  The
+small valid instances ``k2``, ``k3``, ``path3`` and the invalid lens are
+``gen_basic("k2" | "k3" | "path3" | "lens-bad")``.
 """
 
 from triplane.drawing import Drawing, EdgeRecord
-
-
-def k2():
-    return Drawing(
-        ["a", "b"],
-        [EdgeRecord("e0", ("a", "b"), ())],
-        {"a": [("e0", 0, "fwd")], "b": [("e0", 0, "bwd")]},
-    )
-
-
-def k3():
-    return Drawing(
-        ["a", "b", "c"],
-        [
-            EdgeRecord("e0", ("a", "b"), ()),
-            EdgeRecord("e1", ("b", "c"), ()),
-            EdgeRecord("e2", ("c", "a"), ()),
-        ],
-        {
-            "a": [("e0", 0, "fwd"), ("e2", 0, "bwd")],
-            "b": [("e1", 0, "fwd"), ("e0", 0, "bwd")],
-            "c": [("e2", 0, "fwd"), ("e1", 0, "bwd")],
-        },
-    )
-
-
-def path3():
-    return Drawing(
-        ["a", "b", "c"],
-        [EdgeRecord("e0", ("a", "b"), ()), EdgeRecord("e1", ("b", "c"), ())],
-        {
-            "a": [("e0", 0, "fwd")],
-            "b": [("e0", 0, "bwd"), ("e1", 0, "fwd")],
-            "c": [("e1", 0, "bwd")],
-        },
-    )
 
 
 def x1():
@@ -57,18 +23,6 @@ def x1():
             "v2": [("e0", 1, "bwd")],
             "v3": [("e1", 1, "bwd")],
             "x0": [("e0", 0, "bwd"), ("e1", 0, "bwd"), ("e0", 1, "fwd"), ("e1", 1, "fwd")],
-        },
-    )
-
-
-def lens():
-    """Two parallel uncrossed edges bounding an empty 2-gon."""
-    return Drawing(
-        ["a", "b"],
-        [EdgeRecord("e0", ("a", "b"), ()), EdgeRecord("e1", ("a", "b"), ())],
-        {
-            "a": [("e0", 0, "fwd"), ("e1", 0, "fwd")],
-            "b": [("e0", 0, "bwd"), ("e1", 0, "bwd")],
         },
     )
 
