@@ -41,11 +41,6 @@ class EdgeRecord:
     crossings: Tuple[str, ...]
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise TDRError(msg)
-
-
 class Drawing:
     """An immutable drawing; construction performs all structural checks.
 
@@ -65,46 +60,56 @@ class Drawing:
         rotations: Mapping[str, Sequence[Dart]],
     ):
         verts = tuple(vertices)
-        _require(all(isinstance(v, str) and v for v in verts), "vertex ids must be nonempty strings")
-        _require(len(set(verts)) == len(verts), "duplicate vertex id")
+        if not all(isinstance(v, str) and v for v in verts):
+            raise TDRError("vertex ids must be nonempty strings")
+        if len(set(verts)) != len(verts):
+            raise TDRError("duplicate vertex id")
         vset = frozenset(verts)
 
         emap: Dict[str, EdgeRecord] = {}
         occ: Dict[str, List[Tuple[str, int]]] = {}
         for e in edges:
-            _require(isinstance(e.id, str) and bool(e.id), "edge ids must be nonempty strings")
-            _require(e.id not in emap, f"duplicate edge id {e.id!r}")
-            _require(len(e.ends) == 2 and all(isinstance(u, str) and u in vset for u in e.ends),
-                     f"edge {e.id!r} has an end that is not a vertex")
+            if not (isinstance(e.id, str) and e.id):
+                raise TDRError("edge ids must be nonempty strings")
+            if e.id in emap:
+                raise TDRError(f"duplicate edge id {e.id!r}")
+            if not (len(e.ends) == 2 and all(isinstance(u, str) and u in vset for u in e.ends)):
+                raise TDRError(f"edge {e.id!r} has an end that is not a vertex")
             for i, x in enumerate(e.crossings):
-                _require(isinstance(x, str) and bool(x), f"edge {e.id!r}: crossing ids must be nonempty strings")
-                _require(x not in vset, f"crossing id {x!r} collides with a vertex id")
+                if not (isinstance(x, str) and x):
+                    raise TDRError(f"edge {e.id!r}: crossing ids must be nonempty strings")
+                if x in vset:
+                    raise TDRError(f"crossing id {x!r} collides with a vertex id")
                 occ.setdefault(x, []).append((e.id, i))
             emap[e.id] = e
         for x, places in occ.items():
-            _require(len(places) == 2, f"dangling crossing {x!r}: appears on {len(places)} edge slot(s), expected 2")
+            if len(places) != 2:
+                raise TDRError(f"dangling crossing {x!r}: appears on {len(places)} edge slot(s), expected 2")
 
         nodes = vset | set(occ)
         rot: Dict[str, Tuple[Dart, ...]] = {}
         seen: Dict[Dart, str] = {}
         for node, darts in rotations.items():
-            _require(node in nodes, f"rotation given for unknown node {node!r}")
+            if node not in nodes:
+                raise TDRError(f"rotation given for unknown node {node!r}")
             tupled = []
             for d in darts:
                 d = (d[0], d[1], d[2])
-                _require(isinstance(d[0], str) and d[0] in emap,
-                         f"rotation at {node!r} names unknown edge {d[0]!r}")
-                k = len(emap[d[0]].crossings)
-                _require(type(d[1]) is int and 0 <= d[1] <= k,
-                         f"rotation at {node!r}: segment index {d[1]} out of range for edge {d[0]!r}")
-                _require(d[2] in DIRS, f"rotation at {node!r}: bad direction {d[2]!r}")
-                _require(d not in seen, f"dart {d!r} listed more than once")
+                if not (isinstance(d[0], str) and d[0] in emap):
+                    raise TDRError(f"rotation at {node!r} names unknown edge {d[0]!r}")
+                if not (type(d[1]) is int and 0 <= d[1] <= len(emap[d[0]].crossings)):
+                    raise TDRError(f"rotation at {node!r}: segment index {d[1]} out of range "
+                                   f"for edge {d[0]!r}")
+                if d[2] not in DIRS:
+                    raise TDRError(f"rotation at {node!r}: bad direction {d[2]!r}")
+                if d in seen:
+                    raise TDRError(f"dart {d!r} listed more than once")
                 seen[d] = node
                 tupled.append(d)
             rot[node] = tuple(tupled)
-        _require(set(rot) == nodes,
-                 "rotations must cover exactly the vertices and crossings; missing: "
-                 + repr(sorted(nodes - set(rot))[:3]))
+        if set(rot) != nodes:
+            raise TDRError("rotations must cover exactly the vertices and crossings; missing: "
+                           + repr(sorted(nodes - set(rot))[:3]))
 
         self.vertices = verts
         self.edges = emap
@@ -120,12 +125,14 @@ class Drawing:
             pts = self.points(e.id)
             for i in range(len(pts) - 1):
                 for d in ((e.id, i, "fwd"), (e.id, i, "bwd")):
-                    _require(d in seen, f"dart {d!r} missing from rotations")
+                    if d not in seen:
+                        raise TDRError(f"dart {d!r} missing from rotations")
                     t = pts[i] if d[2] == "fwd" else pts[i + 1]
-                    _require(seen[d] == t,
-                             f"dart {d!r} listed at {seen[d]!r} but its tail is {t!r}")
+                    if seen[d] != t:
+                        raise TDRError(f"dart {d!r} listed at {seen[d]!r} but its tail is {t!r}")
                 expected += 2
-        _require(expected == len(seen), "rotations contain darts of no edge segment")
+        if expected != len(seen):
+            raise TDRError("rotations contain darts of no edge segment")
 
     # -- basic geometry of the incidence structure ------------------------
 
@@ -214,23 +221,29 @@ def parse_tdr(text: str) -> Drawing:
         raise TDRError(f"syntax: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
     except RecursionError:
         raise TDRError("syntax: JSON nested too deeply") from None
-    _require(isinstance(obj, dict), "top level must be an object")
-    _require(set(obj) == {"vertices", "edges", "rotations"},
-             "top level must have exactly the keys vertices, edges, rotations")
-    _require(isinstance(obj["vertices"], list), "vertices must be a list")
+    if not isinstance(obj, dict):
+        raise TDRError("top level must be an object")
+    if set(obj) != {"vertices", "edges", "rotations"}:
+        raise TDRError("top level must have exactly the keys vertices, edges, rotations")
+    if not isinstance(obj["vertices"], list):
+        raise TDRError("vertices must be a list")
     edges = []
-    _require(isinstance(obj["edges"], list), "edges must be a list")
+    if not isinstance(obj["edges"], list):
+        raise TDRError("edges must be a list")
     for e in obj["edges"]:
-        _require(isinstance(e, dict) and set(e) == {"id", "ends", "crossings"},
-                 f"edge record must have exactly id, ends, crossings: {e!r}")
-        _require(isinstance(e["ends"], list) and len(e["ends"]) == 2,
-                 f"edge {e.get('id')!r}: ends must be a pair")
-        _require(isinstance(e["crossings"], list), f"edge {e.get('id')!r}: crossings must be a list")
+        if not (isinstance(e, dict) and set(e) == {"id", "ends", "crossings"}):
+            raise TDRError(f"edge record must have exactly id, ends, crossings: {e!r}")
+        if not (isinstance(e["ends"], list) and len(e["ends"]) == 2):
+            raise TDRError(f"edge {e.get('id')!r}: ends must be a pair")
+        if not isinstance(e["crossings"], list):
+            raise TDRError(f"edge {e.get('id')!r}: crossings must be a list")
         edges.append(EdgeRecord(e["id"], (e["ends"][0], e["ends"][1]), tuple(e["crossings"])))
-    _require(isinstance(obj["rotations"], dict), "rotations must be an object")
+    if not isinstance(obj["rotations"], dict):
+        raise TDRError("rotations must be an object")
     rotations = {}
     for node, lst in obj["rotations"].items():
-        _require(isinstance(lst, list), f"rotation at {node!r} must be a list")
+        if not isinstance(lst, list):
+            raise TDRError(f"rotation at {node!r} must be a list")
         rotations[node] = [_dart_from_json(d) for d in lst]
     return Drawing(obj["vertices"], edges, rotations)
 

@@ -15,13 +15,14 @@ segments through one exact arrangement, so the three share one rule set.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .combmap import Dart, Rotations
 from .drawing import Drawing, EdgeRecord
-from .geometry import (GeometricScene, Point, SceneError, ccw_from, ccw_sorted, dot,
+from .geometry import (GeometricScene, Point, SceneError, ccw_from, ccw_sorted,
                        on_segment, segment_relation, sub)
 from .saturate import saturate
 
@@ -40,10 +41,19 @@ class _Arrangement:
     non-adjacent segments, at a point no other pair crosses, with no
     segment crossed more than 3 times.  Points must be distinct and
     segments non-degenerate.
+
+    The points are scaled once by the lcm of their coordinates'
+    denominators and kept as ``int`` pairs, so every predicate runs in
+    integers; only crossing points are ``Fraction`` pairs, in the scaled
+    frame.  A positive scale keeps every orientation, every order along a
+    segment and the sorted order of the crossings.
     """
 
     def __init__(self, points: Mapping[Hashable, Point]):
-        self.points = points
+        scale = math.lcm(*(c.denominator for p in points.values() for c in p))
+        self.points = {k: (x.numerator * (scale // x.denominator),
+                           y.numerator * (scale // y.denominator))
+                       for k, (x, y) in points.items()}
         self.ends: Dict[str, Tuple[Hashable, Hashable]] = {}
         self.crossings: Dict[str, List[Tuple[Point, str]]] = {}  # (point, other segment)
         self.owner: Dict[Point, Tuple[str, str]] = {}            # crossing -> (older, newer)
@@ -85,20 +95,21 @@ class _Arrangement:
     def along(self, sid: str) -> List[Tuple[Point, str]]:
         """The crossings on ``sid`` in order from its first end."""
         u, v = self.ends[sid]
-        a = self.points[u]
-        r = sub(self.points[v], a)
-        return sorted(self.crossings[sid], key=lambda item: dot(sub(item[0], a), r))
+        a, b = self.points[u], self.points[v]
+        axis = 0 if a[0] != b[0] else 1  # a coordinate that moves along the segment
+        return sorted(self.crossings[sid], key=lambda item: item[0][axis], reverse=a > b)
 
     def crossing_rotations(self, names: Mapping[Point, str]) -> Dict[str, List[Dart]]:
         """The counterclockwise rotation at each crossing, keyed by ``names[point]``."""
-        index = {(sid, p): i for sid in self.ends for i, (p, _) in enumerate(self.along(sid))}
+        # two segments cross at most once, so (segment, other segment) names a crossing
+        index = {(sid, o): i for sid in self.ends for i, (_, o) in enumerate(self.along(sid))}
         rotations: Dict[str, List[Dart]] = {}
         for p, pair in self.owner.items():
             items = []
-            for sid in pair:
+            for sid, other in (pair, pair[::-1]):
                 u, v = self.ends[sid]
                 d = sub(self.points[v], self.points[u])
-                i = index[(sid, p)]
+                i = index[(sid, other)]
                 items.append(((sid, i, "bwd"), (-d[0], -d[1])))
                 items.append(((sid, i + 1, "fwd"), d))
             rotations[names[p]] = ccw_sorted(items)
@@ -148,10 +159,11 @@ def ingest_geometry(scene: GeometricScene) -> Drawing:
     edges = [EdgeRecord(sid, (u, v), tuple(xname[p] for p, _ in arr.along(sid)))
              for sid, (u, v) in segs]
 
+    at = arr.points
     items_at: Dict[str, List[Tuple[Dart, Point]]] = {nm: [] for nm in names}
     for sid, (u, v) in segs:
-        items_at[u].append(((sid, 0, "fwd"), sub(pts[v], pts[u])))
-        items_at[v].append(((sid, len(arr.crossings[sid]), "bwd"), sub(pts[u], pts[v])))
+        items_at[u].append(((sid, 0, "fwd"), sub(at[v], at[u])))
+        items_at[v].append(((sid, len(arr.crossings[sid]), "bwd"), sub(at[u], at[v])))
     rotations = {nm: ccw_sorted(items_at[nm]) for nm in names}
     rotations.update(arr.crossing_rotations(xname))
     return Drawing(names, edges, rotations)
@@ -192,9 +204,8 @@ def add_chords_in_face(
             f"no face with boundary cycle {list(cycle)} (is it in walk order?)")
     aligned = min(found)[2]
 
-    # Clockwise convex model: parabola points in reversed order.
-    t = [Fraction(m - 1 - i) for i in range(m)]
-    model: List[Point] = [(t[i], t[i] * t[i]) for i in range(m)]
+    # Clockwise convex model: integer parabola points in reversed order.
+    model: List[Point] = [(m - 1 - i, (m - 1 - i) ** 2) for i in range(m)]
 
     eid = [f"{edge_prefix}{k}" for k in range(len(chords))]
     for e in eid:
@@ -489,24 +500,33 @@ def gen_basic(name: str) -> Drawing:
 
 # -- random scenes -------------------------------------------------------------
 
+_GRID = range(-60, 61)  # each coordinate of a random point
+
+
 def build_random_scene(n: int, edge_budget: int, seed: int) -> GeometricScene:
     """Deterministic random straight-line scene that ingest_geometry accepts.
 
-    n distinct rational grid points; candidate segments tried in a seeded
-    random order and accepted greedily while the scene stays ingestible
-    (no point on a segment, <= 3 crossings per segment, no concurrency).
+    n distinct grid points with coordinates in -60..60 (so n <= 14641);
+    candidate segments tried in a seeded random order and accepted greedily
+    while the scene stays ingestible (no point on a segment, <= 3 crossings
+    per segment, no concurrency).
     If the greedy pass under ``edge_budget`` leaves the scene disconnected,
     a repair pass adds component-joining segments beyond the budget.
     """
     if n < 1:
         raise GenerationError("need at least one point")
+    if n > len(_GRID) ** 2:
+        raise GenerationError(f"n={n} exceeds the {len(_GRID) ** 2} distinct grid points")
+    if edge_budget < 0:
+        raise GenerationError(f"edge budget must be nonnegative, got {edge_budget}")
     rng = random.Random(seed)
     names = [f"v{i}" for i in range(n)]
     pts: Dict[str, Point] = {}
     used = set()
     for nm in names:
         while True:
-            p = (Fraction(rng.randrange(-60, 61)), Fraction(rng.randrange(-60, 61)))
+            p = (Fraction(rng.randrange(_GRID.start, _GRID.stop)),
+                 Fraction(rng.randrange(_GRID.start, _GRID.stop)))
             if p not in used:
                 used.add(p)
                 pts[nm] = p

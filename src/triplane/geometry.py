@@ -1,8 +1,12 @@
-"""Exact rational geometry for straight-line scenes.
+"""Exact geometry for straight-line scenes.
 
-Coordinates are ``fractions.Fraction``; every predicate is decided by sign
-computations, never by floating point.  A scene is a set of labelled points
-and straight segments between them::
+Every predicate is decided by sign computations, never by floating point.
+Scene coordinates are ``fractions.Fraction``, but the predicates take
+``int`` or ``Fraction`` coordinates alike: the arrangement in
+``generators`` scales a scene once by the lcm of its denominators and runs
+them on ``int`` pairs, so ``Fraction`` appears only at the scene-JSON
+boundary and in the points where two segments meet.  A scene is a set of
+labelled points and straight segments between them::
 
     {"points": {"v1": ["1/2", "-3/1"], ...},
      "segments": [{"id": "e1", "ends": ["v1", "v2"]}, ...]}
@@ -57,9 +61,9 @@ def orient(o: Point, a: Point, b: Point) -> Fraction:
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
     """p lies on the closed segment ab."""
-    return (orient(a, b, p) == 0
-            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+            and orient(a, b, p) == 0)
 
 
 def segment_relation(a: Point, b: Point, c: Point, d: Point):
@@ -71,38 +75,48 @@ def segment_relation(a: Point, b: Point, c: Point, d: Point):
       ("shared-endpoint", point)    -- touch exactly at a shared endpoint
       ("endpoint-on-interior", point)
       ("collinear-overlap",)
+
+    Points are ``Fraction`` pairs.  The cases are decided on the numerators
+    of the two segment parameters, so ``int`` inputs need no division, and
+    only a proper crossing computes a new point.
     """
-    r = sub(b, a)
-    s = sub(d, c)
-    denom = cross(r, s)
-    ca = sub(c, a)
+    rx, ry = b[0] - a[0], b[1] - a[1]
+    sx, sy = d[0] - c[0], d[1] - c[1]
+    cax, cay = c[0] - a[0], c[1] - a[1]
+    denom = rx * sy - ry * sx
+    un = cax * ry - cay * rx
     if denom == 0:
-        if cross(ca, r) != 0:
+        if un != 0:
             return ("disjoint",)
         # collinear: compare 1-d intervals along r
-        t0 = dot(ca, r)
-        t1 = dot(sub(d, a), r)
+        t0 = cax * rx + cay * ry
+        t1 = (d[0] - a[0]) * rx + (d[1] - a[1]) * ry
         lo, hi = min(t0, t1), max(t0, t1)
-        mylo, myhi = Fraction(0), dot(r, r)
-        if hi < mylo or lo > myhi:
+        myhi = rx * rx + ry * ry
+        if hi < 0 or lo > myhi:
             return ("disjoint",)
-        if hi == mylo:
-            return ("shared-endpoint", c if t0 == hi else d)
+        if hi == 0:
+            return ("shared-endpoint", _exact(c if t0 == hi else d))
         if lo == myhi:
-            return ("shared-endpoint", c if t0 == lo else d)
+            return ("shared-endpoint", _exact(c if t0 == lo else d))
         return ("collinear-overlap",)
-    t = cross(ca, s) / denom
-    u = cross(ca, r) / denom
-    if not (0 <= t <= 1 and 0 <= u <= 1):
+    tn = cax * sy - cay * sx
+    if denom < 0:
+        denom, tn, un = -denom, -tn, -un
+    if not (0 <= tn <= denom and 0 <= un <= denom):
         return ("disjoint",)
-    p = (a[0] + t * r[0], a[1] + t * r[1])
-    t_end = t == 0 or t == 1
-    u_end = u == 0 or u == 1
-    if t_end and u_end:
-        return ("shared-endpoint", p)
-    if t_end or u_end:
-        return ("endpoint-on-interior", p)
-    return ("proper", p)
+    u_end = un == 0 or un == denom
+    if tn == 0 or tn == denom:
+        return ("shared-endpoint" if u_end else "endpoint-on-interior",
+                _exact(a if tn == 0 else b))
+    if u_end:
+        return ("endpoint-on-interior", _exact(c if un == 0 else d))
+    t = Fraction(tn, denom)
+    return ("proper", (a[0] + t * rx, a[1] + t * ry))
+
+
+def _exact(p: Point) -> Point:
+    return (Fraction(p[0]), Fraction(p[1]))
 
 
 def segment_param(a: Point, b: Point, p: Point) -> Fraction:

@@ -204,6 +204,21 @@ def test_random_is_deterministic(capsys):
     assert out1 == out2
 
 
+# Both are refused before any point is drawn: more points than the 121 x 121
+# grid holds made the point loop spin forever, and a negative budget was
+# read as 0.
+@pytest.mark.parametrize("n,budget,message", [
+    ("14642", "0", "n=14642 exceeds the 14641 distinct grid points"),
+    ("6", "-1", "edge budget must be nonnegative, got -1"),
+], ids=["too-many-points", "negative-budget"])
+def test_random_rejects_impossible_parameters(capsys, monkeypatch, n, budget, message):
+    def no_points(seed):
+        raise AssertionError("random points were drawn")
+
+    monkeypatch.setattr("random.Random", no_points)
+    assert run(capsys, "random", "--n", n, "--budget", budget, "--seed", "0") == (2, "", message + "\n")
+
+
 @pytest.mark.parametrize("command,text", [
     ("validate", "[" * 100000),
     ("ingest", "[" * 100000),

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from triplane.generators import (
     ingest_geometry,
     random_drawing,
 )
-from triplane.geometry import SceneError, parse_scene, segment_relation
+from triplane.geometry import GeometricScene, SceneError, parse_scene, segment_relation
 from triplane.saturate import is_3saturated, saturate
 
 import util
@@ -276,3 +277,60 @@ def test_add_chords_rejects_overcrossed_model():
 def test_random_drawing_unconnectable_seeds(n, budget, seed):
     with pytest.raises(GenerationError, match=f"^could not connect the scene for n={n}, seed={seed}$"):
         random_drawing(n, budget, seed)
+
+
+def _wide_rational_scene():
+    """A random scene moved to coordinates near 1e40, each point with its own denominators."""
+    scene = build_random_scene(16, 48, 3)
+    big = 10 ** 40
+    points = {nm: (x * big / 3 + Fraction(1, 7 + i), y * big / 11 - Fraction(i, 13 + 2 * i))
+              for i, (nm, (x, y)) in enumerate(sorted(scene.points.items()))}
+    return GeometricScene(points, scene.segments)
+
+
+# Larger scenes than the acceptance corpus's (10, 30) ones: one digest over
+# the bytes (or the error text) of every drawing.
+def test_random_scene_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for n, budget, seeds in ((24, 72, range(40)), (40, 120, range(2))):
+        for s in seeds:
+            try:
+                text = serialize_tdr(random_drawing(n, budget, s))
+            except GenerationError as exc:
+                text = str(exc)
+            digest.update(text.encode())
+    wide = ingest_geometry(_wide_rational_scene())
+    assert validate(wide).valid
+    digest.update(serialize_tdr(wide).encode())
+    assert digest.hexdigest() == "ab32227a9dcb2e2255e3eef2eca2a051b67aea3b8d6fe7c2cde8c5408dd00de2"
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _rational_scenes(draw):
+    points = draw(st.lists(st.tuples(_small, _small), min_size=4, max_size=7, unique=True))
+    pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=8, unique=True))
+    return ({f"p{i}": p for i, p in enumerate(points)},
+            tuple((f"s{k}", (f"p{i}", f"p{j}")) for k, (i, j) in enumerate(chosen)))
+
+
+def _ingested(points, segments, factor):
+    scaled = {nm: (x * factor, y * factor) for nm, (x, y) in points.items()}
+    try:
+        return serialize_tdr(ingest_geometry(GeometricScene(scaled, segments)))
+    except SceneError as exc:
+        return f"SceneError: {exc}"
+
+
+# The arrangement scales every scene to integers, so a scaled copy of a scene
+# must give the same bytes, or the same refusal.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_rational_scenes())
+def test_ingest_is_invariant_under_scaling(scene):
+    points, segments = scene
+    plain = _ingested(points, segments, 1)
+    assert _ingested(points, segments, 7) == plain
+    assert _ingested(points, segments, Fraction(1, 6)) == plain

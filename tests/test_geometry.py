@@ -188,3 +188,20 @@ def test_parse_scene_rejects_malformed_input():
     ):
         with pytest.raises(SceneError):
             parse_scene(json.dumps(bad))
+
+
+_int_coord = st.integers(min_value=-6, max_value=6)
+_int_point = st.tuples(_int_coord, _int_coord)
+
+
+# The arrangement runs segment_relation on integer points; its answers must be
+# those of the Fraction copies, with exact Fraction points, never floats.
+@settings(derandomize=True, max_examples=300)
+@given(_int_point, _int_point, _int_point, _int_point)
+def test_segment_relation_on_ints_matches_fractions(a, b, c, d):
+    if a == b or c == d:
+        return
+    rel = segment_relation(a, b, c, d)
+    assert rel == segment_relation(*(P(*q) for q in (a, b, c, d)))
+    for coord in rel[1] if len(rel) == 2 else ():
+        assert type(coord) is Fraction
