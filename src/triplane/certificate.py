@@ -16,12 +16,11 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
 from .census import census
-from .constraints import ROWS, _form_value, _valuation
+from .constraints import ROWS, _form_value, _valuation, evaluate_constraints
 from .drawing import Drawing
+from .geometry import frac_to_str
 
 LinearForm = Dict[str, Fraction]
-
-TARGETS = ("edges", "crossings")
 
 
 class CertificateError(ValueError):
@@ -57,48 +56,49 @@ _CROSSING_COEFFS: Dict[str, Fraction] = {
 }
 
 
+# Per target: the variable it bounds and its built-in coefficient column.
+_TARGETS: Dict[str, Tuple[str, Mapping[str, Fraction]]] = {
+    "edges": ("E", _EDGE_COEFFS),
+    "crossings": ("X", _CROSSING_COEFFS),
+}
+
+TARGETS = tuple(_TARGETS)
+
+
+def _target(target: str) -> Tuple[str, Mapping[str, Fraction]]:
+    if target not in _TARGETS:
+        raise CertificateError(f"unknown certificate target {target!r}")
+    return _TARGETS[target]
+
+
 def builtin_certificate(target: str) -> Certificate:
-    if target == "edges":
-        return Certificate("edges", dict(_EDGE_COEFFS))
-    if target == "crossings":
-        return Certificate("crossings", dict(_CROSSING_COEFFS))
-    raise CertificateError(f"unknown certificate target {target!r}")
-
-
-def _target_variable(target: str) -> str:
-    if target == "edges":
-        return "E"
-    if target == "crossings":
-        return "X"
-    raise CertificateError(f"unknown certificate target {target!r}")
+    return Certificate(target, dict(_target(target)[1]))
 
 
 def target_form(target: str) -> LinearForm:
     """The form the certificate must reproduce: value minus 11/2 (|V|-2)."""
-    return {_target_variable(target): Fraction(1), "Vm2": Fraction(-11, 2)}
+    return {_target(target)[0]: Fraction(1), "Vm2": Fraction(-11, 2)}
 
 
 def row_forms() -> Dict[str, Tuple[LinearForm, str]]:
     """Per row id: (lhs - rhs as a sparse form, relation)."""
-    out: Dict[str, Tuple[LinearForm, str]] = {}
-    for row in ROWS:
-        form: LinearForm = {}
-        for v, c in row.lhs.items():
-            form[v] = form.get(v, Fraction(0)) + c
-        for v, c in row.rhs.items():
-            form[v] = form.get(v, Fraction(0)) - c
-        out[row.id] = ({v: c for v, c in form.items() if c}, row.relation)
-    return out
+    return {row.id: (row.form, row.relation) for row in ROWS}
 
 
 def _check_signs(cert: Certificate) -> None:
+    """The one check of a certificate's column: one exact, sign-correct coefficient per row."""
     forms = row_forms()
     for row_id, (_, relation) in forms.items():
         if row_id not in cert.coefficients:
             raise CertificateError(f"certificate is missing a coefficient for row {row_id}")
-        if relation == "<=" and cert.coefficients[row_id] < 0:
+        coeff = cert.coefficients[row_id]
+        if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
             raise CertificateError(
-                f"invalid certificate: negative coefficient {cert.coefficients[row_id]} "
+                f"invalid certificate: coefficient {coeff!r} on row {row_id} "
+                "is not an int or a Fraction")
+        if relation == "<=" and coeff < 0:
+            raise CertificateError(
+                f"invalid certificate: negative coefficient {coeff} "
                 f"on inequality row {row_id}")
     for row_id in cert.coefficients:
         if row_id not in forms:
@@ -115,8 +115,6 @@ def verify_symbolic(certificate: Certificate) -> LinearForm:
     total: LinearForm = {}
     for row_id, (form, _) in row_forms().items():
         coeff = certificate.coefficients[row_id]
-        if not coeff:
-            continue
         for v, c in form.items():
             total[v] = total.get(v, Fraction(0)) + coeff * c
     for v, c in target_form(certificate.target).items():
@@ -134,9 +132,9 @@ class RowContribution:
     def as_dict(self) -> dict:
         return {
             "id": self.id,
-            "coeff": _frac_str(self.coeff),
+            "coeff": frac_to_str(self.coeff),
             "slack": self.slack,
-            "contribution": _frac_str(self.contribution),
+            "contribution": frac_to_str(self.contribution),
         }
 
 
@@ -153,17 +151,13 @@ class NumericReport:
     def as_dict(self) -> dict:
         return {
             "target": self.target,
-            "bound": _frac_str(self.bound),
+            "bound": frac_to_str(self.bound),
             "value": self.value,
-            "total_slack": _frac_str(self.total_slack),
-            "certified_slack": _frac_str(self.certified_slack),
-            "residual_at_census": _frac_str(self.residual_at_census),
+            "total_slack": frac_to_str(self.total_slack),
+            "certified_slack": frac_to_str(self.certified_slack),
+            "residual_at_census": frac_to_str(self.residual_at_census),
             "rows": [r.as_dict() for r in self.rows],
         }
-
-
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def verify_numeric(
@@ -177,7 +171,8 @@ def verify_numeric(
     residual evaluated on the census) is asserted exactly, as is
     value <= bound.  Equality rows must have zero slack (anything else
     means the census itself is broken); inequality rows may carry negative
-    slack, which the report surfaces rather than hides.
+    slack, which the report surfaces rather than hides.  Each certificate
+    must be keyed by its own target.
     """
     from .saturate import is_3saturated
 
@@ -188,40 +183,32 @@ def verify_numeric(
 
     rep = census(drawing, strict=True)
     val = _valuation(rep.counts)
-    forms = row_forms()
     # Extra sanity refinement: large cells exceed size 5 by at least a sixth
     # of their total size.
     large_excess = sum(
         r.size - 5 for r in rep.cells if rep.cell_types[r.cell_id] in ("LARGE", "KITE"))
     if 6 * large_excess < rep.counts["large_size_sum"]:
         raise CertificateError("large-cell size refinement failed on this census")
+    row_results = evaluate_constraints(rep.counts, saturated=True).rows
+    for row in row_results:
+        if row.relation == "=" and not row.passed:
+            raise CertificateError(f"equality row {row.id} has nonzero slack {row.slack}")
 
     if certificates is None:
         certificates = {t: builtin_certificate(t) for t in TARGETS}
 
+    bound = Fraction(11, 2) * (val["n"] - 2)
     out: Dict[str, NumericReport] = {}
     for target, cert in certificates.items():
-        _check_signs(cert)
-        bound = Fraction(11, 2) * (val["n"] - 2)
-        value = val[_target_variable(target)]
+        if cert.target != target:
+            raise CertificateError(
+                f"certificate for target {cert.target!r} given for target {target!r}")
+        residual_val = Fraction(_form_value(verify_symbolic(cert), val))
+        value = val[_target(target)[0]]
         total_slack = bound - value
-        rows = []
-        certified = Fraction(0)
-        for row_id, (form, relation) in forms.items():
-            # row slack is rhs - lhs = -(lhs - rhs); integral since every
-            # row has integer coefficients
-            slack_q = -_form_value(form, val)
-            if slack_q.denominator != 1:
-                raise CertificateError(f"row {row_id} slack {slack_q} is not integral")
-            slack = int(slack_q)
-            if relation == "=" and slack != 0:
-                raise CertificateError(f"equality row {row_id} has nonzero slack {slack}")
-            coeff = cert.coefficients[row_id]
-            contribution = coeff * slack
-            certified += contribution
-            rows.append(RowContribution(row_id, coeff, slack, contribution))
-        residual_val = sum(
-            (c * val[v] for v, c in verify_symbolic(cert).items()), Fraction(0))
+        rows = tuple(RowContribution(r.id, cert.coefficients[r.id], r.slack,
+                                     cert.coefficients[r.id] * r.slack) for r in row_results)
+        certified = sum((r.contribution for r in rows), Fraction(0))
         if total_slack != certified + residual_val:
             raise CertificateError(
                 f"slack decomposition failed for {target}: total {total_slack}, "
@@ -235,6 +222,6 @@ def verify_numeric(
             total_slack=total_slack,
             certified_slack=certified,
             residual_at_census=residual_val,
-            rows=tuple(rows),
+            rows=rows,
         )
     return out

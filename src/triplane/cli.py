@@ -14,13 +14,13 @@ from typing import List, Optional
 
 from .census import CensusError, census
 from .certificate import (CertificateError, TARGETS, builtin_certificate,
-                          verify_numeric, verify_symbolic, _frac_str)
+                          verify_numeric, verify_symbolic)
 from .constraints import ConstraintError, evaluate_constraints, density_residual
 from .combmap import MapError
 from .drawing import Drawing, TDRError, parse_tdr, serialize_tdr, validate
 from .generators import (BASIC_NAMES, GenerationError, gen_basic, gen_fig2,
                          gen_fig3, ingest_geometry, random_drawing)
-from .geometry import SceneError, parse_scene
+from .geometry import SceneError, frac_to_str, parse_scene
 from .saturate import SaturateError, is_3saturated, saturate
 
 
@@ -84,7 +84,7 @@ def _cmd_check(args) -> int:
     out = creport.as_dict()
     if d.edges:
         out["density_residuals"] = {
-            str(t): _frac_str(density_residual(d, t)) for t in (1, 2, 5)}
+            str(t): frac_to_str(density_residual(d, t)) for t in (1, 2, 5)}
     _emit(out)
     return 0 if creport.all_pass else 1
 
@@ -95,7 +95,7 @@ def _cmd_certify(args) -> int:
             raise _UsageError("certify --symbolic takes no drawing file")
         residual = verify_symbolic(builtin_certificate(args.target))
         _emit({"target": args.target,
-               "residual": {v: _frac_str(c) for v, c in residual.items()}})
+               "residual": {v: frac_to_str(c) for v, c in residual.items()}})
         return 0 if not residual else 1
     if args.file is None:
         raise _UsageError("certify needs a drawing file (or --symbolic)")

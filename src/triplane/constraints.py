@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, Mapping, Tuple, Union
 
 from .drawing import Drawing
@@ -25,6 +27,14 @@ class ConstraintRow:
     lhs: Mapping[str, int]
     rhs: Mapping[str, int]
     scope: str
+
+    @cached_property
+    def form(self) -> Mapping[str, int]:
+        """lhs - rhs as a read-only sparse form: minus the row's slack on a census."""
+        form = dict(self.lhs)
+        for v, c in self.rhs.items():
+            form[v] = form.get(v, 0) - c
+        return MappingProxyType({v: c for v, c in form.items() if c})
 
 
 ROWS: Tuple[ConstraintRow, ...] = (
@@ -76,7 +86,7 @@ def _valuation(counts: Mapping[str, int]) -> Dict[str, int]:
     return val
 
 
-def _form_value(form: Mapping[str, int], val: Mapping[str, int]) -> int:
+def _form_value(form: Mapping[str, Rational], val: Mapping[str, int]) -> Rational:
     return sum(c * val.get(v, 0) for v, c in form.items())
 
 

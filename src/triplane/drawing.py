@@ -383,13 +383,10 @@ class DrawingStats:
 
 def stats(drawing: Drawing) -> DrawingStats:
     by_load = [0, 0, 0, 0]
-    extra = 0
     for e in drawing.edges.values():
         k = len(e.crossings)
-        if k <= 3:
+        if k <= 3:  # an edge with more is not 3-plane; still counted in E and Ex
             by_load[k] += 1
-        else:
-            extra += 1  # not 3-plane; still counted in E and Ex
     e0 = by_load[0]
     return DrawingStats(
         n=len(drawing.vertices),

@@ -112,6 +112,33 @@ def test_certificate_validation_errors():
         verify_symbolic(Certificate("edges", unknown))
 
 
+# Any coefficient that is not exact would leak floats into the residual
+# and break the report's "p/q" strings.
+@pytest.mark.parametrize("coeff", [0.5, True, "1/2"], ids=["float", "bool", "str"])
+def test_inexact_coefficient_is_rejected(coeff):
+    coefficients = dict(builtin_certificate("edges").coefficients)
+    coefficients["3.A"] = coeff
+    cert = Certificate("edges", coefficients)
+    with pytest.raises(CertificateError, match="not an int or a Fraction"):
+        verify_symbolic(cert)
+    with pytest.raises(CertificateError, match="not an int or a Fraction"):
+        verify_numeric(gen_fig3(1), {"edges": cert})
+
+
+def test_integer_coefficients_are_accepted():
+    coefficients = dict(builtin_certificate("edges").coefficients)
+    coefficients["8.C"] = 1
+    residual = verify_symbolic(Certificate("edges", coefficients))
+    assert all(type(c) is Fraction for c in residual.values())
+
+
+def test_mismatched_certificate_target_is_named():
+    # The bound and value come from the mapping key, the target form from
+    # the certificate; the two must agree.
+    with pytest.raises(CertificateError, match="'crossings' given for target 'edges'"):
+        verify_numeric(gen_fig3(1), {"edges": builtin_certificate("crossings")})
+
+
 def test_numeric_report_on_small_saturated_drawing():
     d = saturate(util.x1())
     out = verify_numeric(d)["crossings"]

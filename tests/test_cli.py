@@ -7,7 +7,8 @@ import pytest
 
 from triplane.cli import main
 from triplane.drawing import Drawing, serialize_tdr
-from triplane.generators import gen_basic, gen_fig3
+from triplane.generators import gen_basic, gen_fig2, gen_fig3, random_drawing
+from triplane.saturate import saturate
 
 import util
 
@@ -117,6 +118,28 @@ def test_verdict_validates_and_builds_cells_once(capsys, monkeypatch, tmp_path, 
     got, out, _ = run(capsys, argv[0], str(p), *argv[1:])
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
     assert calls == {"cells": 1, "validate": 1}
+
+
+def test_verdict_bytes_are_pinned(capsys, tmp_path):
+    # One sha256 over the exit code and stdout of every verdict on a fixed
+    # corpus: fig3 L=1-4, fig2 R=1-4 and saturated random (10, 30) seeds
+    # 0-24 under check and both certify targets, then certify --symbolic.
+    drawings = ([gen_fig3(layers) for layers in range(1, 5)]
+                + [gen_fig2(rings) for rings in range(1, 5)]
+                + [saturate(random_drawing(10, 30, seed)) for seed in range(25)])
+    p = tmp_path / "drawing.json"
+    digest = hashlib.sha256()
+    for d in drawings:
+        p.write_text(serialize_tdr(d))
+        for argv in (["check"], ["certify", "--target", "edges"],
+                     ["certify", "--target", "crossings"]):
+            code, out, _ = run(capsys, argv[0], str(p), *argv[1:])
+            digest.update(f"{code}\n{out}".encode())
+    for target in ("edges", "crossings"):
+        code, out, _ = run(capsys, "certify", "--symbolic", "--target", target)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "a1c1aae6854f83b88cc5853699e151efed98b310e4f93c7dff0f761e264a5de2")
 
 
 def test_check_rejects_invalid_drawing(capsys, tmp_path):

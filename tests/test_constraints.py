@@ -66,6 +66,21 @@ def test_row_table_matches_expected():
     assert got == EXPECTED_ROWS
 
 
+def test_row_coefficients_are_ints():
+    # Integer coefficients times integer counts keep every row slack an
+    # int, which the certificate's row contributions rely on.
+    for row in ROWS:
+        for coeff in (*row.lhs.values(), *row.rhs.values(), *row.form.values()):
+            assert type(coeff) is int, (row.id, coeff)
+
+
+def test_row_form_is_lhs_minus_rhs():
+    for row in ROWS:
+        for var in set(row.lhs) | set(row.rhs):
+            assert row.form.get(var, 0) == row.lhs.get(var, 0) - row.rhs.get(var, 0)
+        assert all(row.form.values())
+
+
 def row_map(report):
     return {r.id: r for r in report.rows}
 
