@@ -16,7 +16,6 @@ from .census import CensusError, census
 from .certificate import (CertificateError, TARGETS, builtin_certificate,
                           verify_numeric, verify_symbolic)
 from .constraints import ConstraintError, evaluate_constraints, density_residual
-from .combmap import MapError
 from .drawing import Drawing, TDRError, parse_tdr, serialize_tdr, validate
 from .generators import (BASIC_NAMES, GenerationError, gen_basic, gen_fig2,
                          gen_fig3, ingest_geometry, random_drawing)
@@ -43,7 +42,7 @@ def _read(path: str) -> str:
 def _load_drawing(path: str) -> Drawing:
     try:
         return parse_tdr(_read(path))
-    except (TDRError, MapError) as exc:
+    except TDRError as exc:
         raise _UsageError(f"{path}: {exc}") from None
 
 
@@ -193,7 +192,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     except (SceneError, SaturateError, CensusError, ConstraintError,
-            CertificateError, TDRError, MapError) as exc:
+            CertificateError, TDRError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

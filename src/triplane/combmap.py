@@ -30,6 +30,14 @@ def twin(dart: Dart) -> Dart:
     return (edge, seg, "bwd" if direction == "fwd" else "fwd")
 
 
+def smallest_first(darts: Tuple[Dart, ...]) -> Tuple[Dart, ...]:
+    """The cyclic sequence rotated to start at its smallest dart, as ``CombMap.faces`` starts each walk."""
+    if not darts:
+        return darts
+    k = darts.index(min(darts))
+    return darts[k:] + darts[:k]
+
+
 def _as_dart(obj) -> Dart:
     try:
         edge, seg, direction = obj
@@ -87,7 +95,7 @@ class CombMap:
     must contain the twin of every dart it contains.
     """
 
-    __slots__ = ("rotations", "_pos", "_edge_ids", "_faces")
+    __slots__ = ("rotations", "_pos", "_faces")
 
     def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
         rot: Dict[str, Tuple[Dart, ...]] = {}
@@ -104,8 +112,16 @@ class CombMap:
                 raise MapError(f"dart {d!r} has no twin in the map")
         self.rotations = rot
         self._pos = pos
-        self._edge_ids = frozenset(d[0] for d in pos)
         self._faces: Tuple[Tuple[Dart, ...], ...] | None = None
+
+    @classmethod
+    def _of_checked(cls, rotations: Dict[str, Tuple[Dart, ...]]) -> "CombMap":
+        """The map of a ``Drawing``'s rotations, checked there more strictly than here; shared, not copied."""
+        self = cls.__new__(cls)
+        self.rotations = rotations
+        self._pos = {d: (node, i) for node, darts in rotations.items() for i, d in enumerate(darts)}
+        self._faces = None
+        return self
 
     def num_segments(self) -> int:
         return len(self._pos) // 2
@@ -144,7 +160,6 @@ class CombMap:
                     seen.add(d)
                     d = self.next_dart(d)
                 out.append(tuple(walk))
-            out.sort(key=lambda w: w[0])
             self._faces = tuple(out)
         return self._faces
 
@@ -177,7 +192,7 @@ class CombMap:
         nodes.  Returns a new map in which the face is split in two; the
         Euler characteristic is unchanged.
         """
-        if edge_id in self._edge_ids:
+        if any(d[0] == edge_id for d in self._pos):
             raise MapError(f"edge id {edge_id!r} already present")
         walk = tuple(face)
         if not walk or any(self.next_dart(walk[i - 1]) != walk[i] for i in range(len(walk))):

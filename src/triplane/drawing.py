@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .combmap import DIRS, CombMap, Dart
+from .combmap import DIRS, CombMap, Dart, smallest_first
 
 Segment = Tuple[str, int]
 
@@ -50,8 +50,8 @@ class Drawing:
     system, crossing alternation, and so on) is the job of ``validate``.
     """
 
-    __slots__ = ("vertices", "edges", "rotations", "_crossings", "_planar", "_vertex_set",
-                 "_report", "_cells")
+    __slots__ = ("vertices", "edges", "rotations", "_tail", "_crossings", "_planar",
+                 "_vertex_set", "_report", "_cells")
 
     def __init__(
         self,
@@ -114,6 +114,7 @@ class Drawing:
         self.vertices = verts
         self.edges = emap
         self.rotations = rot
+        self._tail = seen  # dart -> node, the one dart index of this drawing
         self._vertex_set = vset
         self._crossings = {x: tuple(sorted(p)) for x, p in occ.items()}
         self._planar: CombMap | None = None
@@ -124,10 +125,9 @@ class Drawing:
         for e in emap.values():
             pts = self.points(e.id)
             for i in range(len(pts) - 1):
-                for d in ((e.id, i, "fwd"), (e.id, i, "bwd")):
+                for d, t in (((e.id, i, "fwd"), pts[i]), ((e.id, i, "bwd"), pts[i + 1])):
                     if d not in seen:
                         raise TDRError(f"dart {d!r} missing from rotations")
-                    t = pts[i] if d[2] == "fwd" else pts[i + 1]
                     if seen[d] != t:
                         raise TDRError(f"dart {d!r} listed at {seen[d]!r} but its tail is {t!r}")
                 expected += 2
@@ -158,12 +158,10 @@ class Drawing:
         return e2 if edge_id == e1 else e1
 
     def tail(self, dart: Dart) -> str:
-        pts = self.points(dart[0])
-        return pts[dart[1]] if dart[2] == "fwd" else pts[dart[1] + 1]
+        return self._tail[dart]
 
     def segment_nodes(self, seg: Segment) -> Tuple[str, str]:
-        pts = self.points(seg[0])
-        return (pts[seg[1]], pts[seg[1] + 1])
+        return (self._tail[seg + ("fwd",)], self._tail[seg + ("bwd",)])
 
     def is_inner_segment(self, seg: Segment) -> bool:
         """True iff both endpoints of the segment are crossings."""
@@ -177,9 +175,9 @@ class Drawing:
         return out
 
     def planarize(self) -> CombMap:
-        """The map whose nodes are the vertices and crossings."""
+        """The map whose nodes are the vertices and crossings; it shares ``rotations``."""
         if self._planar is None:
-            self._planar = CombMap(self.rotations)
+            self._planar = CombMap._of_checked(self.rotations)
         return self._planar
 
     def _validation(self) -> "ValidationReport":
@@ -252,13 +250,6 @@ def _dart_to_json(d: Dart) -> dict:
     return {"edge": d[0], "seg": d[1], "dir": d[2]}
 
 
-def _canonical_rotation(darts: Sequence[Dart]) -> Sequence[Dart]:
-    if not darts:
-        return tuple(darts)
-    i = min(range(len(darts)), key=lambda j: darts[j])
-    return tuple(darts[i:]) + tuple(darts[:i])
-
-
 def serialize_tdr(drawing: Drawing) -> str:
     """Canonical serialization (stable bytes for equal drawings)."""
     obj = {
@@ -272,7 +263,7 @@ def serialize_tdr(drawing: Drawing) -> str:
             for e in sorted(drawing.edges.values(), key=lambda e: e.id)
         ],
         "rotations": {
-            node: [_dart_to_json(d) for d in _canonical_rotation(drawing.rotations[node])]
+            node: [_dart_to_json(d) for d in smallest_first(drawing.rotations[node])]
             for node in sorted(drawing.rotations)
         },
     }

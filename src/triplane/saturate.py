@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from .combmap import Dart, Rotations
+from .combmap import Dart, Rotations, smallest_first
 from .drawing import Drawing, EdgeRecord
 
 
@@ -66,12 +66,6 @@ def _cell_witness(walk: Sequence[Dart], tail: Dict[Dart, str],
 def _cyclic(walk: Tuple[Dart, ...], start: int, stop: int) -> Tuple[Dart, ...]:
     """``walk[start..stop-1]``, wrapping past the end when ``stop <= start``."""
     return walk[start:stop] if start < stop else walk[start:] + walk[:stop]
-
-
-def _canonical_walk(walk: Tuple[Dart, ...]) -> Tuple[Dart, ...]:
-    """The face walk rotated to start at its smallest dart, as ``CombMap.faces`` gives it."""
-    k = walk.index(min(walk))
-    return walk[k:] + walk[:k]
 
 
 def saturate(drawing: Drawing) -> Drawing:
@@ -141,8 +135,8 @@ def saturate(drawing: Drawing) -> Drawing:
         rot.splice(walk[i - 1], [fwd])
         rot.splice(walk[j - 1], [bwd])
 
-        splits = (_canonical_walk((fwd,) + _cyclic(walk, j, i)),
-                  _canonical_walk((bwd,) + _cyclic(walk, i, j)))
+        splits = (smallest_first((fwd,) + _cyclic(walk, j, i)),
+                  smallest_first((bwd,) + _cyclic(walk, i, j)))
         lens = any(len(w) == 2 and w[0][:2] != w[1][:2] for w in splits)
         failing = [name for name, broken in (("no-loops", u == v), ("non-homotopic", lens)) if broken]
         if failing:

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from triplane.cli import main
+from triplane.combmap import CombMap
 from triplane.drawing import Drawing, serialize_tdr
 from triplane.generators import gen_basic, gen_fig2, gen_fig3, random_drawing
 from triplane.saturate import saturate
@@ -115,9 +116,11 @@ def test_verdict_validates_and_builds_cells_once(capsys, monkeypatch, tmp_path, 
     drawing_mod = importlib.import_module("triplane.drawing")
     monkeypatch.setattr(census_mod, "cells", counted("cells", census_mod.cells))
     monkeypatch.setattr(drawing_mod, "validate", counted("validate", drawing_mod.validate))
+    # The drawing has checked its rotations, so its planarization skips the checked constructor.
+    monkeypatch.setattr(CombMap, "__init__", counted("CombMap", CombMap.__init__))
     got, out, _ = run(capsys, argv[0], str(p), *argv[1:])
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
-    assert calls == {"cells": 1, "validate": 1}
+    assert (calls["cells"], calls["validate"], calls["CombMap"]) == (1, 1, 0)
 
 
 def test_verdict_bytes_are_pinned(capsys, tmp_path):

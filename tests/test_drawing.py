@@ -11,7 +11,9 @@ from triplane.drawing import (
     stats,
     validate,
 )
-from triplane.generators import gen_basic
+from triplane.combmap import CombMap
+from triplane.generators import BASIC_NAMES, gen_basic, gen_fig2, gen_fig3, random_drawing
+from triplane.saturate import saturate
 
 import util
 
@@ -206,3 +208,26 @@ def test_segment_helpers():
     assert d.other_edge_at("x0", "e0") == "e1"
     line = util.overloaded_line()
     assert line.inner_segments() == [("e", 1), ("e", 2), ("e", 3)]
+
+
+PLANARIZED = (
+    [(f"basic-{name}", lambda name=name: gen_basic(name)) for name in BASIC_NAMES]
+    + [(f"fig3-L{k}", lambda k=k: gen_fig3(k)) for k in range(1, 5)]
+    + [(f"fig2-R{k}", lambda k=k: gen_fig2(k)) for k in range(1, 5)]
+    + [(f"rand-{seed:02d}", lambda seed=seed: saturate(random_drawing(10, 30, seed)))
+       for seed in range(25)]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in PLANARIZED], ids=[i for i, _ in PLANARIZED])
+def test_planarization_matches_checked_map(build):
+    # ``planarize`` skips the checks of ``CombMap(...)``; the maps must still agree.
+    d = build()
+    shared, checked = d.planarize(), CombMap(d.rotations)
+    assert shared.rotations is d.rotations
+    assert (shared.rotations, shared._pos, shared.faces()) == (
+        checked.rotations, checked._pos, checked.faces())
+    for dart in checked._pos:
+        pts = d.points(dart[0])
+        assert d.tail(dart) == pts[dart[1] + (dart[2] == "bwd")]
+        assert d.segment_nodes(dart[:2]) == pts[dart[1]:dart[1] + 2]
