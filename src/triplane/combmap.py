@@ -51,41 +51,91 @@ def _as_dart(obj) -> Dart:
 class Rotations:
     """A rotation system edited in place, for producers that insert edges.
 
-    ``lists`` maps each node to its counterclockwise darts and ``tail`` each
-    dart to its node.  A ``CombMap`` or ``Drawing`` built from ``lists``
-    checks the result.
+    ``tail`` maps each dart to its node.  ``given`` keeps each node's
+    rotation as it was added and ``spliced`` the nodes whose rotation a
+    splice has changed since.  ``succ`` maps a dart to the next dart
+    counterclockwise around its tail, so a face step and a splice cost the
+    same at a node of any degree; a node's darts enter it the first time a
+    step or a splice reaches that node, so a producer pays only for the
+    nodes it touches.  A splice never goes before the first dart given,
+    so ``lists`` rebuilds only the spliced rotations, each from that dart.
+    A ``CombMap`` or ``Drawing`` built from ``lists`` checks the result.
     """
 
-    __slots__ = ("lists", "tail")
+    __slots__ = ("given", "spliced", "succ", "tail")
 
     def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
-        self.lists, self.tail = {}, {}
+        self.given: Dict[str, Tuple[Dart, ...]] = {}
+        self.spliced = set()
+        self.succ: Dict[Dart, Dart] = {}
+        self.tail: Dict[Dart, str] = {}
         self.update(rotations)
 
     def update(self, rotations: Mapping[str, Sequence[Dart]]) -> None:
         """Add nodes, each with its whole rotation."""
-        for node, darts in rotations.items():
-            self.lists[node] = list(darts)
-            self.tail.update(dict.fromkeys(darts, node))
+        added = {node: tuple(darts) for node, darts in rotations.items()}
+        listed = len(self.tail) + sum(map(len, added.values()))
+        self.tail.update({d: node for node, darts in added.items() for d in darts})
+        if len(self.tail) != listed:
+            raise MapError("a dart is listed more than once")
+        self.given.update(added)
+
+    def _link(self, dart: Dart) -> Dart:
+        """Enter the darts of the node of ``dart`` into ``succ``; return the successor of ``dart``."""
+        darts = self.given[self.tail[dart]]
+        self.succ.update(zip(darts, darts[1:] + darts[:1]))
+        return self.succ[dart]
+
+    def darts_at(self, node: str) -> Tuple[Dart, ...]:
+        """The counterclockwise darts at ``node`` from its first one; empty for an unknown node."""
+        if node not in self.spliced:
+            return self.given.get(node, ())
+        d0 = self.given[node][0]
+        out = [d0]
+        d = self.succ[d0]
+        while d != d0:
+            out.append(d)
+            d = self.succ[d]
+        return tuple(out)
+
+    @property
+    def lists(self) -> Dict[str, Tuple[Dart, ...]]:
+        """Every node's rotation, in the order the nodes were added."""
+        return {node: self.darts_at(node) if node in self.spliced else darts
+                for node, darts in self.given.items()}
+
+    def next_dart(self, dart: Dart) -> Dart:
+        """Face successor: the rotation successor of the twin."""
+        edge, seg, direction = dart
+        t = (edge, seg, "bwd" if direction == "fwd" else "fwd")  # twin(dart), inlined in this hot step
+        try:
+            return self.succ[t]
+        except KeyError:
+            return self._link(t)
 
     def walk(self, dart: Dart) -> Tuple[Dart, ...]:
         """The face walk that starts at ``dart``."""
         out = [dart]
-        while True:
-            t = twin(out[-1])
-            r = self.lists[self.tail[t]]
-            d = r[(r.index(t) + 1) % len(r)]
-            if d == dart:
-                return tuple(out)
+        d = self.next_dart(dart)
+        while d != dart:
             out.append(d)
+            d = self.next_dart(d)
+        return tuple(out)
 
     def splice(self, arrival: Dart, darts: Sequence[Dart]) -> None:
         """Insert ``darts`` in order just after ``twin(arrival)``, inside the face ``arrival`` walks."""
         t = twin(arrival)
-        r = self.lists[self.tail[t]]
-        i = r.index(t) + 1
-        r[i:i] = darts
-        self.tail.update(dict.fromkeys(darts, self.tail[t]))
+        succ, tail = self.succ, self.tail
+        after = succ[t] if t in succ else self._link(t)
+        node = tail[t]
+        self.spliced.add(node)
+        for d in darts:
+            if d in tail:
+                raise MapError("a dart is listed more than once")
+            tail[d] = node
+            succ[t] = d
+            t = d
+        succ[t] = after
 
 
 class CombMap:

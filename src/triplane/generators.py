@@ -150,12 +150,18 @@ def ingest_geometry(scene: GeometricScene) -> Drawing:
         reason = arr.add(sid, u, v)
         if reason is not None:
             raise SceneError(reason)
+    return _drawing_of(arr)
 
+
+def _drawing_of(arr: _Arrangement) -> Drawing:
+    """The drawing of an arrangement of named points, its segments in the order they were accepted."""
+    names = sorted(arr.points)
     prefix = "x"
-    while any(f"{prefix}{i}" in pts for i in range(len(arr.owner))):
+    while any(f"{prefix}{i}" in arr.points for i in range(len(arr.owner))):
         prefix = "x" + prefix
     xname = {p: f"{prefix}{i}" for i, p in enumerate(sorted(arr.owner))}
 
+    segs = arr.ends.items()
     edges = [EdgeRecord(sid, (u, v), tuple(xname[p] for p, _ in arr.along(sid)))
              for sid, (u, v) in segs]
 
@@ -194,7 +200,7 @@ def add_chords_in_face(
             raise GenerationError(f"bad chord ({i},{j}) for a {m}-cycle")
 
     found = []
-    for d in rot.lists.get(cycle[0], ()) if m else ():
+    for d in rot.darts_at(cycle[0]) if m else ():
         walk = rot.walk(d)
         if len(walk) == m and all(rot.tail[w] == c for w, c in zip(walk, cycle)):
             first = walk.index(min(walk))
@@ -224,7 +230,7 @@ def add_chords_in_face(
 
     xid = {p: f"{crossing_prefix}{n}" for n, p in enumerate(sorted(arr.owner))}
     for x in xid.values():
-        if x in rot.lists:
+        if x in rot.given:
             raise GenerationError(f"crossing id {x!r} already used")
 
     for e, (i, j) in zip(eid, chords):
@@ -513,6 +519,12 @@ def build_random_scene(n: int, edge_budget: int, seed: int) -> GeometricScene:
     If the greedy pass under ``edge_budget`` leaves the scene disconnected,
     a repair pass adds component-joining segments beyond the budget.
     """
+    pts, arr = _random_arrangement(n, edge_budget, seed)
+    return GeometricScene(pts, tuple(arr.ends.items()))
+
+
+def _random_arrangement(n: int, edge_budget: int, seed: int) -> Tuple[Dict[str, Point], _Arrangement]:
+    """The points of ``build_random_scene`` and the arrangement that accepted its segments."""
     if n < 1:
         raise GenerationError("need at least one point")
     if n > len(_GRID) ** 2:
@@ -566,11 +578,16 @@ def build_random_scene(n: int, edge_budget: int, seed: int) -> GeometricScene:
         else:
             raise GenerationError(
                 f"could not connect the scene for n={n}, seed={seed}")
-    return GeometricScene(pts, tuple(arr.ends.items()))
+    return pts, arr
 
 
 def random_drawing(n: int, edge_budget: int, seed: int) -> Drawing:
-    """Seeded random 3-plane drawing, byte-deterministic per parameters."""
+    """Seeded random 3-plane drawing, byte-deterministic per parameters.
+
+    It is ``ingest_geometry(build_random_scene(n, edge_budget, seed))``,
+    built from the arrangement that accepted the scene's segments rather
+    than from a second one that would accept them all again.
+    """
     if n < 3:
         raise GenerationError("random_drawing needs n >= 3")
-    return ingest_geometry(build_random_scene(n, edge_budget, seed))
+    return _drawing_of(_random_arrangement(n, edge_budget, seed)[1])

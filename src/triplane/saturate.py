@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from .combmap import Dart, Rotations, smallest_first
+from .combmap import Dart, Rotations, smallest_first, twin
 from .drawing import Drawing, EdgeRecord
 
 
@@ -42,30 +44,126 @@ def is_filled(drawing: Drawing) -> bool:
     return filled_witness(drawing) is None
 
 
-def _cell_witness(walk: Sequence[Dart], tail: Dict[Dart, str],
-                  vertices: FrozenSet[str]) -> Optional[Tuple[str, str]]:
-    """First unjoined vertex pair (u, v) of one face walk, as ``filled_witness`` picks it.
+def _cell_witness(tails: Sequence[str], vertices: FrozenSet[str]) -> Optional[Tuple[str, str]]:
+    """First unjoined vertex pair (u, v) of a face walk, given its tails, as ``filled_witness`` picks it.
 
     A segment whose two ends are vertices is a whole uncrossed edge, so the
     joined pairs are read off consecutive tails of the walk.  It is kept
     apart from ``filled_witness``, which re-checks the result from scratch.
     """
-    tails = [tail[d] for d in walk]
-    verts = sorted(vertices.intersection(tails))
+    verts = vertices.intersection(tails)
     if len(verts) < 2:
         return None
     joined = {(a, b) if a < b else (b, a)
               for a, b in zip(tails, tails[1:] + tails[:1]) if a in vertices and b in vertices}
+    if len(joined) == len(verts) * (len(verts) - 1) // 2:
+        return None  # no loops, so every pair of distinct vertices is joined
+    return _first_unjoined(sorted(verts), joined)
+
+
+def _first_unjoined(verts: Sequence[str],
+                    joined: Collection[Tuple[str, str]]) -> Optional[Tuple[str, str]]:
+    """The first pair (u, v), u before v in ``verts``, that is not in ``joined``.
+
+    Every pair it passes is joined, so it makes at most ``len(joined) + 1`` tests.
+    """
     for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if (u, v) not in joined:
-                return (u, v)
+        for j in range(i + 1, len(verts)):
+            if (u, verts[j]) not in joined:
+                return (u, verts[j])
     return None
 
 
-def _cyclic(walk: Tuple[Dart, ...], start: int, stop: int) -> Tuple[Dart, ...]:
-    """``walk[start..stop-1]``, wrapping past the end when ``stop <= start``."""
-    return walk[start:stop] if start < stop else walk[start:] + walk[:stop]
+class _Face:
+    """A face split at least once, kept up to date by taking away each part split off it.
+
+    ``darts`` holds the face's darts and ``heap`` holds them too, with the
+    darts that left popped only when they reach the top, so ``key`` (the
+    smallest dart) needs no scan of the face.  ``into`` maps each vertex on
+    the face to the face's darts that arrive there, ``verts`` lists those
+    vertices sorted, and ``joined`` counts the face's darts per vertex pair
+    they join: a segment whose ends are both vertices is a whole uncrossed
+    edge, so these are the pairs ``_cell_witness`` reads off the walk.
+    """
+
+    __slots__ = ("darts", "heap", "into", "joined", "verts")
+
+    def __init__(self, walk: Sequence[Dart], tail: Dict[Dart, str], vertices: FrozenSet[str]):
+        self.darts = set(walk)
+        self.heap = list(walk)
+        heapify(self.heap)
+        self.into: Dict[str, Set[Dart]] = defaultdict(set)
+        self.joined: Dict[Tuple[str, str], int] = {}
+        tails = [tail[d] for d in walk]
+        self._tally(walk, tails, tails[1:] + tails[:1], vertices, 1)
+        self.verts = sorted(self.into)
+
+    def _tally(self, darts: Sequence[Dart], tails: Sequence[str], heads: Sequence[str],
+               vertices: FrozenSet[str], sign: int) -> None:
+        """Count the darts (with their tails and heads) in, or out when ``sign`` is -1."""
+        for d, a, b in zip(darts, tails, heads):
+            if b not in vertices:
+                continue
+            if sign > 0:
+                self.into[b].add(d)
+            else:
+                into = self.into[b]
+                into.remove(d)
+                if not into:
+                    del self.into[b]
+                    del self.verts[bisect_left(self.verts, b)]
+            if a in vertices:
+                pair = (a, b) if a < b else (b, a)
+                left = self.joined.get(pair, 0) + sign
+                if left:
+                    self.joined[pair] = left
+                else:
+                    del self.joined[pair]
+
+    def key(self) -> Dart:
+        heap = self.heap
+        while heap[0] not in self.darts:
+            heappop(heap)
+        return heap[0]
+
+    def arrival(self, w: str, key: Dart, rot: Rotations) -> Dart:
+        """The dart arriving at the first occurrence of vertex ``w`` on the walk from ``key``."""
+        into = self.into[w]
+        if len(into) == 1:
+            return next(iter(into))
+        if rot.tail[key] == w:
+            return next(d for d in into if rot.next_dart(d) == key)
+        d = key
+        while d not in into:
+            d = rot.next_dart(d)
+        return d
+
+    def split_off(self, part: Sequence[Dart], tails: Sequence[str], vertices: FrozenSet[str]) -> None:
+        """Take away ``part`` and keep the twin of its first dart.
+
+        ``part`` is a split-off walk, a new dart followed by old darts of
+        this face, and ``tails`` are its darts' tails.  The twin runs
+        between the same two vertices the other way and goes in first, so
+        neither end ever leaves ``verts``.
+        """
+        kept = twin(part[0])
+        self.darts.add(kept)
+        heappush(self.heap, kept)
+        self._tally((kept,), (tails[1],), (tails[0],), vertices, 1)
+        old = part[1:]
+        self.darts.difference_update(old)
+        self._tally(old, tails[1:], tails[2:] + tails[:1], vertices, -1)
+
+
+def _smaller_side(rot: Rotations, a: Dart, b: Dart) -> List[Dart]:
+    """The face walk from ``a`` or from ``b``, whichever closes first when both are stepped in turn."""
+    sides = ([a], [b])
+    while True:
+        for side in sides:
+            d = rot.next_dart(side[-1])
+            if d == side[0]:
+                return side
+            side.append(d)
 
 
 def saturate(drawing: Drawing) -> Drawing:
@@ -81,11 +179,20 @@ def saturate(drawing: Drawing) -> Drawing:
     so the map is updated in place and only the two new cells are
     examined: each insertion checks that u differs from v (no loop) and
     that neither new cell is a two-segment lens (non-homotopic).  Every
-    other validity check is unaffected by such an edge.  One ``Drawing``
-    is built at the end, then validated in full and re-checked from
-    scratch with ``filled_witness``, so the result is 3-saturated.
-    Raises ``SaturateError`` if any of these checks fails or the number
-    of insertions exceeds the edge-count bound.
+    other validity check is unaffected by such an edge.
+
+    The two new cells are walked in turn until one closes, so only the
+    smaller one is enumerated and gets its witness from its walk.  The
+    larger one keeps the split cell's record (``_Face``, built from the
+    cell's walk the first time it is split) minus the smaller one; with
+    it, its smallest dart, its witness and, for a vertex that occurs on
+    it once, that occurrence are found without walking it.  A vertex that
+    occurs more than once is found by walking from the smallest dart.
+
+    One ``Drawing`` is built at the end, then validated in full and
+    re-checked from scratch with ``filled_witness``, so the result is
+    3-saturated.  Raises ``SaturateError`` if any of these checks fails or
+    the number of insertions exceeds the edge-count bound.
     """
     if len(drawing.vertices) < 3:
         raise SaturateError("saturation requires at least 3 vertices")
@@ -102,13 +209,14 @@ def saturate(drawing: Drawing) -> Drawing:
     vertices = frozenset(drawing.vertices)
     # Every face is keyed by its smallest dart, and its index in the sorted
     # ``keys`` is the ``c{i}`` id that ``cells`` gives it.  ``pending`` maps
-    # the key of each face that is not filled yet to its walk and witness;
-    # filled faces are never split again, so only their keys are kept.
+    # the key of each face that is not filled yet to its witness and to its
+    # walk, or to its ``_Face`` once it has been split; filled faces are
+    # never split again, so only their keys are kept.
     keys = []
-    pending = {}
+    pending: Dict[Dart, Tuple[Union[Tuple[Dart, ...], _Face], Tuple[str, str]]] = {}
     for walk in cmap.faces():
         keys.append(walk[0])
-        witness = _cell_witness(walk, rot.tail, vertices)
+        witness = _cell_witness([rot.tail[d] for d in walk], vertices)
         if witness is not None:
             pending[walk[0]] = (walk, witness)
 
@@ -119,35 +227,44 @@ def saturate(drawing: Drawing) -> Drawing:
             break
         # filled_witness scans cell ids as strings, so "c10" comes before "c2".
         key = min(pending, key=lambda k: str(bisect_left(keys, k)))
-        cell_id = f"c{bisect_left(keys, key)}"
-        walk, (u, v) = pending.pop(key)
-        del keys[bisect_left(keys, key)]
+        i = bisect_left(keys, key)
+        cell_id = f"c{i}"
+        del keys[i]
+        face, (u, v) = pending.pop(key)
+        if not isinstance(face, _Face):
+            face = _Face(face, rot.tail, vertices)
+        arrive_u, arrive_v = face.arrival(u, key, rot), face.arrival(v, key, rot)
 
-        tails = [rot.tail[d] for d in walk]
-        i = tails.index(u)
-        j = tails.index(v)
         while f"s{fresh}" in drawing.edges:
             fresh += 1
         new_id = f"s{fresh}"
         fresh += 1
         edges.append(EdgeRecord(new_id, (u, v), ()))
         fwd, bwd = (new_id, 0, "fwd"), (new_id, 0, "bwd")
-        rot.splice(walk[i - 1], [fwd])
-        rot.splice(walk[j - 1], [bwd])
+        rot.splice(arrive_u, [fwd])
+        rot.splice(arrive_v, [bwd])
 
-        splits = (smallest_first((fwd,) + _cyclic(walk, j, i)),
-                  smallest_first((bwd,) + _cyclic(walk, i, j)))
-        lens = any(len(w) == 2 and w[0][:2] != w[1][:2] for w in splits)
+        small = _smaller_side(rot, fwd, bwd)
+        tails = [rot.tail[d] for d in small]
+        face.split_off(small, tails, vertices)
+        # Each side holds one dart of the new segment, so a two-dart side
+        # is a lens of two segments.
+        lens = len(small) == 2 or len(face.darts) == 2
         failing = [name for name, broken in (("no-loops", u == v), ("non-homotopic", lens)) if broken]
         if failing:
             raise SaturateError(
                 f"inserting {new_id}={u}-{v} in {cell_id} broke validity "
                 "(failing: " + ", ".join(failing) + ")")
-        for split in splits:
-            insort(keys, split[0])
-            witness = _cell_witness(split, rot.tail, vertices)
-            if witness is not None:
-                pending[split[0]] = (split, witness)
+        small_key = min(small)
+        insort(keys, small_key)
+        witness = _cell_witness(tails, vertices)
+        if witness is not None:
+            pending[small_key] = (smallest_first(tuple(small)), witness)
+        key = face.key()
+        insort(keys, key)
+        witness = _first_unjoined(face.verts, face.joined)
+        if witness is not None:
+            pending[key] = (face, witness)
     else:
         raise SaturateError("saturation did not terminate within the edge-count bound")
 

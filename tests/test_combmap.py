@@ -105,6 +105,19 @@ def test_rotations_walks_match_combmap_faces_after_splice():
     assert split < set(faces)  # "d0" sorts first, so both new faces start at a d0 dart
 
 
+def test_rotations_lists_keep_each_first_dart_and_refuse_repeated_darts():
+    square = square_map().rotations
+    rot = Rotations(square)
+    rot.splice(("s3", 0, "fwd"), [("d0", 0, "fwd"), ("d1", 0, "fwd")])
+    assert rot.lists == {**square, "p0": (("s0", 0, "fwd"), ("s3", 0, "bwd"),
+                                          ("d0", 0, "fwd"), ("d1", 0, "fwd"))}
+    assert rot.darts_at("p9") == ()
+    with pytest.raises(MapError):
+        rot.splice(("s0", 0, "fwd"), [("d0", 0, "fwd")])
+    with pytest.raises(MapError):
+        Rotations({"a": [("e0", 0, "fwd"), ("e0", 0, "fwd")]})
+
+
 def test_insert_parallel_edge_in_k2():
     m = CombMap({"a": [("e0", 0, "fwd")], "b": [("e0", 0, "bwd")]})
     face = m.faces()[0]

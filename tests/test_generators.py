@@ -218,6 +218,13 @@ def test_random_drawing_is_deterministic():
     assert c != a
 
 
+@pytest.mark.parametrize("n,budget", [(5, 4), (8, 16), (12, 40)])
+def test_random_drawing_is_its_scene_ingested(n, budget):
+    for seed in range(8):
+        expected = serialize_tdr(ingest_geometry(build_random_scene(n, budget, seed)))
+        assert serialize_tdr(random_drawing(n, budget, seed)) == expected
+
+
 def test_random_drawing_is_valid_and_connected():
     for seed in range(10):
         d = random_drawing(10, 30, seed)

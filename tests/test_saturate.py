@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from triplane.census import cells
+from triplane.combmap import Rotations
 from triplane.drawing import Drawing, EdgeRecord, serialize_tdr, stats, validate
 from triplane.generators import gen_basic, gen_fig3, random_drawing
 from triplane.saturate import (
@@ -72,6 +75,51 @@ def test_matches_oracle_on_corpus(name):
 def test_matches_oracle_on_ngon(n):
     d = util.ngon(n)
     assert serialize_tdr(saturate(d)) == serialize_tdr(_saturate_oracle(d))
+
+
+# Faces of sparse drawings run along both sides of tree-like parts, so a
+# vertex can occur more than once on one face walk (as on path3's single
+# face, which test_matches_oracle_on_corpus covers).
+SPARSE = [(n, budget, seed) for n in (6, 9, 12, 16) for budget in (n - 1, n, n + 2)
+          for seed in range(15)]
+
+
+@pytest.mark.parametrize("n,budget,seed", SPARSE)
+def test_matches_oracle_on_sparse_drawings(n, budget, seed):
+    d = random_drawing(n, budget, seed)
+    assert _outcome(saturate, d) == _outcome(_saturate_oracle, d)
+
+
+# sha256 of the saturated n-gons' bytes, recorded from the oracle-checked
+# loop before faces kept their records across splits.
+NGON_SHA256 = {
+    200: "60460a62fb3458fc7108b74b4f84b0180c14547bfc8eefa0320341a089bc3217",
+    1000: "27468827ec27c3211621f876574fe3bbbf8afc176fe74050a0e35a8dfc17eb24",
+    2000: "d464147e3f3cc75ae8a8ec51c922c5eff145bf8f4b2319c35b1b4da4ea7abc92",
+}
+
+
+@pytest.mark.parametrize("n", sorted(NGON_SHA256))
+def test_large_ngon_bytes_are_pinned(n):
+    text = serialize_tdr(saturate(util.ngon(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == NGON_SHA256[n]
+
+
+def test_face_steps_grow_linearly(monkeypatch):
+    # Each split walks only its smaller side, so doubling the n-gon about
+    # doubles the face steps; re-walking whole faces would quadruple them.
+    steps = []
+    step = Rotations.next_dart
+
+    def counted(self, dart):
+        steps[-1] += 1
+        return step(self, dart)
+
+    monkeypatch.setattr(Rotations, "next_dart", counted)
+    for n in (1000, 2000):
+        steps.append(0)
+        saturate(util.ngon(n))
+    assert 0 < steps[1] <= 2.5 * steps[0]
 
 
 def test_large_ngon_saturates_to_a_triangulation():
