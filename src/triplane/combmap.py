@@ -49,27 +49,31 @@ def _as_dart(obj) -> Dart:
 
 
 class Rotations:
-    """A rotation system edited in place, for producers that insert edges.
+    """The one dart store: a rotation system, edited in place by producers that insert edges.
 
-    ``tail`` maps each dart to its node.  ``given`` keeps each node's
-    rotation as it was added and ``spliced`` the nodes whose rotation a
-    splice has changed since.  ``succ`` maps a dart to the next dart
-    counterclockwise around its tail, so a face step and a splice cost the
-    same at a node of any degree; a node's darts enter it the first time a
-    step or a splice reaches that node, so a producer pays only for the
-    nodes it touches.  A splice never goes before the first dart given,
-    so ``lists`` rebuilds only the spliced rotations, each from that dart.
-    A ``CombMap`` or ``Drawing`` built from ``lists`` checks the result.
+    ``tail`` maps each dart to its node, ``first`` each node to the first
+    dart given for it (``None`` for a node without darts), and ``succ``
+    each dart to the next dart counterclockwise around its tail, so a
+    face step and a splice cost the same at a node of any degree.  A
+    node's darts enter ``succ`` when the node is added.  A splice never
+    goes before a node's first dart, so ``lists`` gives each rotation
+    from that dart.  A ``CombMap`` or ``Drawing`` built from ``lists``
+    checks the result.
     """
 
-    __slots__ = ("given", "spliced", "succ", "tail")
+    __slots__ = ("first", "succ", "tail")
 
     def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
-        self.given: Dict[str, Tuple[Dart, ...]] = {}
-        self.spliced = set()
-        self.succ: Dict[Dart, Dart] = {}
-        self.tail: Dict[Dart, str] = {}
+        self.first, self.succ, self.tail = {}, {}, {}
         self.update(rotations)
+
+    @classmethod
+    def _sharing(cls, rotations: Dict[str, Tuple[Dart, ...]], tail: Dict[Dart, str]) -> "Rotations":
+        """The store of ``rotations`` over their dart -> node table ``tail``, checked and shared, not copied."""
+        self = cls.__new__(cls)
+        self.first, self.succ, self.tail = {}, {}, tail
+        self._add(rotations)
+        return self
 
     def update(self, rotations: Mapping[str, Sequence[Dart]]) -> None:
         """Add nodes, each with its whole rotation."""
@@ -78,19 +82,18 @@ class Rotations:
         self.tail.update({d: node for node, darts in added.items() for d in darts})
         if len(self.tail) != listed:
             raise MapError("a dart is listed more than once")
-        self.given.update(added)
+        self._add(added)
 
-    def _link(self, dart: Dart) -> Dart:
-        """Enter the darts of the node of ``dart`` into ``succ``; return the successor of ``dart``."""
-        darts = self.given[self.tail[dart]]
-        self.succ.update(zip(darts, darts[1:] + darts[:1]))
-        return self.succ[dart]
+    def _add(self, rotations: Mapping[str, Tuple[Dart, ...]]) -> None:
+        for node, darts in rotations.items():
+            self.first[node] = darts[0] if darts else None
+            self.succ.update(zip(darts, darts[1:] + darts[:1]))
 
     def darts_at(self, node: str) -> Tuple[Dart, ...]:
         """The counterclockwise darts at ``node`` from its first one; empty for an unknown node."""
-        if node not in self.spliced:
-            return self.given.get(node, ())
-        d0 = self.given[node][0]
+        d0 = self.first.get(node)
+        if d0 is None:
+            return ()
         out = [d0]
         d = self.succ[d0]
         while d != d0:
@@ -101,17 +104,12 @@ class Rotations:
     @property
     def lists(self) -> Dict[str, Tuple[Dart, ...]]:
         """Every node's rotation, in the order the nodes were added."""
-        return {node: self.darts_at(node) if node in self.spliced else darts
-                for node, darts in self.given.items()}
+        return {node: self.darts_at(node) for node in self.first}
 
     def next_dart(self, dart: Dart) -> Dart:
         """Face successor: the rotation successor of the twin."""
         edge, seg, direction = dart
-        t = (edge, seg, "bwd" if direction == "fwd" else "fwd")  # twin(dart), inlined in this hot step
-        try:
-            return self.succ[t]
-        except KeyError:
-            return self._link(t)
+        return self.succ[edge, seg, "bwd" if direction == "fwd" else "fwd"]  # twin(dart), inlined in this hot step
 
     def walk(self, dart: Dart) -> Tuple[Dart, ...]:
         """The face walk that starts at ``dart``."""
@@ -126,9 +124,8 @@ class Rotations:
         """Insert ``darts`` in order just after ``twin(arrival)``, inside the face ``arrival`` walks."""
         t = twin(arrival)
         succ, tail = self.succ, self.tail
-        after = succ[t] if t in succ else self._link(t)
+        after = succ[t]
         node = tail[t]
-        self.spliced.add(node)
         for d in darts:
             if d in tail:
                 raise MapError("a dart is listed more than once")
@@ -139,77 +136,44 @@ class Rotations:
 
 
 class CombMap:
-    """An embedded multigraph, immutable once built.
+    """An embedded multigraph: a checked, read-only view over one ``Rotations``.
 
     ``rotations`` must list every dart exactly once, at its tail node, and
     must contain the twin of every dart it contains.
     """
 
-    __slots__ = ("rotations", "_pos", "_faces")
+    __slots__ = ("rotations", "_rot", "_faces")
 
     def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
-        rot: Dict[str, Tuple[Dart, ...]] = {}
-        pos: Dict[Dart, Tuple[str, int]] = {}
-        for node in rotations:
-            darts = tuple(_as_dart(d) for d in rotations[node])
-            rot[node] = darts
-            for i, d in enumerate(darts):
-                if d in pos:
-                    raise MapError(f"dart {d!r} appears in more than one rotation slot")
-                pos[d] = (node, i)
-        for d in pos:
-            if twin(d) not in pos:
+        rot = {node: tuple(map(_as_dart, darts)) for node, darts in rotations.items()}
+        store = Rotations(rot)
+        for d in store.tail:
+            if twin(d) not in store.tail:
                 raise MapError(f"dart {d!r} has no twin in the map")
-        self.rotations = rot
-        self._pos = pos
-        self._faces: Tuple[Tuple[Dart, ...], ...] | None = None
+        self.rotations, self._rot, self._faces = rot, store, None
 
     @classmethod
-    def _of_checked(cls, rotations: Dict[str, Tuple[Dart, ...]]) -> "CombMap":
-        """The map of a ``Drawing``'s rotations, checked there more strictly than here; shared, not copied."""
+    def _of_checked(cls, rotations: Dict[str, Tuple[Dart, ...]], tail: Dict[Dart, str]) -> "CombMap":
+        """The map of a ``Drawing``'s rotations and dart -> node table, checked there; shared, not copied."""
         self = cls.__new__(cls)
-        self.rotations = rotations
-        self._pos = {d: (node, i) for node, darts in rotations.items() for i, d in enumerate(darts)}
-        self._faces = None
+        self.rotations, self._rot, self._faces = rotations, Rotations._sharing(rotations, tail), None
         return self
 
     def num_segments(self) -> int:
-        return len(self._pos) // 2
+        return len(self._rot.tail) // 2
 
     def tail(self, dart: Dart) -> str:
         """The node a dart leaves."""
-        return self._pos[dart][0]
-
-    def head(self, dart: Dart) -> str:
-        """The node a dart enters."""
-        return self._pos[twin(dart)][0]
-
-    def successor(self, dart: Dart) -> Dart:
-        """The next dart counterclockwise around the tail of ``dart``."""
-        node, i = self._pos[dart]
-        r = self.rotations[node]
-        return r[(i + 1) % len(r)]
-
-    def next_dart(self, dart: Dart) -> Dart:
-        """Face successor: the rotation successor of the twin."""
-        return self.successor(twin(dart))
+        return self._rot.tail[dart]
 
     def faces(self) -> Tuple[Tuple[Dart, ...], ...]:
         """All face walks, each starting at its smallest dart, sorted."""
         if self._faces is None:
-            seen = set()
-            out = []
-            for d0 in sorted(self._pos):
-                if d0 in seen:
-                    continue
-                walk = [d0]
-                seen.add(d0)
-                d = self.next_dart(d0)
-                while d != d0:
-                    walk.append(d)
-                    seen.add(d)
-                    d = self.next_dart(d)
-                out.append(tuple(walk))
+            seen, out = set(), []
+            for d0 in sorted(self._rot.tail):
+                if d0 not in seen:
+                    out.append(self._rot.walk(d0))
+                    seen.update(out[-1])
             self._faces = tuple(out)
         return self._faces
 
@@ -217,12 +181,11 @@ class CombMap:
         return len(self.rotations) - self.num_segments() + len(self.faces())
 
     def component_of(self, node: str) -> frozenset:
-        seen = {node}
-        stack = [node]
+        tail = self._rot.tail
+        seen, stack = {node}, [node]
         while stack:
-            n = stack.pop()
-            for d in self.rotations[n]:
-                h = self.head(d)
+            for d in self.rotations[stack.pop()]:
+                h = tail[twin(d)]
                 if h not in seen:
                     seen.add(h)
                     stack.append(h)
@@ -242,13 +205,14 @@ class CombMap:
         nodes.  Returns a new map in which the face is split in two; the
         Euler characteristic is unchanged.
         """
-        if any(d[0] == edge_id for d in self._pos):
+        if any(d[0] == edge_id for d in self._rot.tail):
             raise MapError(f"edge id {edge_id!r} already present")
         walk = tuple(face)
-        if not walk or any(self.next_dart(walk[i - 1]) != walk[i] for i in range(len(walk))):
+        if not walk or any(self._rot.next_dart(walk[i - 1]) != walk[i] for i in range(len(walk))):
             raise MapError("not a face walk of this map")
-        if occurrence_u == occurrence_v:
-            raise MapError("occurrences must be distinct")
+        for k in (occurrence_u, occurrence_v):
+            if type(k) is not int or not 0 <= k < len(walk):
+                raise MapError(f"occurrence {k!r} is not an index into the face walk")
         u = self.tail(walk[occurrence_u])
         v = self.tail(walk[occurrence_v])
         if u == v:

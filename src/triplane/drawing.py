@@ -175,9 +175,9 @@ class Drawing:
         return out
 
     def planarize(self) -> CombMap:
-        """The map whose nodes are the vertices and crossings; it shares ``rotations``."""
+        """The map whose nodes are the vertices and crossings; it shares ``rotations`` and the dart index."""
         if self._planar is None:
-            self._planar = CombMap._of_checked(self.rotations)
+            self._planar = CombMap._of_checked(self.rotations, self._tail)
         return self._planar
 
     def _validation(self) -> "ValidationReport":

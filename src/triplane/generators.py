@@ -230,7 +230,7 @@ def add_chords_in_face(
 
     xid = {p: f"{crossing_prefix}{n}" for n, p in enumerate(sorted(arr.owner))}
     for x in xid.values():
-        if x in rot.given:
+        if x in rot.first:
             raise GenerationError(f"crossing id {x!r} already used")
 
     for e, (i, j) in zip(eid, chords):

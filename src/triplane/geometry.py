@@ -50,10 +50,6 @@ def cross(a: Point, b: Point) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def dot(a: Point, b: Point) -> Fraction:
-    return a[0] * b[0] + a[1] * b[1]
-
-
 def orient(o: Point, a: Point, b: Point) -> Fraction:
     """Positive iff o->a->b turns counterclockwise."""
     return cross(sub(a, o), sub(b, o))
@@ -117,12 +113,6 @@ def segment_relation(a: Point, b: Point, c: Point, d: Point):
 
 def _exact(p: Point) -> Point:
     return (Fraction(p[0]), Fraction(p[1]))
-
-
-def segment_param(a: Point, b: Point, p: Point) -> Fraction:
-    """Parameter of p along a->b (assumes p on the line)."""
-    r = sub(b, a)
-    return dot(sub(p, a), r) / dot(r, r)
 
 
 def _half(v: Point) -> int:

@@ -37,7 +37,7 @@ def test_k3_two_faces():
     )
     assert m.euler_characteristic() == 2
     assert m.tail(("e0", 0, "fwd")) == "a"
-    assert m.head(("e0", 0, "fwd")) == "b"
+    assert m.tail(twin(("e0", 0, "fwd"))) == "b"
 
 
 def test_two_crossing_edges_single_face():
@@ -152,6 +152,11 @@ def test_insert_rejects_same_node_and_bad_walk():
         m.insert_edge_in_face(face, 0, 2, "s0")  # edge id taken
     with pytest.raises(MapError):
         m.insert_edge_in_face(tuple(reversed(face)), 0, 2, "d0")
+    # occurrences index the walk: in range, and ints, not bools or floats
+    assert len(face) == 4
+    for occurrences in ((0, 7), (7, 0), (-1, 1), (2.0, 0), (0, True), (True, 3)):
+        with pytest.raises(MapError):
+            m.insert_edge_in_face(face, *occurrences, "d0")
 
 
 def test_constructor_rejects_bad_maps():

@@ -224,10 +224,10 @@ def test_planarization_matches_checked_map(build):
     # ``planarize`` skips the checks of ``CombMap(...)``; the maps must still agree.
     d = build()
     shared, checked = d.planarize(), CombMap(d.rotations)
-    assert shared.rotations is d.rotations
-    assert (shared.rotations, shared._pos, shared.faces()) == (
-        checked.rotations, checked._pos, checked.faces())
-    for dart in checked._pos:
+    assert shared.rotations is d.rotations and shared._rot.tail is d._tail
+    assert (shared.rotations, shared._rot.tail, shared.faces()) == (
+        checked.rotations, checked._rot.tail, checked.faces())
+    for dart in checked._rot.tail:
         pts = d.points(dart[0])
         assert d.tail(dart) == pts[dart[1] + (dart[2] == "bwd")]
         assert d.segment_nodes(dart[:2]) == pts[dart[1]:dart[1] + 2]

@@ -14,7 +14,6 @@ from triplane.geometry import (
     on_segment,
     orient,
     parse_scene,
-    segment_param,
     segment_relation,
     serialize_scene,
 )
@@ -113,16 +112,7 @@ def test_proper_crossing_point_lies_on_both_segments(a, b, c, d):
     p = rel[1]
     for u, v in ((a, b), (c, d)):
         assert orient(u, v, p) == 0
-        t = segment_param(u, v, p)
-        assert 0 < t < 1
-
-
-def test_segment_param_is_linear():
-    a, b = P(1, 1), P(5, 3)
-    mid = (Fraction(3), Fraction(2))
-    assert segment_param(a, b, a) == 0
-    assert segment_param(a, b, b) == 1
-    assert segment_param(a, b, mid) == Fraction(1, 2)
+        assert on_segment(p, u, v) and p not in (u, v)
 
 
 def test_ccw_sorted_orders_by_angle_from_east():
