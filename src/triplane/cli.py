@@ -99,7 +99,7 @@ def _cmd_certify(args) -> int:
     if args.file is None:
         raise _UsageError("certify needs a drawing file (or --symbolic)")
     d = _maybe_saturate(_load_drawing(args.file), args.saturate)
-    report = verify_numeric(d)[args.target]
+    report = verify_numeric(d, {args.target: builtin_certificate(args.target)})[args.target]
     _emit(report.as_dict())
     return 0
 

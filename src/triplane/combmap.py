@@ -75,6 +75,12 @@ class Rotations:
         self._add(rotations)
         return self
 
+    def copy(self) -> "Rotations":
+        """An independent store of the same rotations: the three dicts copied, nothing re-enumerated."""
+        other = Rotations.__new__(Rotations)
+        other.first, other.succ, other.tail = dict(self.first), dict(self.succ), dict(self.tail)
+        return other
+
     def update(self, rotations: Mapping[str, Sequence[Dart]]) -> None:
         """Add nodes, each with its whole rotation."""
         added = {node: tuple(darts) for node, darts in rotations.items()}
@@ -208,7 +214,11 @@ class CombMap:
         if any(d[0] == edge_id for d in self._rot.tail):
             raise MapError(f"edge id {edge_id!r} already present")
         walk = tuple(face)
-        if not walk or any(self._rot.next_dart(walk[i - 1]) != walk[i] for i in range(len(walk))):
+        try:
+            known = bool(walk) and all(d in self._rot.tail for d in walk)
+        except TypeError:  # an unhashable entry is not a dart
+            known = False
+        if not known or any(self._rot.next_dart(walk[i - 1]) != walk[i] for i in range(len(walk))):
             raise MapError("not a face walk of this map")
         for k in (occurrence_u, occurrence_v):
             if type(k) is not int or not 0 <= k < len(walk):
@@ -217,7 +227,7 @@ class CombMap:
         v = self.tail(walk[occurrence_v])
         if u == v:
             raise MapError(f"occurrences are incidences of the same node {u!r}")
-        rot = Rotations(self.rotations)
+        rot = self._rot.copy()
         rot.splice(walk[occurrence_u - 1], [(edge_id, 0, "fwd")])
         rot.splice(walk[occurrence_v - 1], [(edge_id, 0, "bwd")])
         return CombMap(rot.lists)

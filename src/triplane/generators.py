@@ -9,12 +9,15 @@ with rational arithmetic in that model.  Because every face walk maps
 orientation-faithfully onto a clockwise polygon, the computed rotations
 splice consistently into the global counterclockwise rotation system,
 which every face edits in place; one ``Drawing`` is built at the end.
+The model depends only on the cycle length and the chords, so each such
+pattern is computed once and renamed for every face that has it.
 Scene ingestion, random scenes and the chord model all accept their
 segments through one exact arrangement, so the three share one rule set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -177,6 +180,63 @@ def _drawing_of(arr: _Arrangement) -> Drawing:
 
 # -- chord insertion in a face ----------------------------------------------
 
+_ChordDart = Tuple[int, int, str]  # a dart (chord index, segment, direction)
+_ChordModel = Tuple[Tuple[Tuple[int, ...], ...],                    # along
+                    Tuple[Tuple[int, Tuple[_ChordDart, ...]], ...],  # crossings
+                    Tuple[Tuple[int, Tuple[_ChordDart, ...]], ...]]  # splices
+
+
+def _chord_arrangement(m: int, chords: Sequence[Tuple[int, int]],
+                       names: Sequence[Hashable]) -> Tuple[_Arrangement, Optional[str]]:
+    """The chords, named by ``names``, as secants of the clockwise convex model of an m-cycle.
+
+    Also returns why the model refuses them, naming chords by ``names``,
+    or ``None`` if it accepts them all.
+    """
+    # Clockwise convex model: integer parabola points in reversed order.
+    arr = _Arrangement({i: (m - 1 - i, (m - 1 - i) ** 2) for i in range(m)})
+    for e, (i, j) in zip(names, chords):
+        reason = arr.add(e, i, j)
+        if reason is not None:
+            return arr, reason
+    for e, (i, j) in zip(names, chords):
+        interleaved = {f for f, (a, b) in zip(names, chords) if i < a < j < b or a < i < b < j}
+        if {o for _, o in arr.crossings[e]} != interleaved:
+            return arr, "model polygon is not convex enough for these chords"
+    return arr, None
+
+
+@functools.lru_cache(maxsize=16)
+def _chord_model(m: int, chords: Tuple[Tuple[int, int], ...]) -> Optional[_ChordModel]:
+    """The exact fill of an m-cycle face by ``chords``, computed once per pattern; ``None`` if refused.
+
+    The fill is ``(along, crossings, splices)`` in chord- and crossing-index
+    form: ``along[k]`` lists the crossings on chord k in order from its
+    first end; ``crossings`` holds each crossing's counterclockwise rotation
+    as (crossing index, darts), in the order the arrangement found them;
+    and ``splices`` the darts that go into the rotation at each cycle index,
+    counterclockwise from the face's boundary, as (cycle index, darts).
+    """
+    arr, refusal = _chord_arrangement(m, chords, range(len(chords)))
+    if refusal is not None:
+        return None
+    order = {p: n for n, p in enumerate(sorted(arr.owner))}
+    along = tuple(tuple(order[p] for p, _ in arr.along(k)) for k in range(len(chords)))
+    crossings = tuple((n, tuple(darts)) for n, darts in arr.crossing_rotations(order).items())
+    at = arr.points
+    splices = []
+    for i in range(m):
+        incident = []
+        for k, (a, b) in enumerate(chords):
+            if a == i:
+                incident.append(((k, 0, "fwd"), sub(at[b], at[a])))
+            elif b == i:
+                incident.append(((k, len(along[k]), "bwd"), sub(at[a], at[b])))
+        if incident:
+            splices.append((i, tuple(ccw_from(sub(at[(i - 1) % m], at[i]), incident))))
+    return along, crossings, tuple(splices)
+
+
 def add_chords_in_face(
     rot: Rotations,
     edges: Dict[str, EdgeRecord],
@@ -193,11 +253,14 @@ def add_chords_in_face(
     nearest it.  Chords are (i, j) index pairs into the cycle, i < j,
     non-adjacent.  New edges are named ``{edge_prefix}{k}`` in chord order
     and new crossings ``{crossing_prefix}{k}`` ordered by model position.
+    The exact model depends only on the cycle length and the chords, so
+    faces with the same pattern share one ``_chord_model``, renamed here.
     """
     m = len(cycle)
     for i, j in chords:
         if not (0 <= i < j < m) or j - i == 1 or (i == 0 and j == m - 1):
             raise GenerationError(f"bad chord ({i},{j}) for a {m}-cycle")
+    pattern = tuple((i, j) for i, j in chords)
 
     found = []
     for d in rot.darts_at(cycle[0]) if m else ():
@@ -210,42 +273,28 @@ def add_chords_in_face(
             f"no face with boundary cycle {list(cycle)} (is it in walk order?)")
     aligned = min(found)[2]
 
-    # Clockwise convex model: integer parabola points in reversed order.
-    model: List[Point] = [(m - 1 - i, (m - 1 - i) ** 2) for i in range(m)]
-
-    eid = [f"{edge_prefix}{k}" for k in range(len(chords))]
+    eid = [f"{edge_prefix}{k}" for k in range(len(pattern))]
     for e in eid:
         if e in edges:
             raise GenerationError(f"edge id {e!r} already used")
+    model = _chord_model(m, pattern)
+    if model is None:  # the refusal names the caller's edge ids, so it is rebuilt, not cached
+        raise GenerationError(_chord_arrangement(m, pattern, eid)[1])
+    along, crossings, splices = model
 
-    arr = _Arrangement(dict(enumerate(model)))
-    for e, (i, j) in zip(eid, chords):
-        reason = arr.add(e, i, j)
-        if reason is not None:
-            raise GenerationError(reason)
-    for e, (i, j) in zip(eid, chords):
-        interleaved = {f for f, (a, b) in zip(eid, chords) if i < a < j < b or a < i < b < j}
-        if {o for _, o in arr.crossings[e]} != interleaved:
-            raise GenerationError("model polygon is not convex enough for these chords")
-
-    xid = {p: f"{crossing_prefix}{n}" for n, p in enumerate(sorted(arr.owner))}
-    for x in xid.values():
+    xid = [f"{crossing_prefix}{n}" for n in range(len(crossings))]
+    for x in xid:
         if x in rot.first:
             raise GenerationError(f"crossing id {x!r} already used")
 
-    for e, (i, j) in zip(eid, chords):
-        edges[e] = EdgeRecord(e, (cycle[i], cycle[j]), tuple(xid[p] for p, _ in arr.along(e)))
-    rot.update(arr.crossing_rotations(xid))
+    def named(darts: Tuple[_ChordDart, ...]) -> List[Dart]:
+        return [(eid[k], seg, direction) for k, seg, direction in darts]
 
-    for i in range(m):
-        incident = []
-        for e, (a, b) in zip(eid, chords):
-            if a == i:
-                incident.append(((e, 0, "fwd"), sub(model[b], model[a])))
-            elif b == i:
-                incident.append(((e, len(arr.crossings[e]), "bwd"), sub(model[a], model[b])))
-        if incident:
-            rot.splice(aligned[i - 1], ccw_from(sub(model[i - 1], model[i]), incident))
+    for e, (i, j), on in zip(eid, pattern, along):
+        edges[e] = EdgeRecord(e, (cycle[i], cycle[j]), tuple(xid[n] for n in on))
+    rot.update({xid[n]: named(darts) for n, darts in crossings})
+    for i, darts in splices:
+        rot.splice(aligned[i - 1], named(darts))
 
 
 # -- the hexagonal cylinder family -------------------------------------------

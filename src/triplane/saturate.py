@@ -205,7 +205,7 @@ def saturate(drawing: Drawing) -> Drawing:
     nodes = len(drawing.vertices) + len(drawing.crossings)
     cap = max(0, 3 * nodes - 6 - cmap.num_segments()) + 1
 
-    rot = Rotations(cmap.rotations)
+    rot = cmap._rot.copy()
     vertices = frozenset(drawing.vertices)
     # Every face is keyed by its smallest dart, and its index in the sorted
     # ``keys`` is the ``c{i}`` id that ``cells`` gives it.  ``pending`` maps

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from triplane.certificate import verify_numeric
 from triplane.cli import main
 from triplane.combmap import CombMap
 from triplane.drawing import Drawing, serialize_tdr
@@ -161,6 +162,21 @@ def test_certify_numeric(capsys, fig3_file):
     assert report["total_slack"] == "10/1"
     assert report["value"] == 45
     assert report["bound"] == "55/1"
+
+
+@pytest.mark.parametrize("target", ["edges", "crossings"])
+def test_certify_evaluates_only_its_target(capsys, monkeypatch, fig3_file, target):
+    cli_mod = importlib.import_module("triplane.cli")
+    evaluated = []
+
+    def recorded(drawing, certificates=None):
+        evaluated.append(certificates and sorted(certificates))
+        return verify_numeric(drawing, certificates)
+
+    monkeypatch.setattr(cli_mod, "verify_numeric", recorded)
+    code, out, _ = run(capsys, "certify", fig3_file, "--target", target)
+    assert code == 0 and json.loads(out)["target"] == target
+    assert evaluated == [[target]]
 
 
 def test_certify_requires_saturation(capsys, tmp_path):

@@ -118,6 +118,16 @@ def test_rotations_lists_keep_each_first_dart_and_refuse_repeated_darts():
         Rotations({"a": [("e0", 0, "fwd"), ("e0", 0, "fwd")]})
 
 
+def test_rotations_copy_is_independent():
+    rot = Rotations(square_map().rotations)
+    before = rot.lists
+    other = rot.copy()
+    assert other.lists == before and other.tail == rot.tail
+    other.splice(("s0", 0, "fwd"), [("d0", 0, "fwd")])
+    assert rot.lists == before and ("d0", 0, "fwd") not in rot.tail
+    assert other.darts_at("p1") == (("s1", 0, "fwd"), ("s0", 0, "bwd"), ("d0", 0, "fwd"))
+
+
 def test_insert_parallel_edge_in_k2():
     m = CombMap({"a": [("e0", 0, "fwd")], "b": [("e0", 0, "bwd")]})
     face = m.faces()[0]
@@ -157,6 +167,11 @@ def test_insert_rejects_same_node_and_bad_walk():
     for occurrences in ((0, 7), (7, 0), (-1, 1), (2.0, 0), (0, True), (True, 3)):
         with pytest.raises(MapError):
             m.insert_edge_in_face(face, *occurrences, "d0")
+    # a face of darts that are not this map's, or not darts at all
+    k2 = CombMap({"a": [("e0", 0, "fwd")], "b": [("e0", 0, "bwd")]})
+    for walk in ([("zz", 0, "fwd")], [("e0", 0)], [["e0", 0, "fwd"]], [("e0", 0, "fwd"), ("zz", 0, "bwd")]):
+        with pytest.raises(MapError, match="^not a face walk of this map$"):
+            k2.insert_edge_in_face(walk, 0, 0, "d0")
 
 
 def test_constructor_rejects_bad_maps():

@@ -13,6 +13,7 @@ from triplane.drawing import Drawing, serialize_tdr, stats, validate
 from triplane.generators import (
     BASIC_NAMES,
     GenerationError,
+    _chord_model,
     add_chords_in_face,
     build_random_scene,
     gen_basic,
@@ -276,6 +277,41 @@ def test_add_chords_rejects_overcrossed_model():
     assert len(diagonals) == 9
     with pytest.raises(GenerationError, match="crossed 4 times"):
         add_chords(util.ngon(6), [f"v{i}" for i in range(6)], diagonals, "g", "xg")
+
+
+# Faces with the same (cycle length, chords) pattern share one exact model:
+# fig3's side faces share one, its caps one more each unless L is odd (the
+# two caps then match), and every fig2 face is a pentagram.
+@pytest.mark.parametrize("gen,size,patterns", [(gen_fig3, 32, 3), (gen_fig3, 33, 2), (gen_fig2, 8, 1)])
+def test_chord_model_is_built_once_per_pattern(gen, size, patterns):
+    _chord_model.cache_clear()
+    gen(size)
+    assert _chord_model.cache_info().misses == patterns
+
+
+def test_chord_model_is_made_of_tuples():
+    def leaves(value):
+        assert isinstance(value, tuple)
+        for item in value:
+            if isinstance(item, (int, str)):
+                yield item
+            else:
+                yield from leaves(item)
+
+    model = _chord_model(6, ((0, 2), (1, 3), (2, 4), (3, 5), (0, 4), (1, 5), (0, 3), (2, 5)))
+    assert len(list(leaves(model))) > 0
+    assert len(model[1]) == 11  # crossings
+
+
+def test_chord_refusal_names_each_callers_edges():
+    # a refusal is not kept under the first caller's ids
+    hexagon = [f"v{i}" for i in range(6)]
+    diagonals = [(i, j) for i, j in itertools.combinations(range(6), 2) if j - i not in (1, 5)]
+    for prefix in ("g", "h"):
+        with pytest.raises(GenerationError, match=f"^collinear-overlap: '{prefix}0' and '{prefix}1'$"):
+            add_chords(util.ngon(6), hexagon, [(0, 2), (0, 2)], prefix, "x" + prefix)
+        with pytest.raises(GenerationError, match=f"^too-many-crossings: '{prefix}1' is crossed 4 times$"):
+            add_chords(util.ngon(6), hexagon, diagonals, prefix, "x" + prefix)
 
 
 # The repair pass cannot connect these scenes (a known defect); they are the
