@@ -49,7 +49,8 @@ class _Arrangement:
     denominators and kept as ``int`` pairs, so every predicate runs in
     integers; only crossing points are ``Fraction`` pairs, in the scaled
     frame.  A positive scale keeps every orientation, every order along a
-    segment and the sorted order of the crossings.
+    segment and the sorted order of the crossings.  A closed bounding box
+    per segment skips the pairs and points that cannot meet it.
     """
 
     def __init__(self, points: Mapping[Hashable, Point]):
@@ -58,18 +59,25 @@ class _Arrangement:
                            y.numerator * (scale // y.denominator))
                        for k, (x, y) in points.items()}
         self.ends: Dict[str, Tuple[Hashable, Hashable]] = {}
+        self.boxes: Dict[str, Tuple[int, int, int, int]] = {}  # closed (xlo, xhi, ylo, yhi)
         self.crossings: Dict[str, List[Tuple[Point, str]]] = {}  # (point, other segment)
         self.owner: Dict[Point, Tuple[str, str]] = {}            # crossing -> (older, newer)
 
     def add(self, sid: str, u: Hashable, v: Hashable) -> Optional[str]:
         """Accept segment ``sid`` from u to v, or return why it is refused."""
-        pts = self.points
+        pts, boxes = self.points, self.boxes
         a, b = pts[u], pts[v]
+        # strict tests on closed boxes: only what the predicates would call disjoint is skipped
+        xlo, xhi, ylo, yhi = box = (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
         for nm, p in pts.items():
-            if nm != u and nm != v and on_segment(p, a, b):
+            if (xlo <= p[0] <= xhi and ylo <= p[1] <= yhi
+                    and nm != u and nm != v and on_segment(p, a, b)):
                 return f"vertex-on-edge: point {nm!r} lies on segment {sid!r}"
         found: List[Tuple[Point, str]] = []
         for o, (c, d) in self.ends.items():
+            oxlo, oxhi, oylo, oyhi = boxes[o]
+            if oxhi < xlo or oxlo > xhi or oyhi < ylo or oylo > yhi:
+                continue
             rel = segment_relation(a, b, pts[c], pts[d])
             kind = rel[0]
             if kind == "disjoint":
@@ -89,6 +97,7 @@ class _Arrangement:
             if len(found) == 4:
                 return f"too-many-crossings: {sid!r} is crossed 4 times"
         self.ends[sid] = (u, v)
+        boxes[sid] = box
         self.crossings[sid] = found
         for p, o in found:
             self.owner[p] = (o, sid)
@@ -618,15 +627,15 @@ def _random_arrangement(n: int, edge_budget: int, seed: int) -> Tuple[Dict[str, 
     for u, v in arr.ends.values():
         parent[find(u)] = find(v)
     components = len({find(nm) for nm in names})
-    while components > 1:
-        for u, v in pairs:
-            if find(u) != find(v) and try_add(u, v):
-                parent[find(u)] = find(v)
-                components -= 1
-                break
-        else:
-            raise GenerationError(
-                f"could not connect the scene for n={n}, seed={seed}")
+    # one sweep: the arrangement only grows, so a refused pair stays refused
+    for u, v in pairs:
+        if components == 1:
+            break
+        if find(u) != find(v) and try_add(u, v):
+            parent[find(u)] = find(v)
+            components -= 1
+    if components > 1:
+        raise GenerationError(f"could not connect the scene for n={n}, seed={seed}")
     return pts, arr
 
 

@@ -15,6 +15,7 @@ labelled points and straight segments between them::
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -30,6 +31,12 @@ class SceneError(ValueError):
 def frac_from_str(s) -> Fraction:
     if isinstance(s, str):
         try:
+            # CPython's limit on int digits (4300 by default) also holds an exponent,
+            # so "1e99999999" is refused instead of building a huge power of ten
+            _, e, exponent = s.lower().partition("e")
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+            if e and limit and abs(int(exponent)) > limit:
+                raise ValueError
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
             raise SceneError(f"bad rational {s!r}") from None
@@ -107,8 +114,8 @@ def segment_relation(a: Point, b: Point, c: Point, d: Point):
                 _exact(a if tn == 0 else b))
     if u_end:
         return ("endpoint-on-interior", _exact(c if un == 0 else d))
-    t = Fraction(tn, denom)
-    return ("proper", (a[0] + t * rx, a[1] + t * ry))
+    return ("proper", (Fraction(a[0] * denom + tn * rx, denom),
+                       Fraction(a[1] * denom + tn * ry, denom)))
 
 
 def _exact(p: Point) -> Point:

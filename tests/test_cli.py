@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -285,6 +286,15 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, command, text):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err and str(p) in err
+
+
+def test_ingest_refuses_huge_exponent_fast(capsys, tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"points": {"a": ["1e99999999", "0"]}, "segments": []}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ingest", str(p))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"{p}: bad rational '1e99999999'\n")
 
 
 def test_missing_file_is_usage_error(capsys):

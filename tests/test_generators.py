@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from triplane.census import census
 from triplane.combmap import Rotations
 from triplane.drawing import Drawing, serialize_tdr, stats, validate
+from triplane import generators
 from triplane.generators import (
     BASIC_NAMES,
     GenerationError,
+    _Arrangement,
     _chord_model,
     add_chords_in_face,
     build_random_scene,
@@ -22,7 +25,7 @@ from triplane.generators import (
     ingest_geometry,
     random_drawing,
 )
-from triplane.geometry import GeometricScene, SceneError, parse_scene, segment_relation
+from triplane.geometry import GeometricScene, SceneError, on_segment, parse_scene, segment_relation
 from triplane.saturate import is_3saturated, saturate
 
 import util
@@ -133,6 +136,139 @@ def test_ingest_accepts_exactly_three_crossings():
     d = ingest_geometry(scene_of(points, segments))
     assert validate(d).valid
     assert len(d.edges["h"].crossings) == 3
+
+
+# Scenes where the arrangement's closed bounding boxes have zero width or
+# height, touch only at a corner or along an edge, or hold a point on their
+# boundary.  Each result (sha256 of the drawing, or the refusal text) was
+# recorded before the box test was put in front of the exact predicates.
+BOX_SCENES = {
+    # a horizontal and a vertical segment: zero-height and zero-width boxes
+    "plus": ({"a": ["-2", "0"], "b": ["2", "0"], "c": ["0", "-2"], "d": ["0", "2"]},
+             [("h", ("a", "b")), ("v", ("c", "d"))]),
+    # a point on a horizontal segment, inside its zero-height box
+    "point-on-horizontal": ({"a": ["0", "0"], "b": ["4", "0"], "c": ["5/2", "0"], "d": ["5/2", "3"]},
+                            [("h", ("a", "b")), ("v", ("c", "d"))]),
+    # a vertical segment's end on the interior of a later horizontal one
+    "t-junction": ({"a": ["0", "0"], "b": ["4", "0"], "c": ["1", "0"], "d": ["1", "3"]},
+                   [("v", ("c", "d")), ("h", ("a", "b"))]),
+    # boxes that share only a corner, the segments apart
+    "corner-apart": ({"a": ["0", "2"], "b": ["2", "0"], "c": ["2", "2"], "d": ["4", "4"], "e": ["4", "0"]},
+                     [("s0", ("a", "b")), ("s1", ("c", "d")), ("s2", ("b", "e")), ("s3", ("c", "e"))]),
+    # boxes that share only a corner, where the segments share an end
+    "corner-shared": ({"a": ["0", "0"], "b": ["2", "2"], "c": ["4", "4"], "d": ["4", "0"]},
+                      [("s0", ("a", "b")), ("s1", ("b", "c")), ("s2", ("b", "d"))]),
+    # collinear segments along a common box edge: overlapping, touching, apart
+    "edge-overlap": ({"a": ["3", "0"], "b": ["3", "4"], "c": ["0", "0"]},
+                     [("s0", ("a", "b")), ("s1", ("c", "b")), ("s2", ("b", "a"))]),
+    "edge-touch": ({"a": ["3", "0"], "b": ["3", "2"], "c": ["3", "5"], "d": ["0", "5"]},
+                   [("s0", ("a", "b")), ("s1", ("b", "c")), ("s2", ("c", "d")), ("s3", ("d", "a"))]),
+    "edge-apart": ({"a": ["0", "1"], "b": ["2", "1"], "c": ["3", "1"], "d": ["5", "1"],
+                    "e": ["5/2", "-1"], "f": ["5/2", "3"]},
+                   [("s0", ("a", "b")), ("s1", ("c", "d")), ("s2", ("e", "f")), ("s3", ("b", "e"))]),
+    # a vertical segment through the crossing of two diagonals
+    "three-through-one-point": ({"a": ["0", "0"], "b": ["4", "2"], "c": ["4", "0"], "d": ["0", "2"],
+                                 "e": ["2", "1/3"], "f": ["2", "5"]},
+                                [("s0", ("a", "b")), ("s1", ("c", "d")), ("s2", ("e", "f"))]),
+    # an end of an earlier segment on the interior of a diagonal
+    "end-on-diagonal": ({"a": ["0", "0"], "b": ["3", "3"], "c": ["1", "1"], "d": ["1", "-2"]},
+                        [("s1", ("c", "d")), ("s0", ("a", "b"))]),
+    # proper crossings of thin boxes at rational points
+    "thin": ({"a": ["0", "0"], "b": ["1/3", "7"], "c": ["-1", "1"], "d": ["2", "13/11"],
+              "e": ["1/7", "-1"], "f": ["1/7", "9"]},
+             [("s0", ("a", "b")), ("s1", ("c", "d")), ("s2", ("e", "f"))]),
+}
+BOX_RESULTS = {
+    "plus": "8265569157f6230022f240e6a361fa0cfb90814215b4475ca7540e91743fc5e4",
+    "point-on-horizontal": "SceneError: vertex-on-edge: point 'c' lies on segment 'h'",
+    "t-junction": "SceneError: vertex-on-edge: point 'c' lies on segment 'h'",
+    "corner-apart": "2657d16cb59a0630594b5ab91a99088184f8eac359e7816c0d177c5cfd1911f9",
+    "corner-shared": "f20c2aec1f27e9e39c7b512aa8bfda400da0752bf5c97424f2050a3255867b4b",
+    "edge-overlap": "SceneError: collinear-overlap: 's0' and 's2'",
+    "edge-touch": "4e710cb51da116cce486058529471c04963e9425a509fcba892814c6379cdf56",
+    "edge-apart": "6c93e7c961b714c24b9bfbb456c3e2c1633a081ffec8aaded4f4b0edab31dc5a",
+    "three-through-one-point": "SceneError: concurrent-crossing: 's0', 's1', 's0', 's2' meet at one point",
+    "end-on-diagonal": "SceneError: vertex-on-edge: point 'c' lies on segment 's0'",
+    "thin": "d4b2c06e027b24d6c4f58ece429898e0d54950c592469fb4e51740fb9654bb41",
+}
+
+
+@pytest.mark.parametrize("name", BOX_SCENES)
+def test_ingest_on_box_edges_is_pinned(name):
+    try:
+        text = serialize_tdr(ingest_geometry(scene_of(*BOX_SCENES[name])))
+        got = hashlib.sha256(text.encode()).hexdigest()
+    except SceneError as exc:
+        got = f"SceneError: {exc}"
+    assert got == BOX_RESULTS[name]
+
+
+class _BruteArrangement:
+    """The acceptance rules of ``_Arrangement``, testing every point and every pair."""
+
+    def __init__(self, points):
+        self.points, self.ends, self.crossings, self.owner = points, {}, {}, {}
+
+    def add(self, sid, u, v):
+        pts = self.points
+        a, b = pts[u], pts[v]
+        for nm, p in pts.items():
+            if nm not in (u, v) and on_segment(p, a, b):
+                return f"vertex-on-edge: point {nm!r} lies on segment {sid!r}"
+        found = []
+        for o, (c, d) in self.ends.items():
+            rel = segment_relation(a, b, pts[c], pts[d])
+            adjacent = bool({c, d} & {u, v})
+            if rel[0] == "disjoint" or (rel[0] == "shared-endpoint" and adjacent):
+                continue
+            if rel[0] != "proper" or adjacent:
+                return f"{'adjacent-crossing' if rel[0] == 'proper' else rel[0]}: {o!r} and {sid!r}"
+            if rel[1] in self.owner:
+                o1, o2 = self.owner[rel[1]]
+                return f"concurrent-crossing: {o1!r}, {o2!r}, {o!r}, {sid!r} meet at one point"
+            if len(self.crossings[o]) == 3:
+                return f"too-many-crossings: {o!r} is crossed 4 times"
+            found.append((rel[1], o))
+            if len(found) == 4:
+                return f"too-many-crossings: {sid!r} is crossed 4 times"
+        self.ends[sid], self.crossings[sid] = (u, v), found
+        for p, o in found:
+            self.owner[p] = (o, sid)
+            self.crossings[o].append((p, sid))
+        return None
+
+
+# On a small grid many candidates are horizontal, vertical, collinear or meet
+# at a box corner: every decision and every crossing must be the brute force's.
+@pytest.mark.parametrize("seed", range(40))
+def test_box_test_decides_as_brute_force(seed):
+    rng = random.Random(seed)
+    span = range(-3, 4) if seed % 2 else range(-12, 13)
+    cells = rng.sample([(x, y) for x in span for y in span], rng.randint(6, 14))
+    points = {f"p{i}": (Fraction(x, 1 + seed % 3), Fraction(y)) for i, (x, y) in enumerate(cells)}
+    arr = _Arrangement(points)
+    brute = _BruteArrangement(arr.points)
+    for k in range(60):
+        u, v = rng.sample(sorted(points), 2)
+        assert arr.add(f"s{k}", u, v) == brute.add(f"s{k}", u, v)
+    assert arr.ends == brute.ends and arr.crossings == brute.crossings and arr.owner == brute.owner
+
+
+def test_box_test_bounds_segment_relation_calls(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return segment_relation(*args)
+
+    monkeypatch.setattr(generators, "segment_relation", counted)
+    for s in range(20):
+        try:
+            build_random_scene(24, 72, s)
+        except GenerationError:
+            pass
+    assert calls <= 30_000
 
 
 def test_fig3_formulas():
@@ -320,6 +456,41 @@ def test_chord_refusal_names_each_callers_edges():
 def test_random_drawing_unconnectable_seeds(n, budget, seed):
     with pytest.raises(GenerationError, match=f"^could not connect the scene for n={n}, seed={seed}$"):
         random_drawing(n, budget, seed)
+
+
+# Scenes whose greedy pass leaves many components, so the repair pass does
+# most of the work: one digest over the bytes (or the error text) of each,
+# recorded when the repair pass rescanned every pair after each join.
+def test_repair_heavy_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for n, budget, seeds in ((12, 0, range(30)), (30, 10, range(20)), (60, 0, range(3)), (100, 0, (1,))):
+        for s in seeds:
+            try:
+                text = serialize_tdr(random_drawing(n, budget, s))
+            except GenerationError as exc:
+                text = str(exc)
+            digest.update(text.encode())
+    assert digest.hexdigest() == "276a28aaa5771f50e16bbfc7a9437baa8e7e7b99f38791dc66c76c55ceba0a87"
+
+
+# The repair pass tries each pair at most once, so with no budget the
+# arrangement sees at most one candidate per pair of points.
+@pytest.mark.parametrize("n,seed", [(30, 12), (40, 0), (60, 1), (100, 1)])
+def test_repair_tries_each_pair_once(monkeypatch, n, seed):
+    calls = 0
+    add = _Arrangement.add
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return add(self, *args)
+
+    monkeypatch.setattr(_Arrangement, "add", counted)
+    try:
+        build_random_scene(n, 0, seed)
+    except GenerationError:
+        pass
+    assert 0 < calls <= n * (n - 1) // 2
 
 
 def _wide_rational_scene():

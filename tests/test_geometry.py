@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,25 @@ def test_frac_rejects_garbage():
     for bad in ("", "x", "1/0", None, 1.5, True, False):
         with pytest.raises(SceneError):
             frac_from_str(bad)
+
+
+def test_frac_accepts_small_exponents():
+    assert frac_from_str("1e3") == 1000
+    assert frac_from_str("-2.5E-2") == Fraction(-1, 40)
+    assert frac_from_str(" 3e+1_0 ") == 3 * 10 ** 10
+    limit = sys.get_int_max_str_digits()
+    assert frac_from_str(f"1e{limit}") == 10 ** limit
+
+
+# An exponent is held to the limit CPython puts on the digits of an int:
+# "1e99999999" used to build a hundred-million-digit power of ten.
+@pytest.mark.parametrize("text", ["1e99999999", "1e-99999999", "7.5E+99999999", "1e4301",
+                                  "1e" + "9" * 5000, "1e_1", "1e"])
+def test_frac_refuses_huge_exponents_fast(text):
+    start = time.perf_counter()
+    with pytest.raises(SceneError, match="^bad rational "):
+        frac_from_str(text)
+    assert time.perf_counter() - start < 1
 
 
 def test_orient_signs():
