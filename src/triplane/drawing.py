@@ -94,14 +94,18 @@ class Drawing:
                 raise TDRError(f"rotation given for unknown node {node!r}")
             tupled = []
             for d in darts:
-                d = (d[0], d[1], d[2])
-                if not (isinstance(d[0], str) and d[0] in emap):
-                    raise TDRError(f"rotation at {node!r} names unknown edge {d[0]!r}")
-                if not (type(d[1]) is int and 0 <= d[1] <= len(emap[d[0]].crossings)):
-                    raise TDRError(f"rotation at {node!r}: segment index {d[1]} out of range "
-                                   f"for edge {d[0]!r}")
-                if d[2] not in DIRS:
-                    raise TDRError(f"rotation at {node!r}: bad direction {d[2]!r}")
+                try:
+                    e, seg, direction = d
+                except (TypeError, ValueError):
+                    raise TDRError(f"rotation at {node!r}: malformed dart {d!r}") from None
+                if not (isinstance(e, str) and e in emap):
+                    raise TDRError(f"rotation at {node!r} names unknown edge {e!r}")
+                if not (type(seg) is int and 0 <= seg <= len(emap[e].crossings)):
+                    raise TDRError(f"rotation at {node!r}: segment index {seg} out of range "
+                                   f"for edge {e!r}")
+                if direction not in DIRS:
+                    raise TDRError(f"rotation at {node!r}: bad direction {direction!r}")
+                d = (e, seg, direction)
                 if d in seen:
                     raise TDRError(f"dart {d!r} listed more than once")
                 seen[d] = node
@@ -219,6 +223,8 @@ def parse_tdr(text: str) -> Drawing:
         raise TDRError(f"syntax: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
     except RecursionError:
         raise TDRError("syntax: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal past CPython's digit limit
+        raise TDRError(f"syntax: {exc}") from None
     if not isinstance(obj, dict):
         raise TDRError("top level must be an object")
     if set(obj) != {"vertices", "edges", "rotations"}:

@@ -1,18 +1,21 @@
 """Drawing generators: geometric ingestion, tight families, random scenes.
 
-Skeleton drawings (hexagonal cylinders, pentagonal rings) are built with
-hand-made rotations; their faces are then filled with straight chords via
-an exact convex model: the face's vertex cycle is mapped onto a clockwise
-convex polygon (points of a parabola, reversed), chords become secants,
-and all crossings, crossing orders, and angular rotations are computed
-with rational arithmetic in that model.  Because every face walk maps
-orientation-faithfully onto a clockwise polygon, the computed rotations
-splice consistently into the global counterclockwise rotation system,
-which every face edits in place; one ``Drawing`` is built at the end.
-The model depends only on the cycle length and the chords, so each such
-pattern is computed once and renamed for every face that has it.
+The tight families (hexagonal cylinders, pentagonal rings) are data:
+rings, spokes, and faces with their chords, handed to one nested-rings
+builder that writes the embedding rule once.  The faces are filled with
+straight chords via an exact convex model: the face's vertex cycle is
+mapped onto a clockwise convex polygon (points of a parabola, reversed),
+chords become secants, and all crossings, crossing orders, and angular
+rotations are computed with rational arithmetic in that model.  Because
+every face walk maps orientation-faithfully onto a clockwise polygon, the
+computed rotations splice consistently into the global counterclockwise
+rotation system, which every face edits in place; one ``Drawing`` is
+built at the end.  The model depends only on the cycle length and the
+chords, so each such pattern is computed once and renamed for every face
+that has it.
 Scene ingestion, random scenes and the chord model all accept their
-segments through one exact arrangement, so the three share one rule set.
+segments through one exact arrangement, so the three share one rule set;
+the small straight-line basics are ingested scenes too.
 """
 
 from __future__ import annotations
@@ -88,9 +91,9 @@ class _Arrangement:
             if kind != "proper" or adjacent:
                 return f"{'adjacent-crossing' if kind == 'proper' else kind}: {o!r} and {sid!r}"
             p = rel[1]
-            if p in self.owner:
+            if p in self.owner:  # o is one of the two owners
                 o1, o2 = self.owner[p]
-                return f"concurrent-crossing: {o1!r}, {o2!r}, {o!r}, {sid!r} meet at one point"
+                return f"concurrent-crossing: {o1!r}, {o2!r}, {sid!r} meet at one point"
             if len(self.crossings[o]) == 3:
                 return f"too-many-crossings: {o!r} is crossed 4 times"
             found.append((p, o))
@@ -306,10 +309,44 @@ def add_chords_in_face(
         rot.splice(aligned[i - 1], named(darts))
 
 
-# -- the hexagonal cylinder family -------------------------------------------
+# -- the nested-rings families ------------------------------------------------
 
-_HEX_SHORTS = ((0, 2), (1, 3), (2, 4), (3, 5), (0, 4), (1, 5))
+def _filled_rings(
+    rings: Sequence[Tuple[Sequence[str], Sequence[str]]],
+    spokes: Sequence[Tuple[str, str, str]],
+    fills: Sequence[Tuple[Sequence[str], Sequence[Tuple[int, int]], str, str]],
+) -> Drawing:
+    """Counterclockwise rings joined by spokes, with chords filled into faces.
+
+    ``rings`` are (vertices, edge ids), innermost first, edge i running from
+    vertex i to vertex i+1; ``spokes`` are (id, inner end, outer end), at
+    most one outward and one inward spoke per vertex.  The nested-rings
+    embedding puts at each vertex, counterclockwise: the outward spoke, the
+    ring successor, the inward spoke, the ring predecessor.  ``fills`` are
+    ``add_chords_in_face`` arguments (cycle, chords, edge prefix, crossing
+    prefix), applied in order to the one shared rotation system.
+    """
+    edges = {e: EdgeRecord(e, (vs[i], vs[(i + 1) % len(vs)]), ())
+             for vs, es in rings for i, e in enumerate(es)}
+    edges.update((s, EdgeRecord(s, (a, b), ())) for s, a, b in spokes)
+    outward = {a: (s, 0, "fwd") for s, a, _ in spokes}
+    inward = {b: (s, 0, "bwd") for s, _, b in spokes}
+    rotations = {}
+    for vs, es in rings:
+        for i, v in enumerate(vs):
+            darts = (outward.get(v), (es[i], 0, "fwd"), inward.get(v), (es[i - 1], 0, "bwd"))
+            rotations[v] = [d for d in darts if d]
+    system = Rotations(rotations)
+    for cycle, chords, edge_prefix, crossing_prefix in fills:
+        add_chords_in_face(system, edges, cycle, chords, edge_prefix, crossing_prefix)
+    return Drawing([v for vs, _ in rings for v in vs], list(edges.values()), system.lists)
+
+
+_HEX_SIDE = ((0, 2), (1, 3), (2, 4), (3, 5), (0, 4), (1, 5), (0, 3), (2, 5))  # 8 of 9 diagonals
 _HEX_LONGS = ((0, 3), (1, 4), (2, 5))
+# A cap: the long diagonals plus the triangle of shorts on the even (index 0)
+# or odd (index 1) positions of its walk.
+_HEX_CAPS = (_HEX_LONGS + ((0, 2), (0, 4), (2, 4)), _HEX_LONGS + ((1, 3), (1, 5), (3, 5)))
 
 
 def gen_fig3(layers: int) -> Drawing:
@@ -328,61 +365,19 @@ def gen_fig3(layers: int) -> Drawing:
     def V(l: int, p: int) -> str:
         return f"u{l}p{p % 6}"
 
-    def R(l: int, p: int) -> str:
-        return f"r{l}p{p % 6}"
-
-    def Z(l: int, p: int) -> str:
-        return f"z{l}p{p % 6}"
-
-    vertices = [V(l, p) for l in range(L + 1) for p in range(6)]
-    edges = [EdgeRecord(R(l, p), (V(l, p), V(l, p + 1)), ()) for l in range(L + 1) for p in range(6)]
-    vert_pos = {l: ((l - 1) % 2, ((l - 1) % 2) + 2, ((l - 1) % 2) + 4) for l in range(1, L + 1)}
+    rings = [([V(l, p) for p in range(6)], [f"r{l}p{p}" for p in range(6)]) for l in range(L + 1)]
+    spokes, fills = [], []
     for l in range(1, L + 1):
-        for p in vert_pos[l]:
-            edges.append(EdgeRecord(Z(l, p), (V(l - 1, p), V(l, p)), ()))
+        for p in range((l - 1) % 2, 6, 2):
+            spokes.append((f"z{l}p{p}", V(l - 1, p), V(l, p)))
+            side = [V(l - 1, p), V(l - 1, p + 1), V(l - 1, p + 2), V(l, p + 2), V(l, p + 1), V(l, p)]
+            fills.append((side, _HEX_SIDE, f"g{l}p{p}n", f"xg{l}p{p}n"))  # a clockwise walk
+    # Each cap's parity is chosen to avoid duplicating layer diagonals on the
+    # shared ring; the bottom walk runs clockwise, the top one is the outer face's.
+    fills.append(([V(0, -p) for p in range(6)], _HEX_CAPS[1], "gbotn", "xbotn"))
+    fills.append(([V(L, p) for p in range(6)], _HEX_CAPS[L % 2], "gtopn", "xtopn"))
+    return _filled_rings(rings, spokes, fills)
 
-    # CCW rotation at each vertex: outward vertical, ring-successor,
-    # inward vertical, ring-predecessor (nested-rings embedding).
-    rotations: Dict[str, List[Dart]] = {}
-    for l in range(L + 1):
-        for p in range(6):
-            rot: List[Dart] = []
-            if l + 1 <= L and p % 6 in vert_pos[l + 1]:
-                rot.append((Z(l + 1, p), 0, "fwd"))
-            rot.append((R(l, p), 0, "fwd"))
-            if l >= 1 and p % 6 in vert_pos[l]:
-                rot.append((Z(l, p), 0, "bwd"))
-            rot.append((R(l, p - 1), 0, "bwd"))
-            rotations[V(l, p)] = rot
-
-    system = Rotations(rotations)
-    emap = {e.id: e for e in edges}
-
-    # Side faces: clockwise walk [b_p, b_p+1, b_p+2, t_p+2, t_p+1, t_p].
-    for l in range(1, L + 1):
-        for p in vert_pos[l]:
-            cycle = [V(l - 1, p), V(l - 1, p + 1), V(l - 1, p + 2),
-                     V(l, p + 2), V(l, p + 1), V(l, p)]
-            chords = list(_HEX_SHORTS) + [(0, 3), (2, 5)]
-            add_chords_in_face(system, emap, cycle, chords, f"g{l}p{p}n", f"xg{l}p{p}n")
-
-    # Caps: three long diagonals plus a triangle of alternate shorts, the
-    # parity chosen to avoid duplicating layer diagonals on the shared ring.
-    bot = [V(0, 0), V(0, 5), V(0, 4), V(0, 3), V(0, 2), V(0, 1)]  # clockwise inner walk
-    bot_tri_start = 1  # layer-1 verticals sit at even positions
-    bot_tri = [((bot_tri_start + s) % 6, (bot_tri_start + s + 2) % 6) for s in (0, 2, 4)]
-    bot_chords = list(_HEX_LONGS) + sorted(tuple(sorted(c)) for c in bot_tri)
-    add_chords_in_face(system, emap, bot, bot_chords, "gbotn", "xbotn")
-
-    top = [V(L, p) for p in range(6)]  # counterclockwise walk of the outer face
-    top_tri_start = L % 2
-    top_tri = [((top_tri_start + s) % 6, (top_tri_start + s + 2) % 6) for s in (0, 2, 4)]
-    top_chords = list(_HEX_LONGS) + sorted(tuple(sorted(c)) for c in top_tri)
-    add_chords_in_face(system, emap, top, top_chords, "gtopn", "xtopn")
-    return Drawing(vertices, list(emap.values()), system.lists)
-
-
-# -- the pentagonal-rings family ----------------------------------------------
 
 _PENT_CHORDS = ((0, 2), (1, 3), (2, 4), (0, 3), (1, 4))
 
@@ -402,68 +397,26 @@ def gen_fig2(rings: int) -> Drawing:
         raise GenerationError("gen_fig2 needs at least one ring")
 
     def size(k: int) -> int:
-        return 5 if k % 2 == 0 else 10
+        return 10 if k % 2 else 5
 
     def W(k: int, j: int) -> str:
         return f"w{k}j{j % size(k)}"
 
-    def RE(k: int, j: int) -> str:
-        return f"r{k}j{j % size(k)}"
-
-    def S(k: int, i: int) -> str:
-        return f"s{k}i{i % 5}"
-
-    vertices = [W(k, j) for k in range(R + 1) for j in range(size(k))]
-    edges = [EdgeRecord(RE(k, j), (W(k, j), W(k, j + 1)), ())
-             for k in range(R + 1) for j in range(size(k))]
-
-    def spoke_ends(k: int, i: int) -> Tuple[str, str]:
-        # spoke i of annulus k -> k+1, (inner vertex, outer vertex)
-        if k % 2 == 0:
-            return (W(k, i), W(k + 1, 2 * i))
-        return (W(k, 2 * i + 1), W(k + 1, i))
-
+    ring_list = [([W(k, j) for j in range(size(k))], [f"r{k}j{j}" for j in range(size(k))])
+                 for k in range(R + 1)]
+    spokes = []
+    faces = [[W(0, -j) for j in range(5)]]  # inner cap, clockwise
     for k in range(R):
         for i in range(5):
-            edges.append(EdgeRecord(S(k, i), spoke_ends(k, i), ()))
-
-    rotations: Dict[str, List[Dart]] = {}
-    for k in range(R + 1):
-        for j in range(size(k)):
-            out_dart: Optional[Dart] = None
-            in_dart: Optional[Dart] = None
-            if k < R:
-                if k % 2 == 0:
-                    out_dart = (S(k, j), 0, "fwd")
-                elif j % 2 == 1:
-                    out_dart = (S(k, (j - 1) // 2), 0, "fwd")
-            if k > 0:
-                if k % 2 == 1 and j % 2 == 0:
-                    in_dart = (S(k - 1, j // 2), 0, "bwd")
-                elif k % 2 == 0:
-                    in_dart = (S(k - 1, j), 0, "bwd")
-            ring = ((RE(k, j), 0, "fwd"), (RE(k, j - 1), 0, "bwd"))
-            rotations[W(k, j)] = [d for d in (out_dart, ring[0], in_dart, ring[1]) if d]
-
-    system = Rotations(rotations)
-    emap = {e.id: e for e in edges}
-
-    faces: List[List[str]] = []
-    faces.append([W(0, 0), W(0, 4), W(0, 3), W(0, 2), W(0, 1)])  # inner cap, clockwise
-    for k in range(R):
-        for i in range(5):
-            if k % 2 == 0:
-                faces.append([W(k, i), W(k, i + 1), W(k + 1, 2 * i + 2),
-                              W(k + 1, 2 * i + 1), W(k + 1, 2 * i)])
-            else:
-                faces.append([W(k, 2 * i + 1), W(k, 2 * i + 2), W(k, 2 * i + 3),
-                              W(k + 1, i + 1), W(k + 1, i)])
+            # face i of annulus k: its positions on ring k, then on ring k+1; spoke i joins the firsts
+            inner, outer = ((range(i, i + 2), range(2 * i, 2 * i + 3)) if k % 2 == 0
+                            else (range(2 * i + 1, 2 * i + 4), range(i, i + 2)))
+            spokes.append((f"s{k}i{i}", W(k, inner[0]), W(k + 1, outer[0])))
+            faces.append([W(k, j) for j in inner] + [W(k + 1, j) for j in reversed(outer)])
     if R % 2 == 0:
         faces.append([W(R, j) for j in range(5)])  # outer cap, counterclockwise walk
-
-    for fi, cycle in enumerate(faces):
-        add_chords_in_face(system, emap, cycle, list(_PENT_CHORDS), f"q{fi}n", f"xq{fi}n")
-    return Drawing(vertices, list(emap.values()), system.lists)
+    fills = [(cycle, _PENT_CHORDS, f"q{fi}n", f"xq{fi}n") for fi, cycle in enumerate(faces)]
+    return _filled_rings(ring_list, spokes, fills)
 
 
 # -- basic named instances -----------------------------------------------------
@@ -502,36 +455,10 @@ def fig3a_micro_scene() -> GeometricScene:
     return GeometricScene(pts, segs)
 
 
-def _basic_k2() -> Drawing:
-    return Drawing(["a", "b"], [EdgeRecord("e0", ("a", "b"), ())],
-                   {"a": [("e0", 0, "fwd")], "b": [("e0", 0, "bwd")]})
-
-
-def _basic_k3() -> Drawing:
-    edges = [EdgeRecord("e0", ("a", "b"), ()), EdgeRecord("e1", ("b", "c"), ()),
-             EdgeRecord("e2", ("c", "a"), ())]
-    rotations = {
-        "a": [("e0", 0, "fwd"), ("e2", 0, "bwd")],
-        "b": [("e1", 0, "fwd"), ("e0", 0, "bwd")],
-        "c": [("e2", 0, "fwd"), ("e1", 0, "bwd")],
-    }
-    return Drawing(["a", "b", "c"], edges, rotations)
-
-
-def _basic_path3() -> Drawing:
-    edges = [EdgeRecord("e0", ("a", "b"), ()), EdgeRecord("e1", ("b", "c"), ())]
-    rotations = {
-        "a": [("e0", 0, "fwd")],
-        "b": [("e0", 0, "bwd"), ("e1", 0, "fwd")],
-        "c": [("e1", 0, "bwd")],
-    }
-    return Drawing(["a", "b", "c"], edges, rotations)
-
-
-def _basic_x1() -> Drawing:
-    F = Fraction
-    pts = {"v0": (F(-1), F(0)), "v1": (F(1), F(0)), "v2": (F(0), F(-1)), "v3": (F(0), F(1))}
-    return ingest_geometry(GeometricScene(pts, (("e0", ("v0", "v1")), ("e1", ("v2", "v3")))))
+def _ingested(points: Mapping[str, Tuple[int, int]], *segments: Tuple[str, Tuple[str, str]]) -> Drawing:
+    """The drawing of a straight-line scene on integer points."""
+    pts = {nm: (Fraction(x), Fraction(y)) for nm, (x, y) in points.items()}
+    return ingest_geometry(GeometricScene(pts, segments))
 
 
 def _basic_lens_bad() -> Drawing:
@@ -544,10 +471,13 @@ def _basic_lens_bad() -> Drawing:
 
 
 _BASIC = {
-    "k2": _basic_k2,
-    "k3": _basic_k3,
-    "path3": _basic_path3,
-    "x1": _basic_x1,
+    "k2": lambda: _ingested({"a": (0, 0), "b": (1, 0)}, ("e0", ("a", "b"))),
+    "k3": lambda: _ingested({"a": (0, 0), "b": (1, 0), "c": (0, 1)},
+                            ("e0", ("a", "b")), ("e1", ("b", "c")), ("e2", ("c", "a"))),
+    "path3": lambda: _ingested({"a": (-1, 0), "b": (0, 0), "c": (0, -1)},
+                               ("e0", ("a", "b")), ("e1", ("b", "c"))),
+    "x1": lambda: _ingested({"v0": (-1, 0), "v1": (1, 0), "v2": (0, -1), "v3": (0, 1)},
+                            ("e0", ("v0", "v1")), ("e1", ("v2", "v3"))),
     "lens-bad": _basic_lens_bad,
     "fig3a-micro": lambda: saturate(ingest_geometry(fig3a_micro_scene())),
     "fig4-flower": lambda: saturate(ingest_geometry(fig4_flower_scene())),

@@ -173,6 +173,8 @@ def parse_scene(text: str) -> GeometricScene:
         raise SceneError(f"syntax: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
     except RecursionError:
         raise SceneError("syntax: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal past CPython's digit limit
+        raise SceneError(f"syntax: {exc}") from None
     if not isinstance(obj, dict) or set(obj) != {"points", "segments"}:
         raise SceneError("top level must have exactly the keys points, segments")
     if not isinstance(obj["points"], dict):

@@ -288,6 +288,19 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, command, text):
     assert "Traceback" not in err and str(p) in err
 
 
+# json.loads refuses an integer literal past CPython's digit limit (4300)
+@pytest.mark.parametrize("command,text", [
+    ("ingest", '{"points": {"a": [1%s, "0"]}, "segments": []}' % ("0" * 5000)),
+    ("validate", serialize_tdr(gen_basic("k2")).replace('"seg":0', '"seg":1' + "0" * 5000, 1)),
+], ids=["ingest", "validate"])
+def test_integer_past_the_digit_limit_is_usage_error(capsys, tmp_path, command, text):
+    p = tmp_path / "huge.json"
+    p.write_text(text)
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{p}: syntax: ") and "Traceback" not in err
+
+
 def test_ingest_refuses_huge_exponent_fast(capsys, tmp_path):
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"points": {"a": ["1e99999999", "0"]}, "segments": []}))

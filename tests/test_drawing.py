@@ -111,6 +111,22 @@ def test_parse_rejects_duplicate_dart():
         Drawing(d.vertices, list(d.edges.values()), rot)
 
 
+@pytest.mark.parametrize("dart", [("e0", 0), ("e0", 0, "fwd", "junk"), 7],
+                         ids=["two-fields", "four-fields", "not-a-sequence"])
+def test_drawing_rejects_malformed_dart(dart):
+    d = util.x1()
+    rot = {k: list(v) for k, v in d.rotations.items()}
+    rot["v0"] = [dart]
+    with pytest.raises(TDRError, match=r"^rotation at 'v0': malformed dart "):
+        Drawing(d.vertices, list(d.edges.values()), rot)
+
+
+def test_parse_rejects_integer_past_the_digit_limit():
+    text = serialize_tdr(util.x1()).replace('"seg":0', '"seg":1' + "0" * 5000, 1)
+    with pytest.raises(TDRError, match=r"^syntax: .*digits"):
+        parse_tdr(text)
+
+
 def test_validate_valid_fixtures():
     for d in (gen_basic("k2"), gen_basic("k3"), util.x1(), gen_basic("path3")):
         report = validate(d)

@@ -141,7 +141,8 @@ def test_ingest_accepts_exactly_three_crossings():
 # Scenes where the arrangement's closed bounding boxes have zero width or
 # height, touch only at a corner or along an edge, or hold a point on their
 # boundary.  Each result (sha256 of the drawing, or the refusal text) was
-# recorded before the box test was put in front of the exact predicates.
+# recorded before the box test was put in front of the exact predicates;
+# the concurrent-crossing refusals name the owner pair and the new segment.
 BOX_SCENES = {
     # a horizontal and a vertical segment: zero-height and zero-width boxes
     "plus": ({"a": ["-2", "0"], "b": ["2", "0"], "c": ["0", "-2"], "d": ["0", "2"]},
@@ -170,6 +171,10 @@ BOX_SCENES = {
     "three-through-one-point": ({"a": ["0", "0"], "b": ["4", "2"], "c": ["4", "0"], "d": ["0", "2"],
                                  "e": ["2", "1/3"], "f": ["2", "5"]},
                                 [("s0", ("a", "b")), ("s1", ("c", "d")), ("s2", ("e", "f"))]),
+    # the same, with the two diagonals accepted in the other order
+    "three-through-one-point-swapped": ({"a": ["0", "0"], "b": ["4", "2"], "c": ["4", "0"], "d": ["0", "2"],
+                                         "e": ["2", "1/3"], "f": ["2", "5"]},
+                                        [("s1", ("c", "d")), ("s0", ("a", "b")), ("s2", ("e", "f"))]),
     # an end of an earlier segment on the interior of a diagonal
     "end-on-diagonal": ({"a": ["0", "0"], "b": ["3", "3"], "c": ["1", "1"], "d": ["1", "-2"]},
                         [("s1", ("c", "d")), ("s0", ("a", "b"))]),
@@ -187,7 +192,8 @@ BOX_RESULTS = {
     "edge-overlap": "SceneError: collinear-overlap: 's0' and 's2'",
     "edge-touch": "4e710cb51da116cce486058529471c04963e9425a509fcba892814c6379cdf56",
     "edge-apart": "6c93e7c961b714c24b9bfbb456c3e2c1633a081ffec8aaded4f4b0edab31dc5a",
-    "three-through-one-point": "SceneError: concurrent-crossing: 's0', 's1', 's0', 's2' meet at one point",
+    "three-through-one-point": "SceneError: concurrent-crossing: 's0', 's1', 's2' meet at one point",
+    "three-through-one-point-swapped": "SceneError: concurrent-crossing: 's1', 's0', 's2' meet at one point",
     "end-on-diagonal": "SceneError: vertex-on-edge: point 'c' lies on segment 's0'",
     "thin": "d4b2c06e027b24d6c4f58ece429898e0d54950c592469fb4e51740fb9654bb41",
 }
@@ -225,7 +231,7 @@ class _BruteArrangement:
                 return f"{'adjacent-crossing' if rel[0] == 'proper' else rel[0]}: {o!r} and {sid!r}"
             if rel[1] in self.owner:
                 o1, o2 = self.owner[rel[1]]
-                return f"concurrent-crossing: {o1!r}, {o2!r}, {o!r}, {sid!r} meet at one point"
+                return f"concurrent-crossing: {o1!r}, {o2!r}, {sid!r} meet at one point"
             if len(self.crossings[o]) == 3:
                 return f"too-many-crossings: {o!r} is crossed 4 times"
             found.append((rel[1], o))
@@ -327,6 +333,18 @@ def test_generators_build_one_drawing(monkeypatch, gen, digest):
     d = gen(3)
     assert len(built) == 1
     assert hashlib.sha256(serialize_tdr(d).encode()).hexdigest() == digest
+
+
+# Sizes beyond the acceptance corpus (fig3 L 1-4, fig2 R 1-2): one digest
+# over the concatenated bytes of each family, recorded before the families
+# were built from ring data.
+@pytest.mark.parametrize("gen,sizes,digest", [
+    (gen_fig3, (5, 6, 7, 8, 16, 32, 64), "f0a876ddcd948f7d025b6b1d2cf836264c830f8442316ad6093a1c7a4a85e559"),
+    (gen_fig2, range(3, 10), "f87f1be28ff93f0d07b23eea175ec1795662d9f52ef1f09af3a5e9d1bb00e507"),
+], ids=["fig3", "fig2"])
+def test_family_bytes_are_pinned_beyond_the_corpus(gen, sizes, digest):
+    text = "".join(serialize_tdr(gen(size)) for size in sizes)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gen_basic_names():
