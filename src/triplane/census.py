@@ -12,7 +12,7 @@ the small cell clusters the counting rows charge against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .combmap import Dart, twin
 from .drawing import Drawing, Segment, stats
@@ -37,8 +37,7 @@ class WitnessError(CensusError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class CellRecord:
+class CellRecord(NamedTuple):
     cell_id: str
     walk: Tuple[Dart, ...]
     size: int
@@ -50,19 +49,14 @@ class CellRecord:
 
 def cells(drawing: Drawing) -> Tuple[CellRecord, ...]:
     """All cells, ids assigned in sorted order of their canonical walks."""
+    tail, is_vertex = drawing.tail, drawing.is_vertex
     out = []
     for i, walk in enumerate(drawing.planarize().faces()):
-        tails = [drawing.tail(d) for d in walk]
-        v = sum(1 for t in tails if drawing.is_vertex(t))
-        out.append(CellRecord(
-            cell_id=f"c{i}",
-            walk=walk,
-            size=len(walk) + v,
-            vertex_incidences=v,
-            crossing_incidences=len(walk) - v,
-            segment_incidences=len(walk),
-            degenerate=len(set(tails)) < len(tails),
-        ))
+        tails = list(map(tail, walk))
+        s = len(walk)
+        v = sum(map(is_vertex, tails))
+        # cell_id, walk, size, vertex, crossing and segment incidences, degenerate
+        out.append(CellRecord(f"c{i}", walk, s + v, v, s - v, s, len(set(tails)) < s))
     return tuple(out)
 
 
@@ -107,8 +101,7 @@ def classify_cell(drawing: Drawing, record: CellRecord) -> str:
 
 # -- trails ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Trail:
+class Trail(NamedTuple):
     cells: Tuple[str, ...]
     interior_segments: Tuple[Segment, ...]
     endpoint_types: Tuple[str, str]   # sorted; KITE reported as LARGE
@@ -155,30 +148,26 @@ def _march(drawing: Drawing, view: _CellView, seg: Segment, direction: str, limi
     side of ``seg`` and ending at the first non-XQUAD, and the inner
     segments consumed after ``seg``.
     """
-    cell = view.cell_of_dart[(seg[0], seg[1], direction)]
+    types = view.types
+    entry = (seg[0], seg[1], direction)  # the cell's dart on the segment just crossed
+    cell = view.cell_of_dart[entry]
     cells_out = [cell]
     segs_out: List[Segment] = []
-    cur = seg
     steps = 0
-    while view.types[cell.cell_id] == "XQUAD":
+    while types[cell.cell_id] == "XQUAD":
         steps += 1
         if steps > limit:
             raise CensusError("trail corridor does not terminate")
         walk = cell.walk
-        idx = next(i for i, d in enumerate(walk) if d[:2] == cur)
-        exit_dart = walk[(idx + 2) % 4]
+        exit_dart = walk[(walk.index(entry) + 2) % 4]
         cur = exit_dart[:2]
         if not drawing.is_inner_segment(cur):
             raise CensusError(f"trail corridor exits through outer segment {cur}")
         segs_out.append(cur)
-        cell = view.across(exit_dart)
+        entry = twin(exit_dart)
+        cell = view.cell_of_dart[entry]
         cells_out.append(cell)
     return cells_out, segs_out
-
-
-def _crosses(drawing: Drawing, edge_id: str, seg: Segment) -> bool:
-    a, b = drawing.segment_nodes(seg)
-    return edge_id in (drawing.other_edge_at(a, seg[0]), drawing.other_edge_at(b, seg[0]))
 
 
 def extract_trails(drawing: Drawing) -> Tuple[Trail, ...]:
@@ -186,6 +175,12 @@ def extract_trails(drawing: Drawing) -> Tuple[Trail, ...]:
     view = _classified(drawing)
     inner = drawing.inner_segments()
     limit = len(inner) + 2
+
+    def crossed_by(seg: Segment) -> Tuple[str, str]:
+        """The edges crossing the inner segment ``seg`` at its two ends."""
+        a, b = drawing.segment_nodes(seg)
+        return drawing.other_edge_at(a, seg[0]), drawing.other_edge_at(b, seg[0])
+
     visited = set()
     trails = []
     for s in inner:
@@ -199,25 +194,19 @@ def extract_trails(drawing: Drawing) -> Tuple[Trail, ...]:
         chain = list(reversed(cells_fwd)) + cells_bwd
         interior = tuple(reversed(segs_fwd)) + (s,) + tuple(segs_bwd)
 
-        xa, xb = drawing.segment_nodes(interior[0])
-        w1 = drawing.other_edge_at(xa, interior[0][0])
-        w2 = drawing.other_edge_at(xb, interior[0][0])
+        w1, w2 = crossed_by(interior[0])
         if len(interior) == 1:
-            walls = tuple(sorted((w1, w2)))
+            walls = (w1, w2) if w1 <= w2 else (w2, w1)
         else:
-            good = sorted(w for w in {w1, w2} if all(_crosses(drawing, w, t) for t in interior))
+            good = sorted({w1, w2}.intersection(*map(crossed_by, interior[1:])))
             if len(good) != 2:
                 raise CensusError(f"trail through {s} has no well-defined bounding edges")
             walls = (good[0], good[1])
 
         t0 = _collapse(view.types[chain[0].cell_id])
         t1 = _collapse(view.types[chain[-1].cell_id])
-        trails.append(Trail(
-            cells=tuple(c.cell_id for c in chain),
-            interior_segments=interior,
-            endpoint_types=tuple(sorted((t0, t1))),
-            bounding_edges=walls,
-        ))
+        trails.append(Trail(tuple(c.cell_id for c in chain), interior,
+                            (t0, t1) if t0 <= t1 else (t1, t0), walls))
     return tuple(trails)
 
 
@@ -240,8 +229,7 @@ def trail_counts(trails: Sequence[Trail]) -> Dict[str, int]:
 
 # -- configurations ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     kind: str
     cells: Tuple[str, ...]                       # sorted member cell ids
     designated_segments: Tuple[Segment, ...] = ()
@@ -454,15 +442,17 @@ def detect_configurations(
             unique.append(cfg)
 
     if strict:
-        marked: Dict[Segment, str] = {}
+        marked: Dict[Segment, Configuration] = {}
         for cfg in unique:
             if cfg.kind in ("CFG9", "CFG10", "CFG12", "CFG13", "CFG14"):
                 for seg in cfg.designated_segments:
                     if seg in marked:
+                        prev = marked[seg]
                         raise WitnessError(
                             f"{cfg.kind}@{'+'.join(cfg.cells)}",
-                            f"designated segment {seg} already claimed by {marked[seg]}")
-                    marked[seg] = f"{cfg.kind}@{'+'.join(cfg.cells)}"
+                            f"designated segment {seg} already claimed by "
+                            f"{prev.kind}@{'+'.join(prev.cells)}")
+                    marked[seg] = cfg
 
     return tuple(unique)
 

@@ -119,11 +119,14 @@ class Rotations:
 
     def walk(self, dart: Dart) -> Tuple[Dart, ...]:
         """The face walk that starts at ``dart``."""
+        succ = self.succ
         out = [dart]
-        d = self.next_dart(dart)
+        e, s, r = dart
+        d = succ[e, s, "bwd" if r == "fwd" else "fwd"]  # next_dart, inlined in this hot loop
         while d != dart:
             out.append(d)
-            d = self.next_dart(d)
+            e, s, r = d
+            d = succ[e, s, "bwd" if r == "fwd" else "fwd"]
         return tuple(out)
 
     def splice(self, arrival: Dart, darts: Sequence[Dart]) -> None:

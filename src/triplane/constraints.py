@@ -155,8 +155,10 @@ def density_residual(drawing: Drawing, t: Rational) -> Fraction:
     """|E| minus the cell-size expansion of it; zero on every valid drawing.
 
     The expansion is t(|V|-2) - sum over cells of ((t-1)/4 * size - t),
-    minus |X|, for any rational t.
+    minus |X|, for any rational t: an ``int`` or a ``Fraction``.
     """
+    if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
+        raise ConstraintError(f"density residual needs an int or a Fraction t, not {t!r}")
     if not drawing.edges:
         raise ConstraintError("density residual needs at least one edge")
     report = drawing._validation()

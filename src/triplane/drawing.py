@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .combmap import DIRS, CombMap, Dart, smallest_first
 
@@ -34,8 +34,7 @@ class TDRError(ValueError):
     """A drawing file that cannot be accepted, with the violated invariant."""
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     id: str
     ends: Tuple[str, str]
     crossings: Tuple[str, ...]
@@ -68,6 +67,7 @@ class Drawing:
 
         emap: Dict[str, EdgeRecord] = {}
         occ: Dict[str, List[Tuple[str, int]]] = {}
+        expected = 0  # darts the edges' segments need
         for e in edges:
             if not (isinstance(e.id, str) and e.id):
                 raise TDRError("edge ids must be nonempty strings")
@@ -82,13 +82,17 @@ class Drawing:
                     raise TDRError(f"crossing id {x!r} collides with a vertex id")
                 occ.setdefault(x, []).append((e.id, i))
             emap[e.id] = e
+            expected += 2 * len(e.crossings) + 2
         for x, places in occ.items():
             if len(places) != 2:
                 raise TDRError(f"dangling crossing {x!r}: appears on {len(places)} edge slot(s), expected 2")
 
-        nodes = vset | set(occ)
+        # Each dart is checked once: its fields, that it is new, and its
+        # tail, which is point ``seg`` (fwd) or ``seg + 1`` (bwd) of its edge.
+        nodes = vset.union(occ)
         rot: Dict[str, Tuple[Dart, ...]] = {}
         seen: Dict[Dart, str] = {}
+        misplaced = False
         for node, darts in rotations.items():
             if node not in nodes:
                 raise TDRError(f"rotation given for unknown node {node!r}")
@@ -100,7 +104,9 @@ class Drawing:
                     raise TDRError(f"rotation at {node!r}: malformed dart {d!r}") from None
                 if not (isinstance(e, str) and e in emap):
                     raise TDRError(f"rotation at {node!r} names unknown edge {e!r}")
-                if not (type(seg) is int and 0 <= seg <= len(emap[e].crossings)):
+                rec = emap[e]
+                k = len(rec.crossings)
+                if not (type(seg) is int and 0 <= seg <= k):
                     raise TDRError(f"rotation at {node!r}: segment index {seg} out of range "
                                    f"for edge {e!r}")
                 if direction not in DIRS:
@@ -109,11 +115,16 @@ class Drawing:
                 if d in seen:
                     raise TDRError(f"dart {d!r} listed more than once")
                 seen[d] = node
+                p = seg if direction == "fwd" else seg + 1
+                if node != (rec.ends[0] if p == 0 else rec.ends[1] if p > k else rec.crossings[p - 1]):
+                    misplaced = True
                 tupled.append(d)
             rot[node] = tuple(tupled)
-        if set(rot) != nodes:
+        if len(rot) != len(nodes):
             raise TDRError("rotations must cover exactly the vertices and crossings; missing: "
                            + repr(sorted(nodes - set(rot))[:3]))
+        if misplaced or len(seen) != expected:
+            raise _dart_defect(emap.values(), seen)
 
         self.vertices = verts
         self.edges = emap
@@ -124,19 +135,6 @@ class Drawing:
         self._planar: CombMap | None = None
         self._report: ValidationReport | None = None
         self._cells = None
-
-        expected = 0
-        for e in emap.values():
-            pts = self.points(e.id)
-            for i in range(len(pts) - 1):
-                for d, t in (((e.id, i, "fwd"), pts[i]), ((e.id, i, "bwd"), pts[i + 1])):
-                    if d not in seen:
-                        raise TDRError(f"dart {d!r} missing from rotations")
-                    if seen[d] != t:
-                        raise TDRError(f"dart {d!r} listed at {seen[d]!r} but its tail is {t!r}")
-                expected += 2
-        if expected != len(seen):
-            raise TDRError("rotations contain darts of no edge segment")
 
     # -- basic geometry of the incidence structure ------------------------
 
@@ -207,10 +205,32 @@ class Drawing:
         return hash(self.canonical())
 
 
+def _dart_defect(edges: Iterable[EdgeRecord], tail: Dict[Dart, str]) -> TDRError:
+    """The first dart, in edge order, that is missing from ``tail`` or listed at a node not its tail.
+
+    Every dart in ``tail`` names a real segment and direction and is listed
+    once, so ``tail`` holds at most the darts the edges need, and a short
+    count always leaves one of those darts missing.
+    """
+    for e in edges:
+        pts = (e.ends[0],) + e.crossings + (e.ends[1],)
+        for i in range(len(pts) - 1):
+            for d, t in (((e.id, i, "fwd"), pts[i]), ((e.id, i, "bwd"), pts[i + 1])):
+                if d not in tail:
+                    return TDRError(f"dart {d!r} missing from rotations")
+                if tail[d] != t:
+                    return TDRError(f"dart {d!r} listed at {tail[d]!r} but its tail is {t!r}")
+    raise AssertionError("no dart is missing or misplaced")
+
+
 # -- JSON interchange ------------------------------------------------------
 
+_DART_KEYS = frozenset(("edge", "seg", "dir"))
+_EDGE_KEYS = frozenset(("id", "ends", "crossings"))
+
+
 def _dart_from_json(obj) -> Dart:
-    if not isinstance(obj, dict) or set(obj) != {"edge", "seg", "dir"}:
+    if not isinstance(obj, dict) or obj.keys() != _DART_KEYS:
         raise TDRError(f"malformed dart object {obj!r}")
     return (obj["edge"], obj["seg"], obj["dir"])
 
@@ -235,7 +255,7 @@ def parse_tdr(text: str) -> Drawing:
     if not isinstance(obj["edges"], list):
         raise TDRError("edges must be a list")
     for e in obj["edges"]:
-        if not (isinstance(e, dict) and set(e) == {"id", "ends", "crossings"}):
+        if not (isinstance(e, dict) and e.keys() == _EDGE_KEYS):
             raise TDRError(f"edge record must have exactly id, ends, crossings: {e!r}")
         if not (isinstance(e["ends"], list) and len(e["ends"]) == 2):
             raise TDRError(f"edge {e.get('id')!r}: ends must be a pair")
@@ -248,7 +268,7 @@ def parse_tdr(text: str) -> Drawing:
     for node, lst in obj["rotations"].items():
         if not isinstance(lst, list):
             raise TDRError(f"rotation at {node!r} must be a list")
-        rotations[node] = [_dart_from_json(d) for d in lst]
+        rotations[node] = list(map(_dart_from_json, lst))
     return Drawing(obj["vertices"], edges, rotations)
 
 
@@ -303,18 +323,6 @@ class ValidationReport:
         return tuple(c.name for c in self.checks if not c.passed)
 
 
-def _alternates(drawing: Drawing, x: str) -> bool:
-    rot = drawing.rotations[x]
-    if len(rot) != 4:
-        return False
-    e1, e2 = drawing.crossing_edges(x)
-    return (
-        rot[0][0] == rot[2][0]
-        and rot[1][0] == rot[3][0]
-        and {rot[0][0], rot[1][0]} == {e1, e2}
-    )
-
-
 def validate(drawing: Drawing) -> ValidationReport:
     """Run the eight validity checks; witnesses name offending objects."""
     results = []
@@ -325,19 +333,24 @@ def validate(drawing: Drawing) -> ValidationReport:
     heavy = tuple(sorted(e.id for e in drawing.edges.values() if len(e.crossings) > 3))
     results.append(CheckResult("3-plane", not heavy, heavy))
 
-    selfx = tuple(sorted(x for x in drawing.crossings
-                         if drawing.crossing_edges(x)[0] == drawing.crossing_edges(x)[1]))
-    results.append(CheckResult("no-self-cross", not selfx, selfx))
-
-    adjacent = []
-    for x in sorted(drawing.crossings):
-        e1, e2 = drawing.crossing_edges(x)
-        if e1 != e2 and set(drawing.edges[e1].ends) & set(drawing.edges[e2].ends):
-            adjacent.append(x)
+    # One pass over the crossings in id order: self-crossing, crossing of
+    # adjacent edges, and a rotation that does not alternate e1, e2, e1, e2.
+    selfx, adjacent, nonalt = [], [], []
+    edges, rotations = drawing.edges, drawing.rotations
+    for x, ((e1, _), (e2, _)) in sorted(drawing.crossings.items()):
+        if e1 == e2:
+            selfx.append(x)
+        else:
+            (a, b), (c, d) = edges[e1].ends, edges[e2].ends
+            if a == c or a == d or b == c or b == d:
+                adjacent.append(x)
+        rot = rotations[x]
+        if not (len(rot) == 4 and rot[0][0] == rot[2][0] and rot[1][0] == rot[3][0]
+                and (rot[0][0], rot[1][0]) in ((e1, e2), (e2, e1))):
+            nonalt.append(x)
+    results.append(CheckResult("no-self-cross", not selfx, tuple(selfx)))
     results.append(CheckResult("no-adjacent-cross", not adjacent, tuple(adjacent)))
-
-    nonalt = tuple(sorted(x for x in drawing.crossings if not _alternates(drawing, x)))
-    results.append(CheckResult("crossing-alternation", not nonalt, nonalt))
+    results.append(CheckResult("crossing-alternation", not nonalt, tuple(nonalt)))
 
     cmap = drawing.planarize()
     euler = cmap.euler_characteristic()

@@ -23,16 +23,18 @@ def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
     Cells are scanned in lexicographic id order and vertex pairs in
     lexicographic order, so the witness is deterministic.
     """
+    tail, is_vertex, edges = drawing.tail, drawing.is_vertex, drawing.edges
     recs = sorted(drawing._cell_view().records, key=lambda r: r.cell_id)
     for rec in recs:
-        verts = sorted({drawing.tail(d) for d in rec.walk if drawing.is_vertex(drawing.tail(d))})
+        verts = sorted(set(filter(is_vertex, map(tail, rec.walk))))
         if len(verts) < 2:
             continue
         joined = set()
         for d in rec.walk:
-            e = drawing.edges[d[0]]
+            e = edges[d[0]]
             if not e.crossings:
-                joined.add(tuple(sorted(e.ends)))
+                a, b = e.ends
+                joined.add((a, b) if a <= b else (b, a))
         for i, u in enumerate(verts):
             for v in verts[i + 1:]:
                 if (u, v) not in joined:

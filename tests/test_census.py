@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -11,7 +12,8 @@ from triplane.census import (
     tkey,
     trail_counts,
 )
-from triplane.generators import gen_basic, ingest_geometry
+from triplane.drawing import Drawing, validate
+from triplane.generators import gen_basic, gen_fig2, gen_fig3, ingest_geometry, random_drawing
 from triplane.geometry import parse_scene
 from triplane.saturate import saturate
 
@@ -206,3 +208,46 @@ def test_strict_census_rejects_unsaturated_shortfalls():
     # saturated drawing both modes agree.
     d = gen_basic("fig3a-micro")
     assert census(d).counts == census(d, strict=True).counts
+
+
+def _non_alternating():
+    """``util.x1`` with the crossing's rotation listing each edge's two darts together (invalid)."""
+    d = util.x1()
+    rot = dict(d.rotations)
+    rot["x0"] = (("e0", 0, "bwd"), ("e0", 1, "fwd"), ("e1", 0, "bwd"), ("e1", 1, "fwd"))
+    return Drawing(d.vertices, list(d.edges.values()), rot)
+
+
+def test_census_and_validation_bytes_are_pinned():
+    # One sha256 over the full census (cells, trails with their interior
+    # segments and walls, configurations with their designated segments)
+    # and the validation report, or the census error text, on a fixed
+    # corpus: strict censuses of fig3 L=1-4, fig2 R=1-4 and saturated
+    # random (10, 30) seeds 0-24; strict and advisory censuses and the
+    # validation of the unsaturated random (10, 30) seeds 0-24 and of
+    # the invalid fixtures.
+    digest = hashlib.sha256()
+
+    def add(label, fn):
+        try:
+            obj = fn()
+        except CensusError as exc:
+            obj = f"{type(exc).__name__}: {exc}"
+        digest.update(f"{label}\n{json.dumps(obj, sort_keys=True)}\n".encode())
+
+    saturated = ([gen_fig3(layers) for layers in range(1, 5)]
+                 + [gen_fig2(rings) for rings in range(1, 5)]
+                 + [saturate(random_drawing(10, 30, seed)) for seed in range(25)])
+    for d in saturated:
+        add("strict", lambda: census(d, strict=True).as_dict())
+    unsaturated = ([random_drawing(10, 30, seed) for seed in range(25)]
+                   + [gen_basic("lens-bad")])
+    for d in unsaturated:
+        add("strict", lambda: census(d, strict=True).as_dict())
+        add("advisory", lambda: census(d).as_dict())
+        add("validate", lambda: validate(d).as_dict())
+    for d in (util.lasso(), util.adjacent_cross(), util.overloaded_line(),
+              util.two_components(), _non_alternating()):
+        add("validate", lambda: validate(d).as_dict())
+    assert digest.hexdigest() == (
+        "21b2a06508c8f9fc1191cf53f3a0b6150f17c9204d1796b3bcecdbd45c809e2f")

@@ -198,3 +198,16 @@ def test_density_residual_requires_edges():
 def test_density_residual_rejects_invalid_drawing():
     with pytest.raises(ConstraintError):
         density_residual(gen_basic("lens-bad"), 2)
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0, True, "abc", "1/2"],
+                         ids=["float", "whole-float", "bool", "str", "fraction-str"])
+def test_density_residual_rejects_inexact_t(t):
+    # Only an int or a Fraction reaches the exact arithmetic; Fraction() would take them all.
+    with pytest.raises(ConstraintError, match=r"^density residual needs an int or a Fraction t, not "):
+        density_residual(gen_basic("k2"), t)
+
+
+def test_density_residual_takes_int_and_fraction_t():
+    k2 = gen_basic("k2")
+    assert density_residual(k2, 3) == density_residual(k2, Fraction(1, 2)) == 0

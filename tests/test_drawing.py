@@ -85,8 +85,56 @@ def _mutate_x1(fn):
     ],
 )
 def test_parse_rejects_structural_defects(mutate, pattern):
-    with pytest.raises(TDRError, match=pattern):
+    with pytest.raises(TDRError) as exc:
         parse_tdr(_mutate_x1(mutate))
+    assert str(exc.value) == _STRUCTURAL_MESSAGES[pattern]
+
+
+_STRUCTURAL_MESSAGES = {
+    "exactly the keys": "top level must have exactly the keys vertices, edges, rotations",
+    "missing": "rotations must cover exactly the vertices and crossings; missing: ['x0']",
+    "unknown node": "rotation given for unknown node 'ghost'",
+    "unknown edge": "rotation at 'v0' names unknown edge 'e9'",
+    "out of range": "rotation at 'v0': segment index 5 out of range for edge 'e0'",
+    "tail": "dart ('e0', 0, 'fwd') listed at 'v1' but its tail is 'v0'",
+    "not a vertex": "edge 'e0' has an end that is not a vertex",
+    "duplicate vertex": "duplicate vertex id",
+    "duplicate edge": "duplicate edge id 'e1'",
+    "collides with a vertex": "crossing id 'v1' collides with a vertex id",
+}
+
+
+def _swap_v0_v1(o):
+    o["rotations"]["v0"] = [{"edge": "e1", "seg": 0, "dir": "fwd"}]
+    o["rotations"]["v1"] = [{"edge": "e0", "seg": 0, "dir": "fwd"}]
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        # A misplaced dart and a node without a rotation: the node is reported.
+        (lambda o: (_swap_v0_v1(o), o["rotations"].pop("v3")),
+         "rotations must cover exactly the vertices and crossings; missing: ['v3']"),
+        (lambda o: o["rotations"].__setitem__("v0", []),
+         "dart ('e0', 0, 'fwd') missing from rotations"),
+        (lambda o: o["rotations"]["x0"].pop(),
+         "dart ('e1', 1, 'fwd') missing from rotations"),
+        # A misplaced and a missing dart: the first in edge order is reported.
+        (lambda o: (_swap_v0_v1(o),
+                    o["rotations"]["x0"].remove({"edge": "e1", "seg": 1, "dir": "fwd"})),
+         "dart ('e0', 0, 'fwd') listed at 'v1' but its tail is 'v0'"),
+        (lambda o: (o["rotations"].__setitem__("v2", [{"edge": "e1", "seg": 1, "dir": "bwd"}]),
+                    o["rotations"].__setitem__("v3", []),
+                    o["rotations"]["x0"].remove({"edge": "e0", "seg": 0, "dir": "bwd"})),
+         "dart ('e0', 0, 'bwd') missing from rotations"),
+    ],
+    ids=["misplaced-dart-and-missing-node", "vertex-without-darts", "crossing-short-a-dart",
+         "misplaced-then-missing", "missing-then-misplaced"],
+)
+def test_parse_reports_first_dart_defect(mutate, message):
+    with pytest.raises(TDRError) as exc:
+        parse_tdr(_mutate_x1(mutate))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -95,8 +143,9 @@ def test_parse_rejects_structural_defects(mutate, pattern):
         (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e0", "seg": False, "dir": "fwd"}), "out of range"),
         (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": ["e0"], "seg": 0, "dir": "fwd"}), "unknown edge"),
         (lambda o: o["edges"][0].__setitem__("ends", [["v0"], "v2"]), "not a vertex"),
+        (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e0", "seg": 0.0, "dir": "fwd"}), "out of range"),
     ],
-    ids=["bool-seg", "unhashable-dart-edge", "unhashable-end"],
+    ids=["bool-seg", "unhashable-dart-edge", "unhashable-end", "float-seg"],
 )
 def test_parse_rejects_ill_typed_ids(mutate, pattern):
     with pytest.raises(TDRError, match=pattern):
@@ -119,6 +168,17 @@ def test_drawing_rejects_malformed_dart(dart):
     rot["v0"] = [dart]
     with pytest.raises(TDRError, match=r"^rotation at 'v0': malformed dart "):
         Drawing(d.vertices, list(d.edges.values()), rot)
+
+
+@pytest.mark.parametrize("seg", [0.0, False], ids=["float", "bool"])
+def test_drawing_rejects_ill_typed_segment(seg):
+    # 0.0 and False hash and compare equal to 0, so a dict lookup alone would accept them.
+    d = util.x1()
+    rot = {k: list(v) for k, v in d.rotations.items()}
+    rot["v0"] = [("e0", seg, "fwd")]
+    with pytest.raises(TDRError) as exc:
+        Drawing(d.vertices, list(d.edges.values()), rot)
+    assert str(exc.value) == f"rotation at 'v0': segment index {seg} out of range for edge 'e0'"
 
 
 def test_parse_rejects_integer_past_the_digit_limit():
@@ -247,3 +307,10 @@ def test_planarization_matches_checked_map(build):
         pts = d.points(dart[0])
         assert d.tail(dart) == pts[dart[1] + (dart[2] == "bwd")]
         assert d.segment_nodes(dart[:2]) == pts[dart[1]:dart[1] + 2]
+
+
+def test_edgeless_single_vertex_is_not_a_sphere():
+    # V - S + F over the face walks: one vertex, no segment, no walk.
+    report = validate(Drawing(["a"], [], {"a": []}))
+    assert report.failing() == ("sphere",)
+    assert report.checks[5].witnesses == ("euler=1",)
