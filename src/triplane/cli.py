@@ -8,6 +8,7 @@ newline); human diagnostics go to stderr.  Exit codes: 0 success/pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -129,7 +130,9 @@ def _cmd_random(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="triplane",
         description="Censuses, counting constraints, and exact LP certificates "

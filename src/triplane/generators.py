@@ -28,8 +28,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .combmap import Dart, Rotations
 from .drawing import Drawing, EdgeRecord
-from .geometry import (GeometricScene, Point, SceneError, ccw_from, ccw_sorted,
-                       on_segment, segment_relation, sub)
+from .geometry import GeometricScene, Point, SceneError, _meet, ccw_from, ccw_sorted, sub
 from .saturate import saturate
 
 
@@ -38,6 +37,8 @@ class GenerationError(ValueError):
 
 
 # -- the exact arrangement behind every straight-line producer ---------------
+
+_Triple = Tuple[int, int, int]  # the point (x/w, y/w) as (x, y, w), w > 0, gcd 1
 
 class _Arrangement:
     """Straight segments between fixed points, accepted one at a time.
@@ -50,10 +51,12 @@ class _Arrangement:
 
     The points are scaled once by the lcm of their coordinates'
     denominators and kept as ``int`` pairs, so every predicate runs in
-    integers; only crossing points are ``Fraction`` pairs, in the scaled
-    frame.  A positive scale keeps every orientation, every order along a
-    segment and the sorted order of the crossings.  A closed bounding box
-    per segment skips the pairs and points that cannot meet it.
+    integers, and crossings are the reduced triples of ``geometry._meet``
+    in the scaled frame; ``Fraction`` is built only for sort keys.  A
+    positive scale keeps every orientation, every order along a segment
+    and the sorted order of the crossings.  A closed bounding box per
+    segment skips the pairs and points that cannot meet it, and a pair
+    with a shared end is settled by one orientation unless it is collinear.
     """
 
     def __init__(self, points: Mapping[Hashable, Point]):
@@ -63,34 +66,36 @@ class _Arrangement:
                        for k, (x, y) in points.items()}
         self.ends: Dict[str, Tuple[Hashable, Hashable]] = {}
         self.boxes: Dict[str, Tuple[int, int, int, int]] = {}  # closed (xlo, xhi, ylo, yhi)
-        self.crossings: Dict[str, List[Tuple[Point, str]]] = {}  # (point, other segment)
-        self.owner: Dict[Point, Tuple[str, str]] = {}            # crossing -> (older, newer)
+        self.crossings: Dict[str, List[Tuple[_Triple, str]]] = {}  # (point, other segment)
+        self.owner: Dict[_Triple, Tuple[str, str]] = {}            # crossing -> (older, newer)
 
     def add(self, sid: str, u: Hashable, v: Hashable) -> Optional[str]:
         """Accept segment ``sid`` from u to v, or return why it is refused."""
         pts, boxes = self.points, self.boxes
         a, b = pts[u], pts[v]
+        ax, ay = a
+        rx, ry = b[0] - ax, b[1] - ay
         # strict tests on closed boxes: only what the predicates would call disjoint is skipped
-        xlo, xhi, ylo, yhi = box = (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
-        for nm, p in pts.items():
-            if (xlo <= p[0] <= xhi and ylo <= p[1] <= yhi
-                    and nm != u and nm != v and on_segment(p, a, b)):
+        xlo, xhi, ylo, yhi = box = (min(ax, b[0]), max(ax, b[0]), min(ay, b[1]), max(ay, b[1]))
+        for nm, (px, py) in pts.items():
+            if (xlo <= px <= xhi and ylo <= py <= yhi
+                    and nm != u and nm != v and rx * (py - ay) == ry * (px - ax)):
                 return f"vertex-on-edge: point {nm!r} lies on segment {sid!r}"
-        found: List[Tuple[Point, str]] = []
+        found: List[Tuple[_Triple, str]] = []
         for o, (c, d) in self.ends.items():
             oxlo, oxhi, oylo, oyhi = boxes[o]
             if oxhi < xlo or oxlo > xhi or oyhi < ylo or oylo > yhi:
                 continue
-            rel = segment_relation(a, b, pts[c], pts[d])
-            kind = rel[0]
-            if kind == "disjoint":
+            if c == u or c == v or d == u or d == v:
+                qx, qy = pts[d if c == u or c == v else c]
+                if rx * (qy - ay) != ry * (qx - ax):
+                    continue  # segments with a shared end meet only there, unless collinear
+            # the points are distinct, so a shared endpoint is a shared name: never a crossing
+            kind, p = _meet(a, b, pts[c], pts[d])
+            if kind == "disjoint" or kind == "shared-endpoint":
                 continue
-            adjacent = c in (u, v) or d in (u, v)
-            if kind == "shared-endpoint" and adjacent:
-                continue
-            if kind != "proper" or adjacent:
-                return f"{'adjacent-crossing' if kind == 'proper' else kind}: {o!r} and {sid!r}"
-            p = rel[1]
+            if kind != "proper":
+                return f"{kind}: {o!r} and {sid!r}"
             if p in self.owner:  # o is one of the two owners
                 o1, o2 = self.owner[p]
                 return f"concurrent-crossing: {o1!r}, {o2!r}, {sid!r} meet at one point"
@@ -107,14 +112,20 @@ class _Arrangement:
             self.crossings[o].append((p, sid))
         return None
 
-    def along(self, sid: str) -> List[Tuple[Point, str]]:
+    def along(self, sid: str) -> List[Tuple[_Triple, str]]:
         """The crossings on ``sid`` in order from its first end."""
         u, v = self.ends[sid]
         a, b = self.points[u], self.points[v]
         axis = 0 if a[0] != b[0] else 1  # a coordinate that moves along the segment
-        return sorted(self.crossings[sid], key=lambda item: item[0][axis], reverse=a > b)
+        return sorted(self.crossings[sid], key=lambda item: Fraction(item[0][axis], item[0][2]),
+                      reverse=a > b)
 
-    def crossing_rotations(self, names: Mapping[Point, str]) -> Dict[str, List[Dart]]:
+    def numbered(self) -> Dict[_Triple, int]:
+        """Each crossing's index in the sorted order of the crossing points."""
+        order = sorted(self.owner, key=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])))
+        return {p: i for i, p in enumerate(order)}
+
+    def crossing_rotations(self, names: Mapping[_Triple, str]) -> Dict[str, List[Dart]]:
         """The counterclockwise rotation at each crossing, keyed by ``names[point]``."""
         # two segments cross at most once, so (segment, other segment) names a crossing
         index = {(sid, o): i for sid in self.ends for i, (_, o) in enumerate(self.along(sid))}
@@ -174,7 +185,7 @@ def _drawing_of(arr: _Arrangement) -> Drawing:
     prefix = "x"
     while any(f"{prefix}{i}" in arr.points for i in range(len(arr.owner))):
         prefix = "x" + prefix
-    xname = {p: f"{prefix}{i}" for i, p in enumerate(sorted(arr.owner))}
+    xname = {p: f"{prefix}{i}" for p, i in arr.numbered().items()}
 
     segs = arr.ends.items()
     edges = [EdgeRecord(sid, (u, v), tuple(xname[p] for p, _ in arr.along(sid)))
@@ -232,7 +243,7 @@ def _chord_model(m: int, chords: Tuple[Tuple[int, int], ...]) -> Optional[_Chord
     arr, refusal = _chord_arrangement(m, chords, range(len(chords)))
     if refusal is not None:
         return None
-    order = {p: n for n, p in enumerate(sorted(arr.owner))}
+    order = arr.numbered()
     along = tuple(tuple(order[p] for p, _ in arr.along(k)) for k in range(len(chords)))
     crossings = tuple((n, tuple(darts)) for n, darts in arr.crossing_rotations(order).items())
     at = arr.points

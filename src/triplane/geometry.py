@@ -4,9 +4,10 @@ Every predicate is decided by sign computations, never by floating point.
 Scene coordinates are ``fractions.Fraction``, but the predicates take
 ``int`` or ``Fraction`` coordinates alike: the arrangement in
 ``generators`` scales a scene once by the lcm of its denominators and runs
-them on ``int`` pairs, so ``Fraction`` appears only at the scene-JSON
-boundary and in the points where two segments meet.  A scene is a set of
-labelled points and straight segments between them::
+``_meet`` on ``int`` pairs, where two segments meet in a reduced integer
+triple, so ``Fraction`` appears only at the scene-JSON boundary and in
+``segment_relation``'s return.  A scene is a set of labelled points and
+straight segments between them::
 
     {"points": {"v1": ["1/2", "-3/1"], ...},
      "segments": [{"id": "e1", "ends": ["v1", "v2"]}, ...]}
@@ -15,6 +16,7 @@ labelled points and straight segments between them::
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,9 +81,24 @@ def segment_relation(a: Point, b: Point, c: Point, d: Point):
       ("endpoint-on-interior", point)
       ("collinear-overlap",)
 
-    Points are ``Fraction`` pairs.  The cases are decided on the numerators
-    of the two segment parameters, so ``int`` inputs need no division, and
-    only a proper crossing computes a new point.
+    Points are ``Fraction`` pairs; the cases are ``_meet``'s.
+    """
+    kind, where = _meet(a, b, c, d)
+    if where is None:
+        return (kind,)
+    if kind == "proper":
+        return (kind, (Fraction(where[0], where[2]), Fraction(where[1], where[2])))
+    return (kind, (Fraction(where[0]), Fraction(where[1])))
+
+
+def _meet(a: Point, b: Point, c: Point, d: Point):
+    """The kind of ``segment_relation`` and where the segments meet, or ``None``.
+
+    An endpoint case gives the endpoint as passed; a proper crossing gives
+    the triple ``(x*w, y*w, w)`` with ``w > 0``, reduced to ``gcd == 1`` on
+    ``int`` points, so equal points are equal triples.  The cases are
+    decided on the numerators of the two segment parameters, so ``int``
+    inputs need no division.
     """
     rx, ry = b[0] - a[0], b[1] - a[1]
     sx, sy = d[0] - c[0], d[1] - c[1]
@@ -90,36 +107,34 @@ def segment_relation(a: Point, b: Point, c: Point, d: Point):
     un = cax * ry - cay * rx
     if denom == 0:
         if un != 0:
-            return ("disjoint",)
+            return ("disjoint", None)
         # collinear: compare 1-d intervals along r
         t0 = cax * rx + cay * ry
         t1 = (d[0] - a[0]) * rx + (d[1] - a[1]) * ry
         lo, hi = min(t0, t1), max(t0, t1)
         myhi = rx * rx + ry * ry
         if hi < 0 or lo > myhi:
-            return ("disjoint",)
+            return ("disjoint", None)
         if hi == 0:
-            return ("shared-endpoint", _exact(c if t0 == hi else d))
+            return ("shared-endpoint", c if t0 == hi else d)
         if lo == myhi:
-            return ("shared-endpoint", _exact(c if t0 == lo else d))
-        return ("collinear-overlap",)
+            return ("shared-endpoint", c if t0 == lo else d)
+        return ("collinear-overlap", None)
     tn = cax * sy - cay * sx
     if denom < 0:
         denom, tn, un = -denom, -tn, -un
     if not (0 <= tn <= denom and 0 <= un <= denom):
-        return ("disjoint",)
+        return ("disjoint", None)
     u_end = un == 0 or un == denom
     if tn == 0 or tn == denom:
-        return ("shared-endpoint" if u_end else "endpoint-on-interior",
-                _exact(a if tn == 0 else b))
+        return ("shared-endpoint" if u_end else "endpoint-on-interior", a if tn == 0 else b)
     if u_end:
-        return ("endpoint-on-interior", _exact(c if un == 0 else d))
-    return ("proper", (Fraction(a[0] * denom + tn * rx, denom),
-                       Fraction(a[1] * denom + tn * ry, denom)))
-
-
-def _exact(p: Point) -> Point:
-    return (Fraction(p[0]), Fraction(p[1]))
+        return ("endpoint-on-interior", c if un == 0 else d)
+    x, y = a[0] * denom + tn * rx, a[1] * denom + tn * ry
+    if type(denom) is int:  # every coordinate is an int
+        g = math.gcd(x, y, denom)
+        return ("proper", (x // g, y // g, denom // g))
+    return ("proper", (x, y, denom))
 
 
 def _half(v: Point) -> int:

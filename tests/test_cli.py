@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from triplane import cli
 from triplane.certificate import verify_numeric
 from triplane.cli import main
 from triplane.combmap import CombMap
@@ -323,9 +324,25 @@ def test_unknown_subcommand(capsys):
 
 
 def test_help_exits_zero(capsys):
-    code, out, _ = run(capsys, "--help")
-    assert code == 0
-    assert "validate" in out
+    for _ in range(2):  # the second call uses the parser the first one built
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "validate" in out
+
+
+def test_parser_built_once_answers_as_fresh(capsys, fig3_file):
+    calls = [("certify", fig3_file, "--target", "bogus"),
+             ("check", fig3_file),
+             ("certify", fig3_file, "--target", "edges")]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [2, 1, 0]
+    assert shared == fresh
 
 
 def test_pipeline_generate_then_census(capsys, tmp_path):

@@ -25,7 +25,7 @@ from triplane.generators import (
     ingest_geometry,
     random_drawing,
 )
-from triplane.geometry import GeometricScene, SceneError, on_segment, parse_scene, segment_relation
+from triplane.geometry import GeometricScene, SceneError, _meet, on_segment, parse_scene, segment_relation
 from triplane.saturate import is_3saturated, saturate
 
 import util
@@ -244,6 +244,11 @@ class _BruteArrangement:
         return None
 
 
+def as_point(triple):
+    x, y, w = triple
+    return (Fraction(x, w), Fraction(y, w))
+
+
 # On a small grid many candidates are horizontal, vertical, collinear or meet
 # at a box corner: every decision and every crossing must be the brute force's.
 @pytest.mark.parametrize("seed", range(40))
@@ -257,24 +262,70 @@ def test_box_test_decides_as_brute_force(seed):
     for k in range(60):
         u, v = rng.sample(sorted(points), 2)
         assert arr.add(f"s{k}", u, v) == brute.add(f"s{k}", u, v)
-    assert arr.ends == brute.ends and arr.crossings == brute.crossings and arr.owner == brute.owner
+    # the arrangement keys crossings by integer triples, the brute force by Fraction points
+    crossings = {s: [(as_point(p), o) for p, o in found] for s, found in arr.crossings.items()}
+    owner = {as_point(p): pair for p, pair in arr.owner.items()}
+    assert len(owner) == len(arr.owner)
+    assert arr.ends == brute.ends and crossings == brute.crossings and owner == brute.owner
 
 
-def test_box_test_bounds_segment_relation_calls(monkeypatch):
+def test_box_test_bounds_kernel_calls(monkeypatch):
     calls = 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return segment_relation(*args)
+        return _meet(*args)
 
-    monkeypatch.setattr(generators, "segment_relation", counted)
+    monkeypatch.setattr(generators, "_meet", counted)
     for s in range(20):
         try:
             build_random_scene(24, 72, s)
         except GenerationError:
             pass
-    assert calls <= 30_000
+    assert 0 < calls <= 15_000
+
+
+# A (0,0)-(3,1), B (0,1)-(3,0) and C (1,0)-(2,1) all pass through (3/2, 1/2).
+# Scaled by 6 they pass through (9, 3), and the pairs meet in triples
+# (9k, 3k, k) with different k before reduction: 216 for A and B, 72 for C and A.
+@pytest.mark.parametrize("scale", [1, 6])
+def test_concurrency_at_a_non_integer_point(scale):
+    ends = {"A": ((0, 0), (3, 1)), "B": ((0, 1), (3, 0)), "C": ((1, 0), (2, 1))}
+    points = {f"{sid}{i}": [str(scale * x), str(scale * y)]
+              for sid, pair in ends.items() for i, (x, y) in enumerate(pair)}
+    with pytest.raises(SceneError, match=r"^concurrent-crossing: 'A', 'B', 'C' meet at one point$"):
+        ingest_geometry(scene_of(points, [(sid, (f"{sid}0", f"{sid}1")) for sid in ends]))
+
+
+def test_arrangement_add_builds_no_fraction(monkeypatch):
+    counts = {"inside": 0, "outside": 0}
+    where = ["outside"]
+    new, hash_ = Fraction.__new__, Fraction.__hash__
+
+    def counted_new(cls, *args, **kwargs):
+        counts[where[0]] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_hash(self):
+        counts[where[0]] += 1
+        return hash_(self)
+
+    add = _Arrangement.add
+
+    def traced_add(self, *args):
+        where[0] = "inside"
+        try:
+            return add(self, *args)
+        finally:
+            where[0] = "outside"
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    monkeypatch.setattr(_Arrangement, "add", traced_add)
+    random_drawing(40, 120, 0)
+    assert counts["inside"] == 0
+    assert counts["outside"] > 0  # the counters are live: sort keys and points are Fractions
 
 
 def test_fig3_formulas():

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from triplane.geometry import (
     SceneError,
+    _meet,
     ccw_from,
     ccw_sorted,
     frac_from_str,
@@ -216,3 +219,38 @@ def test_segment_relation_on_ints_matches_fractions(a, b, c, d):
     assert rel == segment_relation(*(P(*q) for q in (a, b, c, d)))
     for coord in rel[1] if len(rel) == 2 else ():
         assert type(coord) is Fraction
+
+
+def _seeded_quads(seed, coord):
+    rng = random.Random(seed)
+    for _ in range(400):
+        a, b, c, d = (tuple(coord(rng) for _ in range(2)) for _ in range(4))
+        if a != b and c != d:
+            yield a, b, c, d
+
+
+# segment_relation is _meet plus a conversion to Fraction points: proper
+# crossings come back from reduced triples, endpoints as the very points passed.
+@pytest.mark.parametrize("coord", [
+    lambda rng: rng.randint(-4, 4),
+    lambda rng: Fraction(rng.randint(-12, 12), rng.randint(1, 3)),
+    lambda rng: rng.choice((-1, 1)) * 10 ** 40 + rng.randint(-3, 3) * 10 ** 39,
+], ids=["int", "fraction", "1e40"])
+@pytest.mark.parametrize("seed", range(3))
+def test_segment_relation_is_the_kernel_converted(coord, seed):
+    kinds = set()
+    for a, b, c, d in _seeded_quads(seed, coord):
+        kind, where = _meet(a, b, c, d)
+        rel = segment_relation(a, b, c, d)
+        kinds.add(kind)
+        assert rel[0] == kind
+        if kind == "proper":
+            x, y, w = where
+            assert w > 0 and rel[1] == (Fraction(x, w), Fraction(y, w))
+            if type(a[0]) is int:
+                assert math.gcd(x, y, w) == 1
+        elif where is not None:
+            assert any(where is q for q in (a, b, c, d)) and rel[1] == P(*where)
+        else:
+            assert rel == (kind,)
+    assert {"disjoint", "proper"} <= kinds
