@@ -38,6 +38,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_drawing(path: str) -> Drawing:

@@ -14,15 +14,20 @@ The JSON wire format::
      "edges": [{"id": "e1", "ends": ["v1", "v2"], "crossings": ["x1", ...]}, ...],
      "rotations": {"<node>": [{"edge": "e1", "seg": 0, "dir": "fwd"}, ...], ...}}
 
-Canonical form: vertices sorted, edges sorted by id, rotation keys sorted,
-each rotation list rotated to start at its smallest dart, compact
-separators, sorted object keys, trailing newline.
+Ids hold no surrogate code point: escaped, a lone pair would read as the astral
+character it encodes.  Canonical form: ``json.dumps(obj, sort_keys=True,
+separators=(",", ":"))`` (ASCII, other characters escaped) plus a newline, of
+the wire object with vertices sorted, edges sorted by id, rotation keys sorted
+and each rotation list rotated to start at its smallest dart.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .combmap import DIRS, CombMap, Dart, smallest_first
@@ -32,6 +37,9 @@ Segment = Tuple[str, int]
 
 class TDRError(ValueError):
     """A drawing file that cannot be accepted, with the violated invariant."""
+
+
+_SURROGATE = re.compile("[\\ud800-\\udfff]")  # no id may hold one (see the module docstring)
 
 
 class EdgeRecord(NamedTuple):
@@ -86,6 +94,10 @@ class Drawing:
         for x, places in occ.items():
             if len(places) != 2:
                 raise TDRError(f"dangling crossing {x!r}: appears on {len(places)} edge slot(s), expected 2")
+        ids = "".join(chain(verts, emap, occ))  # one scan for the whole drawing
+        if not ids.isascii() and _SURROGATE.search(ids):
+            bad = next(s for s in chain(verts, emap, occ) if _SURROGATE.search(s))
+            raise TDRError(f"id {bad!r} contains a surrogate code point")
 
         # Each dart is checked once: its fields, that it is new, and its
         # tail, which is point ``seg`` (fwd) or ``seg + 1`` (bwd) of its edge.
@@ -151,12 +163,8 @@ class Drawing:
         """Crossing id -> its two (edge, position) occurrences, sorted."""
         return self._crossings
 
-    def crossing_edges(self, x: str) -> Tuple[str, str]:
-        (e1, _), (e2, _) = self._crossings[x]
-        return (e1, e2)
-
     def other_edge_at(self, x: str, edge_id: str) -> str:
-        e1, e2 = self.crossing_edges(x)
+        (e1, _), (e2, _) = self._crossings[x]
         return e2 if edge_id == e1 else e1
 
     def tail(self, dart: Dart) -> str:
@@ -272,28 +280,18 @@ def parse_tdr(text: str) -> Drawing:
     return Drawing(obj["vertices"], edges, rotations)
 
 
-def _dart_to_json(d: Dart) -> dict:
-    return {"edge": d[0], "seg": d[1], "dir": d[2]}
-
-
 def serialize_tdr(drawing: Drawing) -> str:
-    """Canonical serialization (stable bytes for equal drawings)."""
-    obj = {
-        "vertices": sorted(drawing.vertices),
-        "edges": [
-            {
-                "id": e.id,
-                "ends": list(e.ends),
-                "crossings": list(e.crossings),
-            }
-            for e in sorted(drawing.edges.values(), key=lambda e: e.id)
-        ],
-        "rotations": {
-            node: [_dart_to_json(d) for d in smallest_first(drawing.rotations[node])]
-            for node in sorted(drawing.rotations)
-        },
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """The canonical form, written directly: each id escaped once as ``json.dumps`` escapes it."""
+    q = {s: encode_basestring_ascii(s) for s in chain(drawing.vertices, drawing.edges, drawing.crossings)}
+    edges = ",".join([f'{{"crossings":[{",".join([q[x] for x in e.crossings])}],'
+                      f'"ends":[{q[e.ends[0]]},{q[e.ends[1]]}],"id":{q[e.id]}}}'
+                      for e in map(drawing.edges.__getitem__, sorted(drawing.edges))])
+    rot = drawing.rotations
+    rotations = ",".join([q[node] + ":[" + ",".join([f'{{"dir":"{d}","edge":{q[e]},"seg":{seg:d}}}'
+                                                   for e, seg, d in smallest_first(rot[node])]) + "]"
+                          for node in sorted(rot)])
+    vertices = ",".join([q[v] for v in sorted(drawing.vertices)])
+    return f'{{"edges":[{edges}],"rotations":{{{rotations}}},"vertices":[{vertices}]}}\n'
 
 
 # -- validation -------------------------------------------------------------

@@ -112,34 +112,28 @@ class _Arrangement:
             self.crossings[o].append((p, sid))
         return None
 
-    def along(self, sid: str) -> List[Tuple[_Triple, str]]:
-        """The crossings on ``sid`` in order from its first end."""
-        u, v = self.ends[sid]
-        a, b = self.points[u], self.points[v]
-        axis = 0 if a[0] != b[0] else 1  # a coordinate that moves along the segment
-        return sorted(self.crossings[sid], key=lambda item: Fraction(item[0][axis], item[0][2]),
-                      reverse=a > b)
+    def ordered(self) -> Tuple[Dict[_Triple, int], Dict[str, List[Tuple[_Triple, str]]]]:
+        """Each crossing's index in the sorted order of the crossing points, and each segment's crossings in order from its first end.
 
-    def numbered(self) -> Dict[_Triple, int]:
-        """Each crossing's index in the sorted order of the crossing points."""
+        Points on a line lie along it in sorted (x, then y) order, reversed from a larger first end.
+        """
         order = sorted(self.owner, key=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])))
-        return {p: i for i, p in enumerate(order)}
+        index = {p: i for i, p in enumerate(order)}
+        pts = self.points
+        along = {sid: sorted(self.crossings[sid], key=lambda item: index[item[0]], reverse=pts[u] > pts[v])
+                 for sid, (u, v) in self.ends.items()}
+        return index, along
 
-    def crossing_rotations(self, names: Mapping[_Triple, str]) -> Dict[str, List[Dart]]:
-        """The counterclockwise rotation at each crossing, keyed by ``names[point]``."""
-        # two segments cross at most once, so (segment, other segment) names a crossing
-        index = {(sid, o): i for sid in self.ends for i, (_, o) in enumerate(self.along(sid))}
-        rotations: Dict[str, List[Dart]] = {}
-        for p, pair in self.owner.items():
-            items = []
-            for sid, other in (pair, pair[::-1]):
-                u, v = self.ends[sid]
-                d = sub(self.points[v], self.points[u])
-                i = index[(sid, other)]
-                items.append(((sid, i, "bwd"), (-d[0], -d[1])))
-                items.append(((sid, i + 1, "fwd"), d))
-            rotations[names[p]] = ccw_sorted(items)
-        return rotations
+    def crossing_rotations(self, names: Mapping[_Triple, str],
+                           along: Mapping[str, List[Tuple[_Triple, str]]]) -> Dict[str, List[Dart]]:
+        """The counterclockwise rotation at each crossing, keyed by ``names[point]``; ``along`` as from ``ordered``."""
+        items: Dict[_Triple, List[Tuple[Dart, Point]]] = {p: [] for p in self.owner}
+        for sid, on in along.items():
+            u, v = self.ends[sid]
+            d = sub(self.points[v], self.points[u])
+            for i, (p, _) in enumerate(on):
+                items[p] += (((sid, i, "bwd"), (-d[0], -d[1])), ((sid, i + 1, "fwd"), d))
+        return {names[p]: ccw_sorted(darts) for p, darts in items.items()}
 
 
 # -- geometric ingestion -----------------------------------------------------
@@ -185,10 +179,11 @@ def _drawing_of(arr: _Arrangement) -> Drawing:
     prefix = "x"
     while any(f"{prefix}{i}" in arr.points for i in range(len(arr.owner))):
         prefix = "x" + prefix
-    xname = {p: f"{prefix}{i}" for p, i in arr.numbered().items()}
+    index, along = arr.ordered()
+    xname = {p: f"{prefix}{i}" for p, i in index.items()}
 
     segs = arr.ends.items()
-    edges = [EdgeRecord(sid, (u, v), tuple(xname[p] for p, _ in arr.along(sid)))
+    edges = [EdgeRecord(sid, (u, v), tuple(xname[p] for p, _ in along[sid]))
              for sid, (u, v) in segs]
 
     at = arr.points
@@ -197,7 +192,7 @@ def _drawing_of(arr: _Arrangement) -> Drawing:
         items_at[u].append(((sid, 0, "fwd"), sub(at[v], at[u])))
         items_at[v].append(((sid, len(arr.crossings[sid]), "bwd"), sub(at[u], at[v])))
     rotations = {nm: ccw_sorted(items_at[nm]) for nm in names}
-    rotations.update(arr.crossing_rotations(xname))
+    rotations.update(arr.crossing_rotations(xname, along))
     return Drawing(names, edges, rotations)
 
 
@@ -243,9 +238,9 @@ def _chord_model(m: int, chords: Tuple[Tuple[int, int], ...]) -> Optional[_Chord
     arr, refusal = _chord_arrangement(m, chords, range(len(chords)))
     if refusal is not None:
         return None
-    order = arr.numbered()
-    along = tuple(tuple(order[p] for p, _ in arr.along(k)) for k in range(len(chords)))
-    crossings = tuple((n, tuple(darts)) for n, darts in arr.crossing_rotations(order).items())
+    order, on = arr.ordered()
+    along = tuple(tuple(order[p] for p, _ in on[k]) for k in range(len(chords)))
+    crossings = tuple((n, tuple(darts)) for n, darts in arr.crossing_rotations(order, on).items())
     at = arr.points
     splices = []
     for i in range(m):

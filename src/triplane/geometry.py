@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, Sequence, Tuple
 
+from .drawing import _SURROGATE
+
 Point = Tuple[Fraction, Fraction]
 
 
@@ -220,6 +222,8 @@ def parse_scene(text: str) -> GeometricScene:
         if ends[0] == ends[1]:
             raise SceneError(f"segment {sid!r} joins a point to itself")
         segments.append((sid, (ends[0], ends[1])))
+    if _SURROGATE.search("".join(points) + "".join(ids)):
+        raise SceneError("point names and segment ids must not contain surrogate code points")
     return GeometricScene(points, tuple(segments))
 
 

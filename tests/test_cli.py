@@ -317,6 +317,16 @@ def test_missing_file_is_usage_error(capsys):
     assert err
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["census"], ["check"], ["certify", "--target", "edges"],
+                                  ["ingest"]], ids=lambda argv: argv[0])
+def test_non_utf8_file_is_usage_error(capsys, tmp_path, argv):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, *argv, str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {p}: not UTF-8 (") and "Traceback" not in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 2
