@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Mapping, Optional, Tuple
 
 from .census import census
@@ -109,15 +110,23 @@ def verify_symbolic(certificate: Certificate) -> LinearForm:
     """Sum coefficient * (lhs - rhs) over all rows, minus the target form.
 
     Returns the sparse residual; an empty map means the certificate
-    telescopes exactly to the claimed bound.
+    telescopes exactly to the claimed bound.  The column is checked on
+    every call; the residual is computed once per target and coefficients.
     """
     _check_signs(certificate)
+    return dict(_residual(certificate.target, tuple(certificate.coefficients.items())))
+
+
+@lru_cache(maxsize=64)
+def _residual(target: str, coefficients: Tuple[Tuple[str, Fraction], ...]) -> LinearForm:
+    """The symbolic residual of a checked column, given as (row id, coefficient) items."""
+    coeffs = dict(coefficients)
     total: LinearForm = {}
     for row_id, (form, _) in row_forms().items():
-        coeff = certificate.coefficients[row_id]
+        coeff = coeffs[row_id]
         for v, c in form.items():
             total[v] = total.get(v, Fraction(0)) + coeff * c
-    for v, c in target_form(certificate.target).items():
+    for v, c in target_form(target).items():
         total[v] = total.get(v, Fraction(0)) - c
     return {v: c for v, c in sorted(total.items()) if c}
 

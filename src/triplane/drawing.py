@@ -58,7 +58,7 @@ class Drawing:
     """
 
     __slots__ = ("vertices", "edges", "rotations", "_tail", "_crossings", "_planar",
-                 "_vertex_set", "_report", "_cells")
+                 "_vertex_set", "_report", "_cells", "_text")
 
     def __init__(
         self,
@@ -147,6 +147,7 @@ class Drawing:
         self._planar: CombMap | None = None
         self._report: ValidationReport | None = None
         self._cells = None
+        self._text: str | None = None
 
     # -- basic geometry of the incidence structure ------------------------
 
@@ -204,7 +205,10 @@ class Drawing:
         return self._cells
 
     def canonical(self) -> str:
-        return serialize_tdr(self)
+        """``serialize_tdr(self)``, written on first use and kept; equality and hashing use it."""
+        if self._text is None:
+            self._text = serialize_tdr(self)
+        return self._text
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Drawing) and self.canonical() == other.canonical()

@@ -7,6 +7,7 @@ from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
+from .census import _classified
 from .combmap import Dart, Rotations, smallest_first, twin
 from .drawing import Drawing, EdgeRecord
 
@@ -22,9 +23,17 @@ def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
     common cell is joined by an uncrossed edge on that cell's boundary.
     Cells are scanned in lexicographic id order and vertex pairs in
     lexicographic order, so the witness is deterministic.
+
+    Only LARGE and OTHER cells with two or more vertex incidences are
+    walked.  Every other type has fewer than two, so no pair to join,
+    except VVTRI and KITE: their two vertices are consecutive on the walk,
+    and a segment whose ends are both vertices is a whole uncrossed edge.
     """
+    view = _classified(drawing)
     tail, is_vertex, edges = drawing.tail, drawing.is_vertex, drawing.edges
-    recs = sorted(drawing._cell_view().records, key=lambda r: r.cell_id)
+    recs = sorted((r for r, t in zip(view.records, view.types.values())
+                   if r.vertex_incidences >= 2 and (t == "LARGE" or t == "OTHER")),
+                  key=lambda r: r.cell_id)
     for rec in recs:
         verts = sorted(set(filter(is_vertex, map(tail, rec.walk))))
         if len(verts) < 2:

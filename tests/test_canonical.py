@@ -1,6 +1,7 @@
 """The canonical writer against the ``json.dumps`` construction it replaced,
 and the id rule that keeps the canonical bytes injective."""
 
+import importlib
 import json
 
 import pytest
@@ -150,3 +151,33 @@ def test_a_lone_surrogate_escape_is_a_usage_error(capsys, tmp_path, command, tex
     assert main([command, str(p)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "surrogate" in err and "Traceback" not in err
+
+
+def test_equality_and_hash_serialize_each_drawing_once(monkeypatch):
+    drawing_mod = importlib.import_module("triplane.drawing")
+    written = []
+
+    def counted(drawing):
+        written.append(id(drawing))
+        return serialize_tdr(drawing)
+
+    monkeypatch.setattr(drawing_mod, "serialize_tdr", counted)
+    a, b, c = gen_fig3(2), gen_fig3(2), gen_fig2(2)
+    for _ in range(3):
+        assert a == b and b == a and a != c
+        assert hash(a) == hash(b) != hash(c)
+        assert a.canonical() == b.canonical()
+    assert sorted(written) == sorted([id(a), id(b), id(c)])
+
+
+def test_equality_and_hash_follow_the_canonical_bytes():
+    # Every pair of acceptance-corpus drawings is equal exactly when their
+    # bytes are, and each equals a fresh parse of its own bytes.
+    drawings = [corpus_drawing(name) for name in CORPUS_NAMES]
+    texts = [serialize_tdr(d) for d in drawings]
+    parsed = [parse_tdr(text) for text in texts]
+    for drawing, text, again in zip(drawings, texts, parsed):
+        assert again == drawing and hash(again) == hash(drawing) == hash(text)
+    for drawing, text in zip(drawings, texts):
+        for other, other_text in zip(parsed, texts):
+            assert (drawing == other) == (text == other_text)

@@ -194,3 +194,32 @@ def test_numeric_report_serializes_fractions_as_strings():
     assert d["residual_at_census"] == "15/8"
     assert all(isinstance(r["coeff"], str) for r in d["rows"])
     assert all(isinstance(r["slack"], int) for r in d["rows"])
+
+
+def test_residual_follows_a_mutated_coefficient_dict():
+    # The residual is kept per target and coefficients, so changing the
+    # dict a certificate holds gives that dict's residual, never a stale one.
+    coefficients = dict(builtin_certificate("edges").coefficients)
+    base = coefficients["8.B"]
+    cert = Certificate("edges", coefficients)
+    assert verify_symbolic(cert) == oracle_residual(cert)
+    for eps in (Fraction(1, 20), Fraction(1, 7), Fraction(0)):
+        coefficients["8.B"] = base + eps
+        assert verify_symbolic(cert) == oracle_residual(cert)
+    residual = verify_symbolic(cert)
+    residual["E"] = Fraction(99)  # the caller's copy; the kept residual is untouched
+    assert verify_symbolic(cert) == oracle_residual(cert)
+
+
+def test_bad_column_raises_on_every_call():
+    coefficients = dict(builtin_certificate("edges").coefficients)
+    cert = Certificate("edges", coefficients)
+    verify_symbolic(cert)
+    coefficients["3.A"] = Fraction(-1, 2)
+    for _ in range(3):
+        with pytest.raises(CertificateError, match="negative coefficient"):
+            verify_symbolic(cert)
+        with pytest.raises(CertificateError, match="negative coefficient"):
+            verify_numeric(gen_fig3(1), {"edges": cert})
+    coefficients["3.A"] = builtin_certificate("edges").coefficients["3.A"]
+    assert verify_symbolic(cert) == oracle_residual(cert)

@@ -126,6 +126,28 @@ def test_verdict_validates_and_builds_cells_once(capsys, monkeypatch, tmp_path, 
     assert (calls["cells"], calls["validate"], calls["CombMap"]) == (1, 1, 0)
 
 
+# One verdict classifies each cell once: the filledness check, the trails
+# and the configurations all read the drawing's one classified cell view.
+@pytest.mark.parametrize("argv", [["check"], ["certify", "--target", "edges"],
+                                  ["certify", "--target", "crossings"]],
+                         ids=["check", "certify-edges", "certify-crossings"])
+def test_verdict_classifies_each_cell_once(capsys, monkeypatch, tmp_path, argv):
+    drawing = gen_fig3(2)
+    p = tmp_path / "fig3.json"
+    p.write_text(serialize_tdr(drawing))
+    census_mod = importlib.import_module("triplane.census")
+    classified = Counter()
+    classify = census_mod.classify_cell
+
+    def counted(d, record):
+        classified[record.cell_id] += 1
+        return classify(d, record)
+
+    monkeypatch.setattr(census_mod, "classify_cell", counted)
+    run(capsys, argv[0], str(p), *argv[1:])
+    assert classified == Counter(r.cell_id for r in census_mod.cells(drawing))
+
+
 def test_verdict_bytes_are_pinned(capsys, tmp_path):
     # One sha256 over the exit code and stdout of every verdict on a fixed
     # corpus: fig3 L=1-4, fig2 R=1-4 and saturated random (10, 30) seeds
