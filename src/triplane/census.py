@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .combmap import Dart, twin
-from .drawing import Drawing, EdgeRecord, Segment, stats
+from .combmap import Dart, Darts
+from .drawing import Drawing, Segment, stats
 
 CELL_COUNT_KEYS = ("XTRI", "XQUAD", "VTRI", "VQUAD", "XPENT", "VVTRI", "KITE", "LARGE", "OTHER")
 TRAIL_END_TYPES = ("LARGE", "VQUAD", "VTRI", "XPENT", "XTRI")
@@ -50,10 +50,11 @@ class CellRecord(NamedTuple):
 
 def cells(drawing: Drawing) -> Tuple[CellRecord, ...]:
     """All cells, ids assigned in sorted order of their canonical walks."""
-    tail, is_vertex = drawing.tail, drawing.is_vertex
+    cmap = drawing.planarize()
+    tail, is_vertex = cmap.darts.tail.__getitem__, drawing._vertex_set.__contains__
     out = []
-    for i, walk in enumerate(drawing.planarize().faces()):
-        tails = list(map(tail, walk))
+    for i, (ids, walk) in enumerate(zip(cmap.walks(), cmap.faces())):
+        tails = list(map(tail, ids))
         s = len(walk)
         v = sum(map(is_vertex, tails))
         # cell_id, walk, size, vertex, crossing and segment incidences, degenerate
@@ -108,121 +109,136 @@ class Trail(NamedTuple):
 
 
 class _CellView:
-    """One drawing's cells, looked up by id and by dart, and their types.
+    """One drawing's cells, looked up by id and by dart number, and their types.
 
-    ``Drawing._cell_view`` builds it once per drawing.  The types stay
-    ``None`` until ``_classified`` fills them, in the order of ``records``.
+    Cell ``k`` is ``records[k]``, with its walk as dart numbers in
+    ``walks[k]``; ``index`` maps each cell id to ``k`` and ``cell_of[i]``
+    is the ``k`` of the cell whose walk holds dart ``i``, so the cell
+    across dart ``i``'s segment is ``cell_of[i ^ 1]``.
+    ``Drawing._cell_view`` builds it once per drawing.  The types, by id in
+    ``types`` and by ``k`` in ``kinds``, stay ``None`` until
+    ``_classified`` fills them.
     """
 
-    __slots__ = ("records", "by_id", "cell_of_dart", "types")
+    __slots__ = ("records", "walks", "index", "cell_of", "types", "kinds")
 
     def __init__(self, drawing: Drawing):
         self.records = cells(drawing)
-        self.by_id = {r.cell_id: r for r in self.records}
-        self.cell_of_dart = {d: r for r in self.records for d in r.walk}
+        cmap = drawing.planarize()
+        self.walks = walks = cmap.walks()
+        self.index = {r.cell_id: k for k, r in enumerate(self.records)}
+        self.cell_of = cell_of = [0] * len(cmap.darts.tail)
+        for k, walk in enumerate(walks):
+            for i in walk:
+                cell_of[i] = k
         self.types: Optional[Dict[str, str]] = None
-
-    def across(self, dart: Dart) -> CellRecord:
-        """The cell on the other side of ``dart``'s segment."""
-        return self.cell_of_dart[twin(dart)]
+        self.kinds: Optional[List[str]] = None
 
 
 def _classified(drawing: Drawing) -> _CellView:
     """The drawing's cell view, with every cell's type filled in."""
     view = drawing._cell_view()
     if view.types is None:
-        view.types = {r.cell_id: classify_cell(drawing, r) for r in view.records}
+        view.kinds = [classify_cell(drawing, r) for r in view.records]
+        view.types = dict(zip([r.cell_id for r in view.records], view.kinds))
     return view
 
 
-def _march(drawing: Drawing, view: _CellView, seg: Segment, direction: str, limit: int):
-    """Follow a corridor of XQUADs away from one side of ``seg``.
+def _march(view: _CellView, darts: Darts, crossings: Dict[str, object], entry: int,
+           limit: int) -> Tuple[List[int], List[int]]:
+    """Follow a corridor of XQUADs away from the side of its segment that dart ``entry`` bounds.
 
-    Returns (cells, exit_segments): the cells starting with the one on this
-    side of ``seg`` and ending at the first non-XQUAD, and the inner
-    segments consumed after ``seg``.
+    Returns (cells, exits): the cells, by index, starting with the one
+    ``entry`` bounds and ending at the first non-XQUAD, and the inner
+    segments consumed after ``entry``'s, each as its ``"bwd"`` dart.
     """
-    types = view.types
-    entry = (seg[0], seg[1], direction)  # the cell's dart on the segment just crossed
-    cell = view.cell_of_dart[entry]
+    kinds, cell_of, walks, tail = view.kinds, view.cell_of, view.walks, darts.tail
+    cell = cell_of[entry]
     cells_out = [cell]
-    segs_out: List[Segment] = []
+    segs_out: List[int] = []
     steps = 0
-    while types[cell.cell_id] == "XQUAD":
+    while kinds[cell] == "XQUAD":
         steps += 1
         if steps > limit:
             raise CensusError("trail corridor does not terminate")
-        walk = cell.walk
+        walk = walks[cell]
         exit_dart = walk[(walk.index(entry) + 2) % 4]
-        cur = exit_dart[:2]
-        if not drawing.is_inner_segment(cur):
-            raise CensusError(f"trail corridor exits through outer segment {cur}")
-        segs_out.append(cur)
-        entry = twin(exit_dart)
-        cell = view.cell_of_dart[entry]
+        if not (tail[exit_dart] in crossings and tail[exit_dart ^ 1] in crossings):
+            raise CensusError(f"trail corridor exits through outer segment {darts.decode[exit_dart][:2]}")
+        segs_out.append(exit_dart & -2)
+        entry = exit_dart ^ 1
+        cell = cell_of[entry]
         cells_out.append(cell)
     return cells_out, segs_out
 
 
-def _walls(edges: Dict[str, EdgeRecord], crossings: Dict[str, Tuple[Tuple[str, int], Tuple[str, int]]],
-           interior: Sequence[Segment], start: Segment) -> Tuple[str, str]:
+def _walls(darts: Darts, crossings: Dict[str, Tuple[Tuple[str, int], Tuple[str, int]]],
+           interior: Sequence[int], start: int) -> Tuple[str, str]:
     """The two edges crossing every segment of a trail's interior at its ends, sorted.
 
-    It reads the crossing records itself: ``Drawing.other_edge_at``, a call
-    per crossing, makes ``extract_trails`` 5-13% slower on fig3 L=32.
+    Each segment is given by its ``"bwd"`` dart ``b``, which leaves the
+    segment's last crossing; ``b + 1`` leaves its first.  ``start`` is the
+    segment the trail was found from, named if the walls fail.  It reads the
+    crossing records itself: ``Drawing.other_edge_at``, a call per
+    crossing, makes ``extract_trails`` 5-13% slower on fig3 L=32.
     """
+    tail, decode = darts.tail, darts.decode
     sides = []
-    for e, i in interior:
-        xs = edges[e].crossings
-        (a1, _), (a2, _) = crossings[xs[i - 1]]
-        (b1, _), (b2, _) = crossings[xs[i]]
+    for b in interior:
+        e = decode[b][0]
+        (a1, _), (a2, _) = crossings[tail[b + 1]]
+        (b1, _), (b2, _) = crossings[tail[b]]
         sides.append((a2 if e == a1 else a1, b2 if e == b1 else b1))
     w1, w2 = sides[0]
     if len(sides) == 1:
         return (w1, w2) if w1 <= w2 else (w2, w1)
     good = sorted({w1, w2}.intersection(*sides[1:]))
     if len(good) != 2:
-        raise CensusError(f"trail through {start} has no well-defined bounding edges")
+        raise CensusError(f"trail through {decode[start][:2]} has no well-defined bounding edges")
     return good[0], good[1]
 
 
 def extract_trails(drawing: Drawing) -> Tuple[Trail, ...]:
     """The trails of the drawing; their interiors partition the inner segments.
 
-    An inner segment with no XQUAD on either side is a whole 2-cell trail,
-    read off the cells of its two darts; only corridors through XQUADs march.
+    An inner segment, one whose two ends are crossings, with no XQUAD on
+    either side is a whole 2-cell trail, read off the cells of its two
+    darts; only corridors through XQUADs march.
     """
     view = _classified(drawing)
-    types, cell_of_dart = view.types, view.cell_of_dart
-    edges, crossings = drawing.edges, drawing.crossings
-    inner = drawing.inner_segments()
+    kinds, cell_of, records = view.kinds, view.cell_of, view.records
+    darts = drawing.planarize().darts
+    tail, decode = darts.tail, darts.decode
+    crossings = drawing.crossings
+    inner = [b for b in range(0, len(tail), 2) if tail[b] in crossings and tail[b + 1] in crossings]
     limit = len(inner) + 2
 
     visited = set()
     trails = []
-    for s in inner:
-        if s in visited:
+    for b in inner:  # each inner segment's "bwd" dart, in segment order
+        if b in visited:
             continue
-        e, i = s
-        first, last = cell_of_dart[(e, i, "fwd")], cell_of_dart[(e, i, "bwd")]
-        ids = (first.cell_id, last.cell_id)
-        t0, t1 = types[ids[0]], types[ids[1]]
+        first, last = cell_of[b + 1], cell_of[b]
+        t0, t1 = kinds[first], kinds[last]
         if t0 != "XQUAD" and t1 != "XQUAD":
-            interior: Tuple[Segment, ...] = (s,)
+            ids: Tuple[str, ...] = (records[first].cell_id, records[last].cell_id)
+            interior: Sequence[int] = (b,)
         else:
-            cells_fwd, segs_fwd = _march(drawing, view, s, "fwd", limit)
-            cells_bwd, segs_bwd = _march(drawing, view, s, "bwd", limit)
+            cells_fwd, segs_fwd = _march(view, darts, crossings, b + 1, limit)
+            cells_bwd, segs_bwd = _march(view, darts, crossings, b, limit)
             visited.update(segs_fwd)
             visited.update(segs_bwd)
-            ids = tuple([c.cell_id for c in reversed(cells_fwd)] + [c.cell_id for c in cells_bwd])
-            interior = tuple(reversed(segs_fwd)) + (s,) + tuple(segs_bwd)
-            t0, t1 = types[ids[0]], types[ids[-1]]
+            cells_fwd.reverse()
+            ids = tuple([records[k].cell_id for k in cells_fwd + cells_bwd])
+            segs_fwd.reverse()
+            interior = segs_fwd + [b] + segs_bwd
+            t0, t1 = kinds[cells_fwd[0]], kinds[cells_bwd[-1]]
         if t0 == "KITE":  # reported as LARGE
             t0 = "LARGE"
         if t1 == "KITE":
             t1 = "LARGE"
-        trails.append(Trail(ids, interior, (t0, t1) if t0 <= t1 else (t1, t0),
-                            _walls(edges, crossings, interior, s)))
+        trails.append(Trail(ids, tuple([decode[j][:2] for j in interior]), (t0, t1) if t0 <= t1 else (t1, t0),
+                            _walls(darts, crossings, interior, b)))
     return tuple(trails)
 
 
@@ -252,11 +268,6 @@ class Configuration(NamedTuple):
     designated_edge: Optional[str] = None
 
 
-def _opposite_quadrant(view: _CellView, rot: Tuple[Dart, ...], d: Dart) -> CellRecord:
-    """The cell vertically opposite the cell of ``d`` at the crossing ``d`` leaves; ``rot`` is its rotation."""
-    return view.cell_of_dart[rot[(rot.index(d) + 2) % len(rot)]]
-
-
 def detect_configurations(
     drawing: Drawing,
     trails: Sequence[Trail],
@@ -267,9 +278,16 @@ def detect_configurations(
     With ``strict`` (intended for 3-saturated drawings) a missing or
     mistyped witness cell raises :class:`WitnessError`; otherwise the
     affected configuration is silently skipped (advisory mode).
+
+    Cells are read by index and darts by number (see ``_CellView``); the
+    cell vertically opposite dart ``i``'s cell at the crossing ``i``
+    leaves holds ``succ[succ[i]]``, two steps round the rotation.
     """
     view = _classified(drawing)
-    types = view.types
+    types, kinds, cell_of, walks, records = view.types, view.kinds, view.cell_of, view.walks, view.records
+    darts = drawing.planarize().darts
+    tail, succ, decode = darts.tail, darts.succ, darts.decode
+    edges, crossings = drawing.edges, drawing.crossings
     found: List[Configuration] = []
 
     def need(cond: bool, obj: str, detail: str) -> bool:
@@ -280,37 +298,38 @@ def detect_configurations(
         return False
 
     # CFG13 / CFG14: one per VTRI, across the outer sides of its inner segment.
-    edges, cell_of_dart = drawing.edges, view.cell_of_dart
-    for rec, cell_type in zip(view.records, types.values()):
+    for k, cell_type in enumerate(kinds):
         if cell_type != "VTRI":
             continue
-        cid, walk = rec.cell_id, rec.walk
-        inner_darts = [d for d in walk if 0 < d[1] < len(edges[d[0]].crossings)]
-        if not need(len(inner_darts) == 1, cid, "VTRI without a unique inner side"):
+        cid, walk = records[k].cell_id, walks[k]
+        inner, n_inner = 0, 0  # the side whose two ends are crossings
+        for i in walk:
+            if tail[i] in crossings and tail[i ^ 1] in crossings:
+                inner, n_inner = i, n_inner + 1
+        if not need(n_inner == 1, cid, "VTRI without a unique inner side"):
             continue
-        inner = inner_darts[0]
-        k = len(edges[inner[0]].crossings)
-        vv = []  # (outer dart, the VVTRI across it)
-        for d in walk:
-            if d is not inner:
-                nb = cell_of_dart[(d[0], d[1], "bwd" if d[2] == "fwd" else "fwd")]
-                if types[nb.cell_id] == "VVTRI":
-                    vv.append((d, nb))
-        if k == 2:
+        load = len(edges[decode[inner][0]].crossings)
+        vv = []  # (outer dart, the id of the VVTRI across it)
+        for i in walk:
+            if i != inner:
+                nb = cell_of[i ^ 1]
+                if kinds[nb] == "VVTRI":
+                    vv.append((i, records[nb].cell_id))
+        if load == 2:
             if not need(len(vv) == 2, cid,
                         "VTRI on a twice-crossed edge must have two VVTRI neighbors"):
                 continue
             (d1, nb1), (d2, nb2) = vv
-            found.append(Configuration("CFG14", tuple(sorted((cid, nb1.cell_id, nb2.cell_id))),
-                                       tuple(sorted((d1[:2], d2[:2])))))
-        elif k == 3:
+            found.append(Configuration("CFG14", tuple(sorted((cid, nb1, nb2))),
+                                       tuple(sorted((decode[d1][:2], decode[d2][:2])))))
+        elif load == 3:
             if not need(len(vv) >= 1, cid,
                         "VTRI on a thrice-crossed edge must have a VVTRI neighbor"):
                 continue
-            d, nb = min(vv, key=lambda p: p[1].cell_id)
-            found.append(Configuration("CFG13", tuple(sorted((cid, nb.cell_id))), (d[:2],)))
+            d, nb = min(vv, key=itemgetter(1))
+            found.append(Configuration("CFG13", tuple(sorted((cid, nb))), (decode[d][:2],)))
         else:
-            need(False, cid, f"VTRI inner side on edge with {k} crossings")
+            need(False, cid, f"VTRI inner side on edge with {load} crossings")
 
     # Trail-indexed kinds.
     for trail in trails:
@@ -335,66 +354,71 @@ def detect_configurations(
         if not need(length == 2, "+".join(trail.cells),
                     f"{pair[0]}-{pair[1]} trail must have length 2"):
             continue
-        s = trail.interior_segments[0]
-        recs2 = [view.by_id[c] for c in trail.cells]
+        b = darts.encode((*trail.interior_segments[0], "bwd"))
+        seg = b >> 1
+        ks = [view.index[c] for c in trail.cells]
 
         if pair == ("XPENT", "XTRI"):
-            xtri = next(r for r in recs2 if types[r.cell_id] == "XTRI")
-            xpent = next(r for r in recs2 if types[r.cell_id] == "XPENT")
-            d3 = next(d for d in xtri.walk if drawing.tail(d) not in drawing.segment_nodes(s))
-            x3 = drawing.tail(d3)
-            vv = _opposite_quadrant(view, drawing.rotations[x3], d3)
-            if not need(types[vv.cell_id] == "VVTRI", xtri.cell_id,
-                        f"opposite quadrant at {x3} is {types[vv.cell_id]}, not VVTRI"):
+            xtri = next(k for k in ks if kinds[k] == "XTRI")
+            xpent = next(k for k in ks if kinds[k] == "XPENT")
+            ends = (tail[b], tail[b ^ 1])
+            d3 = next(i for i in walks[xtri] if tail[i] not in ends)
+            x3 = tail[d3]
+            vv = cell_of[succ[succ[d3]]]
+            if not need(kinds[vv] == "VVTRI", records[xtri].cell_id,
+                        f"opposite quadrant at {x3} is {kinds[vv]}, not VVTRI"):
                 continue
             kite = None
             shared: Optional[Segment] = None
-            for d in xtri.walk:
-                if d[:2] == s:
+            for i in walks[xtri]:
+                if i >> 1 == seg:
                     continue
-                cand = view.across(d)
-                if types[cand.cell_id] != "KITE":
+                cand = cell_of[i ^ 1]
+                if kinds[cand] != "KITE":
                     continue
-                for dd in vv.walk:
-                    if x3 in drawing.segment_nodes(dd[:2]) and view.across(dd) is cand:
-                        kite, shared = cand, dd[:2]
+                for j in walks[vv]:
+                    if x3 in (tail[j], tail[j ^ 1]) and cell_of[j ^ 1] == cand:
+                        kite, shared = cand, decode[j][:2]
                         break
                 if kite is not None:
                     break
-            if not need(kite is not None, xtri.cell_id,
+            if not need(kite is not None, records[xtri].cell_id,
                         "no kite sharing a segment with the opposite-quadrant VVTRI"):
                 continue
             found.append(Configuration(
                 kind="CFG9",
-                cells=tuple(sorted({xtri.cell_id, xpent.cell_id, kite.cell_id, vv.cell_id})),
+                cells=tuple(sorted({records[k].cell_id for k in (xtri, xpent, kite, vv)})),
                 designated_segments=(shared,),
             ))
         else:
-            vq = next(r for r in recs2 if types[r.cell_id] == "VQUAD")
-            other = next(r for r in recs2 if types[r.cell_id] != "VQUAD")
-            idx = next(i for i, d in enumerate(vq.walk) if d[:2] == s)
-            far = vq.walk[(idx + 2) % 4]
-            z = view.across(far)
-            if not need(types[z.cell_id] == "VVTRI", vq.cell_id,
-                        f"cell across the far side is {types[z.cell_id]}, not VVTRI"):
+            vq = next(k for k in ks if kinds[k] == "VQUAD")
+            other = next(k for k in ks if kinds[k] != "VQUAD")
+            walk = walks[vq]
+            idx = next(n for n, i in enumerate(walk) if i >> 1 == seg)
+            far = walk[(idx + 2) % 4]
+            z = cell_of[far ^ 1]
+            if not need(kinds[z] == "VVTRI", records[vq].cell_id,
+                        f"cell across the far side is {kinds[z]}, not VVTRI"):
                 continue
             kind = "CFG10" if pair == ("VQUAD", "XPENT") else "CFG12"
             found.append(Configuration(
                 kind=kind,
-                cells=tuple(sorted({other.cell_id, vq.cell_id, z.cell_id})),
-                designated_segments=(far[:2],),
+                cells=tuple(sorted({records[k].cell_id for k in (other, vq, z)})),
+                designated_segments=(decode[far][:2],),
             ))
 
     # CFG15: saturated XPENTs, one per window of three consecutive uncrossed trails.
-    # End incidences: (endpoint cell, adjacent interior segment) -> (trail, other end).
+    # End incidences: (endpoint cell, adjacent interior segment) -> (trail, other end),
+    # for the trails with an XPENT end, the only ones looked up.
     ends: Dict[Tuple[str, Segment], Tuple[Trail, str]] = {}
     for t in trails:
-        ends[(t.cells[0], t.interior_segments[0])] = (t, t.cells[-1])
-        ends[(t.cells[-1], t.interior_segments[-1])] = (t, t.cells[0])
-    rotations = drawing.rotations
-    for rec, cell_type in zip(view.records, types.values()):
+        if "XPENT" in t.endpoint_types:
+            ends[(t.cells[0], t.interior_segments[0])] = (t, t.cells[-1])
+            ends[(t.cells[-1], t.interior_segments[-1])] = (t, t.cells[0])
+    for k, cell_type in enumerate(kinds):
         if cell_type != "XPENT":
             continue
+        rec = records[k]
         cid, walk = rec.cell_id, rec.walk
         profile = []  # per side: (other end cell type, trail length)
         for d in walk:
@@ -404,7 +428,7 @@ def detect_configurations(
             profile.append((types[hit[1]], len(hit[0].cells)))
         if not all(t in CROSSING_EVEN_TYPES for t, _ in profile):
             continue
-        corners = [drawing.tail(d) for d in walk]  # x_i = shared corner of sides i-1, i
+        ids = walks[k]  # the tail of side i is the corner it shares with side i-1
         uncrossed = [t == "VTRI" and length == 2 for t, length in profile]
         windows = [i for i in range(5)
                    if uncrossed[i] and uncrossed[(i + 1) % 5] and uncrossed[(i + 2) % 5]]
@@ -413,12 +437,11 @@ def detect_configurations(
             continue
         for i in windows:
             ja, jb = (i + 1) % 5, (i + 2) % 5
-            ca = _opposite_quadrant(view, rotations[corners[ja]], walk[ja])
-            cb = _opposite_quadrant(view, rotations[corners[jb]], walk[jb])
-            ok = need(types[ca.cell_id] == "VVTRI", cid,
-                      f"opposite quadrant at {corners[ja]} is not VVTRI") and \
-                 need(types[cb.cell_id] == "VVTRI", cid,
-                      f"opposite quadrant at {corners[jb]} is not VVTRI")
+            ca, cb = cell_of[succ[succ[ids[ja]]]], cell_of[succ[succ[ids[jb]]]]
+            ok = need(kinds[ca] == "VVTRI", cid,
+                      f"opposite quadrant at {tail[ids[ja]]} is not VVTRI") and \
+                 need(kinds[cb] == "VVTRI", cid,
+                      f"opposite quadrant at {tail[ids[jb]]} is not VVTRI")
             if not ok:
                 continue
             mid = walk[ja]
@@ -427,7 +450,7 @@ def detect_configurations(
                 continue
             found.append(Configuration(
                 kind="CFG15",
-                cells=tuple(sorted({cid, ca.cell_id, cb.cell_id})),
+                cells=tuple(sorted({cid, records[ca].cell_id, records[cb].cell_id})),
                 designated_edge=mid[0],
             ))
 

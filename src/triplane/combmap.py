@@ -9,11 +9,20 @@ bounded face's walk runs clockwise, i.e. every face lies to the right of
 each of its darts, and the gap in a node's rotation just after
 ``twin(arrival)`` points into the face — that is where ``Rotations.splice``
 puts new darts when an edge is inserted inside a face.
+
+Readers of a finished map work on dart numbers (``Darts``): the darts in
+tuple order, so each segment's ``"bwd"`` dart comes just before its
+``"fwd"`` dart, the twin of dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers
+its segment.  This module is the only one that numbers darts; everyone
+else decodes a number through ``Darts.decode`` or encodes a dart through
+``Darts.encode``.  Producers that edit a map in place use the tuple-keyed
+``Rotations``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from itertools import chain, compress
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Dart = Tuple[str, int, str]
 
@@ -48,8 +57,130 @@ def _as_dart(obj) -> Dart:
     return (edge, seg, direction)
 
 
+class Darts:
+    """One map's darts, numbered densely in tuple order.
+
+    ``decode[i]`` is dart ``i``, ``tail[i]`` the node it leaves and
+    ``succ[i]`` the next dart counterclockwise around that node.  The twin
+    of dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers its segment.  A map
+    whose every edge is a path of nodes numbers edge ``e``'s darts from
+    ``base[e]``, its edges in sorted id order: ``(e, s, "bwd")`` is
+    ``base[e] + 2s`` and ``(e, s, "fwd")`` is ``base[e] + 2s + 1``.  Any
+    other map numbers its sorted darts by position.
+    """
+
+    __slots__ = ("tail", "_succ", "_decode", "_base", "_index", "_listed")
+
+    def encode(self, dart) -> int:
+        """The number of ``dart``; ``KeyError`` for anything that is not one of this map's darts."""
+        try:
+            e, s, r = dart
+            if type(s) is int and s >= 0 and r in DIRS:
+                if self._index is not None:
+                    return self._index[e, s, r]
+                b, last, _ = self._base[e]
+                if s <= last:
+                    return b + 2 * s + (r == "fwd")
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise KeyError(dart)
+
+    @property
+    def succ(self) -> List[int]:
+        if self._succ is None:
+            self._fill()
+        return self._succ
+
+    @property
+    def decode(self) -> List[Dart]:
+        if self._decode is None:
+            self._fill()
+        return self._decode
+
+    def _fill(self) -> None:
+        """``succ`` and ``decode`` from the dart numbers in the order the rotations list them."""
+        order, rotations = self._listed
+        succ, decode = [0] * len(order), [None] * len(order)
+        after = order[1:] + order[:1]  # the next dart listed, then each node's last closes its cycle
+        end = 0
+        for darts in rotations.values():
+            if darts:
+                end += len(darts)
+                after[end - 1] = order[end - len(darts)]
+        for i, j, d in zip(order, after, chain.from_iterable(rotations.values())):
+            succ[i] = j
+            decode[i] = d
+        self._succ, self._decode, self._listed = succ, decode, None
+
+    @classmethod
+    def of_paths(cls, rotations: Mapping[str, Sequence], paths: Mapping[str, Sequence[str]],
+                 nodes: frozenset) -> Tuple[Dict[str, Tuple[Dart, ...]], "Darts", bool]:
+        """Number and check the rotations of a map whose edge ``e`` runs along the nodes ``paths[e]``.
+
+        Each listed dart is checked once, in the order given: its fields,
+        that it is new, and its tail, which is node ``seg`` (``"fwd"``) or
+        ``seg + 1`` (``"bwd"``) of its edge's path.  Returns the rotations
+        as tuples, the numbering, and whether every dart was listed once,
+        at its tail.  Raises ``MapError`` at the first rotation given for a
+        node outside ``nodes`` and at the first malformed, unknown or
+        repeated dart.  ``succ`` and ``decode`` are filled on first use.
+        """
+        base: Dict[str, Tuple[int, int, Sequence[str]]] = {}
+        n = 0
+        for e in sorted(paths):
+            pts = paths[e]
+            base[e] = (n, len(pts) - 2, pts)
+            n += 2 * len(pts) - 2
+        tail: List[Optional[str]] = [None] * n
+        order: List[int] = []  # dart numbers in the order listed
+        rot: Dict[str, Tuple[Dart, ...]] = {}
+        misplaced = False
+        for node, listed in rotations.items():
+            if node not in nodes:
+                raise MapError(f"rotation given for unknown node {node!r}")
+            out = []
+            for d in listed:
+                try:
+                    e, s, r = d
+                except (TypeError, ValueError):
+                    raise MapError(f"rotation at {node!r}: malformed dart {d!r}") from None
+                if not (isinstance(e, str) and e in base):
+                    raise MapError(f"rotation at {node!r} names unknown edge {e!r}")
+                b, last, pts = base[e]
+                if not (type(s) is int and 0 <= s <= last):
+                    raise MapError(f"rotation at {node!r}: segment index {s} out of range "
+                                   f"for edge {e!r}")
+                if r not in DIRS:
+                    raise MapError(f"rotation at {node!r}: bad direction {r!r}")
+                f = r == "fwd"
+                i = b + 2 * s + f
+                if tail[i] is not None:
+                    raise MapError(f"dart {(e, s, r)!r} listed more than once")
+                tail[i] = node
+                if pts[s + 1 - f] != node:
+                    misplaced = True
+                order.append(i)
+                out.append(d if type(d) is tuple else (e, s, r))
+            rot[node] = tuple(out)
+        self = cls.__new__(cls)
+        self.tail, self._succ, self._decode, self._base, self._index = tail, None, None, base, None
+        self._listed = (order, rot)
+        return rot, self, len(order) == n and not misplaced
+
+    @classmethod
+    def _sorted(cls, rotations: Mapping[str, Tuple[Dart, ...]], tail: Dict[Dart, str]) -> "Darts":
+        """The numbering of checked rotations with dart -> node table ``tail``: sorted darts by position."""
+        self = cls.__new__(cls)
+        ordered = sorted(tail)
+        self._index = index = {d: i for i, d in enumerate(ordered)}
+        self.tail = [tail[d] for d in ordered]
+        self._listed = ([index[d] for darts in rotations.values() for d in darts], rotations)
+        self._succ = self._decode = self._base = None
+        return self
+
+
 class Rotations:
-    """The one dart store: a rotation system, edited in place by producers that insert edges.
+    """The dart store of producers: a rotation system, edited in place by those that insert edges.
 
     ``tail`` maps each dart to its node, ``first`` each node to the first
     dart given for it (``None`` for a node without darts), and ``succ``
@@ -67,20 +198,6 @@ class Rotations:
         self.first, self.succ, self.tail = {}, {}, {}
         self.update(rotations)
 
-    @classmethod
-    def _sharing(cls, rotations: Dict[str, Tuple[Dart, ...]], tail: Dict[Dart, str]) -> "Rotations":
-        """The store of ``rotations`` over their dart -> node table ``tail``, checked and shared, not copied."""
-        self = cls.__new__(cls)
-        self.first, self.succ, self.tail = {}, {}, tail
-        self._add(rotations)
-        return self
-
-    def copy(self) -> "Rotations":
-        """An independent store of the same rotations: the three dicts copied, nothing re-enumerated."""
-        other = Rotations.__new__(Rotations)
-        other.first, other.succ, other.tail = dict(self.first), dict(self.succ), dict(self.tail)
-        return other
-
     def update(self, rotations: Mapping[str, Sequence[Dart]]) -> None:
         """Add nodes, each with its whole rotation."""
         added = {node: tuple(darts) for node, darts in rotations.items()}
@@ -88,10 +205,7 @@ class Rotations:
         self.tail.update({d: node for node, darts in added.items() for d in darts})
         if len(self.tail) != listed:
             raise MapError("a dart is listed more than once")
-        self._add(added)
-
-    def _add(self, rotations: Mapping[str, Tuple[Dart, ...]]) -> None:
-        for node, darts in rotations.items():
+        for node, darts in added.items():
             self.first[node] = darts[0] if darts else None
             self.succ.update(zip(darts, darts[1:] + darts[:1]))
 
@@ -145,60 +259,84 @@ class Rotations:
 
 
 class CombMap:
-    """An embedded multigraph: a checked, read-only view over one ``Rotations``.
+    """An embedded multigraph: a checked, read-only view of one rotation system and its ``Darts``.
 
     ``rotations`` must list every dart exactly once, at its tail node, and
     must contain the twin of every dart it contains.
     """
 
-    __slots__ = ("rotations", "_rot", "_faces")
+    __slots__ = ("rotations", "darts", "_walks", "_faces")
 
     def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
         rot = {node: tuple(map(_as_dart, darts)) for node, darts in rotations.items()}
-        store = Rotations(rot)
-        for d in store.tail:
-            if twin(d) not in store.tail:
+        tail = {d: node for node, darts in rot.items() for d in darts}
+        if len(tail) != sum(map(len, rot.values())):
+            raise MapError("a dart is listed more than once")
+        for d in tail:
+            if twin(d) not in tail:
                 raise MapError(f"dart {d!r} has no twin in the map")
-        self.rotations, self._rot, self._faces = rot, store, None
+        self.rotations, self.darts, self._walks, self._faces = rot, Darts._sorted(rot, tail), None, None
 
     @classmethod
-    def _of_checked(cls, rotations: Dict[str, Tuple[Dart, ...]], tail: Dict[Dart, str]) -> "CombMap":
-        """The map of a ``Drawing``'s rotations and dart -> node table, checked there; shared, not copied."""
+    def _of_checked(cls, rotations: Dict[str, Tuple[Dart, ...]], darts: Darts) -> "CombMap":
+        """The map of a ``Drawing``'s rotations and dart numbering, checked there; shared, not copied."""
         self = cls.__new__(cls)
-        self.rotations, self._rot, self._faces = rotations, Rotations._sharing(rotations, tail), None
+        self.rotations, self.darts, self._walks, self._faces = rotations, darts, None, None
         return self
 
     def num_segments(self) -> int:
-        return len(self._rot.tail) // 2
+        return len(self.darts.tail) // 2
 
     def tail(self, dart: Dart) -> str:
         """The node a dart leaves."""
-        return self._rot.tail[dart]
+        return self.darts.tail[self.darts.encode(dart)]
+
+    def walks(self) -> Tuple[Tuple[int, ...], ...]:
+        """All face walks as dart numbers, each from its smallest dart, in order of that dart."""
+        if self._walks is None:
+            succ = self.darts.succ
+            seen = bytearray(len(succ))
+            out = []
+            for i in range(len(succ)):
+                if not seen[i]:
+                    walk = [i]
+                    j = succ[i ^ 1]
+                    while j != i:
+                        walk.append(j)
+                        j = succ[j ^ 1]
+                    for j in walk:
+                        seen[j] = 1
+                    out.append(tuple(walk))
+            self._walks = tuple(out)
+        return self._walks
 
     def faces(self) -> Tuple[Tuple[Dart, ...], ...]:
         """All face walks, each starting at its smallest dart, sorted."""
         if self._faces is None:
-            seen, out = set(), []
-            for d0 in sorted(self._rot.tail):
-                if d0 not in seen:
-                    out.append(self._rot.walk(d0))
-                    seen.update(out[-1])
-            self._faces = tuple(out)
+            decode = self.darts.decode.__getitem__
+            self._faces = tuple([tuple(map(decode, walk)) for walk in self.walks()])
         return self._faces
 
     def euler_characteristic(self) -> int:
-        return len(self.rotations) - self.num_segments() + len(self.faces())
+        return len(self.rotations) - self.num_segments() + len(self.walks())
 
     def component_of(self, node: str) -> frozenset:
-        tail = self._rot.tail
-        seen, stack = {node}, [node]
+        listed = self.rotations[node]
+        if not listed:
+            return frozenset((node,))
+        darts = self.darts
+        succ = darts.succ
+        start = darts.encode(listed[0])
+        seen = bytearray(len(succ))
+        seen[start] = 1
+        stack = [start]
         while stack:
-            for d in self.rotations[stack.pop()]:
-                h = tail[twin(d)]
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        return frozenset(seen)
+            i = stack.pop()
+            for j in (succ[i], i ^ 1):
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
+        return frozenset(compress(darts.tail, seen))
 
     def insert_edge_in_face(
         self,
@@ -214,23 +352,23 @@ class CombMap:
         nodes.  Returns a new map in which the face is split in two; the
         Euler characteristic is unchanged.
         """
-        if any(d[0] == edge_id for d in self._rot.tail):
+        rot = Rotations(self.rotations)
+        if any(d[0] == edge_id for d in rot.tail):
             raise MapError(f"edge id {edge_id!r} already present")
         walk = tuple(face)
         try:
-            known = bool(walk) and all(d in self._rot.tail for d in walk)
+            known = bool(walk) and all(d in rot.tail for d in walk)
         except TypeError:  # an unhashable entry is not a dart
             known = False
-        if not known or any(self._rot.next_dart(walk[i - 1]) != walk[i] for i in range(len(walk))):
+        if not known or any(rot.next_dart(walk[i - 1]) != walk[i] for i in range(len(walk))):
             raise MapError("not a face walk of this map")
         for k in (occurrence_u, occurrence_v):
             if type(k) is not int or not 0 <= k < len(walk):
                 raise MapError(f"occurrence {k!r} is not an index into the face walk")
-        u = self.tail(walk[occurrence_u])
-        v = self.tail(walk[occurrence_v])
+        u = rot.tail[walk[occurrence_u]]
+        v = rot.tail[walk[occurrence_v]]
         if u == v:
             raise MapError(f"occurrences are incidences of the same node {u!r}")
-        rot = self._rot.copy()
         rot.splice(walk[occurrence_u - 1], [(edge_id, 0, "fwd")])
         rot.splice(walk[occurrence_v - 1], [(edge_id, 0, "bwd")])
         return CombMap(rot.lists)

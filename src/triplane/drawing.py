@@ -28,9 +28,9 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .combmap import DIRS, CombMap, Dart, smallest_first
+from .combmap import CombMap, Dart, Darts, MapError, smallest_first
 
 Segment = Tuple[str, int]
 
@@ -57,7 +57,7 @@ class Drawing:
     system, crossing alternation, and so on) is the job of ``validate``.
     """
 
-    __slots__ = ("vertices", "edges", "rotations", "_tail", "_crossings", "_planar",
+    __slots__ = ("vertices", "edges", "rotations", "_darts", "_crossings", "_planar",
                  "_vertex_set", "_report", "_cells", "_text")
 
     def __init__(
@@ -75,7 +75,7 @@ class Drawing:
 
         emap: Dict[str, EdgeRecord] = {}
         occ: Dict[str, List[Tuple[str, int]]] = {}
-        expected = 0  # darts the edges' segments need
+        paths: Dict[str, Tuple[str, ...]] = {}  # each edge's points: end, crossings, end
         for e in edges:
             if not (isinstance(e.id, str) and e.id):
                 raise TDRError("edge ids must be nonempty strings")
@@ -90,7 +90,7 @@ class Drawing:
                     raise TDRError(f"crossing id {x!r} collides with a vertex id")
                 occ.setdefault(x, []).append((e.id, i))
             emap[e.id] = e
-            expected += 2 * len(e.crossings) + 2
+            paths[e.id] = (e.ends[0],) + e.crossings + (e.ends[1],)
         for x, places in occ.items():
             if len(places) != 2:
                 raise TDRError(f"dangling crossing {x!r}: appears on {len(places)} edge slot(s), expected 2")
@@ -99,49 +99,21 @@ class Drawing:
             bad = next(s for s in chain(verts, emap, occ) if _SURROGATE.search(s))
             raise TDRError(f"id {bad!r} contains a surrogate code point")
 
-        # Each dart is checked once: its fields, that it is new, and its
-        # tail, which is point ``seg`` (fwd) or ``seg + 1`` (bwd) of its edge.
         nodes = vset.union(occ)
-        rot: Dict[str, Tuple[Dart, ...]] = {}
-        seen: Dict[Dart, str] = {}
-        misplaced = False
-        for node, darts in rotations.items():
-            if node not in nodes:
-                raise TDRError(f"rotation given for unknown node {node!r}")
-            tupled = []
-            for d in darts:
-                try:
-                    e, seg, direction = d
-                except (TypeError, ValueError):
-                    raise TDRError(f"rotation at {node!r}: malformed dart {d!r}") from None
-                if not (isinstance(e, str) and e in emap):
-                    raise TDRError(f"rotation at {node!r} names unknown edge {e!r}")
-                rec = emap[e]
-                k = len(rec.crossings)
-                if not (type(seg) is int and 0 <= seg <= k):
-                    raise TDRError(f"rotation at {node!r}: segment index {seg} out of range "
-                                   f"for edge {e!r}")
-                if direction not in DIRS:
-                    raise TDRError(f"rotation at {node!r}: bad direction {direction!r}")
-                d = (e, seg, direction)
-                if d in seen:
-                    raise TDRError(f"dart {d!r} listed more than once")
-                seen[d] = node
-                p = seg if direction == "fwd" else seg + 1
-                if node != (rec.ends[0] if p == 0 else rec.ends[1] if p > k else rec.crossings[p - 1]):
-                    misplaced = True
-                tupled.append(d)
-            rot[node] = tuple(tupled)
+        try:
+            rot, darts, sound = Darts.of_paths(rotations, paths, nodes)
+        except MapError as exc:
+            raise TDRError(str(exc)) from None
         if len(rot) != len(nodes):
             raise TDRError("rotations must cover exactly the vertices and crossings; missing: "
                            + repr(sorted(nodes - set(rot))[:3]))
-        if misplaced or len(seen) != expected:
-            raise _dart_defect(emap.values(), seen)
+        if not sound:
+            raise _dart_defect(paths, darts)
 
         self.vertices = verts
         self.edges = emap
         self.rotations = rot
-        self._tail = seen  # dart -> node, the one dart index of this drawing
+        self._darts = darts  # the one dart numbering of this drawing
         self._vertex_set = vset
         self._crossings = {x: tuple(sorted(p)) for x, p in occ.items()}
         self._planar: CombMap | None = None
@@ -169,10 +141,13 @@ class Drawing:
         return e2 if edge_id == e1 else e1
 
     def tail(self, dart: Dart) -> str:
-        return self._tail[dart]
+        """The node ``dart`` leaves; ``KeyError`` if it is not a dart of this drawing."""
+        return self._darts.tail[self._darts.encode(dart)]
 
     def segment_nodes(self, seg: Segment) -> Tuple[str, str]:
-        return (self._tail[seg + ("fwd",)], self._tail[seg + ("bwd",)])
+        """The segment's first and last node; ``KeyError`` if it is not a segment of this drawing."""
+        i = self._darts.encode((*seg, "bwd"))
+        return (self._darts.tail[i ^ 1], self._darts.tail[i])
 
     def is_inner_segment(self, seg: Segment) -> bool:
         """True iff both endpoints of the segment are crossings."""
@@ -186,9 +161,9 @@ class Drawing:
         return out
 
     def planarize(self) -> CombMap:
-        """The map whose nodes are the vertices and crossings; it shares ``rotations`` and the dart index."""
+        """The map whose nodes are the vertices and crossings; it shares ``rotations`` and the dart numbering."""
         if self._planar is None:
-            self._planar = CombMap._of_checked(self.rotations, self._tail)
+            self._planar = CombMap._of_checked(self.rotations, self._darts)
         return self._planar
 
     def _validation(self) -> "ValidationReport":
@@ -217,21 +192,20 @@ class Drawing:
         return hash(self.canonical())
 
 
-def _dart_defect(edges: Iterable[EdgeRecord], tail: Dict[Dart, str]) -> TDRError:
-    """The first dart, in edge order, that is missing from ``tail`` or listed at a node not its tail.
+def _dart_defect(paths: Dict[str, Tuple[str, ...]], darts: Darts) -> TDRError:
+    """The first dart, in edge order, that is missing from the rotations or listed at a node not its tail.
 
-    Every dart in ``tail`` names a real segment and direction and is listed
-    once, so ``tail`` holds at most the darts the edges need, and a short
-    count always leaves one of those darts missing.
+    Every listed dart names a real segment and direction and is listed once,
+    so fewer listed darts than the edges need always leave one missing.
     """
-    for e in edges:
-        pts = (e.ends[0],) + e.crossings + (e.ends[1],)
+    for e, pts in paths.items():
         for i in range(len(pts) - 1):
-            for d, t in (((e.id, i, "fwd"), pts[i]), ((e.id, i, "bwd"), pts[i + 1])):
-                if d not in tail:
+            for d, t in (((e, i, "fwd"), pts[i]), ((e, i, "bwd"), pts[i + 1])):
+                listed = darts.tail[darts.encode(d)]
+                if listed is None:
                     return TDRError(f"dart {d!r} missing from rotations")
-                if tail[d] != t:
-                    return TDRError(f"dart {d!r} listed at {tail[d]!r} but its tail is {t!r}")
+                if listed != t:
+                    return TDRError(f"dart {d!r} listed at {listed!r} but its tail is {t!r}")
     raise AssertionError("no dart is missing or misplaced")
 
 
@@ -363,9 +337,10 @@ def validate(drawing: Drawing) -> ValidationReport:
     results.append(CheckResult("connected", not stranded, (min(stranded),) if stranded else ()))
 
     lenses = set()
-    for walk in cmap.faces():
-        if len(walk) == 2 and walk[0][:2] != walk[1][:2]:
-            a, b = sorted((walk[0][:2], walk[1][:2]))
+    decode = cmap.darts.decode
+    for walk in cmap.walks():
+        if len(walk) == 2 and walk[0] >> 1 != walk[1] >> 1:  # two darts of two segments
+            a, b = sorted((decode[walk[0]][:2], decode[walk[1]][:2]))
             lenses.add(f"{a[0]}:{a[1]}|{b[0]}:{b[1]}")
     results.append(CheckResult("non-homotopic", not lenses, tuple(sorted(lenses))))
 

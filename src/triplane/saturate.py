@@ -30,12 +30,12 @@ def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
     and a segment whose ends are both vertices is a whole uncrossed edge.
     """
     view = _classified(drawing)
-    tail, is_vertex, edges = drawing.tail, drawing.is_vertex, drawing.edges
-    recs = sorted((r for r, t in zip(view.records, view.types.values())
-                   if r.vertex_incidences >= 2 and (t == "LARGE" or t == "OTHER")),
-                  key=lambda r: r.cell_id)
-    for rec in recs:
-        verts = sorted(set(filter(is_vertex, map(tail, rec.walk))))
+    tail, is_vertex, edges = drawing.planarize().darts.tail.__getitem__, drawing.is_vertex, drawing.edges
+    recs = sorted(((rec, walk) for rec, walk, kind in zip(view.records, view.walks, view.kinds)
+                   if rec.vertex_incidences >= 2 and (kind == "LARGE" or kind == "OTHER")),
+                  key=lambda p: p[0].cell_id)
+    for rec, walk in recs:
+        verts = sorted(set(filter(is_vertex, map(tail, walk))))
         if len(verts) < 2:
             continue
         joined = set()
@@ -216,7 +216,7 @@ def saturate(drawing: Drawing) -> Drawing:
     nodes = len(drawing.vertices) + len(drawing.crossings)
     cap = max(0, 3 * nodes - 6 - cmap.num_segments()) + 1
 
-    rot = cmap._rot.copy()
+    rot = Rotations(drawing.rotations)  # edited in place; the drawing's own tables stay as they are
     vertices = frozenset(drawing.vertices)
     # Every face is keyed by its smallest dart, and its index in the sorted
     # ``keys`` is the ``c{i}`` id that ``cells`` gives it.  ``pending`` maps

@@ -286,6 +286,32 @@ def test_segment_helpers():
     assert line.inner_segments() == [("e", 1), ("e", 2), ("e", 3)]
 
 
+# x1's edge e0 has segments 0 and 1, and e1's darts are numbered right after
+# e0's: none of these may answer for a dart of e0 or of e1.
+NOT_DARTS = [("e0", True, "fwd"), ("e0", False, "bwd"), ("e0", -1, "fwd"), ("e0", -2, "bwd"),
+             ("e0", 2, "fwd"), ("e0", 2, "bwd"), ("e0", 3, "fwd"), ("e0", 0, "up"),
+             ("e0", 0, "FWD"), ("e2", 0, "fwd"), ("e0", 0), ("e0", 0, "fwd", "x"), None]
+
+
+@pytest.mark.parametrize("dart", NOT_DARTS, ids=repr)
+def test_tail_refuses_what_is_not_a_dart(dart):
+    with pytest.raises(KeyError):
+        util.x1().tail(dart)
+
+
+@pytest.mark.parametrize("seg", [("e0", True), ("e0", False), ("e0", -1), ("e0", 2), ("e1", 5),
+                                 ("e2", 0), ("e0",), ("e0", 0, "fwd")], ids=repr)
+def test_segment_nodes_refuses_what_is_not_a_segment(seg):
+    with pytest.raises(KeyError):
+        util.x1().segment_nodes(seg)
+
+
+def test_tail_answers_every_dart_at_its_point():
+    d = util.x1()
+    assert [d.tail(("e0", s, r)) for s in (0, 1) for r in ("fwd", "bwd")] == ["v0", "x0", "x0", "v2"]
+    assert d.segment_nodes(("e1", 1)) == ("x0", "v3")
+
+
 PLANARIZED = (
     [(f"basic-{name}", lambda name=name: gen_basic(name)) for name in BASIC_NAMES]
     + [(f"fig3-L{k}", lambda k=k: gen_fig3(k)) for k in range(1, 5)]
@@ -297,15 +323,16 @@ PLANARIZED = (
 
 @pytest.mark.parametrize("build", [b for _, b in PLANARIZED], ids=[i for i, _ in PLANARIZED])
 def test_planarization_matches_checked_map(build):
-    # ``planarize`` skips the checks of ``CombMap(...)``; the maps must still agree.
+    # ``planarize`` skips the checks of ``CombMap(...)`` and shares the
+    # drawing's rotations and dart numbering, not copies; the maps must still agree.
     d = build()
     shared, checked = d.planarize(), CombMap(d.rotations)
-    assert shared.rotations is d.rotations and shared._rot.tail is d._tail
-    assert (shared.rotations, shared._rot.tail, shared.faces()) == (
-        checked.rotations, checked._rot.tail, checked.faces())
-    for dart in checked._rot.tail:
+    assert shared.rotations is d.rotations and shared.darts is d._darts
+    assert (shared.rotations, shared.faces()) == (checked.rotations, checked.faces())
+    assert (shared.darts.decode, shared.darts.tail) == (checked.darts.decode, checked.darts.tail)
+    for dart in checked.darts.decode:
         pts = d.points(dart[0])
-        assert d.tail(dart) == pts[dart[1] + (dart[2] == "bwd")]
+        assert d.tail(dart) == checked.tail(dart) == pts[dart[1] + (dart[2] == "bwd")]
         assert d.segment_nodes(dart[:2]) == pts[dart[1]:dart[1] + 2]
 
 
