@@ -113,8 +113,9 @@ class _CellView:
 
     Cell ``k`` is ``records[k]``, with its walk as dart numbers in
     ``walks[k]``; ``index`` maps each cell id to ``k`` and ``cell_of[i]``
-    is the ``k`` of the cell whose walk holds dart ``i``, so the cell
-    across dart ``i``'s segment is ``cell_of[i ^ 1]``.
+    is the ``k`` of the cell whose walk holds dart ``i`` (the planarization's
+    ``face_of()``, filled while it walks the faces), so the cell across
+    dart ``i``'s segment is ``cell_of[i ^ 1]``.
     ``Drawing._cell_view`` builds it once per drawing.  The types, by id in
     ``types`` and by ``k`` in ``kinds``, stay ``None`` until
     ``_classified`` fills them.
@@ -125,12 +126,9 @@ class _CellView:
     def __init__(self, drawing: Drawing):
         self.records = cells(drawing)
         cmap = drawing.planarize()
-        self.walks = walks = cmap.walks()
+        self.walks = cmap.walks()
         self.index = {r.cell_id: k for k, r in enumerate(self.records)}
-        self.cell_of = cell_of = [0] * len(cmap.darts.tail)
-        for k, walk in enumerate(walks):
-            for i in walk:
-                cell_of[i] = k
+        self.cell_of = cmap.face_of()
         self.types: Optional[Dict[str, str]] = None
         self.kinds: Optional[List[str]] = None
 
@@ -179,8 +177,8 @@ def _walls(darts: Darts, crossings: Dict[str, Tuple[Tuple[str, int], Tuple[str, 
     Each segment is given by its ``"bwd"`` dart ``b``, which leaves the
     segment's last crossing; ``b + 1`` leaves its first.  ``start`` is the
     segment the trail was found from, named if the walls fail.  It reads the
-    crossing records itself: ``Drawing.other_edge_at``, a call per
-    crossing, makes ``extract_trails`` 5-13% slower on fig3 L=32.
+    crossing records itself: a method call per crossing made
+    ``extract_trails`` 5-13% slower on fig3 L=32.
     """
     tail, decode = darts.tail, darts.decode
     sides = []
@@ -208,9 +206,8 @@ def extract_trails(drawing: Drawing) -> Tuple[Trail, ...]:
     view = _classified(drawing)
     kinds, cell_of, records = view.kinds, view.cell_of, view.records
     darts = drawing.planarize().darts
-    tail, decode = darts.tail, darts.decode
-    crossings = drawing.crossings
-    inner = [b for b in range(0, len(tail), 2) if tail[b] in crossings and tail[b + 1] in crossings]
+    decode, crossings = darts.decode, drawing.crossings
+    inner = darts.inner_segments()
     limit = len(inner) + 2
 
     visited = set()

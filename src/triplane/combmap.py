@@ -21,7 +21,7 @@ else decodes a number through ``Darts.decode`` or encodes a dart through
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import compress
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Dart = Tuple[str, int, str]
@@ -61,15 +61,16 @@ class Darts:
     """One map's darts, numbered densely in tuple order.
 
     ``decode[i]`` is dart ``i``, ``tail[i]`` the node it leaves and
-    ``succ[i]`` the next dart counterclockwise around that node.  The twin
-    of dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers its segment.  A map
+    ``succ[i]`` the next dart counterclockwise around that node; all three
+    are filled by the pass that numbers and checks the darts.  The twin of
+    dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers its segment.  A map
     whose every edge is a path of nodes numbers edge ``e``'s darts from
     ``base[e]``, its edges in sorted id order: ``(e, s, "bwd")`` is
     ``base[e] + 2s`` and ``(e, s, "fwd")`` is ``base[e] + 2s + 1``.  Any
     other map numbers its sorted darts by position.
     """
 
-    __slots__ = ("tail", "_succ", "_decode", "_base", "_index", "_listed")
+    __slots__ = ("tail", "succ", "decode", "_base", "_index")
 
     def encode(self, dart) -> int:
         """The number of ``dart``; ``KeyError`` for anything that is not one of this map's darts."""
@@ -85,32 +86,13 @@ class Darts:
             pass
         raise KeyError(dart)
 
-    @property
-    def succ(self) -> List[int]:
-        if self._succ is None:
-            self._fill()
-        return self._succ
+    def inner_segments(self) -> List[int]:
+        """The ``"bwd"`` dart of each segment 1..k-1 of every edge with k crossings, in number order.
 
-    @property
-    def decode(self) -> List[Dart]:
-        if self._decode is None:
-            self._fill()
-        return self._decode
-
-    def _fill(self) -> None:
-        """``succ`` and ``decode`` from the dart numbers in the order the rotations list them."""
-        order, rotations = self._listed
-        succ, decode = [0] * len(order), [None] * len(order)
-        after = order[1:] + order[:1]  # the next dart listed, then each node's last closes its cycle
-        end = 0
-        for darts in rotations.values():
-            if darts:
-                end += len(darts)
-                after[end - 1] = order[end - len(darts)]
-        for i, j, d in zip(order, after, chain.from_iterable(rotations.values())):
-            succ[i] = j
-            decode[i] = d
-        self._succ, self._decode, self._listed = succ, decode, None
+        These are the segments whose two ends are crossings; only a map
+        numbered by ``of_paths`` has them.
+        """
+        return [b + 2 * s for b, last, _ in self._base.values() for s in range(1, last)]
 
     @classmethod
     def of_paths(cls, rotations: Mapping[str, Sequence], paths: Mapping[str, Sequence[str]],
@@ -119,11 +101,11 @@ class Darts:
 
         Each listed dart is checked once, in the order given: its fields,
         that it is new, and its tail, which is node ``seg`` (``"fwd"``) or
-        ``seg + 1`` (``"bwd"``) of its edge's path.  Returns the rotations
-        as tuples, the numbering, and whether every dart was listed once,
-        at its tail.  Raises ``MapError`` at the first rotation given for a
-        node outside ``nodes`` and at the first malformed, unknown or
-        repeated dart.  ``succ`` and ``decode`` are filled on first use.
+        ``seg + 1`` (``"bwd"``) of its edge's path.  The same pass fills
+        ``tail``, ``succ`` and ``decode``.  Returns the rotations as tuples,
+        the numbering, and whether every dart was listed once, at its tail.
+        Raises ``MapError`` at the first rotation given for a node outside
+        ``nodes`` and at the first malformed, unknown or repeated dart.
         """
         base: Dict[str, Tuple[int, int, Sequence[str]]] = {}
         n = 0
@@ -132,13 +114,15 @@ class Darts:
             base[e] = (n, len(pts) - 2, pts)
             n += 2 * len(pts) - 2
         tail: List[Optional[str]] = [None] * n
-        order: List[int] = []  # dart numbers in the order listed
+        decode: List[Optional[Dart]] = [None] * n
+        succ = [0] * (n + 1)  # slot n holds each rotation's first dart until its last one is seen
         rot: Dict[str, Tuple[Dart, ...]] = {}
         misplaced = False
         for node, listed in rotations.items():
             if node not in nodes:
                 raise MapError(f"rotation given for unknown node {node!r}")
             out = []
+            prev = n
             for d in listed:
                 try:
                     e, s, r = d
@@ -159,23 +143,30 @@ class Darts:
                 tail[i] = node
                 if pts[s + 1 - f] != node:
                     misplaced = True
-                order.append(i)
-                out.append(d if type(d) is tuple else (e, s, r))
+                decode[i] = d = d if type(d) is tuple else (e, s, r)
+                succ[prev] = i
+                prev = i
+                out.append(d)
+            succ[prev] = succ[n]  # the last dart closes the cycle; a no-op for an empty rotation
             rot[node] = tuple(out)
+        succ.pop()
         self = cls.__new__(cls)
-        self.tail, self._succ, self._decode, self._base, self._index = tail, None, None, base, None
-        self._listed = (order, rot)
-        return rot, self, len(order) == n and not misplaced
+        self.tail, self.succ, self.decode, self._base, self._index = tail, succ, decode, base, None
+        return rot, self, sum(map(len, rot.values())) == n and not misplaced
 
     @classmethod
     def _sorted(cls, rotations: Mapping[str, Tuple[Dart, ...]], tail: Dict[Dart, str]) -> "Darts":
         """The numbering of checked rotations with dart -> node table ``tail``: sorted darts by position."""
         self = cls.__new__(cls)
-        ordered = sorted(tail)
+        self.decode = ordered = sorted(tail)
         self._index = index = {d: i for i, d in enumerate(ordered)}
         self.tail = [tail[d] for d in ordered]
-        self._listed = ([index[d] for darts in rotations.values() for d in darts], rotations)
-        self._succ = self._decode = self._base = None
+        self.succ = succ = [0] * len(ordered)
+        for darts in rotations.values():
+            ids = [index[d] for d in darts]
+            for i, j in zip(ids, ids[1:] + ids[:1]):
+                succ[i] = j
+        self._base = None
         return self
 
 
@@ -265,7 +256,7 @@ class CombMap:
     must contain the twin of every dart it contains.
     """
 
-    __slots__ = ("rotations", "darts", "_walks", "_faces")
+    __slots__ = ("rotations", "darts", "_walks", "_face_of", "_faces")
 
     def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
         rot = {node: tuple(map(_as_dart, darts)) for node, darts in rotations.items()}
@@ -292,23 +283,33 @@ class CombMap:
         return self.darts.tail[self.darts.encode(dart)]
 
     def walks(self) -> Tuple[Tuple[int, ...], ...]:
-        """All face walks as dart numbers, each from its smallest dart, in order of that dart."""
+        """All face walks as dart numbers, each from its smallest dart, in order of that dart.
+
+        The same pass fills ``face_of()``.
+        """
         if self._walks is None:
             succ = self.darts.succ
-            seen = bytearray(len(succ))
+            face_of = [-1] * len(succ)
             out = []
             for i in range(len(succ)):
-                if not seen[i]:
+                if face_of[i] < 0:
+                    k = len(out)
+                    face_of[i] = k
                     walk = [i]
                     j = succ[i ^ 1]
                     while j != i:
+                        face_of[j] = k
                         walk.append(j)
                         j = succ[j ^ 1]
-                    for j in walk:
-                        seen[j] = 1
                     out.append(tuple(walk))
-            self._walks = tuple(out)
+            self._walks, self._face_of = tuple(out), face_of
         return self._walks
+
+    def face_of(self) -> List[int]:
+        """``face_of()[i]`` is the index in ``walks()`` of the walk that holds dart ``i``."""
+        if self._walks is None:
+            self.walks()
+        return self._face_of
 
     def faces(self) -> Tuple[Tuple[Dart, ...], ...]:
         """All face walks, each starting at its smallest dart, sorted."""
@@ -321,22 +322,24 @@ class CombMap:
         return len(self.rotations) - self.num_segments() + len(self.walks())
 
     def component_of(self, node: str) -> frozenset:
+        """The nodes joined to ``node``: the tails of the faces reached from its first face across segments."""
         listed = self.rotations[node]
         if not listed:
             return frozenset((node,))
-        darts = self.darts
-        succ = darts.succ
-        start = darts.encode(listed[0])
-        seen = bytearray(len(succ))
+        walks, face_of, tail = self.walks(), self._face_of, self.darts.tail
+        start = face_of[self.darts.encode(listed[0])]
+        seen = bytearray(len(walks))
         seen[start] = 1
         stack = [start]
         while stack:
-            i = stack.pop()
-            for j in (succ[i], i ^ 1):
-                if not seen[j]:
-                    seen[j] = 1
-                    stack.append(j)
-        return frozenset(compress(darts.tail, seen))
+            for i in walks[stack.pop()]:
+                k = face_of[i ^ 1]
+                if not seen[k]:
+                    seen[k] = 1
+                    stack.append(k)
+        if all(seen):
+            return frozenset(tail)
+        return frozenset([tail[i] for walk in compress(walks, seen) for i in walk])
 
     def insert_edge_in_face(
         self,

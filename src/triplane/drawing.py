@@ -81,7 +81,8 @@ class Drawing:
                 raise TDRError("edge ids must be nonempty strings")
             if e.id in emap:
                 raise TDRError(f"duplicate edge id {e.id!r}")
-            if not (len(e.ends) == 2 and all(isinstance(u, str) and u in vset for u in e.ends)):
+            u, v = e.ends if len(e.ends) == 2 else (None, None)
+            if not (isinstance(u, str) and u in vset and isinstance(v, str) and v in vset):
                 raise TDRError(f"edge {e.id!r} has an end that is not a vertex")
             for i, x in enumerate(e.crossings):
                 if not (isinstance(x, str) and x):
@@ -90,7 +91,7 @@ class Drawing:
                     raise TDRError(f"crossing id {x!r} collides with a vertex id")
                 occ.setdefault(x, []).append((e.id, i))
             emap[e.id] = e
-            paths[e.id] = (e.ends[0],) + e.crossings + (e.ends[1],)
+            paths[e.id] = (u,) + e.crossings + (v,)
         for x, places in occ.items():
             if len(places) != 2:
                 raise TDRError(f"dangling crossing {x!r}: appears on {len(places)} edge slot(s), expected 2")
@@ -115,7 +116,7 @@ class Drawing:
         self.rotations = rot
         self._darts = darts  # the one dart numbering of this drawing
         self._vertex_set = vset
-        self._crossings = {x: tuple(sorted(p)) for x, p in occ.items()}
+        self._crossings = {x: (a, b) if a < b else (b, a) for x, (a, b) in occ.items()}
         self._planar: CombMap | None = None
         self._report: ValidationReport | None = None
         self._cells = None
@@ -136,10 +137,6 @@ class Drawing:
         """Crossing id -> its two (edge, position) occurrences, sorted."""
         return self._crossings
 
-    def other_edge_at(self, x: str, edge_id: str) -> str:
-        (e1, _), (e2, _) = self._crossings[x]
-        return e2 if edge_id == e1 else e1
-
     def tail(self, dart: Dart) -> str:
         """The node ``dart`` leaves; ``KeyError`` if it is not a dart of this drawing."""
         return self._darts.tail[self._darts.encode(dart)]
@@ -148,17 +145,6 @@ class Drawing:
         """The segment's first and last node; ``KeyError`` if it is not a segment of this drawing."""
         i = self._darts.encode((*seg, "bwd"))
         return (self._darts.tail[i ^ 1], self._darts.tail[i])
-
-    def is_inner_segment(self, seg: Segment) -> bool:
-        """True iff both endpoints of the segment are crossings."""
-        return 0 < seg[1] < len(self.edges[seg[0]].crossings)
-
-    def inner_segments(self) -> List[Segment]:
-        out = []
-        for eid in sorted(self.edges):
-            for i in range(1, len(self.edges[eid].crossings)):
-                out.append((eid, i))
-        return out
 
     def planarize(self) -> CombMap:
         """The map whose nodes are the vertices and crossings; it shares ``rotations`` and the dart numbering."""
@@ -215,10 +201,10 @@ _DART_KEYS = frozenset(("edge", "seg", "dir"))
 _EDGE_KEYS = frozenset(("id", "ends", "crossings"))
 
 
-def _dart_from_json(obj) -> Dart:
-    if not isinstance(obj, dict) or obj.keys() != _DART_KEYS:
-        raise TDRError(f"malformed dart object {obj!r}")
-    return (obj["edge"], obj["seg"], obj["dir"])
+def _malformed_dart(lst: list) -> TDRError:
+    """The error that names the first dart object in ``lst`` that is not an object with exactly edge, seg, dir."""
+    bad = next(o for o in lst if not isinstance(o, dict) or o.keys() != _DART_KEYS)
+    return TDRError(f"malformed dart object {bad!r}")
 
 
 def parse_tdr(text: str) -> Drawing:
@@ -254,7 +240,12 @@ def parse_tdr(text: str) -> Drawing:
     for node, lst in obj["rotations"].items():
         if not isinstance(lst, list):
             raise TDRError(f"rotation at {node!r} must be a list")
-        rotations[node] = list(map(_dart_from_json, lst))
+        try:
+            rotations[node] = [(o["edge"], o["seg"], o["dir"]) for o in lst]
+        except (TypeError, KeyError):
+            raise _malformed_dart(lst) from None
+        if sum(map(len, lst)) != 3 * len(lst):  # each has edge, seg and dir, so some other key too
+            raise _malformed_dart(lst)
     return Drawing(obj["vertices"], edges, rotations)
 
 

@@ -4,7 +4,8 @@
 records as they were computed before darts were numbered: a successor
 dict keyed by dart tuples, a walk from every dart in sorted order, and a
 dart -> node dict for the tails.  The numbered map must give the same
-walks, tails, records, Euler characteristic and components.
+walks, tails, records, Euler characteristic and components, and its dart -> face
+table and rotation successors must agree with the walks and the rotations.
 """
 
 import pytest
@@ -68,6 +69,14 @@ def assert_map_matches_reference(cmap):
     assert cmap.euler_characteristic() == len(cmap.rotations) - len(tail) // 2 + len(faces)
     for node in cmap.rotations:
         assert cmap.component_of(node) == reference_component(cmap.rotations, tail, node)
+    face_of = cmap.face_of()
+    assert len(face_of) == len(tail)
+    for k, walk in enumerate(cmap.walks()):
+        assert all(face_of[i] == k for i in walk)
+    darts = cmap.darts
+    for listed in cmap.rotations.values():
+        for d, after in zip(listed, listed[1:] + listed[:1]):
+            assert darts.succ[darts.encode(d)] == darts.encode(after)
 
 
 def isolated_vertex():
@@ -75,6 +84,12 @@ def isolated_vertex():
     k2 = gen_basic("k2")
     return Drawing(k2.vertices + ("lone",), list(k2.edges.values()),
                    {**k2.rotations, "lone": []})
+
+
+def isolated_smallest():
+    """k3 plus an isolated vertex ``"0"``, the smallest node: ``validate`` looks for components from it."""
+    k3 = gen_basic("k3")
+    return Drawing(k3.vertices + ("0",), list(k3.edges.values()), {**k3.rotations, "0": []})
 
 
 def edgeless_vertex():
@@ -88,7 +103,7 @@ SMALL = (
     + [(name, lambda name=name: gen_basic(name)) for name in BASIC_NAMES]
     + [(build.__name__, build) for build in (
         util.lasso, util.adjacent_cross, util.overloaded_line, util.two_components,
-        capped_triangle, ladder, isolated_vertex, edgeless_vertex)]
+        capped_triangle, ladder, isolated_vertex, isolated_smallest, edgeless_vertex)]
 )
 DRAWINGS = (
     [(name, lambda name=name: corpus_drawing(name)) for name in CORPUS_NAMES]
@@ -125,6 +140,10 @@ def test_degenerate_and_edge_cases_are_in_the_sample():
     assert validate(built["isolated_vertex"]).failing() == ("sphere", "connected")
     assert validate(built["edgeless_vertex"]).checks[5].witnesses == ("euler=1",)
     assert built["isolated_vertex"].planarize().component_of("lone") == frozenset({"lone"})
+    # The search starts from "0", which has no darts and so no faces.
+    report = validate(built["isolated_smallest"])
+    assert report.failing() == ("sphere", "connected")
+    assert report.checks[6].witnesses == ("a",)
     assert cells(built["edgeless_vertex"]) == ()
 
 

@@ -279,11 +279,9 @@ def test_segment_helpers():
     d = util.x1()
     assert d.points("e0") == ("v0", "x0", "v2")
     assert d.segment_nodes(("e0", 0)) == ("v0", "x0")
-    assert not d.is_inner_segment(("e0", 0))
-    assert d.inner_segments() == []
-    assert d.other_edge_at("x0", "e0") == "e1"
-    line = util.overloaded_line()
-    assert line.inner_segments() == [("e", 1), ("e", 2), ("e", 3)]
+    assert d.planarize().darts.inner_segments() == []
+    darts = util.overloaded_line().planarize().darts
+    assert [darts.decode[b] for b in darts.inner_segments()] == [("e", 1, "bwd"), ("e", 2, "bwd"), ("e", 3, "bwd")]
 
 
 # x1's edge e0 has segments 0 and 1, and e1's darts are numbered right after
