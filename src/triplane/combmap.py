@@ -47,38 +47,25 @@ def smallest_first(darts: Tuple[Dart, ...]) -> Tuple[Dart, ...]:
     return darts[k:] + darts[:k]
 
 
-def _as_dart(obj) -> Dart:
-    try:
-        edge, seg, direction = obj
-    except (TypeError, ValueError):
-        raise MapError(f"malformed dart {obj!r}") from None
-    if not isinstance(edge, str) or type(seg) is not int or seg < 0 or direction not in DIRS:
-        raise MapError(f"malformed dart {obj!r}")
-    return (edge, seg, direction)
-
-
 class Darts:
     """One map's darts, numbered densely in tuple order.
 
     ``decode[i]`` is dart ``i``, ``tail[i]`` the node it leaves and
     ``succ[i]`` the next dart counterclockwise around that node; all three
     are filled by the pass that numbers and checks the darts.  The twin of
-    dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers its segment.  A map
-    whose every edge is a path of nodes numbers edge ``e``'s darts from
-    ``base[e]``, its edges in sorted id order: ``(e, s, "bwd")`` is
-    ``base[e] + 2s`` and ``(e, s, "fwd")`` is ``base[e] + 2s + 1``.  Any
-    other map numbers its sorted darts by position.
+    dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers its segment.  Edge
+    ``e``'s darts are numbered from ``base[e]``, the edges in sorted id
+    order: ``(e, s, "bwd")`` is ``base[e] + 2s`` and ``(e, s, "fwd")`` is
+    ``base[e] + 2s + 1``.  ``of_paths`` is the only code that numbers darts.
     """
 
-    __slots__ = ("tail", "succ", "decode", "_base", "_index")
+    __slots__ = ("tail", "succ", "decode", "_base")
 
     def encode(self, dart) -> int:
         """The number of ``dart``; ``KeyError`` for anything that is not one of this map's darts."""
         try:
             e, s, r = dart
             if type(s) is int and s >= 0 and r in DIRS:
-                if self._index is not None:
-                    return self._index[e, s, r]
                 b, last, _ = self._base[e]
                 if s <= last:
                     return b + 2 * s + (r == "fwd")
@@ -89,8 +76,7 @@ class Darts:
     def inner_segments(self) -> List[int]:
         """The ``"bwd"`` dart of each segment 1..k-1 of every edge with k crossings, in number order.
 
-        These are the segments whose two ends are crossings; only a map
-        numbered by ``of_paths`` has them.
+        These are the segments whose two ends are crossings.
         """
         return [b + 2 * s for b, last, _ in self._base.values() for s in range(1, last)]
 
@@ -151,23 +137,8 @@ class Darts:
             rot[node] = tuple(out)
         succ.pop()
         self = cls.__new__(cls)
-        self.tail, self.succ, self.decode, self._base, self._index = tail, succ, decode, base, None
+        self.tail, self.succ, self.decode, self._base = tail, succ, decode, base
         return rot, self, sum(map(len, rot.values())) == n and not misplaced
-
-    @classmethod
-    def _sorted(cls, rotations: Mapping[str, Tuple[Dart, ...]], tail: Dict[Dart, str]) -> "Darts":
-        """The numbering of checked rotations with dart -> node table ``tail``: sorted darts by position."""
-        self = cls.__new__(cls)
-        self.decode = ordered = sorted(tail)
-        self._index = index = {d: i for i, d in enumerate(ordered)}
-        self.tail = [tail[d] for d in ordered]
-        self.succ = succ = [0] * len(ordered)
-        for darts in rotations.values():
-            ids = [index[d] for d in darts]
-            for i, j in zip(ids, ids[1:] + ids[:1]):
-                succ[i] = j
-        self._base = None
-        return self
 
 
 class Rotations:
@@ -179,8 +150,7 @@ class Rotations:
     face step and a splice cost the same at a node of any degree.  A
     node's darts enter ``succ`` when the node is added.  A splice never
     goes before a node's first dart, so ``lists`` gives each rotation
-    from that dart.  A ``CombMap`` or ``Drawing`` built from ``lists``
-    checks the result.
+    from that dart.  A ``Drawing`` built from ``lists`` checks the result.
     """
 
     __slots__ = ("first", "succ", "tail")
@@ -250,37 +220,19 @@ class Rotations:
 
 
 class CombMap:
-    """An embedded multigraph: a checked, read-only view of one rotation system and its ``Darts``.
+    """An embedded multigraph: a read-only view of one checked rotation system and its ``Darts``.
 
-    ``rotations`` must list every dart exactly once, at its tail node, and
-    must contain the twin of every dart it contains.
+    ``Drawing.planarize`` builds it from the rotations and the numbering
+    its checks made; both are shared, not copied.
     """
 
     __slots__ = ("rotations", "darts", "_walks", "_face_of", "_faces")
 
-    def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
-        rot = {node: tuple(map(_as_dart, darts)) for node, darts in rotations.items()}
-        tail = {d: node for node, darts in rot.items() for d in darts}
-        if len(tail) != sum(map(len, rot.values())):
-            raise MapError("a dart is listed more than once")
-        for d in tail:
-            if twin(d) not in tail:
-                raise MapError(f"dart {d!r} has no twin in the map")
-        self.rotations, self.darts, self._walks, self._faces = rot, Darts._sorted(rot, tail), None, None
-
-    @classmethod
-    def _of_checked(cls, rotations: Dict[str, Tuple[Dart, ...]], darts: Darts) -> "CombMap":
-        """The map of a ``Drawing``'s rotations and dart numbering, checked there; shared, not copied."""
-        self = cls.__new__(cls)
+    def __init__(self, rotations: Dict[str, Tuple[Dart, ...]], darts: Darts):
         self.rotations, self.darts, self._walks, self._faces = rotations, darts, None, None
-        return self
 
     def num_segments(self) -> int:
         return len(self.darts.tail) // 2
-
-    def tail(self, dart: Dart) -> str:
-        """The node a dart leaves."""
-        return self.darts.tail[self.darts.encode(dart)]
 
     def walks(self) -> Tuple[Tuple[int, ...], ...]:
         """All face walks as dart numbers, each from its smallest dart, in order of that dart.
@@ -353,11 +305,15 @@ class CombMap:
         ``occurrence_u`` / ``occurrence_v`` index into the face walk; the new
         edge joins the tails of the two indexed darts, which must be distinct
         nodes.  Returns a new map in which the face is split in two; the
-        Euler characteristic is unchanged.
+        Euler characteristic is unchanged.  The new map is numbered by
+        ``Darts.of_paths``, as the ``Drawing`` with the new edge numbers it.
         """
-        rot = Rotations(self.rotations)
-        if any(d[0] == edge_id for d in rot.tail):
+        if not (isinstance(edge_id, str) and edge_id):
+            raise MapError("edge ids must be nonempty strings")
+        paths = {e: pts for e, (_, _, pts) in self.darts._base.items()}
+        if edge_id in paths:
             raise MapError(f"edge id {edge_id!r} already present")
+        rot = Rotations(self.rotations)
         walk = tuple(face)
         try:
             known = bool(walk) and all(d in rot.tail for d in walk)
@@ -374,4 +330,7 @@ class CombMap:
             raise MapError(f"occurrences are incidences of the same node {u!r}")
         rot.splice(walk[occurrence_u - 1], [(edge_id, 0, "fwd")])
         rot.splice(walk[occurrence_v - 1], [(edge_id, 0, "bwd")])
-        return CombMap(rot.lists)
+        paths[edge_id] = (u, v)
+        # A checked map plus two darts spliced at their tails: every dart is listed once, at its tail.
+        rotations, darts, _ = Darts.of_paths(rot.lists, paths, frozenset(self.rotations))
+        return CombMap(rotations, darts)

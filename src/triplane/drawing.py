@@ -149,7 +149,7 @@ class Drawing:
     def planarize(self) -> CombMap:
         """The map whose nodes are the vertices and crossings; it shares ``rotations`` and the dart numbering."""
         if self._planar is None:
-            self._planar = CombMap._of_checked(self.rotations, self._darts)
+            self._planar = CombMap(self.rotations, self._darts)
         return self._planar
 
     def _validation(self) -> "ValidationReport":

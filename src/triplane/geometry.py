@@ -66,13 +66,6 @@ def orient(o: Point, a: Point, b: Point) -> Fraction:
     return cross(sub(a, o), sub(b, o))
 
 
-def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """p lies on the closed segment ab."""
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-            and orient(a, b, p) == 0)
-
-
 def segment_relation(a: Point, b: Point, c: Point, d: Point):
     """How segments ab and cd meet.
 

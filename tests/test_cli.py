@@ -9,7 +9,7 @@ import pytest
 from triplane import cli
 from triplane.certificate import verify_numeric
 from triplane.cli import main
-from triplane.combmap import CombMap
+from triplane.combmap import CombMap, Darts
 from triplane.drawing import Drawing, serialize_tdr
 from triplane.generators import gen_basic, gen_fig2, gen_fig3, random_drawing
 from triplane.saturate import saturate
@@ -119,11 +119,12 @@ def test_verdict_validates_and_builds_cells_once(capsys, monkeypatch, tmp_path, 
     drawing_mod = importlib.import_module("triplane.drawing")
     monkeypatch.setattr(census_mod, "cells", counted("cells", census_mod.cells))
     monkeypatch.setattr(drawing_mod, "validate", counted("validate", drawing_mod.validate))
-    # The drawing has checked its rotations, so its planarization skips the checked constructor.
+    # One check and numbering of the rotations (``Darts.of_paths``), and one view of them.
+    monkeypatch.setattr(Darts, "of_paths", counted("of_paths", Darts.of_paths))
     monkeypatch.setattr(CombMap, "__init__", counted("CombMap", CombMap.__init__))
     got, out, _ = run(capsys, argv[0], str(p), *argv[1:])
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
-    assert (calls["cells"], calls["validate"], calls["CombMap"]) == (1, 1, 0)
+    assert (calls["cells"], calls["validate"], calls["of_paths"], calls["CombMap"]) == (1, 1, 1, 1)
 
 
 # One verdict classifies each cell once: the filledness check, the trails

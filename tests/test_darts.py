@@ -11,7 +11,7 @@ table and rotation successors must agree with the walks and the rotations.
 import pytest
 
 from triplane.census import CellRecord, cells
-from triplane.combmap import CombMap, twin
+from triplane.combmap import twin
 from triplane.drawing import Drawing, EdgeRecord, validate
 from triplane.generators import BASIC_NAMES, gen_basic, gen_fig2, gen_fig3, random_drawing
 
@@ -64,8 +64,9 @@ def reference_component(rotations, tail, node):
 
 def assert_map_matches_reference(cmap):
     faces, tail = reference_faces(cmap.rotations)
+    darts = cmap.darts
     assert cmap.faces() == faces
-    assert [cmap.tail(d) for d in sorted(tail)] == [tail[d] for d in sorted(tail)]
+    assert [darts.tail[darts.encode(d)] for d in sorted(tail)] == [tail[d] for d in sorted(tail)]
     assert cmap.euler_characteristic() == len(cmap.rotations) - len(tail) // 2 + len(faces)
     for node in cmap.rotations:
         assert cmap.component_of(node) == reference_component(cmap.rotations, tail, node)
@@ -73,7 +74,6 @@ def assert_map_matches_reference(cmap):
     assert len(face_of) == len(tail)
     for k, walk in enumerate(cmap.walks()):
         assert all(face_of[i] == k for i in walk)
-    darts = cmap.darts
     for listed in cmap.rotations.values():
         for d, after in zip(listed, listed[1:] + listed[:1]):
             assert darts.succ[darts.encode(d)] == darts.encode(after)
@@ -119,7 +119,6 @@ def test_numbered_map_matches_reference(build):
     d = build()
     assert cells(d) == reference_cells(d)
     assert_map_matches_reference(d.planarize())
-    assert_map_matches_reference(CombMap(d.rotations))
 
 
 @pytest.mark.parametrize("build", [b for _, b in DRAWINGS], ids=[name for name, _ in DRAWINGS])
@@ -145,26 +144,6 @@ def test_degenerate_and_edge_cases_are_in_the_sample():
     assert report.failing() == ("sphere", "connected")
     assert report.checks[6].witnesses == ("a",)
     assert cells(built["edgeless_vertex"]) == ()
-
-
-def test_checked_map_numbers_non_contiguous_segments_by_position():
-    # fig3 L=1 with every segment s renamed 3s + 2: the checked map numbers
-    # its sorted darts, so the numbers stay dense and the twins paired.
-    d = gen_fig3(1)
-    spread = {node: [(e, 3 * s + 2, r) for e, s, r in darts] for node, darts in d.rotations.items()}
-    cmap = CombMap(spread)
-    assert_map_matches_reference(cmap)
-    assert cmap.darts.decode == sorted(dart for darts in spread.values() for dart in darts)
-    for i, dart in enumerate(cmap.darts.decode):
-        assert cmap.darts.encode(dart) == i and cmap.darts.decode[i ^ 1] == twin(dart)
-    assert [len(w) for w in cmap.faces()] == [len(w) for w in d.planarize().faces()]
-    e = next(e.id for e in d.edges.values() if e.crossings)
-    for missing in ((e, 0, "fwd"), (e, 3, "fwd"), (e, 5.0, "fwd"), (e, 5, "up")):
-        with pytest.raises(KeyError):
-            cmap.tail(missing)
-    # A bool is not a segment number, though True == 1 and hashes alike.
-    with pytest.raises(KeyError):
-        CombMap(d.rotations).tail((e, True, "fwd"))
 
 
 def test_drawing_numbers_edges_in_sorted_id_order():

@@ -11,11 +11,11 @@ from triplane.drawing import (
     stats,
     validate,
 )
-from triplane.combmap import CombMap
 from triplane.generators import BASIC_NAMES, gen_basic, gen_fig2, gen_fig3, random_drawing
 from triplane.saturate import saturate
 
 import util
+from test_darts import reference_faces
 
 
 def test_round_trip_is_identity_on_canonical_text():
@@ -82,6 +82,7 @@ def _mutate_x1(fn):
         (lambda o: o["vertices"].append("v0"), "duplicate vertex"),
         (lambda o: o["edges"][0].__setitem__("id", "e1"), "duplicate edge"),
         (lambda o: o["edges"][0]["crossings"].__setitem__(0, "v1"), "collides with a vertex"),
+        (lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e0", "seg": 0, "dir": "up"}), "bad direction"),
     ],
 )
 def test_parse_rejects_structural_defects(mutate, pattern):
@@ -101,6 +102,7 @@ _STRUCTURAL_MESSAGES = {
     "duplicate vertex": "duplicate vertex id",
     "duplicate edge": "duplicate edge id 'e1'",
     "collides with a vertex": "crossing id 'v1' collides with a vertex id",
+    "bad direction": "rotation at 'v0': bad direction 'up'",
 }
 
 
@@ -288,7 +290,8 @@ def test_segment_helpers():
 # e0's: none of these may answer for a dart of e0 or of e1.
 NOT_DARTS = [("e0", True, "fwd"), ("e0", False, "bwd"), ("e0", -1, "fwd"), ("e0", -2, "bwd"),
              ("e0", 2, "fwd"), ("e0", 2, "bwd"), ("e0", 3, "fwd"), ("e0", 0, "up"),
-             ("e0", 0, "FWD"), ("e2", 0, "fwd"), ("e0", 0), ("e0", 0, "fwd", "x"), None]
+             ("e0", 0, "FWD"), ("e2", 0, "fwd"), ("e0", 0), ("e0", 0, "fwd", "x"), None,
+             ("e0", 1.0, "fwd")]
 
 
 @pytest.mark.parametrize("dart", NOT_DARTS, ids=repr)
@@ -321,16 +324,17 @@ PLANARIZED = (
 
 @pytest.mark.parametrize("build", [b for _, b in PLANARIZED], ids=[i for i, _ in PLANARIZED])
 def test_planarization_matches_checked_map(build):
-    # ``planarize`` skips the checks of ``CombMap(...)`` and shares the
-    # drawing's rotations and dart numbering, not copies; the maps must still agree.
+    # ``planarize`` shares the drawing's rotations and dart numbering, not
+    # copies; its faces and tails must still be those of the tuple-keyed reference.
     d = build()
-    shared, checked = d.planarize(), CombMap(d.rotations)
+    shared = d.planarize()
     assert shared.rotations is d.rotations and shared.darts is d._darts
-    assert (shared.rotations, shared.faces()) == (checked.rotations, checked.faces())
-    assert (shared.darts.decode, shared.darts.tail) == (checked.darts.decode, checked.darts.tail)
-    for dart in checked.darts.decode:
+    faces, tail = reference_faces(d.rotations)
+    assert shared.faces() == faces
+    assert shared.darts.decode == sorted(tail)
+    for dart in shared.darts.decode:
         pts = d.points(dart[0])
-        assert d.tail(dart) == checked.tail(dart) == pts[dart[1] + (dart[2] == "bwd")]
+        assert d.tail(dart) == tail[dart] == pts[dart[1] + (dart[2] == "bwd")]
         assert d.segment_nodes(dart[:2]) == pts[dart[1]:dart[1] + 2]
 
 

@@ -25,10 +25,11 @@ from triplane.generators import (
     ingest_geometry,
     random_drawing,
 )
-from triplane.geometry import GeometricScene, SceneError, _meet, on_segment, parse_scene, segment_relation
+from triplane.geometry import GeometricScene, SceneError, _meet, parse_scene, segment_relation
 from triplane.saturate import is_3saturated, saturate
 
 import util
+from test_geometry import on_segment
 
 
 def scene_of(points, segments):

@@ -16,7 +16,6 @@ from triplane.geometry import (
     ccw_sorted,
     frac_from_str,
     frac_to_str,
-    on_segment,
     orient,
     parse_scene,
     segment_relation,
@@ -26,6 +25,13 @@ from triplane.geometry import (
 
 def P(x, y):
     return (Fraction(x), Fraction(y))
+
+
+def on_segment(p, a, b):
+    """p lies on the closed segment ab: the oracle the arrangement kernel is checked against."""
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+            and orient(a, b, p) == 0)
 
 
 def test_frac_round_trip():

@@ -2,8 +2,10 @@
 
 ``perfbench/tracer.py`` looks each name in its ``TRACED`` table up with
 ``getattr`` when ``perfbench/run.py --trace 1`` starts, so deleting or
-renaming one of them breaks that run.  The table is read from the file's
-source; the benchmark code itself is not imported.
+renaming one of them breaks that run.  A traced class is traced through
+its own ``__init__``, read from the class's ``__dict__``, so it must define
+one rather than inherit it.  The table is read from the file's source; the
+benchmark code itself is not imported.
 """
 
 import ast
@@ -30,6 +32,8 @@ def test_every_traced_name_resolves():
         for name in names:
             owner_name, _, method = name.partition(".")
             owner = getattr(mod, owner_name, None)
+            if isinstance(owner, type) and not method:
+                method = "__init__"
             if owner is None or (method and method not in vars(owner)):
                 missing.append(f"{mod_name}.{name}")
     assert not missing
