@@ -62,21 +62,19 @@ def cells(drawing: Drawing) -> Tuple[CellRecord, ...]:
     return tuple(out)
 
 
-def _crossings_adjacent(drawing: Drawing, walk: Tuple[Dart, ...]) -> bool:
-    tails = [drawing.tail(d) for d in walk]
-    pos = [i for i, t in enumerate(tails) if not drawing.is_vertex(t)]
-    if len(pos) != 2:
-        return False
-    i, j = pos
-    return j - i == 1 or (i == 0 and j == len(tails) - 1)
-
-
 def classify_cell(drawing: Drawing, record: CellRecord) -> str:
-    """One of XTRI, XQUAD, VTRI, VQUAD, XPENT, VVTRI, KITE, LARGE, OTHER."""
+    """One of XTRI, XQUAD, VTRI, VQUAD, XPENT, VVTRI, KITE, LARGE, OTHER.
+
+    A cell of two vertices, two crossings and four segments is a KITE when
+    its two crossings are consecutive on its walk: when one of its segments
+    has two crossing ends, segment s of an edge with k crossings, 0 < s < k.
+    """
     _, walk, size, v, x, s, degenerate = record  # one unpack, not five field reads
     if size >= 6:
-        if not degenerate and v == 2 and x == 2 and s == 4 and _crossings_adjacent(drawing, walk):
-            return "KITE"
+        if not degenerate and v == 2 and x == 2 and s == 4:
+            edges = drawing.edges
+            if any(0 < g < len(edges[e].crossings) for e, g, _ in walk):
+                return "KITE"
         return "LARGE"
     if degenerate:
         return "OTHER"
@@ -108,66 +106,23 @@ class Trail(NamedTuple):
     bounding_edges: Tuple[str, str]   # sorted multiset
 
 
-class _CellView:
-    """One drawing's cells, looked up by id and by dart number, and their types.
+def _classified(drawing: Drawing) -> Tuple[Tuple[CellRecord, ...], List[str]]:
+    """The drawing's cell records and each cell's type, by cell index; built once per drawing and kept.
 
-    Cell ``k`` is ``records[k]``, with its walk as dart numbers in
-    ``walks[k]``; ``index`` maps each cell id to ``k`` and ``cell_of[i]``
-    is the ``k`` of the cell whose walk holds dart ``i`` (the planarization's
-    ``face_of()``, filled while it walks the faces), so the cell across
-    dart ``i``'s segment is ``cell_of[i ^ 1]``.
-    ``Drawing._cell_view`` builds it once per drawing.  The types, by id in
-    ``types`` and by ``k`` in ``kinds``, stay ``None`` until
-    ``_classified`` fills them.
+    Cell ``k`` is ``records[k]``.  Its walk as dart numbers is the
+    planarization's ``walks()[k]``, and ``face_of()[i]`` is the cell whose
+    walk holds dart ``i``, so the cell across dart ``i``'s segment is
+    ``face_of()[i ^ 1]``.
     """
-
-    __slots__ = ("records", "walks", "index", "cell_of", "types", "kinds")
-
-    def __init__(self, drawing: Drawing):
-        self.records = cells(drawing)
-        cmap = drawing.planarize()
-        self.walks = cmap.walks()
-        self.index = {r.cell_id: k for k, r in enumerate(self.records)}
-        self.cell_of = cmap.face_of()
-        self.types: Optional[Dict[str, str]] = None
-        self.kinds: Optional[List[str]] = None
+    if drawing._cells is None:
+        records = cells(drawing)
+        drawing._cells = records, [classify_cell(drawing, r) for r in records]
+    return drawing._cells
 
 
-def _classified(drawing: Drawing) -> _CellView:
-    """The drawing's cell view, with every cell's type filled in."""
-    view = drawing._cell_view()
-    if view.types is None:
-        view.kinds = [classify_cell(drawing, r) for r in view.records]
-        view.types = dict(zip([r.cell_id for r in view.records], view.kinds))
-    return view
-
-
-def _march(view: _CellView, darts: Darts, crossings: Dict[str, object], entry: int,
-           limit: int) -> Tuple[List[int], List[int]]:
-    """Follow a corridor of XQUADs away from the side of its segment that dart ``entry`` bounds.
-
-    Returns (cells, exits): the cells, by index, starting with the one
-    ``entry`` bounds and ending at the first non-XQUAD, and the inner
-    segments consumed after ``entry``'s, each as its ``"bwd"`` dart.
-    """
-    kinds, cell_of, walks, tail = view.kinds, view.cell_of, view.walks, darts.tail
-    cell = cell_of[entry]
-    cells_out = [cell]
-    segs_out: List[int] = []
-    steps = 0
-    while kinds[cell] == "XQUAD":
-        steps += 1
-        if steps > limit:
-            raise CensusError("trail corridor does not terminate")
-        walk = walks[cell]
-        exit_dart = walk[(walk.index(entry) + 2) % 4]
-        if not (tail[exit_dart] in crossings and tail[exit_dart ^ 1] in crossings):
-            raise CensusError(f"trail corridor exits through outer segment {darts.decode[exit_dart][:2]}")
-        segs_out.append(exit_dart & -2)
-        entry = exit_dart ^ 1
-        cell = cell_of[entry]
-        cells_out.append(cell)
-    return cells_out, segs_out
+# A trail on numbers: its cells by index, its interior segments each as its
+# "bwd" dart, its endpoint types (sorted; KITE reported as LARGE) and its walls.
+NumberedTrail = Tuple[List[int], List[int], Tuple[str, str], Tuple[str, str]]
 
 
 def _walls(darts: Darts, crossings: Dict[str, Tuple[Tuple[str, int], Tuple[str, int]]],
@@ -178,7 +133,7 @@ def _walls(darts: Darts, crossings: Dict[str, Tuple[Tuple[str, int], Tuple[str, 
     segment's last crossing; ``b + 1`` leaves its first.  ``start`` is the
     segment the trail was found from, named if the walls fail.  It reads the
     crossing records itself: a method call per crossing made
-    ``extract_trails`` 5-13% slower on fig3 L=32.
+    the trail pass 5-13% slower on fig3 L=32.
     """
     tail, decode = darts.tail, darts.decode
     sides = []
@@ -196,17 +151,17 @@ def _walls(darts: Darts, crossings: Dict[str, Tuple[Tuple[str, int], Tuple[str, 
     return good[0], good[1]
 
 
-def extract_trails(drawing: Drawing) -> Tuple[Trail, ...]:
-    """The trails of the drawing; their interiors partition the inner segments.
+def _trails(drawing: Drawing) -> List[NumberedTrail]:
+    """The trails of the drawing on numbers; their interiors partition the inner segments.
 
     An inner segment, one whose two ends are crossings, with no XQUAD on
     either side is a whole 2-cell trail, read off the cells of its two
     darts; only corridors through XQUADs march.
     """
-    view = _classified(drawing)
-    kinds, cell_of, records = view.kinds, view.cell_of, view.records
-    darts = drawing.planarize().darts
-    decode, crossings = darts.decode, drawing.crossings
+    _, kinds = _classified(drawing)
+    cmap = drawing.planarize()
+    walks, cell_of, darts, crossings = cmap.walks(), cmap.face_of(), cmap.darts, drawing.crossings
+    tail = darts.tail
     inner = darts.inner_segments()
     limit = len(inner) + 2
 
@@ -216,27 +171,55 @@ def extract_trails(drawing: Drawing) -> Tuple[Trail, ...]:
         if b in visited:
             continue
         first, last = cell_of[b + 1], cell_of[b]
-        t0, t1 = kinds[first], kinds[last]
-        if t0 != "XQUAD" and t1 != "XQUAD":
-            ids: Tuple[str, ...] = (records[first].cell_id, records[last].cell_id)
-            interior: Sequence[int] = (b,)
+        if kinds[first] != "XQUAD" and kinds[last] != "XQUAD":
+            ks, interior = [first, last], [b]
         else:
-            cells_fwd, segs_fwd = _march(view, darts, crossings, b + 1, limit)
-            cells_bwd, segs_bwd = _march(view, darts, crossings, b, limit)
+            # March away from each side of b to the first non-XQUAD: the
+            # cells met, and each inner segment crossed as its "bwd" dart.
+            halves = []
+            for entry in (b + 1, b):
+                cell = cell_of[entry]
+                cells_out, segs_out = [cell], []
+                while kinds[cell] == "XQUAD":
+                    if len(segs_out) >= limit:
+                        raise CensusError("trail corridor does not terminate")
+                    walk = walks[cell]
+                    exit_dart = walk[(walk.index(entry) + 2) % 4]
+                    if not (tail[exit_dart] in crossings and tail[exit_dart ^ 1] in crossings):
+                        raise CensusError("trail corridor exits through outer segment "
+                                          f"{darts.decode[exit_dart][:2]}")
+                    segs_out.append(exit_dart & -2)
+                    entry = exit_dart ^ 1
+                    cell = cell_of[entry]
+                    cells_out.append(cell)
+                halves.append((cells_out, segs_out))
+            (cells_fwd, segs_fwd), (cells_bwd, segs_bwd) = halves
             visited.update(segs_fwd)
             visited.update(segs_bwd)
             cells_fwd.reverse()
-            ids = tuple([records[k].cell_id for k in cells_fwd + cells_bwd])
             segs_fwd.reverse()
-            interior = segs_fwd + [b] + segs_bwd
-            t0, t1 = kinds[cells_fwd[0]], kinds[cells_bwd[-1]]
+            ks, interior = cells_fwd + cells_bwd, segs_fwd + [b] + segs_bwd
+        t0, t1 = kinds[ks[0]], kinds[ks[-1]]
         if t0 == "KITE":  # reported as LARGE
             t0 = "LARGE"
         if t1 == "KITE":
             t1 = "LARGE"
-        trails.append(Trail(ids, tuple([decode[j][:2] for j in interior]), (t0, t1) if t0 <= t1 else (t1, t0),
-                            _walls(darts, crossings, interior, b)))
-    return tuple(trails)
+        trails.append((ks, interior, (t0, t1) if t0 <= t1 else (t1, t0),
+                       _walls(darts, crossings, interior, b)))
+    return trails
+
+
+def _named(drawing: Drawing, trails: Sequence[NumberedTrail]) -> Tuple[Trail, ...]:
+    """The public ``Trail`` of each trail on numbers: cell ids and (edge, seg) segments."""
+    records, _ = _classified(drawing)
+    cell_id, decode = [r.cell_id for r in records].__getitem__, drawing.planarize().darts.decode
+    return tuple([Trail(tuple(map(cell_id, ks)), tuple([decode[j][:2] for j in interior]), ends, walls)
+                  for ks, interior, ends, walls in trails])
+
+
+def extract_trails(drawing: Drawing) -> Tuple[Trail, ...]:
+    """The trails of the drawing; their interiors partition the inner segments."""
+    return _named(drawing, _trails(drawing))
 
 
 def tkey(a: str, b: str) -> str:
@@ -267,22 +250,22 @@ class Configuration(NamedTuple):
 
 def detect_configurations(
     drawing: Drawing,
-    trails: Sequence[Trail],
+    trails: Sequence[NumberedTrail],
     strict: bool = False,
 ) -> Tuple[Configuration, ...]:
-    """Find all configurations named by the counting rows.
+    """Find all configurations named by the counting rows, given the drawing's trails on numbers.
 
     With ``strict`` (intended for 3-saturated drawings) a missing or
     mistyped witness cell raises :class:`WitnessError`; otherwise the
     affected configuration is silently skipped (advisory mode).
 
-    Cells are read by index and darts by number (see ``_CellView``); the
+    Cells are read by index and darts by number (see ``_classified``); the
     cell vertically opposite dart ``i``'s cell at the crossing ``i``
     leaves holds ``succ[succ[i]]``, two steps round the rotation.
     """
-    view = _classified(drawing)
-    types, kinds, cell_of, walks, records = view.types, view.kinds, view.cell_of, view.walks, view.records
-    darts = drawing.planarize().darts
+    records, kinds = _classified(drawing)
+    cmap = drawing.planarize()
+    walks, cell_of, darts = cmap.walks(), cmap.face_of(), cmap.darts
     tail, succ, decode = darts.tail, darts.succ, darts.decode
     edges, crossings = drawing.edges, drawing.crossings
     found: List[Configuration] = []
@@ -329,31 +312,27 @@ def detect_configurations(
             need(False, cid, f"VTRI inner side on edge with {load} crossings")
 
     # Trail-indexed kinds.
-    for trail in trails:
-        pair = trail.endpoint_types
-        length = len(trail.cells)
-
-        if pair == ("VQUAD", "VTRI") and length == 3:
-            two = [w for w in trail.bounding_edges
-                   if len(drawing.edges[w].crossings) == 2]
-            if not need(len(two) == 1, "+".join(trail.cells),
+    for ks, interior, pair, walls in trails:
+        if pair == ("VQUAD", "VTRI") and len(ks) == 3:
+            two = [w for w in walls if len(edges[w].crossings) == 2]
+            ids = [records[k].cell_id for k in ks]
+            if not need(len(two) == 1, "+".join(ids),
                         "VTRI-VQUAD trail of length 3 needs exactly one twice-crossed bounding edge"):
                 continue
             found.append(Configuration(
                 kind="CFG18",
-                cells=tuple(sorted(trail.cells)),
+                cells=tuple(sorted(ids)),
                 designated_edge=two[0],
             ))
             continue
 
         if pair not in (("XPENT", "XTRI"), ("VQUAD", "XPENT"), ("VQUAD", "XTRI")):
             continue
-        if not need(length == 2, "+".join(trail.cells),
+        if not need(len(ks) == 2, "+".join([records[k].cell_id for k in ks]),
                     f"{pair[0]}-{pair[1]} trail must have length 2"):
             continue
-        b = darts.encode((*trail.interior_segments[0], "bwd"))
+        b = interior[0]
         seg = b >> 1
-        ks = [view.index[c] for c in trail.cells]
 
         if pair == ("XPENT", "XTRI"):
             xtri = next(k for k in ks if kinds[k] == "XTRI")
@@ -405,27 +384,26 @@ def detect_configurations(
             ))
 
     # CFG15: saturated XPENTs, one per window of three consecutive uncrossed trails.
-    # End incidences: (endpoint cell, adjacent interior segment) -> (trail, other end),
-    # for the trails with an XPENT end, the only ones looked up.
-    ends: Dict[Tuple[str, Segment], Tuple[Trail, str]] = {}
-    for t in trails:
-        if "XPENT" in t.endpoint_types:
-            ends[(t.cells[0], t.interior_segments[0])] = (t, t.cells[-1])
-            ends[(t.cells[-1], t.interior_segments[-1])] = (t, t.cells[0])
+    # End incidences: (endpoint cell, the "bwd" dart of its interior segment)
+    # -> (other end, trail length), for the trails with an XPENT end, the only
+    # ones looked up.
+    ends: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for ks, interior, pair, _ in trails:
+        if "XPENT" in pair:
+            ends[ks[0], interior[0]] = (ks[-1], len(ks))
+            ends[ks[-1], interior[-1]] = (ks[0], len(ks))
     for k, cell_type in enumerate(kinds):
         if cell_type != "XPENT":
             continue
-        rec = records[k]
-        cid, walk = rec.cell_id, rec.walk
+        cid, walk = records[k].cell_id, walks[k]  # the tail of side i is the corner it shares with side i-1
         profile = []  # per side: (other end cell type, trail length)
-        for d in walk:
-            hit = ends.get((cid, d[:2]))
+        for i in walk:
+            hit = ends.get((k, i & -2))
             if hit is None:
-                raise CensusError(f"no trail ends at cell {cid} through {d[:2]}")
-            profile.append((types[hit[1]], len(hit[0].cells)))
+                raise CensusError(f"no trail ends at cell {cid} through {decode[i][:2]}")
+            profile.append((kinds[hit[0]], hit[1]))
         if not all(t in CROSSING_EVEN_TYPES for t, _ in profile):
             continue
-        ids = walks[k]  # the tail of side i is the corner it shares with side i-1
         uncrossed = [t == "VTRI" and length == 2 for t, length in profile]
         windows = [i for i in range(5)
                    if uncrossed[i] and uncrossed[(i + 1) % 5] and uncrossed[(i + 2) % 5]]
@@ -434,21 +412,21 @@ def detect_configurations(
             continue
         for i in windows:
             ja, jb = (i + 1) % 5, (i + 2) % 5
-            ca, cb = cell_of[succ[succ[ids[ja]]]], cell_of[succ[succ[ids[jb]]]]
+            ca, cb = cell_of[succ[succ[walk[ja]]]], cell_of[succ[succ[walk[jb]]]]
             ok = need(kinds[ca] == "VVTRI", cid,
-                      f"opposite quadrant at {tail[ids[ja]]} is not VVTRI") and \
+                      f"opposite quadrant at {tail[walk[ja]]} is not VVTRI") and \
                  need(kinds[cb] == "VVTRI", cid,
-                      f"opposite quadrant at {tail[ids[jb]]} is not VVTRI")
+                      f"opposite quadrant at {tail[walk[jb]]} is not VVTRI")
             if not ok:
                 continue
-            mid = walk[ja]
-            if not need(len(edges[mid[0]].crossings) == 2, cid,
-                        f"middle side edge {mid[0]} is not twice-crossed"):
+            mid = decode[walk[ja]][0]
+            if not need(len(edges[mid].crossings) == 2, cid,
+                        f"middle side edge {mid} is not twice-crossed"):
                 continue
             found.append(Configuration(
                 kind="CFG15",
                 cells=tuple(sorted({cid, records[ca].cell_id, records[cb].cell_id})),
-                designated_edge=mid[0],
+                designated_edge=mid,
             ))
 
     # Deduplicate by kind + member cell set, deterministically ordered.
@@ -531,23 +509,23 @@ def census(drawing: Drawing, strict: bool = False) -> CensusReport:
     ``strict`` turns missing configuration witnesses into errors; use it
     for 3-saturated inputs, where the counting rows promise them.
     """
-    view = _classified(drawing)
-    recs, types = view.records, view.types
-    trails = extract_trails(drawing)
-    cfgs = detect_configurations(drawing, trails, strict=strict)
+    recs, kinds = _classified(drawing)
+    numbered = _trails(drawing)
+    trails = _named(drawing, numbered)
+    cfgs = detect_configurations(drawing, numbered, strict=strict)
 
     counts: Dict[str, int] = dict(stats(drawing).as_dict())
     for t in CELL_COUNT_KEYS:
         counts[t] = 0
-    for r in recs:
-        counts[types[r.cell_id]] += 1
+    for kind in kinds:
+        counts[kind] += 1
     counts["LARGE"] += counts["KITE"]  # kites are large cells
     counts["large_size_sum"] = sum(
-        r.size for r in recs if types[r.cell_id] in ("LARGE", "KITE"))
+        r.size for r, kind in zip(recs, kinds) if kind in ("LARGE", "KITE"))
     counts["cells"] = len(recs)
     counts.update(trail_counts(trails))
     for k in CFG_KEYS:
         counts[k] = 0
     for c in cfgs:
         counts[c.kind] += 1
-    return CensusReport(recs, types, trails, cfgs, counts)
+    return CensusReport(recs, {r.cell_id: kind for r, kind in zip(recs, kinds)}, trails, cfgs, counts)

@@ -49,10 +49,6 @@ def _load_drawing(path: str) -> Drawing:
         raise _UsageError(f"{path}: {exc}") from None
 
 
-def _maybe_saturate(drawing: Drawing, flag: bool) -> Drawing:
-    return saturate(drawing) if flag else drawing
-
-
 def _cmd_validate(args) -> int:
     report = validate(_load_drawing(args.file))
     _emit(report.as_dict())
@@ -68,7 +64,8 @@ def _invalid(d: Drawing) -> bool:
 
 
 def _cmd_census(args) -> int:
-    d = _maybe_saturate(_load_drawing(args.file), args.saturate)
+    d = _load_drawing(args.file)
+    d = saturate(d) if args.saturate else d
     if _invalid(d):
         return 1
     rep = census(d, strict=is_3saturated(d))
@@ -77,7 +74,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    d = _maybe_saturate(_load_drawing(args.file), args.saturate)
+    d = _load_drawing(args.file)
+    d = saturate(d) if args.saturate else d
     if _invalid(d):
         return 1
     saturated = is_3saturated(d)
@@ -101,7 +99,8 @@ def _cmd_certify(args) -> int:
         return 0 if not residual else 1
     if args.file is None:
         raise _UsageError("certify needs a drawing file (or --symbolic)")
-    d = _maybe_saturate(_load_drawing(args.file), args.saturate)
+    d = _load_drawing(args.file)
+    d = saturate(d) if args.saturate else d
     report = verify_numeric(d, {args.target: builtin_certificate(args.target)})[args.target]
     _emit(report.as_dict())
     return 0

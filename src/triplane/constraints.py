@@ -8,6 +8,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple, Union
 
+from .census import _classified
 from .drawing import Drawing
 
 Rational = Union[int, Fraction]
@@ -170,6 +171,6 @@ def density_residual(drawing: Drawing, t: Rational) -> Fraction:
     n = len(drawing.vertices)
     x = len(drawing.crossings)
     e = len(drawing.edges)
-    records = drawing._cell_view().records
+    records, _ = _classified(drawing)
     cell_term = (t - 1) / 4 * sum(r.size for r in records) - t * len(records)
     return e - (t * (n - 2) - cell_term - x)

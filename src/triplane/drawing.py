@@ -119,15 +119,10 @@ class Drawing:
         self._crossings = {x: (a, b) if a < b else (b, a) for x, (a, b) in occ.items()}
         self._planar: CombMap | None = None
         self._report: ValidationReport | None = None
-        self._cells = None
+        self._cells = None  # census._classified's (records, kinds), built on first use
         self._text: str | None = None
 
     # -- basic geometry of the incidence structure ------------------------
-
-    def points(self, edge_id: str) -> Tuple[str, ...]:
-        """End, crossings in order, other end."""
-        e = self.edges[edge_id]
-        return (e.ends[0],) + e.crossings + (e.ends[1],)
 
     def is_vertex(self, node: str) -> bool:
         return node in self._vertex_set
@@ -136,15 +131,6 @@ class Drawing:
     def crossings(self) -> Dict[str, Tuple[Tuple[str, int], Tuple[str, int]]]:
         """Crossing id -> its two (edge, position) occurrences, sorted."""
         return self._crossings
-
-    def tail(self, dart: Dart) -> str:
-        """The node ``dart`` leaves; ``KeyError`` if it is not a dart of this drawing."""
-        return self._darts.tail[self._darts.encode(dart)]
-
-    def segment_nodes(self, seg: Segment) -> Tuple[str, str]:
-        """The segment's first and last node; ``KeyError`` if it is not a segment of this drawing."""
-        i = self._darts.encode((*seg, "bwd"))
-        return (self._darts.tail[i ^ 1], self._darts.tail[i])
 
     def planarize(self) -> CombMap:
         """The map whose nodes are the vertices and crossings; it shares ``rotations`` and the dart numbering."""
@@ -157,13 +143,6 @@ class Drawing:
         if self._report is None:
             self._report = validate(self)
         return self._report
-
-    def _cell_view(self):
-        """The ``census._CellView`` of this drawing, built on first use and kept."""
-        if self._cells is None:
-            from .census import _CellView
-            self._cells = _CellView(self)
-        return self._cells
 
     def canonical(self) -> str:
         """``serialize_tdr(self)``, written on first use and kept; equality and hashing use it."""

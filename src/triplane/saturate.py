@@ -25,29 +25,20 @@ def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
     lexicographic order, so the witness is deterministic.
 
     Only LARGE and OTHER cells with two or more vertex incidences are
-    walked.  Every other type has fewer than two, so no pair to join,
-    except VVTRI and KITE: their two vertices are consecutive on the walk,
-    and a segment whose ends are both vertices is a whole uncrossed edge.
+    walked, by ``_cell_witness`` on the tails of their walks.  Every other
+    type has fewer than two, so no pair to join, except VVTRI and KITE:
+    their two vertices are consecutive on the walk, and a segment whose
+    ends are both vertices is a whole uncrossed edge.
     """
-    view = _classified(drawing)
-    tail, is_vertex, edges = drawing.planarize().darts.tail.__getitem__, drawing.is_vertex, drawing.edges
-    recs = sorted(((rec, walk) for rec, walk, kind in zip(view.records, view.walks, view.kinds)
-                   if rec.vertex_incidences >= 2 and (kind == "LARGE" or kind == "OTHER")),
-                  key=lambda p: p[0].cell_id)
-    for rec, walk in recs:
-        verts = sorted(set(filter(is_vertex, map(tail, walk))))
-        if len(verts) < 2:
-            continue
-        joined = set()
-        for d in rec.walk:
-            e = edges[d[0]]
-            if not e.crossings:
-                a, b = e.ends
-                joined.add((a, b) if a <= b else (b, a))
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                if (u, v) not in joined:
-                    return (rec.cell_id, u, v)
+    records, kinds = _classified(drawing)
+    cmap = drawing.planarize()
+    tail, vertices = cmap.darts.tail, drawing._vertex_set
+    walked = sorted((rec.cell_id, walk) for rec, walk, kind in zip(records, cmap.walks(), kinds)
+                    if rec.vertex_incidences >= 2 and (kind == "LARGE" or kind == "OTHER"))
+    for cell_id, walk in walked:
+        witness = _cell_witness([tail[i] for i in walk], vertices)
+        if witness is not None:
+            return (cell_id, *witness)
     return None
 
 
@@ -56,19 +47,18 @@ def is_filled(drawing: Drawing) -> bool:
 
 
 def _cell_witness(tails: Sequence[str], vertices: FrozenSet[str]) -> Optional[Tuple[str, str]]:
-    """First unjoined vertex pair (u, v) of a face walk, given its tails, as ``filled_witness`` picks it.
+    """First unjoined pair (u, v), u < v, of distinct vertices on a face walk, given its tails.
 
     A segment whose two ends are vertices is a whole uncrossed edge, so the
-    joined pairs are read off consecutive tails of the walk.  It is kept
-    apart from ``filled_witness``, which re-checks the result from scratch.
+    joined pairs are read off consecutive tails of the walk; a loop joins none.
     """
     verts = vertices.intersection(tails)
     if len(verts) < 2:
         return None
     joined = {(a, b) if a < b else (b, a)
-              for a, b in zip(tails, tails[1:] + tails[:1]) if a in vertices and b in vertices}
+              for a, b in zip(tails, tails[1:] + tails[:1]) if a != b and a in vertices and b in vertices}
     if len(joined) == len(verts) * (len(verts) - 1) // 2:
-        return None  # no loops, so every pair of distinct vertices is joined
+        return None  # every pair of distinct vertices is joined
     return _first_unjoined(sorted(verts), joined)
 
 

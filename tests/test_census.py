@@ -129,6 +129,20 @@ def test_ladder_cells():
     assert rep.counts["large_size_sum"] == 6 * 6 + 22
 
 
+def test_large_cell_with_apart_crossings_is_not_a_kite():
+    # Edges a, b cross above v1-v2 and c, d below it. Cell c1 has two
+    # vertices and two crossings, but they alternate round its walk: no
+    # segment of it has two crossing ends, so it is LARGE, not a KITE.
+    rep = census(scene_drawing(
+        {"v1": ["0", "0"], "v2": ["2", "0"], "a2": ["2", "2"], "b1": ["0", "2"],
+         "c2": ["0", "-2"], "d1": ["2", "-2"]},
+        [("a", ("v1", "a2")), ("b", ("b1", "v2")), ("c", ("v2", "c2")), ("d", ("d1", "v1"))]))
+    rec = rep.cells[1]
+    assert [dart[:2] for dart in rec.walk] == [("a", 0), ("b", 1), ("c", 0), ("d", 1)]
+    assert (rec.cell_id, rec.vertex_incidences, rec.crossing_incidences, rec.degenerate) == ("c1", 2, 2, False)
+    assert rep.cell_types["c1"] == "LARGE" and rep.counts["KITE"] == 0
+
+
 def test_ladder_trails():
     rep = census(ladder())
     assert len(rep.trails) == 3

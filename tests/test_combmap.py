@@ -256,7 +256,7 @@ def test_insert_numbers_as_drawing_along_saturation(name):
     while (witness := filled_witness(current)) is not None:
         cell_id, u, v = witness
         walk = next(r.walk for r in cells(current) if r.cell_id == cell_id)
-        tails = [current.tail(d) for d in walk]
+        tails = [tail(current.planarize(), d) for d in walk]
         new = EdgeRecord(f"s{inserted}", (u, v), ())
         assert new.id not in current.edges
         m2 = current.planarize().insert_edge_in_face(walk, tails.index(u), tails.index(v), new.id)

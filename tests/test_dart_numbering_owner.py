@@ -63,3 +63,24 @@ def creations(path):
 
 def test_only_of_paths_creates_darts():
     assert [c for path in SOURCES for c in creations(path)] == [("combmap.py", "Darts.of_paths")]
+
+
+def numbering_lapses(path):
+    """(file, name) for every ``.encode(...)`` call and every use of the name ``_CellView``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "encode":
+            found.append((path.name, "encode"))
+        names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
+        if isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+        if "_CellView" in names:
+            found.append((path.name, "_CellView"))
+    return found
+
+
+def test_census_and_saturate_stay_on_numbers():
+    # After the planarization the census and the filledness check read cell
+    # and dart numbers; ids and tuples are written only for their results.
+    assert [f for path in SOURCES if path.name in ("census.py", "saturate.py")
+            for f in numbering_lapses(path)] == []

@@ -277,10 +277,22 @@ def test_stats_crossing_identity():
         assert s.E0 + s.Ex == s.E
 
 
+def tail_of(drawing, dart):
+    """The node ``dart`` leaves, read through the drawing's dart numbering."""
+    darts = drawing.planarize().darts
+    return darts.tail[darts.encode(dart)]
+
+
+def segment_ends(drawing, seg):
+    """The first and last node of segment ``seg``, read through the drawing's dart numbering."""
+    darts = drawing.planarize().darts
+    b = darts.encode((*seg, "bwd"))
+    return darts.tail[b ^ 1], darts.tail[b]
+
+
 def test_segment_helpers():
     d = util.x1()
-    assert d.points("e0") == ("v0", "x0", "v2")
-    assert d.segment_nodes(("e0", 0)) == ("v0", "x0")
+    assert segment_ends(d, ("e0", 0)) == ("v0", "x0")
     assert d.planarize().darts.inner_segments() == []
     darts = util.overloaded_line().planarize().darts
     assert [darts.decode[b] for b in darts.inner_segments()] == [("e", 1, "bwd"), ("e", 2, "bwd"), ("e", 3, "bwd")]
@@ -297,20 +309,20 @@ NOT_DARTS = [("e0", True, "fwd"), ("e0", False, "bwd"), ("e0", -1, "fwd"), ("e0"
 @pytest.mark.parametrize("dart", NOT_DARTS, ids=repr)
 def test_tail_refuses_what_is_not_a_dart(dart):
     with pytest.raises(KeyError):
-        util.x1().tail(dart)
+        tail_of(util.x1(), dart)
 
 
 @pytest.mark.parametrize("seg", [("e0", True), ("e0", False), ("e0", -1), ("e0", 2), ("e1", 5),
                                  ("e2", 0), ("e0",), ("e0", 0, "fwd")], ids=repr)
 def test_segment_nodes_refuses_what_is_not_a_segment(seg):
     with pytest.raises(KeyError):
-        util.x1().segment_nodes(seg)
+        segment_ends(util.x1(), seg)
 
 
 def test_tail_answers_every_dart_at_its_point():
     d = util.x1()
-    assert [d.tail(("e0", s, r)) for s in (0, 1) for r in ("fwd", "bwd")] == ["v0", "x0", "x0", "v2"]
-    assert d.segment_nodes(("e1", 1)) == ("x0", "v3")
+    assert [tail_of(d, ("e0", s, r)) for s in (0, 1) for r in ("fwd", "bwd")] == ["v0", "x0", "x0", "v2"]
+    assert segment_ends(d, ("e1", 1)) == ("x0", "v3")
 
 
 PLANARIZED = (
@@ -333,9 +345,10 @@ def test_planarization_matches_checked_map(build):
     assert shared.faces() == faces
     assert shared.darts.decode == sorted(tail)
     for dart in shared.darts.decode:
-        pts = d.points(dart[0])
-        assert d.tail(dart) == tail[dart] == pts[dart[1] + (dart[2] == "bwd")]
-        assert d.segment_nodes(dart[:2]) == pts[dart[1]:dart[1] + 2]
+        e = d.edges[dart[0]]
+        pts = (e.ends[0], *e.crossings, e.ends[1])
+        assert tail_of(d, dart) == tail[dart] == pts[dart[1] + (dart[2] == "bwd")]
+        assert segment_ends(d, dart[:2]) == pts[dart[1]:dart[1] + 2]
 
 
 def test_edgeless_single_vertex_is_not_a_sphere():

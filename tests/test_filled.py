@@ -7,6 +7,7 @@ import pytest
 
 import test_saturate
 from triplane.census import _classified, cells
+from triplane.drawing import Drawing, EdgeRecord
 from triplane.generators import BASIC_NAMES, gen_basic, gen_fig2, gen_fig3, random_drawing
 from triplane.saturate import filled_witness, saturate
 
@@ -16,9 +17,9 @@ from test_census import _non_alternating, capped_triangle, ladder
 
 def reference_filled_witness(drawing):
     """First (cell id, u, v), cells in id order and pairs in order, with no uncrossed u-v edge on the cell."""
-    tail, is_vertex, edges = drawing.tail, drawing.is_vertex, drawing.edges
+    darts, is_vertex, edges = drawing.planarize().darts, drawing.is_vertex, drawing.edges
     for rec in sorted(cells(drawing), key=lambda r: r.cell_id):
-        verts = sorted(set(filter(is_vertex, map(tail, rec.walk))))
+        verts = sorted(set(filter(is_vertex, (darts.tail[darts.encode(d)] for d in rec.walk))))
         if len(verts) < 2:
             continue
         joined = set()
@@ -45,8 +46,21 @@ CENSUS_PIN = (
     + [(build.__name__, build) for build in (util.lasso, util.adjacent_cross, util.overloaded_line,
                                               util.two_components, _non_alternating)]
 )
+def loop_path():
+    """A path a-b-c with an uncrossed loop at a (invalid: a loop), all on one cell.
+
+    The cell's walk joins a to b, b to c and a to itself: three joined
+    pairs for three vertices, yet a and c are not joined.
+    """
+    return Drawing(["a", "b", "c"],
+                   [EdgeRecord("l", ("a", "a"), ()), EdgeRecord("e", ("a", "b"), ()),
+                    EdgeRecord("f", ("b", "c"), ())],
+                   {"a": [("l", 0, "fwd"), ("l", 0, "bwd"), ("e", 0, "fwd")],
+                    "b": [("e", 0, "bwd"), ("f", 0, "fwd")], "c": [("f", 0, "bwd")]})
+
+
 FIXTURES = ([(name, lambda name=name: gen_basic(name)) for name in BASIC_NAMES]
-            + [("capped_triangle", capped_triangle), ("ladder", ladder)])
+            + [("capped_triangle", capped_triangle), ("ladder", ladder), ("loop_path", loop_path)])
 # Tree-like parts of sparse drawings put a vertex on one face walk more than once.
 SPARSE = [(f"sparse-{n}-{budget}-{seed}", lambda n=n, budget=budget, seed=seed:
            random_drawing(n, budget, seed))
@@ -63,7 +77,7 @@ def test_fixtures_hold_the_skipped_two_vertex_types():
     # VVTRI and KITE are the types with two vertices that are never walked.
     types = Counter()
     for _, build in FIXTURES:
-        types.update(_classified(build()).types.values())
+        types.update(_classified(build())[1])
     assert types["KITE"] > 0 and types["VVTRI"] > 0
 
 
@@ -86,10 +100,10 @@ def test_witness_matches_reference_on_every_oracle_step(monkeypatch):
     def checked(drawing):
         got = filled_witness(drawing)
         assert got == reference_filled_witness(drawing)
-        types = _classified(drawing).types
-        seen.update(types.values())
+        records, kinds = _classified(drawing)
+        seen.update(kinds)
         if got is not None:
-            witness_types[types[got[0]]] += 1
+            witness_types[kinds[[r.cell_id for r in records].index(got[0])]] += 1
         return got
 
     monkeypatch.setattr(test_saturate, "filled_witness", checked)
