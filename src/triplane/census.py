@@ -7,13 +7,19 @@ the tails of its walk.  Small non-degenerate cells fall into a short list
 of named types; trails are the maximal corridors of quadrilateral
 crossing-only cells threaded by the inner segments; configurations are
 the small cell clusters the counting rows charge against.
+
+The census counts on numbers: cells by their index in the planarization's
+``walks()``, darts by number.  Cell ids (``"c{k}"``) and ``(edge, seg)``
+names are written only when a report's cells, trails or configurations are
+first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .combmap import Dart, Darts
 from .drawing import Drawing, Segment, stats
@@ -48,53 +54,71 @@ class CellRecord(NamedTuple):
     degenerate: bool
 
 
+# The non-degenerate cells of size below 6, by (segment, vertex) incidences; the rest are OTHER.
+_SMALL = {(3, 0): "XTRI", (4, 0): "XQUAD", (3, 1): "VTRI", (5, 0): "XPENT", (4, 1): "VQUAD", (3, 2): "VVTRI"}
+
+
+def _kind(s: int, v: int, degenerate: bool, leaves: Sequence[bool]) -> str:
+    """The type of a cell of ``s`` segment and ``v`` vertex incidences; the one rule set.
+
+    ``leaves[j]`` tells whether dart ``j`` of the cell's walk leaves a vertex;
+    it runs to the corner dart ``j + 1`` leaves.  A cell of two vertices, two
+    crossings and four segments is a KITE when a segment has two crossing
+    ends: when its two crossings are consecutive on its walk.
+    """
+    if s + v >= 6:
+        kite = v == 2 and s == 4 and not degenerate and any(not (leaves[j - 1] or leaves[j]) for j in range(4))
+        return "KITE" if kite else "LARGE"
+    return "OTHER" if degenerate else _SMALL.get((s, v), "OTHER")
+
+
+class _Cells(NamedTuple):
+    """A drawing's cells by index: size, vertex incidences, degeneracy and type of cell ``k``.
+
+    Cell ``k``'s walk as dart numbers is the planarization's ``walks()[k]``
+    and its id is ``"c{k}"``; ``face_of()[i]`` is the cell whose walk holds
+    dart ``i``, so the cell across dart ``i``'s segment is ``face_of()[i ^ 1]``.
+    """
+    sizes: List[int]
+    vertex_incidences: List[int]
+    degenerate: List[bool]
+    kinds: List[str]
+
+
+def _classified(drawing: Drawing) -> _Cells:
+    """The drawing's cell table, on dart numbers; built once per drawing and kept."""
+    if drawing._cells is None:
+        cmap, vset = drawing.planarize(), drawing._vertex_set
+        tail = cmap.darts.tail
+        at = [t in vset for t in tail].__getitem__  # does dart i leave a vertex
+        sizes, incidences, degenerate, kinds = [], [], [], []
+        for walk in cmap.walks():
+            s, leaves = len(walk), list(map(at, walk))
+            v, deg = sum(leaves), len({tail[i] for i in walk}) < s
+            sizes.append(s + v)
+            incidences.append(v)
+            degenerate.append(deg)
+            kinds.append(_kind(s, v, deg, leaves))
+        drawing._cells = _Cells(sizes, incidences, degenerate, kinds)
+    return drawing._cells
+
+
 def cells(drawing: Drawing) -> Tuple[CellRecord, ...]:
-    """All cells, ids assigned in sorted order of their canonical walks."""
-    cmap = drawing.planarize()
-    tail, is_vertex = cmap.darts.tail.__getitem__, drawing._vertex_set.__contains__
-    out = []
-    for i, (ids, walk) in enumerate(zip(cmap.walks(), cmap.faces())):
-        tails = list(map(tail, ids))
-        s = len(walk)
-        v = sum(map(is_vertex, tails))
-        # cell_id, walk, size, vertex, crossing and segment incidences, degenerate
-        out.append(CellRecord(f"c{i}", walk, s + v, v, s - v, s, len(set(tails)) < s))
-    return tuple(out)
+    """All cells, ids assigned in sorted order of their canonical walks: the named view of the cell table."""
+    cmap, table = drawing.planarize(), _classified(drawing)
+    return tuple([CellRecord(f"c{k}", walk, size, v, size - 2 * v, size - v, deg)
+                  for k, (walk, size, v, deg) in enumerate(zip(cmap.faces(), table.sizes,
+                                                               table.vertex_incidences, table.degenerate))])
 
 
 def classify_cell(drawing: Drawing, record: CellRecord) -> str:
-    """One of XTRI, XQUAD, VTRI, VQUAD, XPENT, VVTRI, KITE, LARGE, OTHER.
+    """One of XTRI, XQUAD, VTRI, VQUAD, XPENT, VVTRI, KITE, LARGE, OTHER, by ``_kind``'s rules.
 
-    A cell of two vertices, two crossings and four segments is a KITE when
-    its two crossings are consecutive on its walk: when one of its segments
-    has two crossing ends, segment s of an edge with k crossings, 0 < s < k.
+    Dart ``(e, g, dir)`` leaves point ``g + (dir == "bwd")`` of edge ``e``'s path: end, crossings, end.
     """
-    _, walk, size, v, x, s, degenerate = record  # one unpack, not five field reads
-    if size >= 6:
-        if not degenerate and v == 2 and x == 2 and s == 4:
-            edges = drawing.edges
-            if any(0 < g < len(edges[e].crossings) for e, g, _ in walk):
-                return "KITE"
-        return "LARGE"
-    if degenerate:
-        return "OTHER"
-    if size == 3:
-        return "XTRI" if x == 3 else "OTHER"
-    if size == 4:
-        if x == 4 and v == 0:
-            return "XQUAD"
-        if v == 1 and x == 2:
-            return "VTRI"
-        return "OTHER"
-    if size == 5:
-        if x == 5 and v == 0:
-            return "XPENT"
-        if v == 1 and x == 3:
-            return "VQUAD"
-        if v == 2 and x == 1:
-            return "VVTRI"
-        return "OTHER"
-    return "OTHER"
+    _, walk, _, v, _, s, degenerate = record
+    edges = drawing.edges
+    return _kind(s, v, degenerate, [not 0 < g + (d == "bwd") <= len(edges[e].crossings) for e, g, d in walk])
 
 
 # -- trails ------------------------------------------------------------------
@@ -104,20 +128,6 @@ class Trail(NamedTuple):
     interior_segments: Tuple[Segment, ...]
     endpoint_types: Tuple[str, str]   # sorted; KITE reported as LARGE
     bounding_edges: Tuple[str, str]   # sorted multiset
-
-
-def _classified(drawing: Drawing) -> Tuple[Tuple[CellRecord, ...], List[str]]:
-    """The drawing's cell records and each cell's type, by cell index; built once per drawing and kept.
-
-    Cell ``k`` is ``records[k]``.  Its walk as dart numbers is the
-    planarization's ``walks()[k]``, and ``face_of()[i]`` is the cell whose
-    walk holds dart ``i``, so the cell across dart ``i``'s segment is
-    ``face_of()[i ^ 1]``.
-    """
-    if drawing._cells is None:
-        records = cells(drawing)
-        drawing._cells = records, [classify_cell(drawing, r) for r in records]
-    return drawing._cells
 
 
 # A trail on numbers: its cells by index, its interior segments each as its
@@ -158,7 +168,7 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
     either side is a whole 2-cell trail, read off the cells of its two
     darts; only corridors through XQUADs march.
     """
-    _, kinds = _classified(drawing)
+    kinds = _classified(drawing).kinds
     cmap = drawing.planarize()
     walks, cell_of, darts, crossings = cmap.walks(), cmap.face_of(), cmap.darts, drawing.crossings
     tail = darts.tail
@@ -200,10 +210,7 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
             segs_fwd.reverse()
             ks, interior = cells_fwd + cells_bwd, segs_fwd + [b] + segs_bwd
         t0, t1 = kinds[ks[0]], kinds[ks[-1]]
-        if t0 == "KITE":  # reported as LARGE
-            t0 = "LARGE"
-        if t1 == "KITE":
-            t1 = "LARGE"
+        t0, t1 = ("LARGE" if t0 == "KITE" else t0), ("LARGE" if t1 == "KITE" else t1)  # KITE reported as LARGE
         trails.append((ks, interior, (t0, t1) if t0 <= t1 else (t1, t0),
                        _walls(darts, crossings, interior, b)))
     return trails
@@ -211,9 +218,8 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
 
 def _named(drawing: Drawing, trails: Sequence[NumberedTrail]) -> Tuple[Trail, ...]:
     """The public ``Trail`` of each trail on numbers: cell ids and (edge, seg) segments."""
-    records, _ = _classified(drawing)
-    cell_id, decode = [r.cell_id for r in records].__getitem__, drawing.planarize().darts.decode
-    return tuple([Trail(tuple(map(cell_id, ks)), tuple([decode[j][:2] for j in interior]), ends, walls)
+    decode = drawing.planarize().darts.decode
+    return tuple([Trail(tuple([f"c{k}" for k in ks]), tuple([decode[j][:2] for j in interior]), ends, walls)
                   for ks, interior, ends, walls in trails])
 
 
@@ -226,14 +232,14 @@ def tkey(a: str, b: str) -> str:
     return "T_" + "_".join(sorted((a, b)))
 
 
-def trail_counts(trails: Sequence[Trail]) -> Dict[str, int]:
-    """Unordered endpoint-type pair counts over the named endpoint types."""
+def trail_counts(trails: Sequence[Tuple]) -> Dict[str, int]:
+    """Unordered endpoint-type pair counts over the named endpoint types (field 2 of a trail, named or on numbers)."""
     counts = {}
     for i, a in enumerate(TRAIL_END_TYPES):
         for b in TRAIL_END_TYPES[i:]:
             counts[tkey(a, b)] = 0
     for t in trails:
-        a, b = t.endpoint_types
+        a, b = t[2]
         if a in TRAIL_END_TYPES and b in TRAIL_END_TYPES:
             counts[tkey(a, b)] += 1
     return counts
@@ -248,87 +254,82 @@ class Configuration(NamedTuple):
     designated_edge: Optional[str] = None
 
 
+# A configuration on numbers: its kind, its member cells by index, its
+# designated segments each as a dart of the segment, and its designated edge.
+NumberedConfiguration = Tuple[str, FrozenSet[int], Tuple[int, ...], Optional[str]]
+
+# The kinds whose designated segments no two configurations may share.
+DESIGNATING = ("CFG9", "CFG10", "CFG12", "CFG13", "CFG14")
+
+
 def detect_configurations(
     drawing: Drawing,
     trails: Sequence[NumberedTrail],
     strict: bool = False,
-) -> Tuple[Configuration, ...]:
-    """Find all configurations named by the counting rows, given the drawing's trails on numbers.
+) -> List[NumberedConfiguration]:
+    """Find all configurations named by the counting rows, on numbers, given the drawing's trails on numbers.
 
-    With ``strict`` (intended for 3-saturated drawings) a missing or
-    mistyped witness cell raises :class:`WitnessError`; otherwise the
-    affected configuration is silently skipped (advisory mode).
+    A configuration found twice (same kind and member cells) is kept once,
+    as first found.  With ``strict`` (intended for 3-saturated drawings) a
+    missing or mistyped witness cell raises :class:`WitnessError`, as does a
+    segment designated by two configurations; otherwise the affected
+    configuration is silently skipped (advisory mode).
 
     Cells are read by index and darts by number (see ``_classified``); the
     cell vertically opposite dart ``i``'s cell at the crossing ``i``
     leaves holds ``succ[succ[i]]``, two steps round the rotation.
     """
-    records, kinds = _classified(drawing)
+    kinds = _classified(drawing).kinds
     cmap = drawing.planarize()
     walks, cell_of, darts = cmap.walks(), cmap.face_of(), cmap.darts
     tail, succ, decode = darts.tail, darts.succ, darts.decode
     edges, crossings = drawing.edges, drawing.crossings
-    found: List[Configuration] = []
+    found: List[NumberedConfiguration] = []
 
     def need(cond: bool, obj: str, detail: str) -> bool:
-        if cond:
-            return True
-        if strict:
+        if not cond and strict:
             raise WitnessError(obj, detail)
-        return False
+        return cond
 
     # CFG13 / CFG14: one per VTRI, across the outer sides of its inner segment.
     for k, cell_type in enumerate(kinds):
         if cell_type != "VTRI":
             continue
-        cid, walk = records[k].cell_id, walks[k]
-        inner, n_inner = 0, 0  # the side whose two ends are crossings
-        for i in walk:
-            if tail[i] in crossings and tail[i ^ 1] in crossings:
-                inner, n_inner = i, n_inner + 1
-        if not need(n_inner == 1, cid, "VTRI without a unique inner side"):
+        walk = walks[k]
+        sides = [i for i in walk if tail[i] in crossings and tail[i ^ 1] in crossings]  # both ends crossings
+        if not need(len(sides) == 1, f"c{k}", "VTRI without a unique inner side"):
             continue
+        inner = sides[0]
         load = len(edges[decode[inner][0]].crossings)
-        vv = []  # (outer dart, the id of the VVTRI across it)
-        for i in walk:
-            if i != inner:
-                nb = cell_of[i ^ 1]
-                if kinds[nb] == "VVTRI":
-                    vv.append((i, records[nb].cell_id))
+        vv = [i for i in walk if i != inner and kinds[cell_of[i ^ 1]] == "VVTRI"]  # outer darts
         if load == 2:
-            if not need(len(vv) == 2, cid,
+            if not need(len(vv) == 2, f"c{k}",
                         "VTRI on a twice-crossed edge must have two VVTRI neighbors"):
                 continue
-            (d1, nb1), (d2, nb2) = vv
-            found.append(Configuration("CFG14", tuple(sorted((cid, nb1, nb2))),
-                                       tuple(sorted((decode[d1][:2], decode[d2][:2])))))
+            d1, d2 = vv
+            found.append(("CFG14", frozenset((k, cell_of[d1 ^ 1], cell_of[d2 ^ 1])), (d1, d2), None))
         elif load == 3:
-            if not need(len(vv) >= 1, cid,
+            if not need(len(vv) >= 1, f"c{k}",
                         "VTRI on a thrice-crossed edge must have a VVTRI neighbor"):
                 continue
-            d, nb = min(vv, key=itemgetter(1))
-            found.append(Configuration("CFG13", tuple(sorted((cid, nb))), (decode[d][:2],)))
+            d = min(vv, key=lambda i: str(cell_of[i ^ 1]))  # the first VVTRI in cell id order
+            found.append(("CFG13", frozenset((k, cell_of[d ^ 1])), (d,), None))
         else:
-            need(False, cid, f"VTRI inner side on edge with {load} crossings")
+            need(False, f"c{k}", f"VTRI inner side on edge with {load} crossings")
 
     # Trail-indexed kinds.
     for ks, interior, pair, walls in trails:
         if pair == ("VQUAD", "VTRI") and len(ks) == 3:
             two = [w for w in walls if len(edges[w].crossings) == 2]
-            ids = [records[k].cell_id for k in ks]
-            if not need(len(two) == 1, "+".join(ids),
+            if not need(len(two) == 1, "+".join([f"c{k}" for k in ks]),
                         "VTRI-VQUAD trail of length 3 needs exactly one twice-crossed bounding edge"):
                 continue
-            found.append(Configuration(
-                kind="CFG18",
-                cells=tuple(sorted(ids)),
-                designated_edge=two[0],
-            ))
+            found.append(("CFG18", frozenset(ks), (), two[0]))
             continue
 
         if pair not in (("XPENT", "XTRI"), ("VQUAD", "XPENT"), ("VQUAD", "XTRI")):
             continue
-        if not need(len(ks) == 2, "+".join([records[k].cell_id for k in ks]),
+        if not need(len(ks) == 2, "+".join([f"c{k}" for k in ks]),
                     f"{pair[0]}-{pair[1]} trail must have length 2"):
             continue
         b = interior[0]
@@ -341,31 +342,19 @@ def detect_configurations(
             d3 = next(i for i in walks[xtri] if tail[i] not in ends)
             x3 = tail[d3]
             vv = cell_of[succ[succ[d3]]]
-            if not need(kinds[vv] == "VVTRI", records[xtri].cell_id,
+            if not need(kinds[vv] == "VVTRI", f"c{xtri}",
                         f"opposite quadrant at {x3} is {kinds[vv]}, not VVTRI"):
                 continue
-            kite = None
-            shared: Optional[Segment] = None
-            for i in walks[xtri]:
-                if i >> 1 == seg:
-                    continue
-                cand = cell_of[i ^ 1]
-                if kinds[cand] != "KITE":
-                    continue
-                for j in walks[vv]:
-                    if x3 in (tail[j], tail[j ^ 1]) and cell_of[j ^ 1] == cand:
-                        kite, shared = cand, decode[j][:2]
-                        break
-                if kite is not None:
-                    break
-            if not need(kite is not None, records[xtri].cell_id,
+            # The first KITE across a side of the XTRI, and the dart of the segment it shares with vv at x3.
+            kite, shared = next(((cell_of[i ^ 1], j) for i in walks[xtri]
+                                 if i >> 1 != seg and kinds[cell_of[i ^ 1]] == "KITE"
+                                 for j in walks[vv]
+                                 if x3 in (tail[j], tail[j ^ 1]) and cell_of[j ^ 1] == cell_of[i ^ 1]),
+                                (None, None))
+            if not need(kite is not None, f"c{xtri}",
                         "no kite sharing a segment with the opposite-quadrant VVTRI"):
                 continue
-            found.append(Configuration(
-                kind="CFG9",
-                cells=tuple(sorted({records[k].cell_id for k in (xtri, xpent, kite, vv)})),
-                designated_segments=(shared,),
-            ))
+            found.append(("CFG9", frozenset((xtri, xpent, kite, vv)), (shared,), None))
         else:
             vq = next(k for k in ks if kinds[k] == "VQUAD")
             other = next(k for k in ks if kinds[k] != "VQUAD")
@@ -373,15 +362,11 @@ def detect_configurations(
             idx = next(n for n, i in enumerate(walk) if i >> 1 == seg)
             far = walk[(idx + 2) % 4]
             z = cell_of[far ^ 1]
-            if not need(kinds[z] == "VVTRI", records[vq].cell_id,
+            if not need(kinds[z] == "VVTRI", f"c{vq}",
                         f"cell across the far side is {kinds[z]}, not VVTRI"):
                 continue
             kind = "CFG10" if pair == ("VQUAD", "XPENT") else "CFG12"
-            found.append(Configuration(
-                kind=kind,
-                cells=tuple(sorted({records[k].cell_id for k in (other, vq, z)})),
-                designated_segments=(decode[far][:2],),
-            ))
+            found.append((kind, frozenset((other, vq, z)), (far,), None))
 
     # CFG15: saturated XPENTs, one per window of three consecutive uncrossed trails.
     # End incidences: (endpoint cell, the "bwd" dart of its interior segment)
@@ -395,7 +380,7 @@ def detect_configurations(
     for k, cell_type in enumerate(kinds):
         if cell_type != "XPENT":
             continue
-        cid, walk = records[k].cell_id, walks[k]  # the tail of side i is the corner it shares with side i-1
+        cid, walk = f"c{k}", walks[k]  # the tail of side i is the corner it shares with side i-1
         profile = []  # per side: (other end cell type, trail length)
         for i in walk:
             hit = ends.get((k, i & -2))
@@ -423,46 +408,69 @@ def detect_configurations(
             if not need(len(edges[mid].crossings) == 2, cid,
                         f"middle side edge {mid} is not twice-crossed"):
                 continue
-            found.append(Configuration(
-                kind="CFG15",
-                cells=tuple(sorted({cid, records[ca].cell_id, records[cb].cell_id})),
-                designated_edge=mid,
-            ))
+            found.append(("CFG15", frozenset((k, ca, cb)), (), mid))
 
-    # Deduplicate by kind + member cell set, deterministically ordered.
-    seen = set()
-    unique: List[Configuration] = []
-    for cfg in sorted(found, key=itemgetter(0, 1)):  # kind, cells
-        key = (cfg.kind, cfg.cells)
-        if key not in seen:
-            seen.add(key)
-            unique.append(cfg)
-
+    unique: Dict[Tuple[str, FrozenSet[int]], NumberedConfiguration] = {}
+    for cfg in found:
+        unique.setdefault(cfg[:2], cfg)
+    out = list(unique.values())
     if strict:
-        marked: Dict[Segment, Configuration] = {}
-        for cfg in unique:
-            if cfg.kind in ("CFG9", "CFG10", "CFG12", "CFG13", "CFG14"):
-                for seg in cfg.designated_segments:
-                    if seg in marked:
-                        prev = marked[seg]
-                        raise WitnessError(
-                            f"{cfg.kind}@{'+'.join(cfg.cells)}",
-                            f"designated segment {seg} already claimed by "
-                            f"{prev.kind}@{'+'.join(prev.cells)}")
-                    marked[seg] = cfg
+        claimed = [i >> 1 for kind, _, designated, _ in out if kind in DESIGNATING for i in designated]
+        if len(set(claimed)) < len(claimed):
+            _raise_clash(_configurations(drawing, out))
+    return out
 
-    return tuple(unique)
+
+def _configurations(drawing: Drawing, cfgs: Iterable[NumberedConfiguration]) -> Tuple[Configuration, ...]:
+    """The public ``Configuration`` of each configuration on numbers, sorted by kind and cell ids."""
+    decode = drawing.planarize().darts.decode
+    return tuple(sorted([Configuration(kind, tuple(sorted([f"c{k}" for k in ks])),
+                                       tuple(sorted([decode[i][:2] for i in designated])), edge)
+                         for kind, ks, designated, edge in cfgs], key=itemgetter(0, 1)))
+
+
+def _raise_clash(cfgs: Sequence[Configuration]) -> None:
+    """Raise the first segment designated twice, reading ``cfgs`` in order."""
+    marked: Dict[Segment, Configuration] = {}
+    for cfg in cfgs:
+        if cfg.kind in DESIGNATING:
+            for seg in cfg.designated_segments:
+                if seg in marked:
+                    prev = marked[seg]
+                    raise WitnessError(
+                        f"{cfg.kind}@{'+'.join(cfg.cells)}",
+                        f"designated segment {seg} already claimed by "
+                        f"{prev.kind}@{'+'.join(prev.cells)}")
+                marked[seg] = cfg
 
 
 # -- the full census ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class CensusReport:
-    cells: Tuple[CellRecord, ...]
-    cell_types: Dict[str, str]
-    trails: Tuple[Trail, ...]
-    configurations: Tuple[Configuration, ...]
+    """A drawing's census: the ``counts`` vector, and the named cells, cell
+    types, trails and configurations behind it, each written on first read.
+    Two reports are equal when their counts, trails and configurations are."""
     counts: Dict[str, int]
+    _drawing: Drawing = field(compare=False, repr=False)
+    _trails: List[NumberedTrail] = field(repr=False)
+    _configurations: List[NumberedConfiguration] = field(repr=False)
+
+    @cached_property
+    def cells(self) -> Tuple[CellRecord, ...]:
+        return cells(self._drawing)
+
+    @cached_property
+    def cell_types(self) -> Dict[str, str]:
+        return {f"c{k}": kind for k, kind in enumerate(_classified(self._drawing).kinds)}
+
+    @cached_property
+    def trails(self) -> Tuple[Trail, ...]:
+        return _named(self._drawing, self._trails)
+
+    @cached_property
+    def configurations(self) -> Tuple[Configuration, ...]:
+        return _configurations(self._drawing, self._configurations)
 
     def as_dict(self) -> dict:
         return {
@@ -509,10 +517,9 @@ def census(drawing: Drawing, strict: bool = False) -> CensusReport:
     ``strict`` turns missing configuration witnesses into errors; use it
     for 3-saturated inputs, where the counting rows promise them.
     """
-    recs, kinds = _classified(drawing)
-    numbered = _trails(drawing)
-    trails = _named(drawing, numbered)
-    cfgs = detect_configurations(drawing, numbered, strict=strict)
+    sizes, _, _, kinds = _classified(drawing)
+    trails = _trails(drawing)
+    cfgs = detect_configurations(drawing, trails, strict=strict)
 
     counts: Dict[str, int] = dict(stats(drawing).as_dict())
     for t in CELL_COUNT_KEYS:
@@ -521,11 +528,11 @@ def census(drawing: Drawing, strict: bool = False) -> CensusReport:
         counts[kind] += 1
     counts["LARGE"] += counts["KITE"]  # kites are large cells
     counts["large_size_sum"] = sum(
-        r.size for r, kind in zip(recs, kinds) if kind in ("LARGE", "KITE"))
-    counts["cells"] = len(recs)
+        size for size, kind in zip(sizes, kinds) if kind == "LARGE" or kind == "KITE")
+    counts["cells"] = len(kinds)
     counts.update(trail_counts(trails))
     for k in CFG_KEYS:
         counts[k] = 0
     for c in cfgs:
-        counts[c.kind] += 1
-    return CensusReport(recs, {r.cell_id: kind for r, kind in zip(recs, kinds)}, trails, cfgs, counts)
+        counts[c[0]] += 1
+    return CensusReport(counts, drawing, trails, cfgs)

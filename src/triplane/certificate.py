@@ -193,10 +193,9 @@ def verify_numeric(
     rep = census(drawing, strict=True)
     val = _valuation(rep.counts)
     # Extra sanity refinement: large cells exceed size 5 by at least a sixth
-    # of their total size.
-    large_excess = sum(
-        r.size - 5 for r in rep.cells if rep.cell_types[r.cell_id] in ("LARGE", "KITE"))
-    if 6 * large_excess < rep.counts["large_size_sum"]:
+    # of their total size (LARGE counts the kites too).
+    large_size_sum = rep.counts["large_size_sum"]
+    if 6 * (large_size_sum - 5 * rep.counts["LARGE"]) < large_size_sum:
         raise CertificateError("large-cell size refinement failed on this census")
     row_results = evaluate_constraints(rep.counts, saturated=True).rows
     for row in row_results:

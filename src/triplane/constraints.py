@@ -171,6 +171,6 @@ def density_residual(drawing: Drawing, t: Rational) -> Fraction:
     n = len(drawing.vertices)
     x = len(drawing.crossings)
     e = len(drawing.edges)
-    records, _ = _classified(drawing)
-    cell_term = (t - 1) / 4 * sum(r.size for r in records) - t * len(records)
+    sizes = _classified(drawing).sizes
+    cell_term = (t - 1) / 4 * sum(sizes) - t * len(sizes)
     return e - (t * (n - 2) - cell_term - x)

@@ -119,13 +119,10 @@ class Drawing:
         self._crossings = {x: (a, b) if a < b else (b, a) for x, (a, b) in occ.items()}
         self._planar: CombMap | None = None
         self._report: ValidationReport | None = None
-        self._cells = None  # census._classified's (records, kinds), built on first use
+        self._cells = None  # census._classified's cell table, built on first use
         self._text: str | None = None
 
     # -- basic geometry of the incidence structure ------------------------
-
-    def is_vertex(self, node: str) -> bool:
-        return node in self._vertex_set
 
     @property
     def crossings(self) -> Dict[str, Tuple[Tuple[str, int], Tuple[str, int]]]:

@@ -30,15 +30,15 @@ def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
     their two vertices are consecutive on the walk, and a segment whose
     ends are both vertices is a whole uncrossed edge.
     """
-    records, kinds = _classified(drawing)
+    _, incidences, _, kinds = _classified(drawing)
     cmap = drawing.planarize()
-    tail, vertices = cmap.darts.tail, drawing._vertex_set
-    walked = sorted((rec.cell_id, walk) for rec, walk, kind in zip(records, cmap.walks(), kinds)
-                    if rec.vertex_incidences >= 2 and (kind == "LARGE" or kind == "OTHER"))
-    for cell_id, walk in walked:
-        witness = _cell_witness([tail[i] for i in walk], vertices)
+    walks, tail, vertices = cmap.walks(), cmap.darts.tail, drawing._vertex_set
+    walked = [k for k, (v, kind) in enumerate(zip(incidences, kinds))
+              if v >= 2 and (kind == "LARGE" or kind == "OTHER")]
+    for k in sorted(walked, key=str):  # cell "c{k}" in id order
+        witness = _cell_witness([tail[i] for i in walks[k]], vertices)
         if witness is not None:
-            return (cell_id, *witness)
+            return (f"c{k}", *witness)
     return None
 
 

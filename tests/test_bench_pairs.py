@@ -1,0 +1,95 @@
+"""The pure summary functions of ``tools/bench_pairs.py``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_are_inclusive():
+    assert bench_pairs.quartiles([1, 2, 3, 4, 5]) == [2, 3, 4]
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == [1.75, 2.5, 3.25]
+    assert bench_pairs.quartiles([7.0]) == [7.0, 7.0, 7.0]
+
+
+def test_higher_is_better_gain():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    change = [12.0, 12.1, 11.9, 12.2, 9.0, 12.0, 12.3, 11.8, 12.0, 12.1]
+    m = bench_pairs.summarize_metric(parent, change, "higher", bound=0.15)
+    assert m["change_wins"] == "9/10"
+    assert m["parent"]["median"] == 10.0 and m["change"]["median"] == 12.0
+    assert m["median_change_pct"] == pytest.approx(20.0)
+    assert m["parent_iqr"] == pytest.approx(10.1 - 9.925)
+    assert m["gain_rule_holds"]
+    assert m["worse_pct"] == pytest.approx(-20.0) and m["within_bound"]
+
+
+def test_lower_is_better_and_ties_count_for_neither():
+    parent = [1.0, 1.0, 1.0, 1.0]
+    change = [0.9, 1.0, 1.2, 0.9]
+    m = bench_pairs.summarize_metric(parent, change, "lower", bound=0.05)
+    assert m["change_wins"] == "2/4"  # one tie, one loss
+    assert not m["gain_rule_holds"]
+    assert m["change"]["median"] == pytest.approx(0.95)
+    assert m["worse_pct"] == pytest.approx(-5.0) and m["within_bound"]
+
+
+def test_gain_needs_the_median_past_the_parent_spread():
+    # Ten wins of ten, but by less than the parent's own quartile spread.
+    parent = [float(x) for x in range(10, 20)]
+    change = [x + 0.5 for x in parent]
+    m = bench_pairs.summarize_metric(parent, change, "higher")
+    assert m["change_wins"] == "10/10" and not m["gain_rule_holds"]
+    assert "within_bound" not in m
+
+
+def test_worse_beyond_the_bound_is_reported():
+    m = bench_pairs.summarize_metric([100.0] * 3, [106.0] * 3, "lower", bound=0.05)
+    assert m["worse_pct"] == pytest.approx(6.0) and not m["within_bound"]
+
+
+@pytest.mark.parametrize("parent,change,better", [([], [], "higher"), ([1.0], [1.0, 2.0], "lower"),
+                                                  ([1.0], [1.0], "faster")])
+def test_bad_input_is_refused(parent, change, better):
+    with pytest.raises(ValueError):
+        bench_pairs.summarize_metric(parent, change, better)
+
+
+RUN_STDOUT = """workload certify seed 3: 6 round(s) of 8 ops, 2.412 s wall per round; attempted 48, failed 0, correct true
+  time in operations: 13.001 s wall, 12.100 s at the reference speed (x0.931)
+  outputs sha256:{digest}: 8 match the reference, 0 have none, {differ} differ
+  ops_per_s 39.6 op/s
+{last}
+"""
+
+
+def run_stdout(ops_per_s, digest="ab" * 32, differ=0):
+    last = json.dumps({"correct": True, "attempted": 48, "failed": 0,
+                       "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "op/s"}}})
+    return RUN_STDOUT.format(digest=digest, differ=differ, last=last)
+
+
+def test_parse_run_reads_rounds_digests_and_metrics():
+    run = bench_pairs.parse_run(run_stdout(39.6))
+    assert (run["rounds"], run["attempted"], run["failed"], run["correct"]) == (6, 48, 0, True)
+    assert run["metrics"] == {"ops_per_s": 39.6}
+    assert run["digest"] == "ab" * 32 and run["digests_match"]
+    assert not bench_pairs.parse_run(run_stdout(39.6, differ=1))["digests_match"]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_run("")
+
+
+def test_summarize_workload_pairs_the_sides():
+    runs = {"parent": [bench_pairs.parse_run(run_stdout(v)) for v in (30.0, 31.0, 32.0)],
+            "change": [bench_pairs.parse_run(run_stdout(v, digest="cd" * 32)) for v in (36.0, 37.0, 38.0)]}
+    w = bench_pairs.summarize_workload(runs, [5, 6, 7], [{"name": "ops_per_s", "better": "higher", "bound": 0.15}])
+    assert w["first_in_pair"] == ["parent", "change", "parent"]
+    assert w["failed_per_run"]["change"] == ["0/48"] * 3 and w["rounds_per_run"]["parent"] == [6] * 3
+    assert w["correct"] and w["digests_match_reference"] and not w["digests_agree"]
+    assert w["metrics"]["ops_per_s"]["change_wins"] == "3/3"

@@ -5,9 +5,14 @@ import pytest
 
 from triplane.census import (
     CensusError,
+    Configuration,
+    WitnessError,
+    _classified,
+    _trails,
     cells,
     census,
     classify_cell,
+    detect_configurations,
     extract_trails,
     tkey,
     trail_counts,
@@ -167,6 +172,76 @@ def test_interior_segments_partition_inner_segments():
                  for e in d.edges.values()
                  for i in range(1, len(e.crossings))}
         assert set(seen) == inner
+
+
+# Both corridor errors of the trail march, and a CFG13 choice between two
+# VVTRIs, are unreachable on a drawing whose cells carry their own types, so
+# these tests force the classification: they retype chosen cells in the
+# drawing's kept cell table (its last field is the list of cell types by
+# index) before the census reads it.
+def _forced(drawing, kind, *cell_indices):
+    kinds = _classified(drawing)[-1]
+    for k in cell_indices:
+        kinds[k] = kind
+    return drawing
+
+
+def test_corridor_through_a_forced_xquad_exits_through_outer_segment():
+    # capped_triangle's KITE (c2) forced to XQUAD: the corridor from the
+    # VTRI crosses the chord's middle and leaves the kite through its far
+    # side, the uncrossed side b-c, whose ends are vertices.
+    d = capped_triangle()
+    assert _classified(d)[-1][2] == "KITE"
+    with pytest.raises(CensusError, match=r"^trail corridor exits through outer segment \('bc', 0\)$"):
+        census(_forced(d, "XQUAD", 2))
+
+
+def test_corridor_closed_on_itself_does_not_terminate():
+    # Five segments, two XQUADs (c1, c2) and the outer cell c0; with c0
+    # forced to XQUAD the march from the first inner segment goes round
+    # c0, c1, c2 and back without meeting another cell type.
+    d = scene_drawing(
+        {"a1": ["-16", "5"], "b1": ["-1", "14"], "a2": ["-13", "7"], "b2": ["9", "-19"],
+         "a3": ["-4", "19"], "b3": ["3", "-6"], "a4": ["5", "-20"], "b4": ["-12", "15"],
+         "a5": ["10", "19"], "b5": ["-17", "1"]},
+        [(f"s{i}", (f"a{i}", f"b{i}")) for i in range(1, 6)])
+    assert _classified(d)[-1][1:3] == ["XQUAD", "XQUAD"]
+    with pytest.raises(CensusError, match=r"^trail corridor does not terminate$"):
+        census(_forced(d, "XQUAD", 0))
+
+
+def test_cfg13_takes_the_first_vvtri_in_cell_id_order():
+    # fig3 L=1: the VTRI c9, on a thrice-crossed edge, has the VVTRI c8
+    # across one outer side and the VTRI c10 across the other. With c10
+    # forced to VVTRI, CFG13 takes c10, first in cell id order ("c10" <
+    # "c8"), though c8 comes first by index.
+    d = gen_fig3(1)
+    assert _classified(d)[-1][8:11] == ["VVTRI", "VTRI", "VTRI"]
+    cfgs = census(_forced(d, "VVTRI", 10)).configurations
+    assert [c for c in cfgs if c.kind == "CFG13" and "c9" in c.cells] == [
+        Configuration("CFG13", ("c10", "c9"), (("g1p0n6", 3),))]
+
+
+# No drawing designates one segment twice: every designated segment has a
+# VVTRI on one side, and the cell on the other side fixes the kind. So this
+# test forges trails instead: a copy of a real VQUAD-XTRI trail retyped
+# VQUAD-XPENT yields a CFG10 on the same cells and far side as the real CFG12.
+# The strict clash is reported in (kind, cell ids) order, ids as strings.
+def test_strict_designated_segment_clash_is_named_in_kind_and_cell_id_order():
+    d = gen_fig3(1)
+    trails = _trails(d)
+    ks, interior, pair, walls = next(t for t in trails if sorted(t[0]) == [63, 65])
+    assert pair == ("VQUAD", "XTRI") and len(detect_configurations(d, trails, strict=True)) == 48
+    as_cfg10 = (ks, interior, ("VQUAD", "XPENT"), walls)
+    # CFG10 sorts before CFG12, though the real CFG12 is found first.
+    with pytest.raises(WitnessError, match=r"^missing witness: CFG12@c61\+c63\+c65: designated segment "
+                                           r"\('gbotn4', 1\) already claimed by CFG10@c61\+c63\+c65$"):
+        detect_configurations(d, trails + [as_cfg10], strict=True)
+    # Two CFG10s: the XQUAD c7 as the other end is found first, but "c65" < "c7".
+    with pytest.raises(WitnessError, match=r"^missing witness: CFG10@c61\+c63\+c7: designated segment "
+                                           r"\('gbotn4', 1\) already claimed by CFG10@c61\+c63\+c65$"):
+        detect_configurations(d, trails + [([63, 7], interior, ("VQUAD", "XPENT"), walls), as_cfg10],
+                              strict=True)
 
 
 def test_saturated_crossing_pair_counts():

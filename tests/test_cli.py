@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import json
@@ -10,9 +11,10 @@ from triplane import cli
 from triplane.certificate import verify_numeric
 from triplane.cli import main
 from triplane.combmap import CombMap, Darts
-from triplane.drawing import Drawing, serialize_tdr
+from triplane.constraints import evaluate_constraints
+from triplane.drawing import Drawing, serialize_tdr, stats
 from triplane.generators import gen_basic, gen_fig2, gen_fig3, random_drawing
-from triplane.saturate import saturate
+from triplane.saturate import is_3saturated, saturate
 
 import util
 
@@ -95,7 +97,8 @@ def test_check_reports_known_failing_row_on_fig3(capsys, fig3_file):
 
 
 # sha256 of each verdict's stdout on gen_fig3(2): sharing one validation
-# report and one cell view per drawing must not change a byte.
+# report and one cell table per drawing must not change a byte.  A verdict
+# counts on numbers: it builds the cell table once and never the named cells.
 @pytest.mark.parametrize("argv,code,digest", [
     (["check"], 1, "63db8bd510f9b0d3f33e570357964faa777fa3c2465161d93945c37e0ed7f123"),
     (["certify", "--target", "edges"], 0,
@@ -118,17 +121,20 @@ def test_verdict_validates_and_builds_cells_once(capsys, monkeypatch, tmp_path, 
     census_mod = importlib.import_module("triplane.census")
     drawing_mod = importlib.import_module("triplane.drawing")
     monkeypatch.setattr(census_mod, "cells", counted("cells", census_mod.cells))
+    monkeypatch.setattr(census_mod, "_Cells", counted("table", census_mod._Cells))
     monkeypatch.setattr(drawing_mod, "validate", counted("validate", drawing_mod.validate))
     # One check and numbering of the rotations (``Darts.of_paths``), and one view of them.
     monkeypatch.setattr(Darts, "of_paths", counted("of_paths", Darts.of_paths))
     monkeypatch.setattr(CombMap, "__init__", counted("CombMap", CombMap.__init__))
     got, out, _ = run(capsys, argv[0], str(p), *argv[1:])
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
-    assert (calls["cells"], calls["validate"], calls["of_paths"], calls["CombMap"]) == (1, 1, 1, 1)
+    assert (calls["cells"], calls["table"], calls["validate"], calls["of_paths"], calls["CombMap"]) == \
+        (0, 1, 1, 1, 1)
 
 
-# One verdict classifies each cell once: the filledness check, the trails
-# and the configurations all read the drawing's one classified cell view.
+# One verdict classifies each cell once, by the one rule set (``_kind``):
+# the filledness check, the trails and the configurations all read the
+# drawing's one cell table, and ``classify_cell`` (the named API) is not called.
 @pytest.mark.parametrize("argv", [["check"], ["certify", "--target", "edges"],
                                   ["certify", "--target", "crossings"]],
                          ids=["check", "certify-edges", "certify-crossings"])
@@ -137,16 +143,19 @@ def test_verdict_classifies_each_cell_once(capsys, monkeypatch, tmp_path, argv):
     p = tmp_path / "fig3.json"
     p.write_text(serialize_tdr(drawing))
     census_mod = importlib.import_module("triplane.census")
+    expected = Counter(census_mod.census(drawing).cell_types.values())
     classified = Counter()
-    classify = census_mod.classify_cell
+    kind = census_mod._kind
 
-    def counted(d, record):
-        classified[record.cell_id] += 1
-        return classify(d, record)
+    def counted(*args):
+        got = kind(*args)
+        classified[got] += 1
+        return got
 
-    monkeypatch.setattr(census_mod, "classify_cell", counted)
+    monkeypatch.setattr(census_mod, "_kind", counted)
+    monkeypatch.setattr(census_mod, "classify_cell", None)  # a call would raise
     run(capsys, argv[0], str(p), *argv[1:])
-    assert classified == Counter(r.cell_id for r in census_mod.cells(drawing))
+    assert classified == expected  # one call per cell, with the census's type
 
 
 def test_verdict_bytes_are_pinned(capsys, tmp_path):
@@ -169,6 +178,112 @@ def test_verdict_bytes_are_pinned(capsys, tmp_path):
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == (
         "a1c1aae6854f83b88cc5853699e151efed98b310e4f93c7dff0f761e264a5de2")
+
+
+# The corpus of test_verdict_bytes_are_pinned.
+VERDICT_CORPUS = ([(f"fig3-L{layers}", lambda layers=layers: gen_fig3(layers)) for layers in range(1, 5)]
+                  + [(f"fig2-R{rings}", lambda rings=rings: gen_fig2(rings)) for rings in range(1, 5)]
+                  + [(f"sat-rand-{seed}", lambda seed=seed: saturate(random_drawing(10, 30, seed)))
+                     for seed in range(25)])
+
+
+@pytest.mark.parametrize("argv", [["check"], ["certify", "--target", "edges"],
+                                  ["certify", "--target", "crossings"], ["census"]],
+                         ids=["check", "certify-edges", "certify-crossings", "census"])
+def test_verdicts_name_nothing(capsys, monkeypatch, tmp_path, argv):
+    # A verdict prints counts only: it never builds the named cells, decodes
+    # a face walk, or names a trail or a configuration.
+    paths = [tmp_path / "fig3.json", tmp_path / "sat-rand.json"]
+    for p, d in zip(paths, (gen_fig3(2), saturate(random_drawing(10, 30, 3)))):
+        p.write_text(serialize_tdr(d))
+    census_mod = importlib.import_module("triplane.census")
+    named = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            named[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("cells", "Trail", "Configuration"):
+        monkeypatch.setattr(census_mod, name, counted(name, getattr(census_mod, name)))
+    monkeypatch.setattr(CombMap, "faces", counted("faces", CombMap.faces))
+    for p in paths:
+        code, out, _ = run(capsys, argv[0], str(p), *argv[1:])
+        assert code in (0, 1) and out
+    assert named == Counter()
+
+
+def named_counts(drawing):
+    """The census counts read off the named report: cell types, cells, trails and configurations."""
+    census_mod = importlib.import_module("triplane.census")
+    rep = census_mod.census(drawing, strict=is_3saturated(drawing))
+    counts = dict(stats(drawing).as_dict())
+    types = Counter(rep.cell_types.values())
+    counts.update({t: types[t] for t in census_mod.CELL_COUNT_KEYS})
+    counts["LARGE"] += counts["KITE"]
+    counts["large_size_sum"] = sum(r.size for r in rep.cells if rep.cell_types[r.cell_id] in ("LARGE", "KITE"))
+    counts["cells"] = len(rep.cells)
+    counts.update(census_mod.trail_counts(rep.trails))
+    kinds = Counter(c.kind for c in rep.configurations)
+    counts.update({k: kinds[k] for k in census_mod.CFG_KEYS})
+    return counts
+
+
+@pytest.mark.parametrize("build", [b for _, b in VERDICT_CORPUS], ids=[n for n, _ in VERDICT_CORPUS])
+def test_verdict_counts_match_named_census(capsys, monkeypatch, tmp_path, build):
+    # The counts a verdict evaluates, made on numbers, are the counts of the
+    # named cells, trails and configurations of the same drawing.
+    evaluated = []
+
+    def recorded(counts, saturated=False):
+        evaluated.append(dict(counts))
+        return evaluate_constraints(counts, saturated=saturated)
+
+    monkeypatch.setattr(cli, "evaluate_constraints", recorded)
+    p = tmp_path / "drawing.json"
+    p.write_text(serialize_tdr(build()))
+    run(capsys, "check", str(p))
+    assert evaluated == [named_counts(build())]
+
+
+def _paused(args):
+    return 0 if not gc.isenabled() else 3
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv,code", [
+    (["check", "K3"], 0),
+    (["check", "FIG3"], 1),
+    (["validate", "LENS"], 1),
+    (["certify", "X1", "--target", "edges"], 1),
+    (["check", "MISSING"], 2),
+    (["no-such-command"], 2),
+], ids=["pass", "failing-row", "invalid", "not-saturated", "missing-file", "usage"])
+def test_main_restores_the_collector(capsys, tmp_path, k3_file, fig3_file, collecting, argv, code):
+    files = {"K3": k3_file, "FIG3": fig3_file, "MISSING": str(tmp_path / "missing.json"),
+             "LENS": str(tmp_path / "lens.json"), "X1": str(tmp_path / "x1.json")}
+    (tmp_path / "lens.json").write_text(serialize_tdr(gen_basic("lens-bad")))
+    (tmp_path / "x1.json").write_text(serialize_tdr(util.x1()))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        got, _, _ = run(capsys, *[files.get(a, a) for a in argv])
+        assert (got, gc.isenabled()) == (code, collecting)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_command_runs_with_the_collector_paused(capsys, monkeypatch, k3_file):
+    monkeypatch.setattr(cli, "_cmd_validate", _paused)
+    cli._parser.cache_clear()  # the parser holds the command functions
+    try:
+        assert gc.isenabled()
+        assert run(capsys, "validate", k3_file)[0] == 0
+        assert gc.isenabled()
+    finally:
+        monkeypatch.undo()
+        cli._parser.cache_clear()
 
 
 def test_check_rejects_invalid_drawing(capsys, tmp_path):

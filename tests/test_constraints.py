@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from triplane.census import census
+from triplane.cli import main
 from triplane.constraints import (
     ROWS,
     ConstraintError,
     density_residual,
     evaluate_constraints,
 )
+from triplane.drawing import serialize_tdr
 from triplane.generators import gen_basic, ingest_geometry
 from triplane.geometry import parse_scene
 from triplane.saturate import is_3saturated, saturate
@@ -178,6 +180,36 @@ def test_trail_pair_bound_violated_by_hexagon_witness():
     assert rows["3.E"].slack == -3
     assert not rows["3.E"].passed
     failing = [r.id for r in out.rows if r.applicable and not r.passed]
+    assert failing == ["3.E"]
+
+
+# ROADMAP item 2's 5-vertex witness of row 3.E: four straight segments.
+FIVE_VERTEX_SCENE = {
+    "points": {"v2": ["37", "-52"], "v3": ["-28", "-45"], "v5": ["-3", "0"],
+               "v6": ["23", "-12"], "v7": ["40", "-34"]},
+    "segments": [{"id": "v3v6", "ends": ["v3", "v6"]}, {"id": "v5v7", "ends": ["v5", "v7"]},
+                 {"id": "v3v7", "ends": ["v3", "v7"]}, {"id": "v2v5", "ends": ["v2", "v5"]}],
+}
+
+
+def test_trail_pair_bound_violated_by_five_vertex_witness(tmp_path, capsys):
+    """Row 3.E fails on a saturated 5-vertex drawing: 2 * T_VQUAD_VTRI = 4
+    but E1 + 2 * CFG18 = 2, slack -2, and every other row passes; the CLI
+    verdict on the unsaturated file says so with exit code 1."""
+    d = saturate(ingest_geometry(parse_scene(json.dumps(FIVE_VERTEX_SCENE))))
+    assert is_3saturated(d)
+    counts = census(d, strict=True).counts
+    assert (counts["E"], counts["X"], counts["E1"]) == (11, 3, 2)
+    assert (counts["CFG18"], counts["T_VQUAD_VTRI"]) == (0, 2)
+    out = evaluate_constraints(counts, saturated=True)
+    assert row_map(out)["3.E"].slack == -2
+    assert [r.id for r in out.rows if r.applicable and not r.passed] == ["3.E"]
+
+    p = tmp_path / "five.json"
+    p.write_text(serialize_tdr(ingest_geometry(parse_scene(json.dumps(FIVE_VERTEX_SCENE)))))
+    assert main(["check", "--saturate", str(p)]) == 1
+    failing = [r["id"] for r in json.loads(capsys.readouterr().out)["rows"]
+               if r["applicable"] and not r["pass"]]
     assert failing == ["3.E"]
 
 

@@ -46,7 +46,7 @@ def reference_cells(drawing):
     for i, walk in enumerate(faces):
         tails = [tail[d] for d in walk]
         s = len(walk)
-        v = sum(map(drawing.is_vertex, tails))
+        v = sum(map(drawing._vertex_set.__contains__, tails))
         out.append(CellRecord(f"c{i}", walk, s + v, v, s - v, s, len(set(tails)) < s))
     return tuple(out)
 

@@ -17,7 +17,7 @@ from test_census import _non_alternating, capped_triangle, ladder
 
 def reference_filled_witness(drawing):
     """First (cell id, u, v), cells in id order and pairs in order, with no uncrossed u-v edge on the cell."""
-    darts, is_vertex, edges = drawing.planarize().darts, drawing.is_vertex, drawing.edges
+    darts, is_vertex, edges = drawing.planarize().darts, drawing._vertex_set.__contains__, drawing.edges
     for rec in sorted(cells(drawing), key=lambda r: r.cell_id):
         verts = sorted(set(filter(is_vertex, (darts.tail[darts.encode(d)] for d in rec.walk))))
         if len(verts) < 2:
@@ -77,7 +77,7 @@ def test_fixtures_hold_the_skipped_two_vertex_types():
     # VVTRI and KITE are the types with two vertices that are never walked.
     types = Counter()
     for _, build in FIXTURES:
-        types.update(_classified(build())[1])
+        types.update(_classified(build()).kinds)
     assert types["KITE"] > 0 and types["VVTRI"] > 0
 
 
@@ -100,10 +100,10 @@ def test_witness_matches_reference_on_every_oracle_step(monkeypatch):
     def checked(drawing):
         got = filled_witness(drawing)
         assert got == reference_filled_witness(drawing)
-        records, kinds = _classified(drawing)
+        kinds = _classified(drawing).kinds
         seen.update(kinds)
         if got is not None:
-            witness_types[kinds[[r.cell_id for r in records].index(got[0])]] += 1
+            witness_types[kinds[int(got[0].removeprefix("c"))]] += 1  # cell "c{k}" is cell k
         return got
 
     monkeypatch.setattr(test_saturate, "filled_witness", checked)
