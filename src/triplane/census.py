@@ -21,7 +21,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .combmap import Dart, Darts
+from .combmap import CombMap, Dart
 from .drawing import Drawing, Segment, stats
 
 CELL_COUNT_KEYS = ("XTRI", "XQUAD", "VTRI", "VQUAD", "XPENT", "VVTRI", "KITE", "LARGE", "OTHER")
@@ -89,7 +89,7 @@ def _classified(drawing: Drawing) -> _Cells:
     """The drawing's cell table, on dart numbers; built once per drawing and kept."""
     if drawing._cells is None:
         cmap, vset = drawing.planarize(), drawing._vertex_set
-        tail = cmap.darts.tail
+        tail = cmap.tail
         at = [t in vset for t in tail].__getitem__  # does dart i leave a vertex
         sizes, incidences, degenerate, kinds = [], [], [], []
         for walk in cmap.walks():
@@ -135,7 +135,7 @@ class Trail(NamedTuple):
 NumberedTrail = Tuple[List[int], List[int], Tuple[str, str], Tuple[str, str]]
 
 
-def _walls(darts: Darts, crossings: Dict[str, Tuple[Tuple[str, int], Tuple[str, int]]],
+def _walls(cmap: CombMap, crossings: Dict[str, Tuple[Tuple[str, int], Tuple[str, int]]],
            interior: Sequence[int], start: int) -> Tuple[str, str]:
     """The two edges crossing every segment of a trail's interior at its ends, sorted.
 
@@ -145,7 +145,7 @@ def _walls(darts: Darts, crossings: Dict[str, Tuple[Tuple[str, int], Tuple[str, 
     crossing records itself: a method call per crossing made
     the trail pass 5-13% slower on fig3 L=32.
     """
-    tail, decode = darts.tail, darts.decode
+    tail, decode = cmap.tail, cmap.decode
     sides = []
     for b in interior:
         e = decode[b][0]
@@ -170,9 +170,8 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
     """
     kinds = _classified(drawing).kinds
     cmap = drawing.planarize()
-    walks, cell_of, darts, crossings = cmap.walks(), cmap.face_of(), cmap.darts, drawing.crossings
-    tail = darts.tail
-    inner = darts.inner_segments()
+    walks, cell_of, tail, crossings = cmap.walks(), cmap.face_of(), cmap.tail, drawing.crossings
+    inner = cmap.inner_segments()
     limit = len(inner) + 2
 
     visited = set()
@@ -197,7 +196,7 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
                     exit_dart = walk[(walk.index(entry) + 2) % 4]
                     if not (tail[exit_dart] in crossings and tail[exit_dart ^ 1] in crossings):
                         raise CensusError("trail corridor exits through outer segment "
-                                          f"{darts.decode[exit_dart][:2]}")
+                                          f"{cmap.decode[exit_dart][:2]}")
                     segs_out.append(exit_dart & -2)
                     entry = exit_dart ^ 1
                     cell = cell_of[entry]
@@ -212,13 +211,13 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
         t0, t1 = kinds[ks[0]], kinds[ks[-1]]
         t0, t1 = ("LARGE" if t0 == "KITE" else t0), ("LARGE" if t1 == "KITE" else t1)  # KITE reported as LARGE
         trails.append((ks, interior, (t0, t1) if t0 <= t1 else (t1, t0),
-                       _walls(darts, crossings, interior, b)))
+                       _walls(cmap, crossings, interior, b)))
     return trails
 
 
 def _named(drawing: Drawing, trails: Sequence[NumberedTrail]) -> Tuple[Trail, ...]:
     """The public ``Trail`` of each trail on numbers: cell ids and (edge, seg) segments."""
-    decode = drawing.planarize().darts.decode
+    decode = drawing.planarize().decode
     return tuple([Trail(tuple([f"c{k}" for k in ks]), tuple([decode[j][:2] for j in interior]), ends, walls)
                   for ks, interior, ends, walls in trails])
 
@@ -281,8 +280,8 @@ def detect_configurations(
     """
     kinds = _classified(drawing).kinds
     cmap = drawing.planarize()
-    walks, cell_of, darts = cmap.walks(), cmap.face_of(), cmap.darts
-    tail, succ, decode = darts.tail, darts.succ, darts.decode
+    walks, cell_of = cmap.walks(), cmap.face_of()
+    tail, succ, decode = cmap.tail, cmap.succ, cmap.decode
     edges, crossings = drawing.edges, drawing.crossings
     found: List[NumberedConfiguration] = []
 
@@ -423,7 +422,7 @@ def detect_configurations(
 
 def _configurations(drawing: Drawing, cfgs: Iterable[NumberedConfiguration]) -> Tuple[Configuration, ...]:
     """The public ``Configuration`` of each configuration on numbers, sorted by kind and cell ids."""
-    decode = drawing.planarize().darts.decode
+    decode = drawing.planarize().decode
     return tuple(sorted([Configuration(kind, tuple(sorted([f"c{k}" for k in ks])),
                                        tuple(sorted([decode[i][:2] for i in designated])), edge)
                          for kind, ks, designated, edge in cfgs], key=itemgetter(0, 1)))

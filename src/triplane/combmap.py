@@ -10,12 +10,12 @@ each of its darts, and the gap in a node's rotation just after
 ``twin(arrival)`` points into the face — that is where ``Rotations.splice``
 puts new darts when an edge is inserted inside a face.
 
-Readers of a finished map work on dart numbers (``Darts``): the darts in
+Readers of a finished map (``CombMap``) work on dart numbers: the darts in
 tuple order, so each segment's ``"bwd"`` dart comes just before its
 ``"fwd"`` dart, the twin of dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers
 its segment.  This module is the only one that numbers darts; everyone
-else decodes a number through ``Darts.decode`` or encodes a dart through
-``Darts.encode``.  Producers that edit a map in place use the tuple-keyed
+else decodes a number through ``CombMap.decode`` or encodes a dart through
+``CombMap.encode``.  Producers that edit a map in place use the tuple-keyed
 ``Rotations``.
 """
 
@@ -45,100 +45,6 @@ def smallest_first(darts: Tuple[Dart, ...]) -> Tuple[Dart, ...]:
         return darts
     k = darts.index(min(darts))
     return darts[k:] + darts[:k]
-
-
-class Darts:
-    """One map's darts, numbered densely in tuple order.
-
-    ``decode[i]`` is dart ``i``, ``tail[i]`` the node it leaves and
-    ``succ[i]`` the next dart counterclockwise around that node; all three
-    are filled by the pass that numbers and checks the darts.  The twin of
-    dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers its segment.  Edge
-    ``e``'s darts are numbered from ``base[e]``, the edges in sorted id
-    order: ``(e, s, "bwd")`` is ``base[e] + 2s`` and ``(e, s, "fwd")`` is
-    ``base[e] + 2s + 1``.  ``of_paths`` is the only code that numbers darts.
-    """
-
-    __slots__ = ("tail", "succ", "decode", "_base")
-
-    def encode(self, dart) -> int:
-        """The number of ``dart``; ``KeyError`` for anything that is not one of this map's darts."""
-        try:
-            e, s, r = dart
-            if type(s) is int and s >= 0 and r in DIRS:
-                b, last, _ = self._base[e]
-                if s <= last:
-                    return b + 2 * s + (r == "fwd")
-        except (KeyError, TypeError, ValueError):
-            pass
-        raise KeyError(dart)
-
-    def inner_segments(self) -> List[int]:
-        """The ``"bwd"`` dart of each segment 1..k-1 of every edge with k crossings, in number order.
-
-        These are the segments whose two ends are crossings.
-        """
-        return [b + 2 * s for b, last, _ in self._base.values() for s in range(1, last)]
-
-    @classmethod
-    def of_paths(cls, rotations: Mapping[str, Sequence], paths: Mapping[str, Sequence[str]],
-                 nodes: frozenset) -> Tuple[Dict[str, Tuple[Dart, ...]], "Darts", bool]:
-        """Number and check the rotations of a map whose edge ``e`` runs along the nodes ``paths[e]``.
-
-        Each listed dart is checked once, in the order given: its fields,
-        that it is new, and its tail, which is node ``seg`` (``"fwd"``) or
-        ``seg + 1`` (``"bwd"``) of its edge's path.  The same pass fills
-        ``tail``, ``succ`` and ``decode``.  Returns the rotations as tuples,
-        the numbering, and whether every dart was listed once, at its tail.
-        Raises ``MapError`` at the first rotation given for a node outside
-        ``nodes`` and at the first malformed, unknown or repeated dart.
-        """
-        base: Dict[str, Tuple[int, int, Sequence[str]]] = {}
-        n = 0
-        for e in sorted(paths):
-            pts = paths[e]
-            base[e] = (n, len(pts) - 2, pts)
-            n += 2 * len(pts) - 2
-        tail: List[Optional[str]] = [None] * n
-        decode: List[Optional[Dart]] = [None] * n
-        succ = [0] * (n + 1)  # slot n holds each rotation's first dart until its last one is seen
-        rot: Dict[str, Tuple[Dart, ...]] = {}
-        misplaced = False
-        for node, listed in rotations.items():
-            if node not in nodes:
-                raise MapError(f"rotation given for unknown node {node!r}")
-            out = []
-            prev = n
-            for d in listed:
-                try:
-                    e, s, r = d
-                except (TypeError, ValueError):
-                    raise MapError(f"rotation at {node!r}: malformed dart {d!r}") from None
-                if not (isinstance(e, str) and e in base):
-                    raise MapError(f"rotation at {node!r} names unknown edge {e!r}")
-                b, last, pts = base[e]
-                if not (type(s) is int and 0 <= s <= last):
-                    raise MapError(f"rotation at {node!r}: segment index {s} out of range "
-                                   f"for edge {e!r}")
-                if r not in DIRS:
-                    raise MapError(f"rotation at {node!r}: bad direction {r!r}")
-                f = r == "fwd"
-                i = b + 2 * s + f
-                if tail[i] is not None:
-                    raise MapError(f"dart {(e, s, r)!r} listed more than once")
-                tail[i] = node
-                if pts[s + 1 - f] != node:
-                    misplaced = True
-                decode[i] = d = d if type(d) is tuple else (e, s, r)
-                succ[prev] = i
-                prev = i
-                out.append(d)
-            succ[prev] = succ[n]  # the last dart closes the cycle; a no-op for an empty rotation
-            rot[node] = tuple(out)
-        succ.pop()
-        self = cls.__new__(cls)
-        self.tail, self.succ, self.decode, self._base = tail, succ, decode, base
-        return rot, self, sum(map(len, rot.values())) == n and not misplaced
 
 
 class Rotations:
@@ -220,19 +126,111 @@ class Rotations:
 
 
 class CombMap:
-    """An embedded multigraph: a read-only view of one checked rotation system and its ``Darts``.
+    """An embedded multigraph: one checked rotation system, its darts numbered densely in tuple order.
 
-    ``Drawing.planarize`` builds it from the rotations and the numbering
-    its checks made; both are shared, not copied.
+    ``decode[i]`` is dart ``i``, ``tail[i]`` the node it leaves and
+    ``succ[i]`` the next dart counterclockwise around that node; all three
+    are filled by the pass that numbers and checks the darts.  The twin of
+    dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers its segment.  Edge
+    ``e``'s darts are numbered from ``base[e]``, the edges in sorted id
+    order: ``(e, s, "bwd")`` is ``base[e] + 2s`` and ``(e, s, "fwd")`` is
+    ``base[e] + 2s + 1``.  ``__init__`` is the only code that numbers darts.
     """
 
-    __slots__ = ("rotations", "darts", "_walks", "_face_of", "_faces")
+    __slots__ = ("rotations", "tail", "succ", "decode", "_base", "_walks", "_face_of", "_faces")
 
-    def __init__(self, rotations: Dict[str, Tuple[Dart, ...]], darts: Darts):
-        self.rotations, self.darts, self._walks, self._faces = rotations, darts, None, None
+    def __init__(self, rotations: Mapping[str, Sequence], paths: Mapping[str, Sequence[str]], nodes: frozenset):
+        """Number and check the rotations of a map whose edge ``e`` runs along the nodes ``paths[e]``.
+
+        Each listed dart is checked once, in the order given: its fields,
+        that it is new, and its tail, which is node ``seg`` (``"fwd"``) or
+        ``seg + 1`` (``"bwd"``) of its edge's path.  The same pass fills
+        ``tail``, ``succ`` and ``decode``, and ``rotations`` keeps each
+        node's darts as a tuple.  Raises ``MapError`` at the first rotation
+        given for a node outside ``nodes`` and at the first malformed,
+        unknown or repeated dart; then for nodes without a rotation; then
+        for the first dart, in the order of ``paths``, that is missing from
+        the rotations or listed at a node not its tail.
+        """
+        base: Dict[str, Tuple[int, int, Sequence[str]]] = {}
+        n = 0
+        for e in sorted(paths):
+            pts = paths[e]
+            base[e] = (n, len(pts) - 2, pts)
+            n += 2 * len(pts) - 2
+        tail: List[Optional[str]] = [None] * n
+        decode: List[Optional[Dart]] = [None] * n
+        succ = [0] * (n + 1)  # slot n holds each rotation's first dart until its last one is seen
+        rot: Dict[str, Tuple[Dart, ...]] = {}
+        misplaced = False
+        for node, listed in rotations.items():
+            if node not in nodes:
+                raise MapError(f"rotation given for unknown node {node!r}")
+            out = []
+            prev = n
+            for d in listed:
+                try:
+                    e, s, r = d
+                except (TypeError, ValueError):
+                    raise MapError(f"rotation at {node!r}: malformed dart {d!r}") from None
+                if not (isinstance(e, str) and e in base):
+                    raise MapError(f"rotation at {node!r} names unknown edge {e!r}")
+                b, last, pts = base[e]
+                if not (type(s) is int and 0 <= s <= last):
+                    raise MapError(f"rotation at {node!r}: segment index {s} out of range "
+                                   f"for edge {e!r}")
+                if r not in DIRS:
+                    raise MapError(f"rotation at {node!r}: bad direction {r!r}")
+                f = r == "fwd"
+                i = b + 2 * s + f
+                if tail[i] is not None:
+                    raise MapError(f"dart {(e, s, r)!r} listed more than once")
+                tail[i] = node
+                if pts[s + 1 - f] != node:
+                    misplaced = True
+                decode[i] = d = d if type(d) is tuple else (e, s, r)
+                succ[prev] = i
+                prev = i
+                out.append(d)
+            succ[prev] = succ[n]  # the last dart closes the cycle; a no-op for an empty rotation
+            rot[node] = tuple(out)
+        succ.pop()
+        if len(rot) != len(nodes):
+            raise MapError("rotations must cover exactly the vertices and crossings; missing: "
+                           + repr(sorted(nodes - set(rot))[:3]))
+        if misplaced or sum(map(len, rot.values())) != n:
+            # Every listed dart is a real one, listed once, so one listed too few leaves one missing.
+            for e, pts in paths.items():
+                b = base[e][0]
+                for i in range(len(pts) - 1):
+                    for d, t, j in (((e, i, "fwd"), pts[i], b + 2 * i + 1), ((e, i, "bwd"), pts[i + 1], b + 2 * i)):
+                        if tail[j] != t:
+                            raise MapError(f"dart {d!r} missing from rotations" if tail[j] is None
+                                           else f"dart {d!r} listed at {tail[j]!r} but its tail is {t!r}")
+        self.rotations, self.tail, self.succ, self.decode, self._base = rot, tail, succ, decode, base
+        self._walks = self._faces = None
+
+    def encode(self, dart) -> int:
+        """The number of ``dart``; ``KeyError`` for anything that is not one of this map's darts."""
+        try:
+            e, s, r = dart
+            if type(s) is int and s >= 0 and r in DIRS:
+                b, last, _ = self._base[e]
+                if s <= last:
+                    return b + 2 * s + (r == "fwd")
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise KeyError(dart)
+
+    def inner_segments(self) -> List[int]:
+        """The ``"bwd"`` dart of each segment 1..k-1 of every edge with k crossings, in number order.
+
+        These are the segments whose two ends are crossings.
+        """
+        return [b + 2 * s for b, last, _ in self._base.values() for s in range(1, last)]
 
     def num_segments(self) -> int:
-        return len(self.darts.tail) // 2
+        return len(self.tail) // 2
 
     def walks(self) -> Tuple[Tuple[int, ...], ...]:
         """All face walks as dart numbers, each from its smallest dart, in order of that dart.
@@ -240,7 +238,7 @@ class CombMap:
         The same pass fills ``face_of()``.
         """
         if self._walks is None:
-            succ = self.darts.succ
+            succ = self.succ
             face_of = [-1] * len(succ)
             out = []
             for i in range(len(succ)):
@@ -266,7 +264,7 @@ class CombMap:
     def faces(self) -> Tuple[Tuple[Dart, ...], ...]:
         """All face walks, each starting at its smallest dart, sorted."""
         if self._faces is None:
-            decode = self.darts.decode.__getitem__
+            decode = self.decode.__getitem__
             self._faces = tuple([tuple(map(decode, walk)) for walk in self.walks()])
         return self._faces
 
@@ -278,8 +276,8 @@ class CombMap:
         listed = self.rotations[node]
         if not listed:
             return frozenset((node,))
-        walks, face_of, tail = self.walks(), self._face_of, self.darts.tail
-        start = face_of[self.darts.encode(listed[0])]
+        walks, face_of, tail = self.walks(), self._face_of, self.tail
+        start = face_of[self.encode(listed[0])]
         seen = bytearray(len(walks))
         seen[start] = 1
         stack = [start]
@@ -305,12 +303,12 @@ class CombMap:
         ``occurrence_u`` / ``occurrence_v`` index into the face walk; the new
         edge joins the tails of the two indexed darts, which must be distinct
         nodes.  Returns a new map in which the face is split in two; the
-        Euler characteristic is unchanged.  The new map is numbered by
-        ``Darts.of_paths``, as the ``Drawing`` with the new edge numbers it.
+        Euler characteristic is unchanged.  The new map is numbered and
+        checked as the ``Drawing`` with the new edge numbers it.
         """
         if not (isinstance(edge_id, str) and edge_id):
             raise MapError("edge ids must be nonempty strings")
-        paths = {e: pts for e, (_, _, pts) in self.darts._base.items()}
+        paths = {e: pts for e, (_, _, pts) in self._base.items()}
         if edge_id in paths:
             raise MapError(f"edge id {edge_id!r} already present")
         rot = Rotations(self.rotations)
@@ -331,6 +329,4 @@ class CombMap:
         rot.splice(walk[occurrence_u - 1], [(edge_id, 0, "fwd")])
         rot.splice(walk[occurrence_v - 1], [(edge_id, 0, "bwd")])
         paths[edge_id] = (u, v)
-        # A checked map plus two darts spliced at their tails: every dart is listed once, at its tail.
-        rotations, darts, _ = Darts.of_paths(rot.lists, paths, frozenset(self.rotations))
-        return CombMap(rotations, darts)
+        return CombMap(rot.lists, paths, frozenset(self.rotations))

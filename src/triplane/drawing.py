@@ -30,7 +30,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .combmap import CombMap, Dart, Darts, MapError, smallest_first
+from .combmap import CombMap, Dart, MapError, smallest_first
 
 Segment = Tuple[str, int]
 
@@ -57,7 +57,7 @@ class Drawing:
     system, crossing alternation, and so on) is the job of ``validate``.
     """
 
-    __slots__ = ("vertices", "edges", "rotations", "_darts", "_crossings", "_planar",
+    __slots__ = ("vertices", "edges", "rotations", "crossings", "_map",
                  "_vertex_set", "_report", "_cells", "_text")
 
     def __init__(
@@ -100,40 +100,26 @@ class Drawing:
             bad = next(s for s in chain(verts, emap, occ) if _SURROGATE.search(s))
             raise TDRError(f"id {bad!r} contains a surrogate code point")
 
-        nodes = vset.union(occ)
         try:
-            rot, darts, sound = Darts.of_paths(rotations, paths, nodes)
+            self._map = CombMap(rotations, paths, vset.union(occ))  # the one numbered map of this drawing
         except MapError as exc:
             raise TDRError(str(exc)) from None
-        if len(rot) != len(nodes):
-            raise TDRError("rotations must cover exactly the vertices and crossings; missing: "
-                           + repr(sorted(nodes - set(rot))[:3]))
-        if not sound:
-            raise _dart_defect(paths, darts)
 
         self.vertices = verts
         self.edges = emap
-        self.rotations = rot
-        self._darts = darts  # the one dart numbering of this drawing
+        self.rotations = self._map.rotations
         self._vertex_set = vset
-        self._crossings = {x: (a, b) if a < b else (b, a) for x, (a, b) in occ.items()}
-        self._planar: CombMap | None = None
+        # Crossing id -> its two (edge, position) occurrences, sorted.
+        self.crossings = {x: (a, b) if a < b else (b, a) for x, (a, b) in occ.items()}
         self._report: ValidationReport | None = None
         self._cells = None  # census._classified's cell table, built on first use
         self._text: str | None = None
 
     # -- basic geometry of the incidence structure ------------------------
 
-    @property
-    def crossings(self) -> Dict[str, Tuple[Tuple[str, int], Tuple[str, int]]]:
-        """Crossing id -> its two (edge, position) occurrences, sorted."""
-        return self._crossings
-
     def planarize(self) -> CombMap:
-        """The map whose nodes are the vertices and crossings; it shares ``rotations`` and the dart numbering."""
-        if self._planar is None:
-            self._planar = CombMap(self.rotations, self._darts)
-        return self._planar
+        """The map whose nodes are the vertices and crossings: the one ``Drawing(...)`` numbered and checked."""
+        return self._map
 
     def _validation(self) -> "ValidationReport":
         """``validate(self)``, computed on first use and kept."""
@@ -152,23 +138,6 @@ class Drawing:
 
     def __hash__(self) -> int:
         return hash(self.canonical())
-
-
-def _dart_defect(paths: Dict[str, Tuple[str, ...]], darts: Darts) -> TDRError:
-    """The first dart, in edge order, that is missing from the rotations or listed at a node not its tail.
-
-    Every listed dart names a real segment and direction and is listed once,
-    so fewer listed darts than the edges need always leave one missing.
-    """
-    for e, pts in paths.items():
-        for i in range(len(pts) - 1):
-            for d, t in (((e, i, "fwd"), pts[i]), ((e, i, "bwd"), pts[i + 1])):
-                listed = darts.tail[darts.encode(d)]
-                if listed is None:
-                    return TDRError(f"dart {d!r} missing from rotations")
-                if listed != t:
-                    return TDRError(f"dart {d!r} listed at {listed!r} but its tail is {t!r}")
-    raise AssertionError("no dart is missing or misplaced")
 
 
 # -- JSON interchange ------------------------------------------------------
@@ -304,7 +273,7 @@ def validate(drawing: Drawing) -> ValidationReport:
     results.append(CheckResult("connected", not stranded, (min(stranded),) if stranded else ()))
 
     lenses = set()
-    decode = cmap.darts.decode
+    decode = cmap.decode
     for walk in cmap.walks():
         if len(walk) == 2 and walk[0] >> 1 != walk[1] >> 1:  # two darts of two segments
             a, b = sorted((decode[walk[0]][:2], decode[walk[1]][:2]))

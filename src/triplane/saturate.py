@@ -5,10 +5,10 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .census import _classified
-from .combmap import Dart, Rotations, smallest_first, twin
+from .combmap import Dart, Rotations, twin
 from .drawing import Drawing, EdgeRecord
 
 
@@ -32,7 +32,7 @@ def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
     """
     _, incidences, _, kinds = _classified(drawing)
     cmap = drawing.planarize()
-    walks, tail, vertices = cmap.walks(), cmap.darts.tail, drawing._vertex_set
+    walks, tail, vertices = cmap.walks(), cmap.tail, drawing._vertex_set
     walked = [k for k, (v, kind) in enumerate(zip(incidences, kinds))
               if v >= 2 and (kind == "LARGE" or kind == "OTHER")]
     for k in sorted(walked, key=str):  # cell "c{k}" in id order
@@ -76,7 +76,7 @@ def _first_unjoined(verts: Sequence[str],
 
 
 class _Face:
-    """A face split at least once, kept up to date by taking away each part split off it.
+    """A face not filled yet, kept up to date by taking away each part split off it.
 
     ``darts`` holds the face's darts and ``heap`` holds them too, with the
     darts that left popped only when they reach the top, so ``key`` (the
@@ -185,7 +185,7 @@ def saturate(drawing: Drawing) -> Drawing:
     The two new cells are walked in turn until one closes, so only the
     smaller one is enumerated and gets its witness from its walk.  The
     larger one keeps the split cell's record (``_Face``, built from the
-    cell's walk the first time it is split) minus the smaller one; with
+    cell's walk when the cell was found) minus the smaller one; with
     it, its smallest dart, its witness and, for a vertex that occurs on
     it once, that occurrence are found without walking it.  A vertex that
     occurs more than once is found by walking from the smallest dart.
@@ -210,16 +210,16 @@ def saturate(drawing: Drawing) -> Drawing:
     vertices = frozenset(drawing.vertices)
     # Every face is keyed by its smallest dart, and its index in the sorted
     # ``keys`` is the ``c{i}`` id that ``cells`` gives it.  ``pending`` maps
-    # the key of each face that is not filled yet to its witness and to its
-    # walk, or to its ``_Face`` once it has been split; filled faces are
-    # never split again, so only their keys are kept.
+    # the key of each face that is not filled yet to its ``_Face``, built
+    # when the face is found, and its witness; filled faces are never split
+    # again, so only their keys are kept.
     keys = []
-    pending: Dict[Dart, Tuple[Union[Tuple[Dart, ...], _Face], Tuple[str, str]]] = {}
+    pending: Dict[Dart, Tuple[_Face, Tuple[str, str]]] = {}
     for walk in cmap.faces():
         keys.append(walk[0])
         witness = _cell_witness([rot.tail[d] for d in walk], vertices)
         if witness is not None:
-            pending[walk[0]] = (walk, witness)
+            pending[walk[0]] = (_Face(walk, rot.tail, vertices), witness)
 
     edges = list(drawing.edges.values())
     fresh = 0
@@ -232,8 +232,6 @@ def saturate(drawing: Drawing) -> Drawing:
         cell_id = f"c{i}"
         del keys[i]
         face, (u, v) = pending.pop(key)
-        if not isinstance(face, _Face):
-            face = _Face(face, rot.tail, vertices)
         arrive_u, arrive_v = face.arrival(u, key, rot), face.arrival(v, key, rot)
 
         while f"s{fresh}" in drawing.edges:
@@ -260,7 +258,7 @@ def saturate(drawing: Drawing) -> Drawing:
         insort(keys, small_key)
         witness = _cell_witness(tails, vertices)
         if witness is not None:
-            pending[small_key] = (smallest_first(tuple(small)), witness)
+            pending[small_key] = (_Face(small, rot.tail, vertices), witness)
         key = face.key()
         insort(keys, key)
         witness = _first_unjoined(face.verts, face.joined)

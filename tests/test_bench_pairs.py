@@ -85,11 +85,53 @@ def test_parse_run_reads_rounds_digests_and_metrics():
         bench_pairs.parse_run("")
 
 
+TRACED_STDOUT = """workload certify seed 5: 1 round(s) of 8 ops, 0.477 s wall per round; attempted 8, failed 1, correct true
+  time in operations: 0.329 s wall, 0.176 s at the reference speed (x0.536)
+  outputs sha256:{digest}: 8 match the reference, 0 have none, 0 differ
+  spans written to perfbench/out/trace-certify-seed5.json.gz
+  combmap.CombMap.calls                                     24 count
+  combmap.CombMap.self_s                            0.0615834 s
+  census.cells_per_verdict                                   0 ratio
+{last}
+"""
+
+
+def traced_stdout(combmap_calls):
+    last = json.dumps({"correct": True, "attempted": 8, "failed": 1, "metrics": {
+        "combmap.CombMap.calls": {"value": combmap_calls, "unit": "count"},
+        "combmap.CombMap.self_s": {"value": 0.0615834, "unit": "s"},
+        "census.cells_per_verdict": {"value": 0.0, "unit": "ratio"}}})
+    return TRACED_STDOUT.format(digest="ef" * 32, last=last)
+
+
+def test_parse_run_reads_a_traced_round():
+    run = bench_pairs.parse_run(traced_stdout(24))
+    assert (run["rounds"], run["attempted"], run["failed"], run["digests_match"]) == (1, 8, 1, True)
+    assert run["metrics"] == {"combmap.CombMap.calls": 24, "combmap.CombMap.self_s": 0.0615834,
+                              "census.cells_per_verdict": 0.0}
+
+
 def test_summarize_workload_pairs_the_sides():
     runs = {"parent": [bench_pairs.parse_run(run_stdout(v)) for v in (30.0, 31.0, 32.0)],
             "change": [bench_pairs.parse_run(run_stdout(v, digest="cd" * 32)) for v in (36.0, 37.0, 38.0)]}
-    w = bench_pairs.summarize_workload(runs, [5, 6, 7], [{"name": "ops_per_s", "better": "higher", "bound": 0.15}])
+    traced = {"parent": bench_pairs.parse_run(traced_stdout(0)), "change": bench_pairs.parse_run(traced_stdout(24))}
+    w = bench_pairs.summarize_workload(runs, [5, 6, 7], [{"name": "ops_per_s", "better": "higher", "bound": 0.15}],
+                                       traced)
     assert w["first_in_pair"] == ["parent", "change", "parent"]
     assert w["failed_per_run"]["change"] == ["0/48"] * 3 and w["rounds_per_run"]["parent"] == [6] * 3
     assert w["correct"] and w["digests_match_reference"] and not w["digests_agree"]
     assert w["metrics"]["ops_per_s"]["change_wins"] == "3/3"
+    assert w["traced_round"]["parent"]["per_layer"]["combmap.CombMap.calls"] == 0
+    assert w["traced_round"]["change"] == {
+        "seed": 5, "correct": True, "failed": "1/8", "digests_match_reference": True,
+        "per_layer": {"combmap.CombMap.calls": 24, "combmap.CombMap.self_s": 0.0615834,
+                      "census.cells_per_verdict": 0.0}}
+
+
+def test_src_lines_counts_newlines_like_wc(tmp_path):
+    pkg = tmp_path / "src" / "triplane"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_bytes(b"x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_bytes(b"z = 3")  # no final newline: wc -l does not count the line
+    (pkg / "notes.txt").write_bytes(b"not\ncounted\n")
+    assert bench_pairs.src_lines(tmp_path) == 3

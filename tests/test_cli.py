@@ -10,7 +10,7 @@ import pytest
 from triplane import cli
 from triplane.certificate import verify_numeric
 from triplane.cli import main
-from triplane.combmap import CombMap, Darts
+from triplane.combmap import CombMap
 from triplane.constraints import evaluate_constraints
 from triplane.drawing import Drawing, serialize_tdr, stats
 from triplane.generators import gen_basic, gen_fig2, gen_fig3, random_drawing
@@ -123,13 +123,11 @@ def test_verdict_validates_and_builds_cells_once(capsys, monkeypatch, tmp_path, 
     monkeypatch.setattr(census_mod, "cells", counted("cells", census_mod.cells))
     monkeypatch.setattr(census_mod, "_Cells", counted("table", census_mod._Cells))
     monkeypatch.setattr(drawing_mod, "validate", counted("validate", drawing_mod.validate))
-    # One check and numbering of the rotations (``Darts.of_paths``), and one view of them.
-    monkeypatch.setattr(Darts, "of_paths", counted("of_paths", Darts.of_paths))
+    # One check and numbering of the rotations: the one ``CombMap`` the ``Drawing`` builds.
     monkeypatch.setattr(CombMap, "__init__", counted("CombMap", CombMap.__init__))
     got, out, _ = run(capsys, argv[0], str(p), *argv[1:])
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
-    assert (calls["cells"], calls["table"], calls["validate"], calls["of_paths"], calls["CombMap"]) == \
-        (0, 1, 1, 1, 1)
+    assert (calls["cells"], calls["table"], calls["validate"], calls["CombMap"]) == (0, 1, 1, 1)
 
 
 # One verdict classifies each cell once, by the one rule set (``_kind``):

@@ -1,7 +1,7 @@
 import pytest
 
 from triplane.census import cells
-from triplane.combmap import MapError, Rotations, twin
+from triplane.combmap import CombMap, MapError, Rotations, twin
 from triplane.drawing import Drawing, EdgeRecord, TDRError
 from triplane.saturate import filled_witness
 
@@ -45,7 +45,7 @@ def k3():
 
 def tail(cmap, dart):
     """The node ``dart`` leaves, read through the map's numbering."""
-    return cmap.darts.tail[cmap.darts.encode(dart)]
+    return cmap.tail[cmap.encode(dart)]
 
 
 def test_twin_involution():
@@ -215,16 +215,21 @@ def test_insert_rejects_same_node_and_bad_walk():
 
 
 def test_constructor_rejects_bad_maps():
-    # ``Drawing`` is the one checker of a rotation system; ``CombMap`` is a view of what it checked.
+    # ``CombMap(...)`` is the one checker of a rotation system; ``Drawing`` re-raises its text.
     ab = [EdgeRecord("e", ("a", "b"), ())]
     for rotations, message in (
+        ({"a": [("e", 0, "fwd")]}, "rotations must cover exactly the vertices and crossings; missing: ['b']"),
         ({"a": [("e", 0, "fwd")], "b": []}, "dart ('e', 0, 'bwd') missing from rotations"),
+        ({"a": [("e", 0, "bwd")], "b": [("e", 0, "fwd")]}, "dart ('e', 0, 'fwd') listed at 'b' but its tail is 'a'"),
         ({"a": [("e", 0, "fwd")], "b": [("e", 0, "fwd"), ("e", 0, "bwd")]},
          "dart ('e', 0, 'fwd') listed more than once"),
         ({"a": [("e", 0, "up")], "b": [("e", 0, "bwd")]}, "rotation at 'a': bad direction 'up'"),
         ({"a": [("e", False, "fwd")], "b": [("e", 0, "bwd")]},  # bool is not a segment index
          "rotation at 'a': segment index False out of range for edge 'e'"),
     ):
+        with pytest.raises(MapError) as exc:
+            CombMap(rotations, {"e": ("a", "b")}, frozenset("ab"))
+        assert str(exc.value) == message
         with pytest.raises(TDRError) as exc:
             Drawing(["a", "b"], ab, rotations)
         assert str(exc.value) == message
@@ -234,7 +239,7 @@ def assert_numbered_as_drawing(drawing, m2, new):
     """``m2``, ``drawing``'s map with edge ``new`` inserted, against the ``Drawing`` of its rotations."""
     built = Drawing(drawing.vertices, list(drawing.edges.values()) + [new], m2.rotations)
     ref = built.planarize()
-    assert (m2.darts.decode, m2.darts.tail, m2.darts.succ) == (ref.darts.decode, ref.darts.tail, ref.darts.succ)
+    assert (m2.decode, m2.tail, m2.succ) == (ref.decode, ref.tail, ref.succ)
     assert m2.faces() == ref.faces()
     return built
 

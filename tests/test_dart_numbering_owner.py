@@ -1,16 +1,17 @@
-"""Only ``combmap`` reads the dart numbering's own tables, and only ``Darts.of_paths`` makes one.
+"""Only ``combmap`` reads the dart numbering's own tables, and only two places build a ``CombMap``.
 
-``Darts._base`` is how ``combmap`` numbers darts; every other module asks
-``Darts`` (``encode``, ``decode``, ``inner_segments``) so that the
-numbering keeps one owner.  ``Darts.of_paths`` checks a rotation system
-while it numbers it, so a ``Darts`` made anywhere else would be a second,
-unchecked numbering.
+``CombMap._base`` is how ``combmap`` numbers darts; every other module asks
+the map (``encode``, ``decode``, ``inner_segments``) so that the numbering
+keeps one owner.  ``CombMap(...)`` checks a rotation system while it
+numbers it, and only ``Drawing.__init__`` and
+``CombMap.insert_edge_in_face`` build one, so every map is the one map of
+a drawing or of a drawing with one more edge.
 """
 
 import ast
 from pathlib import Path
 
-from triplane.combmap import Darts
+from triplane.combmap import CombMap
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "triplane").glob("*.py"))
 PRIVATE = ("_base",)
@@ -25,8 +26,8 @@ def reads(path):
             or isinstance(node, ast.Constant) and node.value in PRIVATE]
 
 
-def test_private_tables_are_slots_of_darts():
-    assert set(PRIVATE) <= set(Darts.__slots__)
+def test_private_tables_are_slots_of_combmap():
+    assert set(PRIVATE) <= set(CombMap.__slots__)
 
 
 def test_only_combmap_reads_the_numbering_tables():
@@ -36,24 +37,25 @@ def test_only_combmap_reads_the_numbering_tables():
 
 
 def creations(path):
-    """(file, enclosing function's qualified name) for every ``Darts(...)`` and ``Darts.__new__``.
+    """(file, enclosing function's qualified name) for every ``CombMap(...)`` and ``CombMap.__new__``.
 
-    Inside ``class Darts``, ``cls.__new__`` counts too.
+    Inside ``class CombMap``, ``cls(...)``, ``type(self)(...)`` and ``cls.__new__`` count too.
     """
     found = []
 
-    def makes_darts(call, scope):
+    def makes_map(call, scope):
         f = call.func
+        own = ("cls", "type(self)", "self.__class__") if scope[:1] == ("CombMap",) else ()
         if isinstance(f, ast.Attribute) and f.attr == "__new__":
-            return ast.unparse(f.value) == "Darts" or scope[:1] == ("Darts",) and ast.unparse(f.value) == "cls"
-        return ast.unparse(f) in ("Darts", "combmap.Darts")
+            return ast.unparse(f.value) in ("CombMap",) + own
+        return ast.unparse(f) in ("CombMap", "combmap.CombMap") + own
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and makes_darts(child, scope):
+            if isinstance(child, ast.Call) and makes_map(child, scope):
                 found.append((path.name, ".".join(scope)))
             visit(child, scope)
 
@@ -61,8 +63,9 @@ def creations(path):
     return found
 
 
-def test_only_of_paths_creates_darts():
-    assert [c for path in SOURCES for c in creations(path)] == [("combmap.py", "Darts.of_paths")]
+def test_only_drawing_and_edge_insertion_build_a_map():
+    assert [c for path in SOURCES for c in creations(path)] == [("combmap.py", "CombMap.insert_edge_in_face"),
+                                                                 ("drawing.py", "Drawing.__init__")]
 
 
 def numbering_lapses(path):

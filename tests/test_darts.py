@@ -1,4 +1,4 @@
-"""The dart numbering (``combmap.Darts``) against tuple-keyed references.
+"""The dart numbering of ``combmap.CombMap`` against tuple-keyed references.
 
 ``reference_faces`` and ``reference_cells`` are the face walk and the cell
 records as they were computed before darts were numbered: a successor
@@ -64,9 +64,8 @@ def reference_component(rotations, tail, node):
 
 def assert_map_matches_reference(cmap):
     faces, tail = reference_faces(cmap.rotations)
-    darts = cmap.darts
     assert cmap.faces() == faces
-    assert [darts.tail[darts.encode(d)] for d in sorted(tail)] == [tail[d] for d in sorted(tail)]
+    assert [cmap.tail[cmap.encode(d)] for d in sorted(tail)] == [tail[d] for d in sorted(tail)]
     assert cmap.euler_characteristic() == len(cmap.rotations) - len(tail) // 2 + len(faces)
     for node in cmap.rotations:
         assert cmap.component_of(node) == reference_component(cmap.rotations, tail, node)
@@ -76,7 +75,7 @@ def assert_map_matches_reference(cmap):
         assert all(face_of[i] == k for i in walk)
     for listed in cmap.rotations.values():
         for d, after in zip(listed, listed[1:] + listed[:1]):
-            assert darts.succ[darts.encode(d)] == darts.encode(after)
+            assert cmap.succ[cmap.encode(d)] == cmap.encode(after)
 
 
 def isolated_vertex():
@@ -123,14 +122,14 @@ def test_numbered_map_matches_reference(build):
 
 @pytest.mark.parametrize("build", [b for _, b in DRAWINGS], ids=[name for name, _ in DRAWINGS])
 def test_numbering_is_tuple_order_with_twins_paired(build):
-    darts = build().planarize().darts
-    n = len(darts.tail)
-    assert n % 2 == 0 and len(darts.decode) == len(darts.succ) == n
-    assert all(a < b for a, b in zip(darts.decode, darts.decode[1:]))
-    for i, dart in enumerate(darts.decode):
-        assert darts.encode(dart) == i
-        assert darts.decode[i ^ 1] == twin(dart)
-        assert darts.decode[i >> 1 << 1][:2] == dart[:2]
+    cmap = build().planarize()
+    n = len(cmap.tail)
+    assert n % 2 == 0 and len(cmap.decode) == len(cmap.succ) == n
+    assert all(a < b for a, b in zip(cmap.decode, cmap.decode[1:]))
+    for i, dart in enumerate(cmap.decode):
+        assert cmap.encode(dart) == i
+        assert cmap.decode[i ^ 1] == twin(dart)
+        assert cmap.decode[i >> 1 << 1][:2] == dart[:2]
 
 
 def test_degenerate_and_edge_cases_are_in_the_sample():
@@ -150,6 +149,6 @@ def test_drawing_numbers_edges_in_sorted_id_order():
     # Listed in the order b, a: edge a's darts still come first.
     d = Drawing(["u", "v"], [EdgeRecord("b", ("u", "v"), ()), EdgeRecord("a", ("u", "v"), ())],
                 {"u": [("b", 0, "fwd"), ("a", 0, "fwd")], "v": [("a", 0, "bwd"), ("b", 0, "bwd")]})
-    assert d.planarize().darts.decode == [("a", 0, "bwd"), ("a", 0, "fwd"),
-                                          ("b", 0, "bwd"), ("b", 0, "fwd")]
-    assert d.planarize().darts.tail == ["v", "u", "v", "u"]
+    assert d.planarize().decode == [("a", 0, "bwd"), ("a", 0, "fwd"),
+                                    ("b", 0, "bwd"), ("b", 0, "fwd")]
+    assert d.planarize().tail == ["v", "u", "v", "u"]

@@ -279,23 +279,23 @@ def test_stats_crossing_identity():
 
 def tail_of(drawing, dart):
     """The node ``dart`` leaves, read through the drawing's dart numbering."""
-    darts = drawing.planarize().darts
-    return darts.tail[darts.encode(dart)]
+    cmap = drawing.planarize()
+    return cmap.tail[cmap.encode(dart)]
 
 
 def segment_ends(drawing, seg):
     """The first and last node of segment ``seg``, read through the drawing's dart numbering."""
-    darts = drawing.planarize().darts
-    b = darts.encode((*seg, "bwd"))
-    return darts.tail[b ^ 1], darts.tail[b]
+    cmap = drawing.planarize()
+    b = cmap.encode((*seg, "bwd"))
+    return cmap.tail[b ^ 1], cmap.tail[b]
 
 
 def test_segment_helpers():
     d = util.x1()
     assert segment_ends(d, ("e0", 0)) == ("v0", "x0")
-    assert d.planarize().darts.inner_segments() == []
-    darts = util.overloaded_line().planarize().darts
-    assert [darts.decode[b] for b in darts.inner_segments()] == [("e", 1, "bwd"), ("e", 2, "bwd"), ("e", 3, "bwd")]
+    assert d.planarize().inner_segments() == []
+    cmap = util.overloaded_line().planarize()
+    assert [cmap.decode[b] for b in cmap.inner_segments()] == [("e", 1, "bwd"), ("e", 2, "bwd"), ("e", 3, "bwd")]
 
 
 # x1's edge e0 has segments 0 and 1, and e1's darts are numbered right after
@@ -336,15 +336,15 @@ PLANARIZED = (
 
 @pytest.mark.parametrize("build", [b for _, b in PLANARIZED], ids=[i for i, _ in PLANARIZED])
 def test_planarization_matches_checked_map(build):
-    # ``planarize`` shares the drawing's rotations and dart numbering, not
-    # copies; its faces and tails must still be those of the tuple-keyed reference.
+    # ``planarize`` is the one map ``Drawing(...)`` numbered and checked, sharing
+    # its rotations; its faces and tails must still be those of the tuple-keyed reference.
     d = build()
     shared = d.planarize()
-    assert shared.rotations is d.rotations and shared.darts is d._darts
+    assert shared is d.planarize() and shared.rotations is d.rotations
     faces, tail = reference_faces(d.rotations)
     assert shared.faces() == faces
-    assert shared.darts.decode == sorted(tail)
-    for dart in shared.darts.decode:
+    assert shared.decode == sorted(tail)
+    for dart in shared.decode:
         e = d.edges[dart[0]]
         pts = (e.ends[0], *e.crossings, e.ends[1])
         assert tail_of(d, dart) == tail[dart] == pts[dart[1] + (dart[2] == "bwd")]

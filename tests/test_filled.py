@@ -17,9 +17,9 @@ from test_census import _non_alternating, capped_triangle, ladder
 
 def reference_filled_witness(drawing):
     """First (cell id, u, v), cells in id order and pairs in order, with no uncrossed u-v edge on the cell."""
-    darts, is_vertex, edges = drawing.planarize().darts, drawing._vertex_set.__contains__, drawing.edges
+    cmap, is_vertex, edges = drawing.planarize(), drawing._vertex_set.__contains__, drawing.edges
     for rec in sorted(cells(drawing), key=lambda r: r.cell_id):
-        verts = sorted(set(filter(is_vertex, (darts.tail[darts.encode(d)] for d in rec.walk))))
+        verts = sorted(set(filter(is_vertex, (cmap.tail[cmap.encode(d)] for d in rec.walk))))
         if len(verts) < 2:
             continue
         joined = set()

@@ -38,8 +38,8 @@ def _saturate_oracle(drawing: Drawing) -> Drawing:
             return current
         cell_id, u, v = witness
         rec = next(r for r in cells(current) if r.cell_id == cell_id)
-        darts = current.planarize().darts
-        tails = [darts.tail[darts.encode(d)] for d in rec.walk]
+        cmap = current.planarize()
+        tails = [cmap.tail[cmap.encode(d)] for d in rec.walk]
         occ_u = tails.index(u)
         occ_v = tails.index(v)
         while f"s{fresh}" in current.edges:

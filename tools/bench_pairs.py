@@ -10,13 +10,16 @@ Usage::
 lists, pair ``i`` of ten runs ``python3 perfbench/run.py --workload W
 --seed <first-seed + i> --trace 0`` once in each checkout, at perfbench's
 own run length, the parent first when ``i`` is even and the change first
-when it is odd, one process at a time.  The file, written to the current
-directory, records, per workload and end-to-end metric, each side's runs,
-median and inclusive quartiles, the pairs the change wins, and the
-change's median against the parent's with the bound ``BENCHMARK.json``
-sets; per run, the rounds, the failed operations and whether the output
-digests match perfbench's reference; and the Python version and both
-commits.
+when it is odd, one process at a time.  After the pairs, each side runs
+one traced round of the workload (``--trace 1``, seed ``first-seed``),
+which reports perfbench's per-layer calls and self times.  The file,
+written to the current directory, records, per workload and end-to-end
+metric, each side's runs, median and inclusive quartiles, the pairs the
+change wins, and the change's median against the parent's with the bound
+``BENCHMARK.json`` sets; per run, the rounds, the failed operations and
+whether the output digests match perfbench's reference; per workload,
+each side's traced round; and each side's ``src/`` line count (``cat
+src/triplane/*.py | wc -l``), the Python version and both commits.
 """
 
 from __future__ import annotations
@@ -99,9 +102,17 @@ def parse_run(stdout: str) -> dict:
             "digest_counts": [int(match), int(none), int(differ)]}
 
 
+def src_lines(checkout: Path) -> int:
+    """The lines of ``src/triplane/*.py`` in ``checkout``, as ``cat src/triplane/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "triplane").glob("*.py"))
+
+
 def summarize_workload(runs: Dict[str, List[dict]], seeds: Sequence[int],
-                       end_to_end: Sequence[dict]) -> dict:
-    """All pairs of one workload: ``runs[side][i]`` is ``parse_run`` of pair ``i`` on that side."""
+                       end_to_end: Sequence[dict], traced: Dict[str, dict]) -> dict:
+    """All pairs of one workload: ``runs[side][i]`` is ``parse_run`` of pair ``i`` on that side.
+
+    ``traced[side]`` is ``parse_run`` of that side's traced round.
+    """
     return {
         "seeds": list(seeds),
         "pairs": len(seeds),
@@ -115,6 +126,10 @@ def summarize_workload(runs: Dict[str, List[dict]], seeds: Sequence[int],
                                                 [r["metrics"][m["name"]] for r in runs["change"]],
                                                 m["better"], m.get("bound"))
                     for m in end_to_end},
+        "traced_round": {side: {"seed": seeds[0], "correct": traced[side]["correct"],
+                                "failed": f"{traced[side]['failed']}/{traced[side]['attempted']}",
+                                "digests_match_reference": traced[side]["digests_match"],
+                                "per_layer": traced[side]["metrics"]} for side in SIDES},
     }
 
 
@@ -124,9 +139,9 @@ def _rev(checkout: Path) -> Optional[str]:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _run(checkout: Path, workload: str, seed: int) -> dict:
+def _run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--trace", "0"],
+                           "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
@@ -155,7 +170,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{workload} pair {i + 1}/{len(seeds)}: " + ", ".join(
                 f"{side} ops_per_s {runs[side][-1]['metrics']['ops_per_s']:.3f}" for side in SIDES),
                 file=sys.stderr)
-        workloads[workload] = summarize_workload(runs, seeds, bench["end_to_end"])
+        traced = {side: _run(getattr(args, side), workload, seeds[0], trace=1) for side in SIDES}
+        workloads[workload] = summarize_workload(runs, seeds, bench["end_to_end"], traced)
 
     out = {
         "label": args.label,
@@ -166,7 +182,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "method": (f"{PAIRS} pairs per workload, seeds {seeds[0]}-{seeds[-1]}; in pair i the parent runs "
                    "first when i is even (from 0), the change when it is odd; one process at a time. "
-                   "Quartiles by the inclusive method."),
+                   "Quartiles by the inclusive method. Then one traced round per side "
+                   f"(--trace 1, seed {seeds[0]}); its self times are raw wall seconds of one round."),
+        "src_lines": {side: src_lines(getattr(args, side)) for side in SIDES},
         "workloads": workloads,
     }
     path = Path(f"BENCH_{args.label}.json")
