@@ -54,7 +54,9 @@ class _Arrangement:
     integers, and crossings are the reduced triples of ``geometry._meet``
     in the scaled frame; ``Fraction`` is built only for sort keys.  A
     positive scale keeps every orientation, every order along a segment
-    and the sorted order of the crossings.  A closed bounding box per
+    and the sorted order of the crossings.  No lattice point lies strictly
+    inside a segment whose direction is primitive (gcd 1), so only the
+    others are scanned for points on them.  A closed bounding box per
     segment skips the pairs and points that cannot meet it, and a pair
     with a shared end is settled by one orientation unless it is collinear.
     """
@@ -65,25 +67,25 @@ class _Arrangement:
                            y.numerator * (scale // y.denominator))
                        for k, (x, y) in points.items()}
         self.ends: Dict[str, Tuple[Hashable, Hashable]] = {}
-        self.boxes: Dict[str, Tuple[int, int, int, int]] = {}  # closed (xlo, xhi, ylo, yhi)
+        self.segments: List[Tuple[str, Hashable, Hashable, int, int, int, int]] = []  # (sid, u, v, closed box)
         self.crossings: Dict[str, List[Tuple[_Triple, str]]] = {}  # (point, other segment)
         self.owner: Dict[_Triple, Tuple[str, str]] = {}            # crossing -> (older, newer)
 
     def add(self, sid: str, u: Hashable, v: Hashable) -> Optional[str]:
         """Accept segment ``sid`` from u to v, or return why it is refused."""
-        pts, boxes = self.points, self.boxes
+        pts = self.points
         a, b = pts[u], pts[v]
         ax, ay = a
         rx, ry = b[0] - ax, b[1] - ay
         # strict tests on closed boxes: only what the predicates would call disjoint is skipped
-        xlo, xhi, ylo, yhi = box = (min(ax, b[0]), max(ax, b[0]), min(ay, b[1]), max(ay, b[1]))
-        for nm, (px, py) in pts.items():
-            if (xlo <= px <= xhi and ylo <= py <= yhi
-                    and nm != u and nm != v and rx * (py - ay) == ry * (px - ax)):
-                return f"vertex-on-edge: point {nm!r} lies on segment {sid!r}"
+        xlo, xhi, ylo, yhi = min(ax, b[0]), max(ax, b[0]), min(ay, b[1]), max(ay, b[1])
+        if math.gcd(rx, ry) > 1:  # else no lattice point lies strictly between a and b
+            for nm, (px, py) in pts.items():
+                if (xlo <= px <= xhi and ylo <= py <= yhi
+                        and nm != u and nm != v and rx * (py - ay) == ry * (px - ax)):
+                    return f"vertex-on-edge: point {nm!r} lies on segment {sid!r}"
         found: List[Tuple[_Triple, str]] = []
-        for o, (c, d) in self.ends.items():
-            oxlo, oxhi, oylo, oyhi = boxes[o]
+        for o, c, d, oxlo, oxhi, oylo, oyhi in self.segments:
             if oxhi < xlo or oxlo > xhi or oyhi < ylo or oylo > yhi:
                 continue
             if c == u or c == v or d == u or d == v:
@@ -105,7 +107,7 @@ class _Arrangement:
             if len(found) == 4:
                 return f"too-many-crossings: {sid!r} is crossed 4 times"
         self.ends[sid] = (u, v)
-        boxes[sid] = box
+        self.segments.append((sid, u, v, xlo, xhi, ylo, yhi))
         self.crossings[sid] = found
         for p, o in found:
             self.owner[p] = (o, sid)
@@ -531,11 +533,10 @@ def _random_arrangement(n: int, edge_budget: int, seed: int) -> Tuple[Dict[str, 
     used = set()
     for nm in names:
         while True:
-            p = (Fraction(rng.randrange(_GRID.start, _GRID.stop)),
-                 Fraction(rng.randrange(_GRID.start, _GRID.stop)))
-            if p not in used:
-                used.add(p)
-                pts[nm] = p
+            x, y = rng.randrange(_GRID.start, _GRID.stop), rng.randrange(_GRID.start, _GRID.stop)
+            if (x, y) not in used:
+                used.add((x, y))
+                pts[nm] = (Fraction(x), Fraction(y))
                 break
 
     pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]

@@ -69,8 +69,8 @@ RUN_STDOUT = """workload certify seed 3: 6 round(s) of 8 ops, 2.412 s wall per r
 """
 
 
-def run_stdout(ops_per_s, digest="ab" * 32, differ=0):
-    last = json.dumps({"correct": True, "attempted": 48, "failed": 0,
+def run_stdout(ops_per_s, digest="ab" * 32, differ=0, attempted=48, failed=0):
+    last = json.dumps({"correct": True, "attempted": attempted, "failed": failed,
                        "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "op/s"}}})
     return RUN_STDOUT.format(digest=digest, differ=differ, last=last)
 
@@ -121,6 +121,7 @@ def test_summarize_workload_pairs_the_sides():
     assert w["failed_per_run"]["change"] == ["0/48"] * 3 and w["rounds_per_run"]["parent"] == [6] * 3
     assert w["correct"] and w["digests_match_reference"] and not w["digests_agree"]
     assert w["metrics"]["ops_per_s"]["change_wins"] == "3/3"
+    assert w["failed_share"] == {"parent": 0.0, "change": 0.0} and w["failed_share_no_higher"]
     assert w["traced_round"]["parent"]["per_layer"]["combmap.CombMap.calls"] == 0
     assert w["traced_round"]["change"] == {
         "seed": 5, "correct": True, "failed": "1/8", "digests_match_reference": True,
@@ -135,3 +136,20 @@ def test_src_lines_counts_newlines_like_wc(tmp_path):
     (pkg / "b.py").write_bytes(b"z = 3")  # no final newline: wc -l does not count the line
     (pkg / "notes.txt").write_bytes(b"not\ncounted\n")
     assert bench_pairs.src_lines(tmp_path) == 3
+
+
+def test_failed_share_is_over_all_attempted_operations():
+    # parent 1/27 + 1/27 + 2/54 = 4/108; change 1/27 + 1/27 + 1/27 = 3/81
+    parent = [bench_pairs.parse_run(run_stdout(30.0, attempted=a, failed=f)) for a, f in ((27, 1), (27, 1), (54, 2))]
+    change = [bench_pairs.parse_run(run_stdout(31.0, attempted=27, failed=1)) for _ in range(3)]
+    traced = {"parent": bench_pairs.parse_run(traced_stdout(0)), "change": bench_pairs.parse_run(traced_stdout(0))}
+    end_to_end = [{"name": "ops_per_s", "better": "higher"}]
+    w = bench_pairs.summarize_workload({"parent": parent, "change": change}, [1, 2, 3], end_to_end, traced)
+    assert w["failed_share"] == {"parent": pytest.approx(1 / 27), "change": pytest.approx(1 / 27)}
+    assert w["failed_share_no_higher"]  # equal shares pass
+    change[0] = bench_pairs.parse_run(run_stdout(31.0, attempted=27, failed=2))
+    w = bench_pairs.summarize_workload({"parent": parent, "change": change}, [1, 2, 3], end_to_end, traced)
+    assert w["failed_share"]["change"] == pytest.approx(4 / 81) and not w["failed_share_no_higher"]
+    w = bench_pairs.summarize_workload({"parent": change, "change": parent}, [1, 2, 3], end_to_end, traced)
+    assert w["failed_share_no_higher"]
+    assert bench_pairs.failed_share([]) == 0.0

@@ -183,6 +183,11 @@ BOX_SCENES = {
     "thin": ({"a": ["0", "0"], "b": ["1/3", "7"], "c": ["-1", "1"], "d": ["2", "13/11"],
               "e": ["1/7", "-1"], "f": ["1/7", "9"]},
              [("s0", ("a", "b")), ("s1", ("c", "d")), ("s2", ("e", "f"))]),
+    # a-b is primitive as given but not once scaled by 2: the point test must run on it
+    "half-point-on-diagonal": ({"a": ["0", "0"], "b": ["1", "1"], "c": ["1/2", "1/2"], "d": ["1/2", "3"]},
+                               [("s0", ("a", "b")), ("s1", ("c", "d"))]),
+    "half-point-off-diagonal": ({"a": ["0", "0"], "b": ["1", "1"], "c": ["1/2", "1/3"], "d": ["1/2", "3"]},
+                                [("s0", ("a", "b")), ("s1", ("c", "d"))]),
 }
 BOX_RESULTS = {
     "plus": "8265569157f6230022f240e6a361fa0cfb90814215b4475ca7540e91743fc5e4",
@@ -197,6 +202,8 @@ BOX_RESULTS = {
     "three-through-one-point-swapped": "SceneError: concurrent-crossing: 's1', 's0', 's2' meet at one point",
     "end-on-diagonal": "SceneError: vertex-on-edge: point 'c' lies on segment 's0'",
     "thin": "d4b2c06e027b24d6c4f58ece429898e0d54950c592469fb4e51740fb9654bb41",
+    "half-point-on-diagonal": "SceneError: vertex-on-edge: point 'c' lies on segment 's0'",
+    "half-point-off-diagonal": "7a923ab0fd75d6aa77c301187ab8082f8dac1b4006b85bcb3434a3678407d79a",
 }
 
 
@@ -252,12 +259,14 @@ def as_point(triple):
 
 # On a small grid many candidates are horizontal, vertical, collinear or meet
 # at a box corner: every decision and every crossing must be the brute force's.
-@pytest.mark.parametrize("seed", range(40))
+# Seeds 40-79 also divide y, by 1-3, so the scale is not the x denominator alone.
+@pytest.mark.parametrize("seed", range(80))
 def test_box_test_decides_as_brute_force(seed):
     rng = random.Random(seed)
     span = range(-3, 4) if seed % 2 else range(-12, 13)
     cells = rng.sample([(x, y) for x in span for y in span], rng.randint(6, 14))
-    points = {f"p{i}": (Fraction(x, 1 + seed % 3), Fraction(y)) for i, (x, y) in enumerate(cells)}
+    ydiv = 1 + seed // 3 % 3 if seed >= 40 else 1
+    points = {f"p{i}": (Fraction(x, 1 + seed % 3), Fraction(y, ydiv)) for i, (x, y) in enumerate(cells)}
     arr = _Arrangement(points)
     brute = _BruteArrangement(arr.points)
     for k in range(60):

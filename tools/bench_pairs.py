@@ -18,8 +18,10 @@ metric, each side's runs, median and inclusive quartiles, the pairs the
 change wins, and the change's median against the parent's with the bound
 ``BENCHMARK.json`` sets; per run, the rounds, the failed operations and
 whether the output digests match perfbench's reference; per workload,
-each side's traced round; and each side's ``src/`` line count (``cat
-src/triplane/*.py | wc -l``), the Python version and both commits.
+each side's failed share of all attempted operations, whether the
+change's is no higher, and each side's traced round; and each side's
+``src/`` line count (``cat src/triplane/*.py | wc -l``), the Python
+version and both commits.
 """
 
 from __future__ import annotations
@@ -107,18 +109,28 @@ def src_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "triplane").glob("*.py"))
 
 
+def failed_share(runs: Sequence[dict]) -> float:
+    """The failed operations of ``runs`` over the operations they attempted (0 when none were attempted)."""
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+
 def summarize_workload(runs: Dict[str, List[dict]], seeds: Sequence[int],
                        end_to_end: Sequence[dict], traced: Dict[str, dict]) -> dict:
     """All pairs of one workload: ``runs[side][i]`` is ``parse_run`` of pair ``i`` on that side.
 
-    ``traced[side]`` is ``parse_run`` of that side's traced round.
+    ``traced[side]`` is ``parse_run`` of that side's traced round.  The
+    change must fail no larger share of its operations than the parent.
     """
+    share = {side: failed_share(runs[side]) for side in SIDES}
     return {
         "seeds": list(seeds),
         "pairs": len(seeds),
         "first_in_pair": [SIDES[i % 2] for i in range(len(seeds))],
         "rounds_per_run": {side: [r["rounds"] for r in runs[side]] for side in SIDES},
         "failed_per_run": {side: [f"{r['failed']}/{r['attempted']}" for r in runs[side]] for side in SIDES},
+        "failed_share": share,
+        "failed_share_no_higher": share["change"] <= share["parent"],
         "correct": all(r["correct"] for side in SIDES for r in runs[side]),
         "digests_match_reference": all(r["digests_match"] for side in SIDES for r in runs[side]),
         "digests_agree": len({r["digest"] for side in SIDES for r in runs[side]}) == 1,
