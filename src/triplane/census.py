@@ -193,7 +193,10 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
                     if len(segs_out) >= limit:
                         raise CensusError("trail corridor does not terminate")
                     walk = walks[cell]
-                    exit_dart = walk[(walk.index(entry) + 2) % 4]
+                    try:
+                        exit_dart = walk[(walk.index(entry) + 2) % 4]
+                    except IndexError:
+                        raise CensusError(f"cell c{cell} is typed XQUAD but has {len(walk)} sides") from None
                     if not (tail[exit_dart] in crossings and tail[exit_dart ^ 1] in crossings):
                         raise CensusError("trail corridor exits through outer segment "
                                           f"{cmap.decode[exit_dart][:2]}")
@@ -359,7 +362,10 @@ def detect_configurations(
             other = next(k for k in ks if kinds[k] != "VQUAD")
             walk = walks[vq]
             idx = next(n for n, i in enumerate(walk) if i >> 1 == seg)
-            far = walk[(idx + 2) % 4]
+            try:
+                far = walk[(idx + 2) % 4]
+            except IndexError:
+                raise CensusError(f"cell c{vq} is typed VQUAD but has {len(walk)} sides") from None
             z = cell_of[far ^ 1]
             if not need(kinds[z] == "VVTRI", f"c{vq}",
                         f"cell across the far side is {kinds[z]}, not VVTRI"):
@@ -389,8 +395,11 @@ def detect_configurations(
         if not all(t in CROSSING_EVEN_TYPES for t, _ in profile):
             continue
         uncrossed = [t == "VTRI" and length == 2 for t, length in profile]
-        windows = [i for i in range(5)
-                   if uncrossed[i] and uncrossed[(i + 1) % 5] and uncrossed[(i + 2) % 5]]
+        try:
+            windows = [i for i in range(5)
+                       if uncrossed[i] and uncrossed[(i + 1) % 5] and uncrossed[(i + 2) % 5]]
+        except IndexError:
+            raise CensusError(f"cell {cid} is typed XPENT but has {len(walk)} sides") from None
         if not need(bool(windows), cid,
                     "saturated XPENT without three consecutive uncrossed trails"):
             continue

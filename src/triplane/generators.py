@@ -14,8 +14,9 @@ built at the end.  The model depends only on the cycle length and the
 chords, so each such pattern is computed once and renamed for every face
 that has it.
 Scene ingestion, random scenes and the chord model all accept their
-segments through one exact arrangement, so the three share one rule set;
-the small straight-line basics are ingested scenes too.
+segments through one exact arrangement, so the three share one rule set
+and one pass, ``_Arrangement.darts``, that turns segments into darts; the
+small straight-line basics are ingested scenes too.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ class _Arrangement:
     others are scanned for points on them.  A closed bounding box per
     segment skips the pairs and points that cannot meet it, and a pair
     with a shared end is settled by one orientation unless it is collinear.
+    ``darts`` walks each accepted segment once into darts and directions.
     """
 
     def __init__(self, points: Mapping[Hashable, Point]):
@@ -66,7 +68,6 @@ class _Arrangement:
         self.points = {k: (x.numerator * (scale // x.denominator),
                            y.numerator * (scale // y.denominator))
                        for k, (x, y) in points.items()}
-        self.ends: Dict[str, Tuple[Hashable, Hashable]] = {}
         self.segments: List[Tuple[str, Hashable, Hashable, int, int, int, int]] = []  # (sid, u, v, closed box)
         self.crossings: Dict[str, List[Tuple[_Triple, str]]] = {}  # (point, other segment)
         self.owner: Dict[_Triple, Tuple[str, str]] = {}            # crossing -> (older, newer)
@@ -106,7 +107,6 @@ class _Arrangement:
             found.append((p, o))
             if len(found) == 4:
                 return f"too-many-crossings: {sid!r} is crossed 4 times"
-        self.ends[sid] = (u, v)
         self.segments.append((sid, u, v, xlo, xhi, ylo, yhi))
         self.crossings[sid] = found
         for p, o in found:
@@ -114,28 +114,30 @@ class _Arrangement:
             self.crossings[o].append((p, sid))
         return None
 
-    def ordered(self) -> Tuple[Dict[_Triple, int], Dict[str, List[Tuple[_Triple, str]]]]:
-        """Each crossing's index in the sorted order of the crossing points, and each segment's crossings in order from its first end.
+    def darts(self) -> Tuple[Dict[_Triple, int], Dict[str, List[_Triple]],
+                             Dict[Hashable, List[Tuple[Dart, Tuple[int, int]]]]]:
+        """One walk of every segment along ``[u, *its crossings in order, v]``.
 
+        Returns each crossing's index in the sorted order of the crossing points, each segment's
+        crossings in order from its first end, and the (dart, direction) items leaving each node:
+        the points in sorted order, then the crossings, keyed by their triples, as found.
         Points on a line lie along it in sorted (x, then y) order, reversed from a larger first end.
         """
         order = sorted(self.owner, key=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])))
         index = {p: i for i, p in enumerate(order)}
         pts = self.points
-        along = {sid: sorted(self.crossings[sid], key=lambda item: index[item[0]], reverse=pts[u] > pts[v])
-                 for sid, (u, v) in self.ends.items()}
-        return index, along
-
-    def crossing_rotations(self, names: Mapping[_Triple, str],
-                           along: Mapping[str, List[Tuple[_Triple, str]]]) -> Dict[str, List[Dart]]:
-        """The counterclockwise rotation at each crossing, keyed by ``names[point]``; ``along`` as from ``ordered``."""
-        items: Dict[_Triple, List[Tuple[Dart, Point]]] = {p: [] for p in self.owner}
-        for sid, on in along.items():
-            u, v = self.ends[sid]
-            d = sub(self.points[v], self.points[u])
-            for i, (p, _) in enumerate(on):
-                items[p] += (((sid, i, "bwd"), (-d[0], -d[1])), ((sid, i + 1, "fwd"), d))
-        return {names[p]: ccw_sorted(darts) for p, darts in items.items()}
+        along: Dict[str, List[_Triple]] = {}
+        items: Dict[Hashable, List[Tuple[Dart, Tuple[int, int]]]] = {p: [] for p in sorted(pts)}
+        items.update((p, []) for p in self.owner)
+        for sid, u, v, *_ in self.segments:
+            fwd, bwd = sub(pts[v], pts[u]), sub(pts[u], pts[v])
+            on = along[sid] = sorted([p for p, _ in self.crossings[sid]], key=index.__getitem__,
+                                     reverse=pts[u] > pts[v])
+            path = [u, *on, v]
+            for i, (a, b) in enumerate(zip(path, path[1:])):  # segment i runs from a to b
+                items[a].append(((sid, i, "fwd"), fwd))
+                items[b].append(((sid, i, "bwd"), bwd))
+        return index, along, items
 
 
 # -- geometric ingestion -----------------------------------------------------
@@ -177,25 +179,14 @@ def ingest_geometry(scene: GeometricScene) -> Drawing:
 
 def _drawing_of(arr: _Arrangement) -> Drawing:
     """The drawing of an arrangement of named points, its segments in the order they were accepted."""
-    names = sorted(arr.points)
     prefix = "x"
     while any(f"{prefix}{i}" in arr.points for i in range(len(arr.owner))):
         prefix = "x" + prefix
-    index, along = arr.ordered()
+    index, along, items = arr.darts()
     xname = {p: f"{prefix}{i}" for p, i in index.items()}
-
-    segs = arr.ends.items()
-    edges = [EdgeRecord(sid, (u, v), tuple(xname[p] for p, _ in along[sid]))
-             for sid, (u, v) in segs]
-
-    at = arr.points
-    items_at: Dict[str, List[Tuple[Dart, Point]]] = {nm: [] for nm in names}
-    for sid, (u, v) in segs:
-        items_at[u].append(((sid, 0, "fwd"), sub(at[v], at[u])))
-        items_at[v].append(((sid, len(arr.crossings[sid]), "bwd"), sub(at[u], at[v])))
-    rotations = {nm: ccw_sorted(items_at[nm]) for nm in names}
-    rotations.update(arr.crossing_rotations(xname, along))
-    return Drawing(names, edges, rotations)
+    edges = [EdgeRecord(sid, (u, v), tuple(xname[p] for p in along[sid])) for sid, u, v, *_ in arr.segments]
+    rotations = {xname.get(p, p): ccw_sorted(darts) for p, darts in items.items()}
+    return Drawing(sorted(arr.points), edges, rotations)
 
 
 # -- chord insertion in a face ----------------------------------------------
@@ -240,21 +231,12 @@ def _chord_model(m: int, chords: Tuple[Tuple[int, int], ...]) -> Optional[_Chord
     arr, refusal = _chord_arrangement(m, chords, range(len(chords)))
     if refusal is not None:
         return None
-    order, on = arr.ordered()
-    along = tuple(tuple(order[p] for p, _ in on[k]) for k in range(len(chords)))
-    crossings = tuple((n, tuple(darts)) for n, darts in arr.crossing_rotations(order, on).items())
+    order, on, items = arr.darts()
+    along = tuple(tuple(order[p] for p in on[k]) for k in range(len(chords)))
+    crossings = tuple((order[p], tuple(ccw_sorted(items[p]))) for p in arr.owner)
     at = arr.points
-    splices = []
-    for i in range(m):
-        incident = []
-        for k, (a, b) in enumerate(chords):
-            if a == i:
-                incident.append(((k, 0, "fwd"), sub(at[b], at[a])))
-            elif b == i:
-                incident.append(((k, len(along[k]), "bwd"), sub(at[a], at[b])))
-        if incident:
-            splices.append((i, tuple(ccw_from(sub(at[(i - 1) % m], at[i]), incident))))
-    return along, crossings, tuple(splices)
+    splices = tuple((i, tuple(ccw_from(sub(at[(i - 1) % m], at[i]), items[i]))) for i in range(m) if items[i])
+    return along, crossings, splices
 
 
 def add_chords_in_face(
@@ -516,7 +498,7 @@ def build_random_scene(n: int, edge_budget: int, seed: int) -> GeometricScene:
     a repair pass adds component-joining segments beyond the budget.
     """
     pts, arr = _random_arrangement(n, edge_budget, seed)
-    return GeometricScene(pts, tuple(arr.ends.items()))
+    return GeometricScene(pts, tuple([(sid, (u, v)) for sid, u, v, *_ in arr.segments]))
 
 
 def _random_arrangement(n: int, edge_budget: int, seed: int) -> Tuple[Dict[str, Point], _Arrangement]:
@@ -545,10 +527,10 @@ def _random_arrangement(n: int, edge_budget: int, seed: int) -> Tuple[Dict[str, 
     arr = _Arrangement(pts)
 
     def try_add(u: str, v: str) -> bool:
-        return arr.add(f"e{len(arr.ends)}", u, v) is None
+        return arr.add(f"e{len(arr.segments)}", u, v) is None
 
     for u, v in pairs:
-        if len(arr.ends) >= edge_budget:
+        if len(arr.segments) >= edge_budget:
             break
         try_add(u, v)
 
@@ -561,7 +543,7 @@ def _random_arrangement(n: int, edge_budget: int, seed: int) -> Tuple[Dict[str, 
             x = parent[x]
         return x
 
-    for u, v in arr.ends.values():
+    for _, u, v, *_ in arr.segments:
         parent[find(u)] = find(v)
     components = len({find(nm) for nm in names})
     # one sweep: the arrangement only grows, so a refused pair stays refused

@@ -5,7 +5,8 @@ Scene coordinates are ``fractions.Fraction``, but the predicates take
 ``int`` or ``Fraction`` coordinates alike: the arrangement in
 ``generators`` scales a scene once by the lcm of its denominators and runs
 ``_meet`` on ``int`` pairs, where two segments meet in a reduced integer
-triple, so ``Fraction`` appears only at the scene-JSON boundary and in
+triple, so ``Fraction`` appears only at the scene-JSON boundary, in the
+sort keys that order the arrangement's crossings, and in
 ``segment_relation``'s return.  A scene is a set of labelled points and
 straight segments between them::
 

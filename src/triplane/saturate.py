@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .census import _classified
 from .combmap import Dart, Rotations, twin
@@ -23,6 +23,12 @@ def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
     common cell is joined by an uncrossed edge on that cell's boundary.
     Cells are scanned in lexicographic id order and vertex pairs in
     lexicographic order, so the witness is deterministic.
+    """
+    return next(((f"c{k}", u, v) for k, (u, v) in _witnesses(drawing)), None)
+
+
+def _witnesses(drawing: Drawing) -> Iterator[Tuple[int, Tuple[str, str]]]:
+    """Each cell ``c{k}`` that is not filled, as (k, its first unjoined pair), in cell id order.
 
     Only LARGE and OTHER cells with two or more vertex incidences are
     walked, by ``_cell_witness`` on the tails of their walks.  Every other
@@ -35,11 +41,10 @@ def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
     walks, tail, vertices = cmap.walks(), cmap.tail, drawing._vertex_set
     walked = [k for k, (v, kind) in enumerate(zip(incidences, kinds))
               if v >= 2 and (kind == "LARGE" or kind == "OTHER")]
-    for k in sorted(walked, key=str):  # cell "c{k}" in id order
+    for k in sorted(walked, key=str):  # cell "c{k}" in id order: "c10" comes before "c2"
         witness = _cell_witness([tail[i] for i in walks[k]], vertices)
         if witness is not None:
-            return (f"c{k}", *witness)
-    return None
+            yield k, witness
 
 
 def is_filled(drawing: Drawing) -> bool:
@@ -211,22 +216,20 @@ def saturate(drawing: Drawing) -> Drawing:
     # Every face is keyed by its smallest dart, and its index in the sorted
     # ``keys`` is the ``c{i}`` id that ``cells`` gives it.  ``pending`` maps
     # the key of each face that is not filled yet to its ``_Face``, built
-    # when the face is found, and its witness; filled faces are never split
-    # again, so only their keys are kept.
-    keys = []
-    pending: Dict[Dart, Tuple[_Face, Tuple[str, str]]] = {}
-    for walk in cmap.faces():
-        keys.append(walk[0])
-        witness = _cell_witness([rot.tail[d] for d in walk], vertices)
-        if witness is not None:
-            pending[walk[0]] = (_Face(walk, rot.tail, vertices), witness)
+    # when ``_witnesses`` or a split finds the face, and its witness; filled
+    # faces are never split again, so only their keys are kept.
+    walks, decode = cmap.walks(), cmap.decode
+    keys = [decode[walk[0]] for walk in walks]
+    pending: Dict[Dart, Tuple[_Face, Tuple[str, str]]] = {
+        keys[k]: (_Face([decode[i] for i in walks[k]], rot.tail, vertices), witness)
+        for k, witness in _witnesses(drawing)}
 
     edges = list(drawing.edges.values())
     fresh = 0
     for _ in range(cap + 1):
         if not pending:
             break
-        # filled_witness scans cell ids as strings, so "c10" comes before "c2".
+        # the first pending cell in id order, as ``_witnesses`` scans them
         key = min(pending, key=lambda k: str(bisect_left(keys, k)))
         i = bisect_left(keys, key)
         cell_id = f"c{i}"

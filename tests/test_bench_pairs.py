@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -153,3 +155,25 @@ def test_failed_share_is_over_all_attempted_operations():
     w = bench_pairs.summarize_workload({"parent": change, "change": parent}, [1, 2, 3], end_to_end, traced)
     assert w["failed_share_no_higher"]
     assert bench_pairs.failed_share([]) == 0.0
+
+
+def _git(*args):
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com", *args],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_rev_reads_the_head_of_a_clone(tmp_path):
+    _git("init", "-q", str(tmp_path))
+    _git("-C", str(tmp_path), "commit", "-q", "--allow-empty", "-m", "first")
+    assert bench_pairs._rev(tmp_path) == _git("-C", str(tmp_path), "rev-parse", "HEAD")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_rev_is_null_for_an_export_inside_another_clone(tmp_path):
+    _git("init", "-q", str(tmp_path))
+    _git("-C", str(tmp_path), "commit", "-q", "--allow-empty", "-m", "first")
+    export = tmp_path / "export"
+    export.mkdir()
+    assert bench_pairs._rev(export) is None
+    assert bench_pairs._rev(tmp_path / "missing") is None

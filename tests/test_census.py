@@ -210,6 +210,18 @@ def test_corridor_closed_on_itself_does_not_terminate():
         census(_forced(d, "XQUAD", 0))
 
 
+# A cell retyped to a kind whose walk length it lacks is named, not an IndexError:
+# in the trail march (XQUAD), in CFG10/CFG12's far side (VQUAD) and in CFG15's
+# windows (XPENT), each on fig3 L=1.
+@pytest.mark.parametrize("k,was,kind,sides", ((1, "VTRI", "XQUAD", 3), (1, "VTRI", "VQUAD", 3),
+                                              (7, "XQUAD", "XPENT", 4)))
+def test_forced_cell_of_the_wrong_length_is_named(k, was, kind, sides):
+    d = gen_fig3(1)
+    assert _classified(d)[-1][k] == was
+    with pytest.raises(CensusError, match=f"^cell c{k} is typed {kind} but has {sides} sides$"):
+        census(_forced(d, kind, k))
+
+
 def test_cfg13_takes_the_first_vvtri_in_cell_id_order():
     # fig3 L=1: the VTRI c9, on a thrice-crossed edge, has the VVTRI c8
     # across one outer side and the VTRI c10 across the other. With c10

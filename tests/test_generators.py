@@ -15,6 +15,9 @@ from triplane import generators
 from triplane.generators import (
     BASIC_NAMES,
     GenerationError,
+    _HEX_CAPS,
+    _HEX_SIDE,
+    _PENT_CHORDS,
     _Arrangement,
     _chord_model,
     add_chords_in_face,
@@ -276,7 +279,8 @@ def test_box_test_decides_as_brute_force(seed):
     crossings = {s: [(as_point(p), o) for p, o in found] for s, found in arr.crossings.items()}
     owner = {as_point(p): pair for p, pair in arr.owner.items()}
     assert len(owner) == len(arr.owner)
-    assert arr.ends == brute.ends and crossings == brute.crossings and owner == brute.owner
+    assert [s[:3] for s in arr.segments] == [(sid, u, v) for sid, (u, v) in brute.ends.items()]
+    assert crossings == brute.crossings and owner == brute.owner
 
 
 def test_box_test_bounds_kernel_calls(monkeypatch):
@@ -516,6 +520,13 @@ def test_chord_model_is_made_of_tuples():
     model = _chord_model(6, ((0, 2), (1, 3), (2, 4), (3, 5), (0, 4), (1, 5), (0, 3), (2, 5)))
     assert len(list(leaves(model))) > 0
     assert len(model[1]) == 11  # crossings
+    # each whole model (along, crossings, splices) the tight families use, pinned
+    for m, chords, digest in (
+            (6, _HEX_SIDE, "5108601015997a0d3588bf21f673d6079591e6afdaf31f6eb0bbf72795db1166"),
+            (6, _HEX_CAPS[0], "4be0161ef11ce307560e3fbff3c94e0bd8d14d1b0c23689268a8745b1764facd"),
+            (6, _HEX_CAPS[1], "b7a12f3070c52a9a22521903e611d0d2c67b0c69d0c11c48495efd1f252720a0"),
+            (5, _PENT_CHORDS, "0fb0c5dd5242fa39efadfd7383c4d490dac96c62dc16718455ef51e3200c31f6")):
+        assert hashlib.sha256(repr(_chord_model(m, chords)).encode()).hexdigest() == digest
 
 
 def test_chord_refusal_names_each_callers_edges():

@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label 23
-        [--first-seed 2301] [--note TEXT] [--change-rev REV]
+        [--first-seed 2301] [--note TEXT] [--parent-rev REV] [--change-rev REV]
 
 ``DIR`` is a checkout (a ``git archive`` or a clone) holding ``perfbench/``,
 ``src/`` and ``BENCHMARK.json``.  For each workload ``BENCHMARK.json``
@@ -21,7 +21,9 @@ whether the output digests match perfbench's reference; per workload,
 each side's failed share of all attempted operations, whether the
 change's is no higher, and each side's traced round; and each side's
 ``src/`` line count (``cat src/triplane/*.py | wc -l``), the Python
-version and both commits.
+version and both commits: each one given as ``--parent-rev`` or
+``--change-rev``, else the ``HEAD`` of its checkout when the checkout is
+the top of its own git work tree, else ``null``.
 """
 
 from __future__ import annotations
@@ -146,9 +148,16 @@ def summarize_workload(runs: Dict[str, List[dict]], seeds: Sequence[int],
 
 
 def _rev(checkout: Path) -> Optional[str]:
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+    """The ``HEAD`` of ``checkout`` if it is the top of its own git work tree, else ``None``.
+
+    An export unpacked inside another clone is not one: git would answer for that clone.
+    """
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
                           capture_output=True, text=True, check=False)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    lines = proc.stdout.split("\n")
+    if proc.returncode != 0 or Path(lines[0]).resolve() != checkout.resolve():
+        return None
+    return lines[1]
 
 
 def _run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -167,6 +176,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     p.add_argument("--first-seed", type=int, default=0)
     p.add_argument("--note", default="", help="what the change does, recorded as the file's 'change'")
+    p.add_argument("--parent-rev", help="the parent's commit, if its checkout is not a git clone")
     p.add_argument("--change-rev", help="the change's commit, if its checkout is not a git clone")
     args = p.parse_args(argv)
 
@@ -188,7 +198,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = {
         "label": args.label,
         "change": args.note,
-        "commits": {"parent": _rev(args.parent), "change": args.change_rev or _rev(args.change)},
+        "commits": {side: getattr(args, f"{side}_rev") or _rev(getattr(args, side)) for side in SIDES},
         "python": platform.python_version(),
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
