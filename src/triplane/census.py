@@ -529,7 +529,7 @@ def census(drawing: Drawing, strict: bool = False) -> CensusReport:
     trails = _trails(drawing)
     cfgs = detect_configurations(drawing, trails, strict=strict)
 
-    counts: Dict[str, int] = dict(stats(drawing).as_dict())
+    counts: Dict[str, int] = stats(drawing).as_dict()
     for t in CELL_COUNT_KEYS:
         counts[t] = 0
     for kind in kinds:

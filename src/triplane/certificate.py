@@ -20,6 +20,7 @@ from .census import census
 from .constraints import ROWS, _form_value, _valuation, evaluate_constraints
 from .drawing import Drawing
 from .geometry import frac_to_str
+from .saturate import is_3saturated
 
 LinearForm = Dict[str, Fraction]
 
@@ -183,8 +184,6 @@ def verify_numeric(
     slack, which the report surfaces rather than hides.  Each certificate
     must be keyed by its own target.
     """
-    from .saturate import is_3saturated
-
     if not is_3saturated(drawing):
         raise CertificateError(
             "certificate evaluation needs a 3-saturated drawing; "

@@ -33,52 +33,48 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse):
+    """``parse`` of the file at ``path``; an unreadable file or a parse error is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise _UsageError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-
-
-def _load_drawing(path: str) -> Drawing:
     try:
-        return parse_tdr(_read(path))
-    except TDRError as exc:
+        return parse(text)
+    except (TDRError, SceneError) as exc:
         raise _UsageError(f"{path}: {exc}") from None
 
 
+def _verdict_drawing(args) -> Drawing:
+    """The drawing of ``args.file`` that a verdict is taken on.
+
+    An invalid drawing is refused before any saturation, with its failing
+    checks named (exit 1); a valid one is saturated if ``--saturate`` is given.
+    """
+    d = _load(args.file, parse_tdr)
+    failing = d._validation().failing()
+    if failing:
+        raise TDRError(f"drawing is not valid: {', '.join(failing)}")
+    return saturate(d) if args.saturate else d
+
+
 def _cmd_validate(args) -> int:
-    report = validate(_load_drawing(args.file))
+    report = validate(_load(args.file, parse_tdr))
     _emit(report.as_dict())
     return 0 if report.valid else 1
 
 
-def _invalid(d: Drawing) -> bool:
-    """Whether ``d`` is not valid; if so, name the failing checks on stderr."""
-    failing = d._validation().failing()
-    if failing:
-        print(f"drawing is not valid: {', '.join(failing)}", file=sys.stderr)
-    return bool(failing)
-
-
 def _cmd_census(args) -> int:
-    d = _load_drawing(args.file)
-    d = saturate(d) if args.saturate else d
-    if _invalid(d):
-        return 1
-    rep = census(d, strict=is_3saturated(d))
-    _emit(rep.counts)
+    d = _verdict_drawing(args)
+    _emit(census(d, strict=is_3saturated(d)).counts)
     return 0
 
 
 def _cmd_check(args) -> int:
-    d = _load_drawing(args.file)
-    d = saturate(d) if args.saturate else d
-    if _invalid(d):
-        return 1
+    d = _verdict_drawing(args)
     saturated = is_3saturated(d)
     rep = census(d, strict=saturated)
     creport = evaluate_constraints(rep.counts, saturated=saturated)
@@ -100,8 +96,7 @@ def _cmd_certify(args) -> int:
         return 0 if not residual else 1
     if args.file is None:
         raise _UsageError("certify needs a drawing file (or --symbolic)")
-    d = _load_drawing(args.file)
-    d = saturate(d) if args.saturate else d
+    d = _verdict_drawing(args)
     report = verify_numeric(d, {args.target: builtin_certificate(args.target)})[args.target]
     _emit(report.as_dict())
     return 0
@@ -119,11 +114,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    try:
-        scene = parse_scene(_read(args.file))
-    except SceneError as exc:
-        raise _UsageError(f"{args.file}: {exc}") from None
-    sys.stdout.write(serialize_tdr(ingest_geometry(scene)))
+    sys.stdout.write(serialize_tdr(ingest_geometry(_load(args.file, parse_scene))))
     return 0
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
@@ -152,16 +152,21 @@ def _malformed_dart(lst: list) -> TDRError:
     return TDRError(f"malformed dart object {bad!r}")
 
 
+def _load_json(text: str, error: type) -> object:
+    """``json.loads(text)``; each way it fails is raised as ``error("syntax: ...")``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"syntax: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
+    except RecursionError:
+        raise error("syntax: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal past CPython's digit limit
+        raise error(f"syntax: {exc}") from None
+
+
 def parse_tdr(text: str) -> Drawing:
     """Parse the JSON wire format; raises TDRError on any defect."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TDRError(f"syntax: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
-    except RecursionError:
-        raise TDRError("syntax: JSON nested too deeply") from None
-    except ValueError as exc:  # an integer literal past CPython's digit limit
-        raise TDRError(f"syntax: {exc}") from None
+    obj = _load_json(text, TDRError)
     if not isinstance(obj, dict):
         raise TDRError("top level must be an object")
     if set(obj) != {"vertices", "edges", "rotations"}:
@@ -297,11 +302,7 @@ class DrawingStats:
     Ex: int
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n, "E": self.E, "X": self.X,
-            "E0": self.E0, "E1": self.E1, "E2": self.E2, "E3": self.E3,
-            "Ex": self.Ex,
-        }
+        return asdict(self)
 
 
 def stats(drawing: Drawing) -> DrawingStats:

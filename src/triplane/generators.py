@@ -411,40 +411,6 @@ def gen_fig2(rings: int) -> Drawing:
 
 # -- basic named instances -----------------------------------------------------
 
-def _pentagon_points() -> Dict[str, Point]:
-    F = Fraction
-    return {
-        "v0": (F(0), F(5)), "v1": (F(5), F(1)), "v2": (F(3), F(-4)),
-        "v3": (F(-3), F(-4)), "v4": (F(-5), F(1)),
-    }
-
-
-def fig4_flower_scene() -> GeometricScene:
-    """A pentagram of five chords; saturation turns it into the flower."""
-    pts = _pentagon_points()
-    segs = (("c0", ("v0", "v2")), ("c1", ("v1", "v3")), ("c2", ("v2", "v4")),
-            ("c3", ("v3", "v0")), ("c4", ("v4", "v1")))
-    return GeometricScene(pts, segs)
-
-
-def fig3a_micro_scene() -> GeometricScene:
-    """A pentagram with one star tip replaced by a crossing.
-
-    The chords meeting at the top pentagon vertex are re-anchored to two
-    fresh endpoints so they cross just below their old meeting point,
-    turning that tip cell into a crossing triangle adjacent to the central
-    XPENT: one XTRI-XPENT trail.
-    """
-    F = Fraction
-    pts = _pentagon_points()
-    del pts["v0"]
-    pts["w1"] = (F(-2), F(7))
-    pts["w2"] = (F(2), F(7))
-    segs = (("c0", ("w1", "v2")), ("c1", ("v1", "v3")), ("c2", ("v2", "v4")),
-            ("c3", ("v3", "w2")), ("c4", ("v4", "v1")))
-    return GeometricScene(pts, segs)
-
-
 def _ingested(points: Mapping[str, Tuple[int, int]], *segments: Tuple[str, Tuple[str, str]]) -> Drawing:
     """The drawing of a straight-line scene on integer points."""
     pts = {nm: (Fraction(x), Fraction(y)) for nm, (x, y) in points.items()}
@@ -469,8 +435,16 @@ _BASIC = {
     "x1": lambda: _ingested({"v0": (-1, 0), "v1": (1, 0), "v2": (0, -1), "v3": (0, 1)},
                             ("e0", ("v0", "v1")), ("e1", ("v2", "v3"))),
     "lens-bad": _basic_lens_bad,
-    "fig3a-micro": lambda: saturate(ingest_geometry(fig3a_micro_scene())),
-    "fig4-flower": lambda: saturate(ingest_geometry(fig4_flower_scene())),
+    # a pentagram whose top tip is cut off by chords re-anchored at w1, w2: one XTRI-XPENT trail
+    "fig3a-micro": lambda: saturate(_ingested(
+        {"v1": (5, 1), "v2": (3, -4), "v3": (-3, -4), "v4": (-5, 1), "w1": (-2, 7), "w2": (2, 7)},
+        ("c0", ("w1", "v2")), ("c1", ("v1", "v3")), ("c2", ("v2", "v4")),
+        ("c3", ("v3", "w2")), ("c4", ("v4", "v1")))),
+    # a pentagram of five chords; saturation turns it into the flower
+    "fig4-flower": lambda: saturate(_ingested(
+        {"v0": (0, 5), "v1": (5, 1), "v2": (3, -4), "v3": (-3, -4), "v4": (-5, 1)},
+        ("c0", ("v0", "v2")), ("c1", ("v1", "v3")), ("c2", ("v2", "v4")),
+        ("c3", ("v3", "v0")), ("c4", ("v4", "v1")))),
 }
 BASIC_NAMES = tuple(_BASIC)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, Sequence, Tuple
 
-from .drawing import _SURROGATE
+from .drawing import _SURROGATE, _load_json
 
 Point = Tuple[Fraction, Fraction]
 
@@ -178,14 +178,7 @@ class GeometricScene:
 
 
 def parse_scene(text: str) -> GeometricScene:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneError(f"syntax: {exc.msg} at line {exc.lineno} column {exc.colno}") from None
-    except RecursionError:
-        raise SceneError("syntax: JSON nested too deeply") from None
-    except ValueError as exc:  # an integer literal past CPython's digit limit
-        raise SceneError(f"syntax: {exc}") from None
+    obj = _load_json(text, SceneError)
     if not isinstance(obj, dict) or set(obj) != {"points", "segments"}:
         raise SceneError("top level must have exactly the keys points, segments")
     if not isinstance(obj["points"], dict):

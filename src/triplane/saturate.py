@@ -212,7 +212,7 @@ def saturate(drawing: Drawing) -> Drawing:
     cap = max(0, 3 * nodes - 6 - cmap.num_segments()) + 1
 
     rot = Rotations(drawing.rotations)  # edited in place; the drawing's own tables stay as they are
-    vertices = frozenset(drawing.vertices)
+    vertices = drawing._vertex_set
     # Every face is keyed by its smallest dart, and its index in the sorted
     # ``keys`` is the ``c{i}`` id that ``cells`` gives it.  ``pending`` maps
     # the key of each face that is not filled yet to its ``_Face``, built

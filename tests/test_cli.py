@@ -64,7 +64,9 @@ def test_census_emits_counts(capsys, k3_file):
     assert counts["LARGE"] == 2
 
 
-# census refuses an invalid drawing with check's message and exit code.
+# Every verdict refuses an invalid drawing alike, with or without --saturate:
+# nothing on stdout, exit 1, and the failing checks named on stderr before
+# any saturation is tried.
 @pytest.mark.parametrize("build", [
     lambda: gen_basic("lens-bad"),
     util.two_components,
@@ -73,10 +75,11 @@ def test_census_emits_counts(capsys, k3_file):
 def test_census_rejects_invalid_drawing(capsys, tmp_path, build):
     p = tmp_path / "bad.json"
     p.write_text(serialize_tdr(build()))
-    for cmd in ("census", "check"):
-        code, out, err = run(capsys, cmd, str(p))
-        assert (code, out) == (1, "")
-        assert err.startswith("drawing is not valid: ")
+    for cmd in (["census"], ["check"], ["certify", "--target", "edges"]):
+        for extra in ([], ["--saturate"]):
+            code, out, err = run(capsys, cmd[0], str(p), *cmd[1:], *extra)
+            assert (code, out) == (1, ""), (cmd, extra)
+            assert err.startswith("drawing is not valid: "), (cmd, extra, err)
 
 
 def test_check_passes_on_k3(capsys, k3_file):

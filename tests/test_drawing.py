@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from triplane.drawing import (
     stats,
     validate,
 )
+from triplane.geometry import SceneError, parse_scene
 from triplane.generators import BASIC_NAMES, gen_basic, gen_fig2, gen_fig3, random_drawing
 from triplane.saturate import saturate
 
@@ -42,14 +44,31 @@ def test_serialization_is_canonical():
     assert a == util.x1()
 
 
+# The drawing and scene parsers share one JSON loader: a text that is not
+# JSON gets the same "syntax: " message from each, in its own error class.
+PARSERS = ((parse_tdr, TDRError), (parse_scene, SceneError))
+
+
+def _syntax_errors(text):
+    """The message each parser raises on ``text``."""
+    messages = []
+    for parse, error in PARSERS:
+        with pytest.raises(error) as exc:
+            parse(text)
+        messages.append(str(exc.value))
+    return messages
+
+
 def test_parse_reports_syntax_position():
     with pytest.raises(TDRError, match=r"syntax: .* line 1 column"):
         parse_tdr('{"vertices": [')
+    assert _syntax_errors('{"vertices": [') == ["syntax: Expecting value at line 1 column 15"] * 2
 
 
 def test_parse_rejects_deep_nesting():
     with pytest.raises(TDRError, match="syntax: JSON nested too deeply"):
         parse_tdr("[" * 100000)
+    assert _syntax_errors("[" * 100000) == ["syntax: JSON nested too deeply"] * 2
 
 
 def test_parse_rejects_dangling_crossing():
@@ -187,6 +206,10 @@ def test_parse_rejects_integer_past_the_digit_limit():
     text = serialize_tdr(util.x1()).replace('"seg":0', '"seg":1' + "0" * 5000, 1)
     with pytest.raises(TDRError, match=r"^syntax: .*digits"):
         parse_tdr(text)
+    limit = sys.get_int_max_str_digits()
+    assert _syntax_errors("1" + "0" * 4999) == [
+        f"syntax: Exceeds the limit ({limit} digits) for integer string conversion: "
+        "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"] * 2
 
 
 def test_validate_valid_fixtures():
