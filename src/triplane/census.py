@@ -112,13 +112,8 @@ def cells(drawing: Drawing) -> Tuple[CellRecord, ...]:
 
 
 def classify_cell(drawing: Drawing, record: CellRecord) -> str:
-    """One of XTRI, XQUAD, VTRI, VQUAD, XPENT, VVTRI, KITE, LARGE, OTHER, by ``_kind``'s rules.
-
-    Dart ``(e, g, dir)`` leaves point ``g + (dir == "bwd")`` of edge ``e``'s path: end, crossings, end.
-    """
-    _, walk, _, v, _, s, degenerate = record
-    edges = drawing.edges
-    return _kind(s, v, degenerate, [not 0 < g + (d == "bwd") <= len(edges[e].crossings) for e, g, d in walk])
+    """One of XTRI, XQUAD, VTRI, VQUAD, XPENT, VVTRI, KITE, LARGE, OTHER: the cell table's type of ``record``."""
+    return _classified(drawing).kinds[int(record.cell_id[1:])]
 
 
 # -- trails ------------------------------------------------------------------

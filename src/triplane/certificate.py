@@ -35,26 +35,22 @@ class Certificate:
     coefficients: Mapping[str, Fraction]
 
 
-def _F(a: int, b: int) -> Fraction:
-    return Fraction(a, b)
-
-
 _EDGE_COEFFS: Dict[str, Fraction] = {
-    "2.A": _F(-5, 16), "2.B": _F(5, 16), "2.C": _F(-11, 24), "2.D": _F(1, 8),
-    "3.A": _F(7, 48), "3.B": _F(0, 1), "3.C": _F(3, 16), "3.D": _F(3, 16),
-    "3.E": _F(0, 1), "4.A": _F(3, 16), "4.B": _F(3, 16),
-    "5.A": _F(11, 60), "5.B": _F(11, 60), "6": _F(13, 80), "7": _F(11, 40),
-    "8.A": _F(-11, 20), "8.B": _F(11, 20), "8.C": _F(0, 1),
-    "9.A": _F(1, 10), "9.B": _F(1, 20), "9.C": _F(3, 16),
+    "2.A": Fraction(-5, 16), "2.B": Fraction(5, 16), "2.C": Fraction(-11, 24), "2.D": Fraction(1, 8),
+    "3.A": Fraction(7, 48), "3.B": Fraction(0, 1), "3.C": Fraction(3, 16), "3.D": Fraction(3, 16),
+    "3.E": Fraction(0, 1), "4.A": Fraction(3, 16), "4.B": Fraction(3, 16),
+    "5.A": Fraction(11, 60), "5.B": Fraction(11, 60), "6": Fraction(13, 80), "7": Fraction(11, 40),
+    "8.A": Fraction(-11, 20), "8.B": Fraction(11, 20), "8.C": Fraction(0, 1),
+    "9.A": Fraction(1, 10), "9.B": Fraction(1, 20), "9.C": Fraction(3, 16),
 }
 
 _CROSSING_COEFFS: Dict[str, Fraction] = {
-    "2.A": _F(-7, 16), "2.B": _F(5, 16), "2.C": _F(-11, 24), "2.D": _F(-3, 8),
-    "3.A": _F(1, 48), "3.B": _F(1, 16), "3.C": _F(7, 48), "3.D": _F(5, 16),
-    "3.E": _F(1, 16), "4.A": _F(13, 16), "4.B": _F(5, 16),
-    "5.A": _F(11, 60), "5.B": _F(11, 60), "6": _F(3, 80), "7": _F(11, 40),
-    "8.A": _F(19, 20), "8.B": _F(1, 20), "8.C": _F(1, 4),
-    "9.A": _F(11, 10), "9.B": _F(11, 20), "9.C": _F(5, 16),
+    "2.A": Fraction(-7, 16), "2.B": Fraction(5, 16), "2.C": Fraction(-11, 24), "2.D": Fraction(-3, 8),
+    "3.A": Fraction(1, 48), "3.B": Fraction(1, 16), "3.C": Fraction(7, 48), "3.D": Fraction(5, 16),
+    "3.E": Fraction(1, 16), "4.A": Fraction(13, 16), "4.B": Fraction(5, 16),
+    "5.A": Fraction(11, 60), "5.B": Fraction(11, 60), "6": Fraction(3, 80), "7": Fraction(11, 40),
+    "8.A": Fraction(19, 20), "8.B": Fraction(1, 20), "8.C": Fraction(1, 4),
+    "9.A": Fraction(11, 10), "9.B": Fraction(11, 20), "9.C": Fraction(5, 16),
 }
 
 

@@ -55,9 +55,7 @@ def _verdict_drawing(args) -> Drawing:
     checks named (exit 1); a valid one is saturated if ``--saturate`` is given.
     """
     d = _load(args.file, parse_tdr)
-    failing = d._validation().failing()
-    if failing:
-        raise TDRError(f"drawing is not valid: {', '.join(failing)}")
+    d._validation().refuse_invalid(TDRError)
     return saturate(d) if args.saturate else d
 
 

@@ -162,11 +162,7 @@ def density_residual(drawing: Drawing, t: Rational) -> Fraction:
         raise ConstraintError(f"density residual needs an int or a Fraction t, not {t!r}")
     if not drawing.edges:
         raise ConstraintError("density residual needs at least one edge")
-    report = drawing._validation()
-    if not report.valid:
-        raise ConstraintError(
-            "density residual needs a valid drawing (failing: "
-            + ", ".join(report.failing()) + ")")
+    drawing._validation().refuse_invalid(ConstraintError)
     t = Fraction(t)
     n = len(drawing.vertices)
     x = len(drawing.crossings)

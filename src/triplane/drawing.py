@@ -239,6 +239,11 @@ class ValidationReport:
     def failing(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self.checks if not c.passed)
 
+    def refuse_invalid(self, error: type) -> None:
+        """Raise ``error("drawing is not valid: <failing checks>")`` unless the drawing is valid."""
+        if not self.valid:
+            raise error("drawing is not valid: " + ", ".join(self.failing()))
+
 
 def validate(drawing: Drawing) -> ValidationReport:
     """Run the eight validity checks; witnesses name offending objects."""

@@ -47,8 +47,8 @@ class _Arrangement:
     A segment is accepted only if no point lies on it and every accepted
     segment meets it at a shared end or in one proper crossing of
     non-adjacent segments, at a point no other pair crosses, with no
-    segment crossed more than 3 times.  Points must be distinct and
-    segments non-degenerate.
+    segment crossed more than 3 times.  Points must be distinct (else
+    ``SceneError``) and segments non-degenerate.
 
     The points are scaled once by the lcm of their coordinates'
     denominators and kept as ``int`` pairs, so every predicate runs in
@@ -68,6 +68,10 @@ class _Arrangement:
         self.points = {k: (x.numerator * (scale // x.denominator),
                            y.numerator * (scale // y.denominator))
                        for k, (x, y) in points.items()}
+        seen: Dict[Tuple[int, int], Hashable] = {}
+        for k in sorted(self.points):  # points must be distinct
+            if seen.setdefault(self.points[k], k) != k:
+                raise SceneError(f"coincident-endpoints: {seen[self.points[k]]!r} and {k!r}")
         self.segments: List[Tuple[str, Hashable, Hashable, int, int, int, int]] = []  # (sid, u, v, closed box)
         self.crossings: Dict[str, List[Tuple[_Triple, str]]] = {}  # (point, other segment)
         self.owner: Dict[_Triple, Tuple[str, str]] = {}            # crossing -> (older, newer)
@@ -145,32 +149,14 @@ class _Arrangement:
 def ingest_geometry(scene: GeometricScene) -> Drawing:
     """Exactly intersect a straight-line scene and emit the drawing.
 
-    Rejections (each naming the offending ids): coincident points,
-    degenerate or duplicate segments, then, for the first segment in scene
-    order that breaks one, collinear overlaps, a vertex lying on another
-    segment, adjacent segments crossing, three segments through one
-    point, more than 3 crossings on a segment.
+    The scene has checked its own rules.  Rejections (each naming the
+    offending ids): coincident points, then, for the first segment in scene
+    order that breaks one, collinear overlaps (a segment given twice among
+    them), a vertex lying on another segment, adjacent segments crossing,
+    three segments through one point, more than 3 crossings on a segment.
     """
-    pts = scene.points
-    names = sorted(pts)
-    seen: Dict[Point, str] = {}
-    for nm in names:
-        if pts[nm] in seen:
-            raise SceneError(f"coincident-endpoints: {seen[pts[nm]]!r} and {nm!r}")
-        seen[pts[nm]] = nm
-
-    segs = list(scene.segments)
-    sids = [s for s, _ in segs]
-    if len(set(sids)) != len(sids):
-        raise SceneError("duplicate segment id")
-    for sid, (u, v) in segs:
-        if u not in pts or v not in pts:
-            raise SceneError(f"segment {sid!r} references an unknown point")
-        if u == v:
-            raise SceneError(f"degenerate-segment: {sid!r} has equal ends")
-
-    arr = _Arrangement(pts)
-    for sid, (u, v) in segs:
+    arr = _Arrangement(scene.points)
+    for sid, (u, v) in scene.segments:
         reason = arr.add(sid, u, v)
         if reason is not None:
             raise SceneError(reason)
@@ -411,10 +397,9 @@ def gen_fig2(rings: int) -> Drawing:
 
 # -- basic named instances -----------------------------------------------------
 
-def _ingested(points: Mapping[str, Tuple[int, int]], *segments: Tuple[str, Tuple[str, str]]) -> Drawing:
+def _ingested(points: Dict[str, Tuple[int, int]], *segments: Tuple[str, Tuple[str, str]]) -> Drawing:
     """The drawing of a straight-line scene on integer points."""
-    pts = {nm: (Fraction(x), Fraction(y)) for nm, (x, y) in points.items()}
-    return ingest_geometry(GeometricScene(pts, segments))
+    return ingest_geometry(GeometricScene(points, segments))
 
 
 def _basic_lens_bad() -> Drawing:

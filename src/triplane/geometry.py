@@ -173,8 +173,34 @@ def ccw_from(base: Point, items: Sequence[Tuple[object, Point]]) -> List[object]
 
 @dataclass(frozen=True)
 class GeometricScene:
+    """Named points and segments between them.  Construction refuses with ``SceneError`` a name or
+    id that is empty, not a string or holds a surrogate, a repeated id, a point that is not a pair of
+    ``int`` or ``Fraction``, and a segment whose ends are not two different points of the scene."""
     points: Dict[str, Point]
     segments: Tuple[Tuple[str, Tuple[str, str]], ...]  # (id, (end, end))
+
+    def __post_init__(self):
+        for name, xy in self.points.items():
+            if not isinstance(name, str) or not name:
+                raise SceneError("point names must be nonempty")
+            if len(xy) != 2:
+                raise SceneError(f"point {name!r} must be a coordinate pair")
+            for c in xy:
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise SceneError(f"bad rational {c!r}")
+        ids = set()
+        for sid, (u, v) in self.segments:
+            if not isinstance(sid, str) or not sid:
+                raise SceneError(f"segment id {sid!r} must be a nonempty string")
+            if sid in ids:
+                raise SceneError(f"duplicate segment id {sid!r}")
+            ids.add(sid)
+            if u not in self.points or v not in self.points:
+                raise SceneError(f"segment {sid!r} has an end that is not a point")
+            if u == v:
+                raise SceneError(f"segment {sid!r} joins a point to itself")
+        if _SURROGATE.search("".join(self.points) + "".join(ids)):
+            raise SceneError("point names and segment ids must not contain surrogate code points")
 
 
 def parse_scene(text: str) -> GeometricScene:
@@ -187,30 +213,17 @@ def parse_scene(text: str) -> GeometricScene:
         raise SceneError("segments must be a list")
     points = {}
     for name, xy in obj["points"].items():
-        if not name:
-            raise SceneError("point names must be nonempty")
         if not isinstance(xy, list) or len(xy) != 2:
             raise SceneError(f"point {name!r} must be a coordinate pair")
         points[name] = (frac_from_str(xy[0]), frac_from_str(xy[1]))
     segments = []
-    ids = set()
     for s in obj["segments"]:
         if not isinstance(s, dict) or set(s) != {"id", "ends"}:
             raise SceneError(f"segment record must have exactly id, ends: {s!r}")
         sid, ends = s["id"], s["ends"]
-        if not isinstance(sid, str) or not sid:
-            raise SceneError(f"segment id {sid!r} must be a nonempty string")
-        if sid in ids:
-            raise SceneError(f"duplicate segment id {sid!r}")
-        ids.add(sid)
-        if not isinstance(ends, list) or len(ends) != 2 or any(
-                not isinstance(e, str) or e not in points for e in ends):
+        if not isinstance(ends, list) or len(ends) != 2 or not all(isinstance(e, str) for e in ends):
             raise SceneError(f"segment {sid!r} has an end that is not a point")
-        if ends[0] == ends[1]:
-            raise SceneError(f"segment {sid!r} joins a point to itself")
         segments.append((sid, (ends[0], ends[1])))
-    if _SURROGATE.search("".join(points) + "".join(ids)):
-        raise SceneError("point names and segment ids must not contain surrogate code points")
     return GeometricScene(points, tuple(segments))
 
 

@@ -175,17 +175,17 @@ def _smaller_side(rot: Rotations, a: Dart, b: Dart) -> List[Dart]:
 def saturate(drawing: Drawing) -> Drawing:
     """Insert uncrossed edges until the drawing is filled.
 
-    Requires a valid drawing with at least 3 vertices; the input is
-    validated in full once.  Each round takes the first filled-ness
-    witness (cell, u, v) that ``filled_witness`` would report and joins u
-    to v by an uncrossed edge routed through that cell, spliced at the
-    first boundary occurrences of u and v by ``Rotations.splice``, the
-    splice ``CombMap.insert_edge_in_face`` also uses.  Such an edge splits
-    that one cell in two and changes no other cell, crossing or rotation,
-    so the map is updated in place and only the two new cells are
-    examined: each insertion checks that u differs from v (no loop) and
-    that neither new cell is a two-segment lens (non-homotopic).  Every
-    other validity check is unaffected by such an edge.
+    Requires a valid drawing, validated in full once (else ``SaturateError``);
+    a valid one on fewer than 3 vertices is ``k2``, filled, and comes back
+    unchanged.  Each round takes the first filled-ness witness (cell, u, v)
+    that ``filled_witness`` would report and joins u to v by an uncrossed edge
+    routed through that cell, spliced at the first boundary occurrences of u
+    and v by ``Rotations.splice``, the splice ``CombMap.insert_edge_in_face``
+    also uses.  Such an edge splits that one cell in two and changes no other
+    cell, crossing or rotation, so the map is updated in place and only the
+    two new cells are examined: each insertion checks that u differs from v
+    (no loop) and that neither new cell is a two-segment lens (non-homotopic).
+    Every other validity check is unaffected by such an edge.
 
     The two new cells are walked in turn until one closes, so only the
     smaller one is enumerated and gets its witness from its walk.  The
@@ -200,11 +200,7 @@ def saturate(drawing: Drawing) -> Drawing:
     3-saturated.  Raises ``SaturateError`` if any of these checks fails or
     the number of insertions exceeds the edge-count bound.
     """
-    if len(drawing.vertices) < 3:
-        raise SaturateError("saturation requires at least 3 vertices")
-    report = drawing._validation()
-    if not report.valid:
-        raise SaturateError("input drawing is not valid (failing: " + ", ".join(report.failing()) + ")")
+    drawing._validation().refuse_invalid(SaturateError)
 
     cmap = drawing.planarize()
     # #segments <= 3#nodes - 6 on the sphere bounds how many edges can fit.

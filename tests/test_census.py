@@ -23,6 +23,7 @@ from triplane.geometry import parse_scene
 from triplane.saturate import saturate
 
 import util
+from test_acceptance import CORPUS_NAMES, corpus_drawing
 
 
 def scene_drawing(points, segments):
@@ -172,6 +173,16 @@ def test_interior_segments_partition_inner_segments():
                  for e in d.edges.values()
                  for i in range(1, len(e.crossings))}
         assert set(seen) == inner
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_named_api_matches_the_census(name):
+    # classify_cell and extract_trails are the named entry points; the census
+    # reads the cell table and numbered trails directly, so nothing else runs them
+    d = corpus_drawing(name)
+    rep = census(d)
+    assert {r.cell_id: classify_cell(d, r) for r in cells(d)} == rep.cell_types
+    assert extract_trails(d) == rep.trails
 
 
 # Both corridor errors of the trail march, and a CFG13 choice between two

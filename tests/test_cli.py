@@ -82,6 +82,15 @@ def test_census_rejects_invalid_drawing(capsys, tmp_path, build):
             assert err.startswith("drawing is not valid: "), (cmd, extra, err)
 
 
+# A valid drawing on two vertices is already filled: --saturate leaves it as it is.
+def test_saturate_flag_keeps_k2(capsys, tmp_path):
+    p = tmp_path / "k2.json"
+    p.write_text(serialize_tdr(gen_basic("k2")))
+    for cmd in (["census"], ["check"], ["certify", "--target", "edges"]):
+        plain = run(capsys, cmd[0], str(p), *cmd[1:])
+        assert run(capsys, cmd[0], str(p), *cmd[1:], "--saturate")[:2] == plain[:2], cmd
+
+
 def test_check_passes_on_k3(capsys, k3_file):
     code, out, _ = run(capsys, "check", k3_file)
     assert code == 0
@@ -378,6 +387,21 @@ def test_ingest_rejects_bad_geometry(capsys, tmp_path):
     code, _, err = run(capsys, "ingest", str(p))
     assert code == 1
     assert "segment" in err or "point" in err
+
+
+# Scene rules are checked while the file is read (exit 2); distinct points are
+# the arrangement's geometric rule, checked on ingestion (exit 1).
+@pytest.mark.parametrize("segments,code,message", [
+    ([{"id": "e0", "ends": ["a", "c"]}, {"id": "e0", "ends": ["b", "c"]}], 2, "duplicate segment id 'e0'"),
+    ([{"id": "e0", "ends": ["a", "c"]}, {"id": "e1", "ends": ["b", "c"]}], 1, "coincident-endpoints: 'a' and 'b'"),
+], ids=["duplicate-id", "coincident-points"])
+def test_ingest_exit_codes(capsys, tmp_path, segments, code, message):
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps({"points": {"a": ["0", "0"], "b": ["0/5", "0"], "c": ["1", "1"]},
+                             "segments": segments}))
+    got, out, err = run(capsys, "ingest", str(p))
+    assert (got, out) == (code, "")
+    assert err.rstrip("\n").endswith(message)
 
 
 def test_random_is_deterministic(capsys):

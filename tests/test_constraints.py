@@ -232,6 +232,11 @@ def test_density_residual_rejects_invalid_drawing():
         density_residual(gen_basic("lens-bad"), 2)
 
 
+def test_density_residual_names_the_failing_checks():
+    with pytest.raises(ConstraintError, match="^drawing is not valid: non-homotopic$"):
+        density_residual(gen_basic("lens-bad"), 2)
+
+
 @pytest.mark.parametrize("t", [0.5, 2.0, True, "abc", "1/2"],
                          ids=["float", "whole-float", "bool", "str", "fraction-str"])
 def test_density_residual_rejects_inexact_t(t):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplane.geometry import (
+    GeometricScene,
     SceneError,
     _meet,
     ccw_from,
@@ -208,6 +209,40 @@ def test_parse_scene_rejects_malformed_input():
     ):
         with pytest.raises(SceneError):
             parse_scene(json.dumps(bad))
+
+
+# A scene built in code is held to the rules parse_scene's scenes are, with
+# the same texts: each case is one defect, given as (points, segments) and,
+# where JSON can say it, as the scene file that parse_scene refuses alike.
+_AB = {"a": (0, 0), "b": (1, Fraction(1, 2))}
+_AB_JSON = {"a": ["0", "0"], "b": ["1", "1/2"]}
+
+
+@pytest.mark.parametrize("points,segments,text,obj", [
+    ({"a": (1.5, 0)}, (), "bad rational 1.5", {"points": {"a": [1.5, "0"]}, "segments": []}),
+    ({"a": (0, 0, 0)}, (), "point 'a' must be a coordinate pair", {"points": {"a": ["0", "0", "0"]}, "segments": []}),
+    ({3: (0, 0)}, (), "point names must be nonempty", None),
+    ({"": (0, 0)}, (), "point names must be nonempty", {"points": {"": ["0", "0"]}, "segments": []}),
+    (_AB, (("", ("a", "b")),), "segment id '' must be a nonempty string",
+     {"points": _AB_JSON, "segments": [{"id": "", "ends": ["a", "b"]}]}),
+    (_AB, (("e0", ("a", "b")), ("e0", ("b", "a"))), "duplicate segment id 'e0'",
+     {"points": _AB_JSON, "segments": [{"id": "e0", "ends": ["a", "b"]}, {"id": "e0", "ends": ["b", "a"]}]}),
+    (_AB, (("e0", ("a", "zz")),), "segment 'e0' has an end that is not a point",
+     {"points": _AB_JSON, "segments": [{"id": "e0", "ends": ["a", "zz"]}]}),
+    (_AB, (("e0", ("a", "a")),), "segment 'e0' joins a point to itself",
+     {"points": _AB_JSON, "segments": [{"id": "e0", "ends": ["a", "a"]}]}),
+    ({"\ud800": (0, 0)}, (), "point names and segment ids must not contain surrogate code points",
+     {"points": {"\ud800": ["0", "0"]}, "segments": []}),
+], ids=["float-coordinate", "three-coordinates", "int-name", "empty-name", "empty-id", "duplicate-id", "unknown-end",
+        "equal-ends", "surrogate-name"])
+def test_scene_checks_itself(points, segments, text, obj):
+    with pytest.raises(SceneError) as built:
+        GeometricScene(points, segments)
+    assert str(built.value) == text
+    if obj is not None:
+        with pytest.raises(SceneError) as parsed:
+            parse_scene(json.dumps(obj))
+        assert str(parsed.value) == text
 
 
 _int_coord = st.integers(min_value=-6, max_value=6)
