@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .census import census
 from .constraints import ROWS, _form_value, _valuation, evaluate_constraints
@@ -166,20 +166,19 @@ class NumericReport:
         }
 
 
-def verify_numeric(
-    drawing: Drawing,
-    certificates: Optional[Mapping[str, Certificate]] = None,
-) -> Dict[str, NumericReport]:
-    """Evaluate both certificates on a 3-saturated drawing, exactly.
+def verify_numeric(drawing: Drawing, certificate: Certificate) -> NumericReport:
+    """Evaluate one certificate on a 3-saturated drawing, exactly.
 
-    For each target: bound = 11/2 (n-2), total_slack = bound - value, and
-    the decomposition total_slack = sum(coeff * row_slack) + (symbolic
-    residual evaluated on the census) is asserted exactly, as is
-    value <= bound.  Equality rows must have zero slack (anything else
-    means the census itself is broken); inequality rows may carry negative
-    slack, which the report surfaces rather than hides.  Each certificate
-    must be keyed by its own target.
+    bound = 11/2 (n-2), total_slack = bound - value, and the decomposition
+    total_slack = sum(coeff * row_slack) + (symbolic residual evaluated on
+    the census) is asserted exactly, as is value <= bound.  Equality rows
+    must have zero slack (anything else means the census itself is
+    broken); inequality rows may carry negative slack, which the report
+    surfaces rather than hides.
     """
+    drawing._validation().refuse_invalid(CertificateError)
+    if len(drawing.vertices) < 3:
+        raise CertificateError("certificate evaluation needs a drawing on at least 3 vertices")
     if not is_3saturated(drawing):
         raise CertificateError(
             "certificate evaluation needs a 3-saturated drawing; "
@@ -197,34 +196,20 @@ def verify_numeric(
         if row.relation == "=" and not row.passed:
             raise CertificateError(f"equality row {row.id} has nonzero slack {row.slack}")
 
-    if certificates is None:
-        certificates = {t: builtin_certificate(t) for t in TARGETS}
-
+    target = certificate.target
+    coeffs = certificate.coefficients
+    residual_val = Fraction(_form_value(verify_symbolic(certificate), val))
     bound = Fraction(11, 2) * (val["n"] - 2)
-    out: Dict[str, NumericReport] = {}
-    for target, cert in certificates.items():
-        if cert.target != target:
-            raise CertificateError(
-                f"certificate for target {cert.target!r} given for target {target!r}")
-        residual_val = Fraction(_form_value(verify_symbolic(cert), val))
-        value = val[_target(target)[0]]
-        total_slack = bound - value
-        rows = tuple(RowContribution(r.id, cert.coefficients[r.id], r.slack,
-                                     cert.coefficients[r.id] * r.slack) for r in row_results)
-        certified = sum((r.contribution for r in rows), Fraction(0))
-        if total_slack != certified + residual_val:
-            raise CertificateError(
-                f"slack decomposition failed for {target}: total {total_slack}, "
-                f"certified {certified}, residual {residual_val}")
-        if value > bound:
-            raise CertificateError(f"{target} bound violated: {value} > {bound}")
-        out[target] = NumericReport(
-            target=target,
-            bound=bound,
-            value=value,
-            total_slack=total_slack,
-            certified_slack=certified,
-            residual_at_census=residual_val,
-            rows=rows,
-        )
-    return out
+    value = val[_target(target)[0]]
+    total_slack = bound - value
+    rows = tuple(RowContribution(r.id, coeffs[r.id], r.slack, coeffs[r.id] * r.slack)
+                 for r in row_results)
+    certified = sum((r.contribution for r in rows), Fraction(0))
+    if total_slack != certified + residual_val:
+        raise CertificateError(
+            f"slack decomposition failed for {target}: total {total_slack}, "
+            f"certified {certified}, residual {residual_val}")
+    if value > bound:
+        raise CertificateError(f"{target} bound violated: {value} > {bound}")
+    return NumericReport(target=target, bound=bound, value=value, total_slack=total_slack,
+                         certified_slack=certified, residual_at_census=residual_val, rows=rows)

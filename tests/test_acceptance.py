@@ -157,11 +157,13 @@ def test_criterion4_tight_family(layers):
     assert n == 6 * (layers + 1)
     assert Fraction(st.E) == Fraction(11, 2) * n - 15
     assert Fraction(st.X) == Fraction(11, 2) * n - 21
-    reports = verify_numeric(saturate(d))
+    d = saturate(d)
+    crossings = verify_numeric(d, builtin_certificate("crossings"))
+    edges = verify_numeric(d, builtin_certificate("edges"))
     bound = Fraction(11, 2) * (n - 2)
-    assert reports["crossings"].value <= bound
-    assert reports["crossings"].total_slack == 10
-    assert reports["edges"].value <= bound
+    assert crossings.value <= bound
+    assert crossings.total_slack == 10
+    assert edges.value <= bound
 
 
 # -- criterion 5: trails partition the inner segments ---------------------

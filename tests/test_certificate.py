@@ -122,7 +122,7 @@ def test_inexact_coefficient_is_rejected(coeff):
     with pytest.raises(CertificateError, match="not an int or a Fraction"):
         verify_symbolic(cert)
     with pytest.raises(CertificateError, match="not an int or a Fraction"):
-        verify_numeric(gen_fig3(1), {"edges": cert})
+        verify_numeric(gen_fig3(1), cert)
 
 
 def test_integer_coefficients_are_accepted():
@@ -132,16 +132,9 @@ def test_integer_coefficients_are_accepted():
     assert all(type(c) is Fraction for c in residual.values())
 
 
-def test_mismatched_certificate_target_is_named():
-    # The bound and value come from the mapping key, the target form from
-    # the certificate; the two must agree.
-    with pytest.raises(CertificateError, match="'crossings' given for target 'edges'"):
-        verify_numeric(gen_fig3(1), {"edges": builtin_certificate("crossings")})
-
-
 def test_numeric_report_on_small_saturated_drawing():
     d = saturate(util.x1())
-    out = verify_numeric(d)["crossings"]
+    out = verify_numeric(d, builtin_certificate("crossings"))
     assert out.target == "crossings"
     assert out.value == 1
     assert out.bound == Fraction(11)          # 5.5 * (4 - 2)
@@ -150,7 +143,7 @@ def test_numeric_report_on_small_saturated_drawing():
     assert out.residual_at_census == Fraction(15, 8)
     assert out.total_slack == out.certified_slack + out.residual_at_census
 
-    out = verify_numeric(d)["edges"]
+    out = verify_numeric(d, builtin_certificate("edges"))
     assert out.value == 7
     assert out.bound == Fraction(11)
     assert out.total_slack == Fraction(4)
@@ -159,7 +152,7 @@ def test_numeric_report_on_small_saturated_drawing():
 
 def test_numeric_report_row_contributions_decompose():
     d = saturate(util.x1())
-    out = verify_numeric(d)["crossings"]
+    out = verify_numeric(d, builtin_certificate("crossings"))
     assert sum(r.contribution for r in out.rows) == out.certified_slack
     rep = census(d, strict=True)
     residual = verify_symbolic(builtin_certificate("crossings"))
@@ -171,23 +164,30 @@ def test_numeric_report_row_contributions_decompose():
 
 def test_numeric_tightness_family_slacks():
     for layers in (1, 2):
-        out = verify_numeric(gen_fig3(layers))
-        assert out["crossings"].total_slack == Fraction(10)
-        assert out["edges"].total_slack == Fraction(4)
+        d = gen_fig3(layers)
+        assert verify_numeric(d, builtin_certificate("crossings")).total_slack == Fraction(10)
+        assert verify_numeric(d, builtin_certificate("edges")).total_slack == Fraction(4)
 
 
 def test_numeric_requires_saturation():
-    with pytest.raises(CertificateError):
-        verify_numeric(util.x1())
+    with pytest.raises(CertificateError, match=r"; run saturate first \(CLI: --saturate\)$"):
+        verify_numeric(util.x1(), builtin_certificate("edges"))
 
 
 def test_numeric_rejects_tiny_drawings():
-    with pytest.raises(CertificateError):
-        verify_numeric(gen_basic("k2"))
+    # Saturation cannot add vertices, so the refusal gives no saturation advice.
+    with pytest.raises(CertificateError, match="at least 3 vertices") as exc:
+        verify_numeric(gen_basic("k2"), builtin_certificate("edges"))
+    assert "--saturate" not in str(exc.value)
+
+
+def test_numeric_refuses_invalid_drawing_by_its_checks():
+    with pytest.raises(CertificateError, match="^drawing is not valid: non-homotopic$"):
+        verify_numeric(gen_basic("lens-bad"), builtin_certificate("edges"))
 
 
 def test_numeric_report_serializes_fractions_as_strings():
-    out = verify_numeric(saturate(util.x1()))["crossings"]
+    out = verify_numeric(saturate(util.x1()), builtin_certificate("crossings"))
     d = out.as_dict()
     assert d["total_slack"] == "10/1"
     assert d["certified_slack"] == "65/8"
@@ -220,6 +220,6 @@ def test_bad_column_raises_on_every_call():
         with pytest.raises(CertificateError, match="negative coefficient"):
             verify_symbolic(cert)
         with pytest.raises(CertificateError, match="negative coefficient"):
-            verify_numeric(gen_fig3(1), {"edges": cert})
+            verify_numeric(gen_fig3(1), cert)
     coefficients["3.A"] = builtin_certificate("edges").coefficients["3.A"]
     assert verify_symbolic(cert) == oracle_residual(cert)

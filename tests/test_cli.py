@@ -319,14 +319,14 @@ def test_certify_evaluates_only_its_target(capsys, monkeypatch, fig3_file, targe
     cli_mod = importlib.import_module("triplane.cli")
     evaluated = []
 
-    def recorded(drawing, certificates=None):
-        evaluated.append(certificates and sorted(certificates))
-        return verify_numeric(drawing, certificates)
+    def recorded(drawing, certificate):
+        evaluated.append(certificate.target)
+        return verify_numeric(drawing, certificate)
 
     monkeypatch.setattr(cli_mod, "verify_numeric", recorded)
     code, out, _ = run(capsys, "certify", fig3_file, "--target", target)
     assert code == 0 and json.loads(out)["target"] == target
-    assert evaluated == [[target]]
+    assert evaluated == [target]
 
 
 def test_certify_requires_saturation(capsys, tmp_path):
@@ -338,6 +338,24 @@ def test_certify_requires_saturation(capsys, tmp_path):
     code, out, _ = run(capsys, "certify", str(p), "--target", "edges", "--saturate")
     assert code == 0
     assert json.loads(out)["value"] == 7
+
+
+@pytest.mark.parametrize("flags", [[], ["--saturate"]], ids=["raw", "saturate"])
+def test_certify_refuses_tiny_drawing_without_saturation_advice(capsys, tmp_path, flags):
+    p = tmp_path / "k2.json"
+    p.write_text(serialize_tdr(gen_basic("k2")))
+    code, out, err = run(capsys, "certify", str(p), "--target", "edges", *flags)
+    assert (code, out) == (1, "")
+    assert "at least 3 vertices" in err and "--saturate" not in err
+
+
+@pytest.mark.parametrize("with_file,flags,message", [
+    (True, ["--symbolic"], "certify --symbolic takes no drawing file"),
+    (False, [], "certify needs a drawing file (or --symbolic)"),
+], ids=["symbolic-with-file", "no-file"])
+def test_certify_usage_errors(capsys, fig3_file, with_file, flags, message):
+    files = [fig3_file] if with_file else []
+    assert run(capsys, "certify", *flags, *files, "--target", "edges") == (2, "", message + "\n")
 
 
 def test_certify_symbolic_reports_residual(capsys):
@@ -353,6 +371,10 @@ def test_generate_fig3(capsys):
     assert code == 0
     tdr = json.loads(out)
     assert len(tdr["vertices"]) == 18
+
+
+def test_generate_fig2(capsys):
+    assert run(capsys, "generate", "fig2", "--rings", "1") == (0, serialize_tdr(gen_fig2(1)), "")
 
 
 def test_generate_basic_unknown_name(capsys):
@@ -450,6 +472,25 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, command, text):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err and str(p) in err
+
+
+_EXTRA_KEY_SEGMENT = {"id": "s", "ends": ["a", "b"], "color": "red"}
+
+
+@pytest.mark.parametrize("command,obj,text", [
+    ("validate", [], "top level must be an object"),
+    ("validate", {"vertices": {}, "edges": [], "rotations": {}}, "vertices must be a list"),
+    ("validate", {"vertices": [], "edges": {}, "rotations": {}}, "edges must be a list"),
+    ("validate", {"vertices": [], "edges": [], "rotations": []}, "rotations must be an object"),
+    ("validate", {"vertices": [""], "edges": [], "rotations": {}}, "vertex ids must be nonempty strings"),
+    ("ingest", {"points": {"a": ["0", "0"], "b": ["1", "0"]}, "segments": [_EXTRA_KEY_SEGMENT]},
+     f"segment record must have exactly id, ends: {_EXTRA_KEY_SEGMENT!r}"),
+], ids=["list-top-level", "object-vertices", "object-edges", "list-rotations", "empty-vertex-id",
+        "segment-extra-key"])
+def test_shape_refusal_names_file_and_defect(capsys, tmp_path, command, obj, text):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    assert run(capsys, command, str(p)) == (2, "", f"{p}: {text}\n")
 
 
 # json.loads refuses an integer literal past CPython's digit limit (4300)

@@ -63,6 +63,14 @@ def test_ingest_crossing_square():
     assert d.edges["e0"].crossings == d.edges["e1"].crossings
 
 
+def test_crossing_names_skip_a_taken_prefix():
+    # A point named x0 takes the crossing's first choice of name, so it is named xx0.
+    d = ingest_geometry(GeometricScene({"x0": (-1, 0), "b": (1, 0), "c": (0, -1), "e": (0, 1)},
+                                       (("s", ("x0", "b")), ("t", ("c", "e")))))
+    assert sorted(d.crossings) == ["xx0"]
+    assert d.edges["s"].crossings == d.edges["t"].crossings == ("xx0",)
+
+
 def test_ingest_matches_brute_force_on_random_scenes():
     for seed in range(12):
         scene = build_random_scene(8, 16, seed)

@@ -5,7 +5,8 @@ import pytest
 from triplane.census import cells
 from triplane.combmap import Rotations
 from triplane.drawing import Drawing, EdgeRecord, serialize_tdr, stats, validate
-from triplane.generators import gen_basic, gen_fig3, random_drawing
+from triplane.generators import gen_basic, gen_fig3, ingest_geometry, random_drawing
+from triplane.geometry import GeometricScene
 from triplane.saturate import (
     SaturateError,
     filled_witness,
@@ -155,6 +156,15 @@ def test_path3_witness_and_fill():
     assert {tuple(sorted(e.ends)) for e in out.edges.values()} == {
         ("a", "b"), ("a", "c"), ("b", "c")}
     assert all(not e.crossings for e in out.edges.values())
+
+
+def test_fresh_edge_id_skips_a_taken_one():
+    # The ingested path a-b-c already holds id s0, so its one new edge is s1.
+    d = ingest_geometry(GeometricScene({"a": (-1, 0), "b": (0, 0), "c": (0, -1)},
+                                       (("s0", ("a", "b")), ("e1", ("b", "c")))))
+    out = saturate(d)
+    assert sorted(out.edges) == ["e1", "s0", "s1"]
+    assert out.edges["s1"] == EdgeRecord("s1", ("a", "c"), ())
 
 
 def test_x1_fill_adds_five_boundary_edges():
