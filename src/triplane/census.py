@@ -8,10 +8,12 @@ of named types; trails are the maximal corridors of quadrilateral
 crossing-only cells threaded by the inner segments; configurations are
 the small cell clusters the counting rows charge against.
 
-The census counts on numbers: cells by their index in the planarization's
-``walks()``, darts by number.  Cell ids (``"c{k}"``) and ``(edge, seg)``
-names are written only when a report's cells, trails or configurations are
-first read.
+The census reads only the planarization, its own cell table and the edge
+records, and counts on numbers: cells by their index in ``walks()``, darts
+by number.  It reads the other edge at a crossing off the rotation, so it
+assumes alternating crossings (``validate``'s ``crossing-alternation``).
+Cell ids (``"c{k}"``) and ``(edge, seg)`` names are written only when a
+report's cells, trails or configurations are first read.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _kind(s: int, v: int, degenerate: bool, leaves: Sequence[bool]) -> str:
 
 
 class _Cells(NamedTuple):
-    """A drawing's cells by index: size, vertex incidences, degeneracy and type of cell ``k``.
+    """A drawing's cells by index: size, vertex incidences and type of cell ``k``; does dart ``i`` leave a vertex.
 
     Cell ``k``'s walk as dart numbers is the planarization's ``walks()[k]``
     and its id is ``"c{k}"``; ``face_of()[i]`` is the cell whose walk holds
@@ -81,7 +83,7 @@ class _Cells(NamedTuple):
     """
     sizes: List[int]
     vertex_incidences: List[int]
-    degenerate: List[bool]
+    leaves: List[bool]
     kinds: List[str]
 
 
@@ -90,25 +92,24 @@ def _classified(drawing: Drawing) -> _Cells:
     if drawing._cells is None:
         cmap, vset = drawing.planarize(), drawing._vertex_set
         tail = cmap.tail
-        at = [t in vset for t in tail].__getitem__  # does dart i leave a vertex
-        sizes, incidences, degenerate, kinds = [], [], [], []
+        at = [t in vset for t in tail]  # does dart i leave a vertex
+        sizes, incidences, kinds = [], [], []
         for walk in cmap.walks():
-            s, leaves = len(walk), list(map(at, walk))
+            s, leaves = len(walk), list(map(at.__getitem__, walk))
             v, deg = sum(leaves), len({tail[i] for i in walk}) < s
             sizes.append(s + v)
             incidences.append(v)
-            degenerate.append(deg)
             kinds.append(_kind(s, v, deg, leaves))
-        drawing._cells = _Cells(sizes, incidences, degenerate, kinds)
+        drawing._cells = _Cells(sizes, incidences, at, kinds)
     return drawing._cells
 
 
 def cells(drawing: Drawing) -> Tuple[CellRecord, ...]:
     """All cells, ids assigned in sorted order of their canonical walks: the named view of the cell table."""
     cmap, table = drawing.planarize(), _classified(drawing)
-    return tuple([CellRecord(f"c{k}", walk, size, v, size - 2 * v, size - v, deg)
-                  for k, (walk, size, v, deg) in enumerate(zip(cmap.faces(), table.sizes,
-                                                               table.vertex_incidences, table.degenerate))])
+    return tuple([CellRecord(f"c{k}", walk, size, v, size - 2 * v, size - v, len({cmap.tail[i] for i in ds}) < len(ds))
+                  for k, (walk, ds, size, v) in enumerate(zip(cmap.faces(), cmap.walks(), table.sizes,
+                                                              table.vertex_incidences))])
 
 
 def classify_cell(drawing: Drawing, record: CellRecord) -> str:
@@ -130,23 +131,16 @@ class Trail(NamedTuple):
 NumberedTrail = Tuple[List[int], List[int], Tuple[str, str], Tuple[str, str]]
 
 
-def _walls(cmap: CombMap, crossings: Dict[str, Tuple[Tuple[str, int], Tuple[str, int]]],
-           interior: Sequence[int], start: int) -> Tuple[str, str]:
+def _walls(cmap: CombMap, interior: Sequence[int], start: int) -> Tuple[str, str]:
     """The two edges crossing every segment of a trail's interior at its ends, sorted.
 
     Each segment is given by its ``"bwd"`` dart ``b``, which leaves the
-    segment's last crossing; ``b + 1`` leaves its first.  ``start`` is the
-    segment the trail was found from, named if the walls fail.  It reads the
-    crossing records itself: a method call per crossing made
-    the trail pass 5-13% slower on fig3 L=32.
+    segment's last crossing; ``b + 1`` leaves its first; the next dart round
+    each is the other edge's.  ``start`` is the segment the trail was found
+    from, named if the walls fail.
     """
-    tail, decode = cmap.tail, cmap.decode
-    sides = []
-    for b in interior:
-        e = decode[b][0]
-        (a1, _), (a2, _) = crossings[tail[b + 1]]
-        (b1, _), (b2, _) = crossings[tail[b]]
-        sides.append((a2 if e == a1 else a1, b2 if e == b1 else b1))
+    succ, decode = cmap.succ, cmap.decode
+    sides = [(decode[succ[b + 1]][0], decode[succ[b]][0]) for b in interior]
     w1, w2 = sides[0]
     if len(sides) == 1:
         return (w1, w2) if w1 <= w2 else (w2, w1)
@@ -163,9 +157,9 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
     either side is a whole 2-cell trail, read off the cells of its two
     darts; only corridors through XQUADs march.
     """
-    kinds = _classified(drawing).kinds
+    _, _, at, kinds = _classified(drawing)
     cmap = drawing.planarize()
-    walks, cell_of, tail, crossings = cmap.walks(), cmap.face_of(), cmap.tail, drawing.crossings
+    walks, cell_of = cmap.walks(), cmap.face_of()
     inner = cmap.inner_segments()
     limit = len(inner) + 2
 
@@ -192,7 +186,7 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
                         exit_dart = walk[(walk.index(entry) + 2) % 4]
                     except IndexError:
                         raise CensusError(f"cell c{cell} is typed XQUAD but has {len(walk)} sides") from None
-                    if not (tail[exit_dart] in crossings and tail[exit_dart ^ 1] in crossings):
+                    if at[exit_dart] or at[exit_dart ^ 1]:
                         raise CensusError("trail corridor exits through outer segment "
                                           f"{cmap.decode[exit_dart][:2]}")
                     segs_out.append(exit_dart & -2)
@@ -209,7 +203,7 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
         t0, t1 = kinds[ks[0]], kinds[ks[-1]]
         t0, t1 = ("LARGE" if t0 == "KITE" else t0), ("LARGE" if t1 == "KITE" else t1)  # KITE reported as LARGE
         trails.append((ks, interior, (t0, t1) if t0 <= t1 else (t1, t0),
-                       _walls(cmap, crossings, interior, b)))
+                       _walls(cmap, interior, b)))
     return trails
 
 
@@ -276,11 +270,11 @@ def detect_configurations(
     cell vertically opposite dart ``i``'s cell at the crossing ``i``
     leaves holds ``succ[succ[i]]``, two steps round the rotation.
     """
-    kinds = _classified(drawing).kinds
+    _, _, at, kinds = _classified(drawing)
     cmap = drawing.planarize()
     walks, cell_of = cmap.walks(), cmap.face_of()
     tail, succ, decode = cmap.tail, cmap.succ, cmap.decode
-    edges, crossings = drawing.edges, drawing.crossings
+    edges = drawing.edges
     found: List[NumberedConfiguration] = []
 
     def need(cond: bool, obj: str, detail: str) -> bool:
@@ -293,7 +287,7 @@ def detect_configurations(
         if cell_type != "VTRI":
             continue
         walk = walks[k]
-        sides = [i for i in walk if tail[i] in crossings and tail[i ^ 1] in crossings]  # both ends crossings
+        sides = [i for i in walk if not (at[i] or at[i ^ 1])]  # both ends crossings
         if not need(len(sides) == 1, f"c{k}", "VTRI without a unique inner side"):
             continue
         inner = sides[0]

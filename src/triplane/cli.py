@@ -77,9 +77,7 @@ def _cmd_check(args) -> int:
     rep = census(d, strict=saturated)
     creport = evaluate_constraints(rep.counts, saturated=saturated)
     out = creport.as_dict()
-    if d.edges:
-        out["density_residuals"] = {
-            str(t): frac_to_str(density_residual(d, t)) for t in (1, 2, 5)}
+    out["density_residuals"] = {str(t): frac_to_str(density_residual(d, t)) for t in (1, 2, 5)}
     _emit(out)
     return 0 if creport.all_pass else 1
 

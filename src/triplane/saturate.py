@@ -58,8 +58,6 @@ def _cell_witness(tails: Sequence[str], vertices: FrozenSet[str]) -> Optional[Tu
     joined pairs are read off consecutive tails of the walk; a loop joins none.
     """
     verts = vertices.intersection(tails)
-    if len(verts) < 2:
-        return None
     joined = {(a, b) if a < b else (b, a)
               for a, b in zip(tails, tails[1:] + tails[:1]) if a != b and a in vertices and b in vertices}
     if len(joined) == len(verts) * (len(verts) - 1) // 2:

@@ -233,6 +233,20 @@ def test_forced_cell_of_the_wrong_length_is_named(k, was, kind, sides):
         census(_forced(d, kind, k))
 
 
+# Two refusals past the trail march, each on fig3 L=1: the XPENT c3 forced
+# to XQUAD lets a corridor run between walls that differ from segment to
+# segment, and the VTRI c1 forced to XPENT has a side no XPENT-ended trail
+# comes through.
+@pytest.mark.parametrize("k,was,kind,text", (
+        (3, "XPENT", "XQUAD", r"trail through \('g1p0n0', 1\) has no well-defined bounding edges"),
+        (1, "VTRI", "XPENT", r"no trail ends at cell c1 through \('g1p0n0', 0\)")))
+def test_forced_cell_refusals_are_named(k, was, kind, text):
+    d = gen_fig3(1)
+    assert _classified(d)[-1][k] == was
+    with pytest.raises(CensusError, match=f"^{text}$"):
+        census(_forced(d, kind, k))
+
+
 def test_cfg13_takes_the_first_vvtri_in_cell_id_order():
     # fig3 L=1: the VTRI c9, on a thrice-crossed edge, has the VVTRI c8
     # across one outer side and the VTRI c10 across the other. With c10

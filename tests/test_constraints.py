@@ -213,6 +213,11 @@ def test_trail_pair_bound_violated_by_five_vertex_witness(tmp_path, capsys):
     assert failing == ["3.E"]
 
 
+def test_evaluate_constraints_needs_n():
+    with pytest.raises(ConstraintError, match="^counts must include the vertex count n$"):
+        evaluate_constraints({}, saturated=False)
+
+
 def test_density_residual_zero_across_t():
     for d in (gen_basic("k2"), gen_basic("k3"), gen_basic("path3"), util.x1(),
               gen_basic("fig4-flower")):

@@ -506,6 +506,15 @@ def test_add_chords_rejects_overcrossed_model():
         add_chords(util.ngon(6), [f"v{i}" for i in range(6)], diagonals, "g", "xg")
 
 
+# New edge and crossing ids must be fresh: the hexagon already has edges
+# e0..e5 and vertices v0..v5, and the two chords cross once.
+@pytest.mark.parametrize("prefixes,text", ((("e", "xe"), "edge id 'e0' already used"),
+                                           (("g", "v"), "crossing id 'v0' already used")))
+def test_add_chords_rejects_used_ids(prefixes, text):
+    with pytest.raises(GenerationError, match=f"^{text}$"):
+        add_chords(util.ngon(6), [f"v{i}" for i in range(6)], [(0, 2), (1, 3)], *prefixes)
+
+
 # Faces with the same (cycle length, chords) pattern share one exact model:
 # fig3's side faces share one, its caps one more each unless L is odd (the
 # two caps then match), and every fig2 face is a pentagram.
@@ -554,6 +563,23 @@ def test_chord_refusal_names_each_callers_edges():
 def test_random_drawing_unconnectable_seeds(n, budget, seed):
     with pytest.raises(GenerationError, match=f"^could not connect the scene for n={n}, seed={seed}$"):
         random_drawing(n, budget, seed)
+
+
+# The chord model refuses three pairwise interleaving chords of a 9-gon (a
+# known defect): its parabola points put their three crossings at one point,
+# though each two of the chords are accepted.
+def test_chord_model_concurrent_crossings():
+    nonagon = [f"v{i}" for i in range(9)]
+    chords = [(0, 5), (2, 6), (3, 8)]
+    for pair in itertools.combinations(chords, 2):
+        add_chords(util.ngon(9), nonagon, list(pair), "g", "xg")
+    with pytest.raises(GenerationError, match="^concurrent-crossing: 'g0', 'g1', 'g2' meet at one point$"):
+        add_chords(util.ngon(9), nonagon, chords, "g", "xg")
+
+
+def test_random_scene_needs_a_point():
+    with pytest.raises(GenerationError, match="^need at least one point$"):
+        build_random_scene(0, 0, 0)
 
 
 # Scenes whose greedy pass leaves many components, so the repair pass does

@@ -160,6 +160,11 @@ def test_ccw_sorted_ignores_magnitude():
     assert ccw_sorted([("a", P(2, 0)), ("b", P(0, 3)), ("c", P(5, 5))]) == ["a", "c", "b"]
 
 
+def test_ccw_sorted_refuses_two_items_in_one_direction():
+    with pytest.raises(SceneError, match="^darts 'a' and 'b' leave a node in the same direction$"):
+        ccw_sorted([("a", (1, 0)), ("b", (2, 0))])
+
+
 def test_ccw_from_rotates_to_base():
     items = [("e", P(1, 0)), ("n", P(0, 1)), ("w", P(-1, 0)), ("s", P(0, -1))]
     assert ccw_from(P(-1, 0), items) == ["w", "s", "e", "n"]
