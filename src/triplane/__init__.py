@@ -23,7 +23,7 @@ from .generators import (BASIC_NAMES, GenerationError, build_random_scene,
                          gen_basic, gen_fig2, gen_fig3, ingest_geometry,
                          random_drawing)
 from .geometry import GeometricScene, SceneError, parse_scene, serialize_scene
-from .saturate import SaturateError, is_3saturated, is_filled, saturate
+from .saturate import SaturateError, is_3saturated, saturate
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "builtin_certificate", "census", "cells", "classify_cell",
     "density_residual", "evaluate_constraints", "extract_trails",
     "gen_basic", "gen_fig2", "gen_fig3", "ingest_geometry", "is_3saturated",
-    "is_filled", "parse_scene", "parse_tdr", "random_drawing", "saturate",
-    "serialize_scene", "serialize_tdr", "stats", "validate", "verify_numeric",
-    "verify_symbolic",
+    "parse_scene", "parse_tdr", "random_drawing", "saturate", "serialize_scene",
+    "serialize_tdr", "stats", "validate", "verify_numeric", "verify_symbolic",
 ]

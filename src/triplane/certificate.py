@@ -78,28 +78,23 @@ def target_form(target: str) -> LinearForm:
     return {_target(target)[0]: Fraction(1), "Vm2": Fraction(-11, 2)}
 
 
-def row_forms() -> Dict[str, Tuple[LinearForm, str]]:
-    """Per row id: (lhs - rhs as a sparse form, relation)."""
-    return {row.id: (row.form, row.relation) for row in ROWS}
-
-
 def _check_signs(cert: Certificate) -> None:
     """The one check of a certificate's column: one exact, sign-correct coefficient per row."""
-    forms = row_forms()
-    for row_id, (_, relation) in forms.items():
-        if row_id not in cert.coefficients:
-            raise CertificateError(f"certificate is missing a coefficient for row {row_id}")
-        coeff = cert.coefficients[row_id]
+    for row in ROWS:
+        if row.id not in cert.coefficients:
+            raise CertificateError(f"certificate is missing a coefficient for row {row.id}")
+        coeff = cert.coefficients[row.id]
         if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
             raise CertificateError(
-                f"invalid certificate: coefficient {coeff!r} on row {row_id} "
+                f"invalid certificate: coefficient {coeff!r} on row {row.id} "
                 "is not an int or a Fraction")
-        if relation == "<=" and coeff < 0:
+        if row.relation == "<=" and coeff < 0:
             raise CertificateError(
                 f"invalid certificate: negative coefficient {coeff} "
-                f"on inequality row {row_id}")
+                f"on inequality row {row.id}")
+    ids = {row.id for row in ROWS}
     for row_id in cert.coefficients:
-        if row_id not in forms:
+        if row_id not in ids:
             raise CertificateError(f"certificate names unknown row {row_id!r}")
 
 
@@ -119,9 +114,9 @@ def _residual(target: str, coefficients: Tuple[Tuple[str, Fraction], ...]) -> Li
     """The symbolic residual of a checked column, given as (row id, coefficient) items."""
     coeffs = dict(coefficients)
     total: LinearForm = {}
-    for row_id, (form, _) in row_forms().items():
-        coeff = coeffs[row_id]
-        for v, c in form.items():
+    for row in ROWS:
+        coeff = coeffs[row.id]
+        for v, c in row.form.items():
             total[v] = total.get(v, Fraction(0)) + coeff * c
     for v, c in target_form(target).items():
         total[v] = total.get(v, Fraction(0)) - c

@@ -137,7 +137,7 @@ class CombMap:
     ``base[e] + 2s + 1``.  ``__init__`` is the only code that numbers darts.
     """
 
-    __slots__ = ("rotations", "tail", "succ", "decode", "_base", "_walks", "_face_of", "_faces")
+    __slots__ = ("rotations", "tail", "succ", "decode", "_base", "_walks", "_face_of")
 
     def __init__(self, rotations: Mapping[str, Sequence], paths: Mapping[str, Sequence[str]], nodes: frozenset):
         """Number and check the rotations of a map whose edge ``e`` runs along the nodes ``paths[e]``.
@@ -208,7 +208,7 @@ class CombMap:
                             raise MapError(f"dart {d!r} missing from rotations" if tail[j] is None
                                            else f"dart {d!r} listed at {tail[j]!r} but its tail is {t!r}")
         self.rotations, self.tail, self.succ, self.decode, self._base = rot, tail, succ, decode, base
-        self._walks = self._faces = None
+        self._walks = None
 
     def encode(self, dart) -> int:
         """The number of ``dart``; ``KeyError`` for anything that is not one of this map's darts."""
@@ -263,10 +263,8 @@ class CombMap:
 
     def faces(self) -> Tuple[Tuple[Dart, ...], ...]:
         """All face walks, each starting at its smallest dart, sorted."""
-        if self._faces is None:
-            decode = self.decode.__getitem__
-            self._faces = tuple([tuple(map(decode, walk)) for walk in self.walks()])
-        return self._faces
+        decode = self.decode.__getitem__
+        return tuple([tuple(map(decode, walk)) for walk in self.walks()])
 
     def euler_characteristic(self) -> int:
         return len(self.rotations) - self.num_segments() + len(self.walks())

@@ -160,8 +160,6 @@ def density_residual(drawing: Drawing, t: Rational) -> Fraction:
     """
     if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
         raise ConstraintError(f"density residual needs an int or a Fraction t, not {t!r}")
-    if not drawing.edges:
-        raise ConstraintError("density residual needs at least one edge")
     drawing._validation().refuse_invalid(ConstraintError)
     t = Fraction(t)
     n = len(drawing.vertices)

@@ -47,10 +47,6 @@ def _witnesses(drawing: Drawing) -> Iterator[Tuple[int, Tuple[str, str]]]:
             yield k, witness
 
 
-def is_filled(drawing: Drawing) -> bool:
-    return filled_witness(drawing) is None
-
-
 def _cell_witness(tails: Sequence[str], vertices: FrozenSet[str]) -> Optional[Tuple[str, str]]:
     """First unjoined pair (u, v), u < v, of distinct vertices on a face walk, given its tails.
 
@@ -276,4 +272,4 @@ def saturate(drawing: Drawing) -> Drawing:
 
 def is_3saturated(drawing: Drawing) -> bool:
     """Valid on >= 3 vertices, and every cell's vertex pairs are joined along its boundary."""
-    return len(drawing.vertices) >= 3 and drawing._validation().valid and is_filled(drawing)
+    return len(drawing.vertices) >= 3 and drawing._validation().valid and filled_witness(drawing) is None

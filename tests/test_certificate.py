@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from triplane.census import census
+from triplane.constraints import ROWS
 from triplane.certificate import (
     Certificate,
     CertificateError,
     builtin_certificate,
-    row_forms,
     target_form,
     verify_numeric,
     verify_symbolic,
@@ -21,9 +21,9 @@ import util
 def oracle_residual(cert):
     """From-scratch summation: sum coeff * (lhs - rhs) minus the target."""
     total = {}
-    for rid, (form, _) in row_forms().items():
-        c = cert.coefficients[rid]
-        for var, coeff in form.items():
+    for row in ROWS:
+        c = cert.coefficients[row.id]
+        for var, coeff in row.form.items():
             total[var] = total.get(var, Fraction(0)) + c * coeff
     for var, coeff in target_form(cert.target).items():
         total[var] = total.get(var, Fraction(0)) - coeff
@@ -31,13 +31,12 @@ def oracle_residual(cert):
 
 
 def test_builtin_certificates_have_valid_signs():
-    forms = row_forms()
     for target in ("edges", "crossings"):
         cert = builtin_certificate(target)
-        assert set(cert.coefficients) == set(forms)
-        for rid, (_, relation) in forms.items():
-            if relation == "<=":
-                assert cert.coefficients[rid] >= 0
+        assert set(cert.coefficients) == {row.id for row in ROWS}
+        for row in ROWS:
+            if row.relation == "<=":
+                assert cert.coefficients[row.id] >= 0
 
 
 def test_symbolic_residual_matches_independent_summation():
@@ -85,7 +84,7 @@ def test_perturbing_a_coefficient_shifts_residual_linearly():
     bumped["8.B"] += eps
     shifted = verify_symbolic(Certificate("edges", bumped))
     base = verify_symbolic(cert)
-    form, _ = row_forms()["8.B"]
+    form = next(row.form for row in ROWS if row.id == "8.B")
     expect = dict(base)
     for var, coeff in form.items():
         expect[var] = expect.get(var, Fraction(0)) + eps * coeff

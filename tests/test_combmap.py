@@ -120,7 +120,7 @@ def test_insert_diagonal_in_square():
     assert tail(m2, ("d0", 0, "fwd")) == "p0"
     assert tail(m2, ("d0", 0, "bwd")) == "p2"
     # the other face of the square is untouched
-    other = next(w for w in m.faces() if w is not face)
+    other = next(w for w in m.faces() if w != face)
     assert other in m2.faces()
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplane.census import census
+from triplane.certificate import builtin_certificate, verify_numeric
+from triplane.constraints import ROWS, evaluate_constraints
 from triplane.combmap import Rotations
 from triplane.drawing import Drawing, serialize_tdr, stats, validate
 from triplane import generators
@@ -371,7 +374,7 @@ def test_fig3_rejects_nonpositive_layers():
 
 
 def test_fig2_counts():
-    expected = {1: (15, 50, 30, 6), 2: (20, 90, 60, 12)}
+    expected = {1: (15, 50, 30, 6), 2: (20, 90, 60, 12), 4: (35, 165, 110, 22)}
     for rings, (n, e, x, pents) in expected.items():
         d = gen_fig2(rings)
         assert validate(d).valid
@@ -381,11 +384,38 @@ def test_fig2_counts():
         assert st_.E2 * 2 + st_.E1 == 2 * st_.X
         rep = census(d)
         assert rep.counts["XPENT"] == pents
+        if rings % 2 == 0:  # both caps are pentagrams: |E| = 5(n-2), |X| = 10/3 (n-2)
+            assert e == 5 * (n - 2) and 3 * x == 10 * (n - 2)
+            assert is_3saturated(d)
 
 
 def test_fig2_rejects_nonpositive_rings():
     with pytest.raises(GenerationError):
         gen_fig2(0)
+
+
+# With the side-face pattern in both caps as well, fig3 reaches the bound
+# exactly: |E| = |X| = 5.5(n-2), every row and both certificates with slack
+# 0.  Each cap then repeats the three short diagonals its ring's side faces
+# already drew, so six vertex pairs are joined by two edges; the drawing is
+# still valid, so no two of them are homotopic.
+@pytest.mark.parametrize("layers", (1, 2, 3))
+def test_fig3_with_side_caps_is_tight(monkeypatch, layers):
+    monkeypatch.setattr(generators, "_HEX_CAPS", (_HEX_SIDE, _HEX_SIDE))
+    d = gen_fig3(layers)
+    st_ = stats(d)
+    assert st_.n == 6 * (layers + 1)
+    assert st_.E == st_.X == (55, 88, 121)[layers - 1]
+    assert 2 * st_.E == 11 * (st_.n - 2)
+    assert validate(d).valid and is_3saturated(d)
+    rows = evaluate_constraints(census(d, strict=True).counts, saturated=True).rows
+    assert len(rows) == len(ROWS) == 21
+    assert all(r.slack == 0 for r in rows)
+    for target in ("edges", "crossings"):
+        rep = verify_numeric(d, builtin_certificate(target))
+        assert rep.total_slack == rep.certified_slack == 0
+    ends = Counter(frozenset(e.ends) for e in d.edges.values())
+    assert sorted(c for c in ends.values() if c > 1) == [2] * 6
 
 
 # Chords go into one rotation system shared by every face, so each family
@@ -575,6 +605,47 @@ def test_chord_model_concurrent_crossings():
         add_chords(util.ngon(9), nonagon, list(pair), "g", "xg")
     with pytest.raises(GenerationError, match="^concurrent-crossing: 'g0', 'g1', 'g2' meet at one point$"):
         add_chords(util.ngon(9), nonagon, chords, "g", "xg")
+
+
+def _max_crossings(k, s):
+    """cr_k(s) and a diagonal set of a convex s-gon attaining it: the most
+    crossings among diagonals each crossed at most k times, by exhaustive
+    search.  Two diagonals cross iff their ends interleave."""
+    diagonals = [(i, j) for i, j in itertools.combinations(range(s), 2) if j - i not in (1, s - 1)]
+    best, load = (-1, ()), {}
+
+    def grow(a, count, picked):
+        nonlocal best
+        if count + k * (len(diagonals) - a) <= best[0]:
+            return  # each diagonal still to decide adds at most k crossings
+        if a == len(diagonals):
+            best = (count, picked)
+            return
+        i, j = diagonals[a]
+        # a picked diagonal starts no later than i, so it crosses (i, j) iff its ends interleave so
+        hit = [d for d in picked if d[0] < i < d[1] < j]
+        if len(hit) <= k and all(load[d] < k for d in hit):
+            for d in hit:
+                load[d] += 1
+            load[(i, j)] = len(hit)
+            grow(a + 1, count + len(hit), picked + ((i, j),))
+            for d in hit:
+                load[d] -= 1
+        grow(a + 1, count, picked)
+
+    grow(0, 0, ())
+    return best
+
+
+# cr_k(s) for s = 4..8, the frame counts of the k-plane bounds; s = 9
+# (3, 11, 16) takes seconds and is left out.
+@pytest.mark.parametrize("k,table", ((1, (1, 1, 2, 2, 3)), (2, (1, 5, 6, 7, 10)), (3, (1, 5, 11, 12, 13))))
+def test_cr_k_of_convex_polygons(k, table):
+    for s, cr in zip(range(4, 9), table):
+        count, chords = _max_crossings(k, s)
+        assert count == cr, s
+        model = _chord_model(s, chords)
+        assert model is not None and len(model[1]) == cr  # the chord model draws it, crossing for crossing
 
 
 def test_random_scene_needs_a_point():

@@ -11,7 +11,6 @@ from triplane.saturate import (
     SaturateError,
     filled_witness,
     is_3saturated,
-    is_filled,
     saturate,
 )
 
@@ -132,14 +131,14 @@ def test_large_ngon_saturates_to_a_triangulation():
 
 def test_k3_is_already_saturated():
     d = gen_basic("k3")
-    assert is_filled(d)
+    assert filled_witness(d) is None
     assert is_3saturated(d)
     assert serialize_tdr(saturate(d)) == serialize_tdr(d)
 
 
 def test_k2_is_filled_but_too_small():
     d = gen_basic("k2")
-    assert is_filled(d)
+    assert filled_witness(d) is None
     assert not is_3saturated(d)  # needs at least 3 vertices
     assert serialize_tdr(saturate(d)) == serialize_tdr(d)  # nothing to fill
 
