@@ -18,8 +18,10 @@ report's cells, trails or configurations are first read.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -31,6 +33,7 @@ TRAIL_END_TYPES = ("LARGE", "VQUAD", "VTRI", "XPENT", "XTRI")
 CFG_KEYS = ("CFG9", "CFG10", "CFG12", "CFG13", "CFG14", "CFG15", "CFG18")
 
 CROSSING_EVEN_TYPES = frozenset({"VTRI", "XPENT", "XTRI"})
+_LARGE_KINDS = frozenset({"LARGE", "KITE"})  # kites are large cells
 
 
 class CensusError(ValueError):
@@ -93,13 +96,14 @@ def _classified(drawing: Drawing) -> _Cells:
         cmap, vset = drawing.planarize(), drawing._vertex_set
         tail = cmap.tail
         at = [t in vset for t in tail]  # does dart i leave a vertex
+        leaving, tail_of = at.__getitem__, tail.__getitem__
         sizes, incidences, kinds = [], [], []
         for walk in cmap.walks():
-            s, leaves = len(walk), list(map(at.__getitem__, walk))
-            v, deg = sum(leaves), len({tail[i] for i in walk}) < s
+            s, leaves = len(walk), list(map(leaving, walk))
+            v = sum(leaves)
             sizes.append(s + v)
             incidences.append(v)
-            kinds.append(_kind(s, v, deg, leaves))
+            kinds.append(_kind(s, v, len(set(map(tail_of, walk))) < s, leaves))
         drawing._cells = _Cells(sizes, incidences, at, kinds)
     return drawing._cells
 
@@ -132,7 +136,7 @@ NumberedTrail = Tuple[List[int], List[int], Tuple[str, str], Tuple[str, str]]
 
 
 def _walls(cmap: CombMap, interior: Sequence[int], start: int) -> Tuple[str, str]:
-    """The two edges crossing every segment of a trail's interior at its ends, sorted.
+    """The two edges crossing every segment of a marched trail's interior at its ends, sorted.
 
     Each segment is given by its ``"bwd"`` dart ``b``, which leaves the
     segment's last crossing; ``b + 1`` leaves its first; the next dart round
@@ -141,10 +145,7 @@ def _walls(cmap: CombMap, interior: Sequence[int], start: int) -> Tuple[str, str
     """
     succ, decode = cmap.succ, cmap.decode
     sides = [(decode[succ[b + 1]][0], decode[succ[b]][0]) for b in interior]
-    w1, w2 = sides[0]
-    if len(sides) == 1:
-        return (w1, w2) if w1 <= w2 else (w2, w1)
-    good = sorted({w1, w2}.intersection(*sides[1:]))
+    good = sorted(set(sides[0]).intersection(*sides[1:]))
     if len(good) != 2:
         raise CensusError(f"trail through {decode[start][:2]} has no well-defined bounding edges")
     return good[0], good[1]
@@ -155,11 +156,13 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
 
     An inner segment, one whose two ends are crossings, with no XQUAD on
     either side is a whole 2-cell trail, read off the cells of its two
-    darts; only corridors through XQUADs march.
+    darts, its walls the other edges at its two crossings (see ``_walls``);
+    only corridors through XQUADs march.
     """
     _, _, at, kinds = _classified(drawing)
     cmap = drawing.planarize()
     walks, cell_of = cmap.walks(), cmap.face_of()
+    succ, decode = cmap.succ, cmap.decode
     inner = cmap.inner_segments()
     limit = len(inner) + 2
 
@@ -169,8 +172,11 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
         if b in visited:
             continue
         first, last = cell_of[b + 1], cell_of[b]
-        if kinds[first] != "XQUAD" and kinds[last] != "XQUAD":
+        t0, t1 = kinds[first], kinds[last]
+        if t0 != "XQUAD" and t1 != "XQUAD":
             ks, interior = [first, last], [b]
+            w1, w2 = decode[succ[b + 1]][0], decode[succ[b]][0]
+            walls = (w1, w2) if w1 <= w2 else (w2, w1)
         else:
             # March away from each side of b to the first non-XQUAD: the
             # cells met, and each inner segment crossed as its "bwd" dart.
@@ -188,7 +194,7 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
                         raise CensusError(f"cell c{cell} is typed XQUAD but has {len(walk)} sides") from None
                     if at[exit_dart] or at[exit_dart ^ 1]:
                         raise CensusError("trail corridor exits through outer segment "
-                                          f"{cmap.decode[exit_dart][:2]}")
+                                          f"{decode[exit_dart][:2]}")
                     segs_out.append(exit_dart & -2)
                     entry = exit_dart ^ 1
                     cell = cell_of[entry]
@@ -200,10 +206,10 @@ def _trails(drawing: Drawing) -> List[NumberedTrail]:
             cells_fwd.reverse()
             segs_fwd.reverse()
             ks, interior = cells_fwd + cells_bwd, segs_fwd + [b] + segs_bwd
-        t0, t1 = kinds[ks[0]], kinds[ks[-1]]
+            t0, t1 = kinds[ks[0]], kinds[ks[-1]]
+            walls = _walls(cmap, interior, b)
         t0, t1 = ("LARGE" if t0 == "KITE" else t0), ("LARGE" if t1 == "KITE" else t1)  # KITE reported as LARGE
-        trails.append((ks, interior, (t0, t1) if t0 <= t1 else (t1, t0),
-                       _walls(cmap, interior, b)))
+        trails.append((ks, interior, (t0, t1) if t0 <= t1 else (t1, t0), walls))
     return trails
 
 
@@ -224,16 +230,13 @@ def tkey(a: str, b: str) -> str:
 
 
 def trail_counts(trails: Sequence[Tuple]) -> Dict[str, int]:
-    """Unordered endpoint-type pair counts over the named endpoint types (field 2 of a trail, named or on numbers)."""
-    counts = {}
-    for i, a in enumerate(TRAIL_END_TYPES):
-        for b in TRAIL_END_TYPES[i:]:
-            counts[tkey(a, b)] = 0
-    for t in trails:
-        a, b = t[2]
-        if a in TRAIL_END_TYPES and b in TRAIL_END_TYPES:
-            counts[tkey(a, b)] += 1
-    return counts
+    """Unordered endpoint-type pair counts over the named endpoint types.
+
+    Field 2 of a trail, named or on numbers, is its sorted endpoint-type
+    pair; each pair is tallied once, then written under its key.
+    """
+    tally = Counter(map(itemgetter(2), trails))
+    return {tkey(a, b): tally[a, b] for i, a in enumerate(TRAIL_END_TYPES) for b in TRAIL_END_TYPES[i:]}
 
 
 # -- configurations ----------------------------------------------------------
@@ -251,6 +254,10 @@ NumberedConfiguration = Tuple[str, FrozenSet[int], Tuple[int, ...], Optional[str
 
 # The kinds whose designated segments no two configurations may share.
 DESIGNATING = ("CFG9", "CFG10", "CFG12", "CFG13", "CFG14")
+
+# The endpoint-type pairs of the trails that can make a configuration:
+# CFG18 (length 3), CFG9, CFG10 and CFG12 (length 2).
+_TRAIL_PAIRS = frozenset({("VQUAD", "VTRI"), ("XPENT", "XTRI"), ("VQUAD", "XPENT"), ("VQUAD", "XTRI")})
 
 
 def detect_configurations(
@@ -277,51 +284,55 @@ def detect_configurations(
     edges = drawing.edges
     found: List[NumberedConfiguration] = []
 
-    def need(cond: bool, obj: str, detail: str) -> bool:
-        if not cond and strict:
+    def missing(obj: str, detail: str) -> None:
+        """A witness is absent: raise under ``strict``; otherwise the caller skips the configuration."""
+        if strict:
             raise WitnessError(obj, detail)
-        return cond
 
     # CFG13 / CFG14: one per VTRI, across the outer sides of its inner segment.
-    for k, cell_type in enumerate(kinds):
-        if cell_type != "VTRI":
+    for k in compress(count(), map("VTRI".__eq__, kinds)):
+        inner, sides, vv = None, 0, []  # the inner side (both ends crossings); outer darts with a VVTRI across
+        for i in walks[k]:
+            if not (at[i] or at[i ^ 1]):
+                inner, sides = i, sides + 1
+            elif kinds[cell_of[i ^ 1]] == "VVTRI":
+                vv.append(i)
+        if sides != 1:
+            missing(f"c{k}", "VTRI without a unique inner side")
             continue
-        walk = walks[k]
-        sides = [i for i in walk if not (at[i] or at[i ^ 1])]  # both ends crossings
-        if not need(len(sides) == 1, f"c{k}", "VTRI without a unique inner side"):
-            continue
-        inner = sides[0]
         load = len(edges[decode[inner][0]].crossings)
-        vv = [i for i in walk if i != inner and kinds[cell_of[i ^ 1]] == "VVTRI"]  # outer darts
         if load == 2:
-            if not need(len(vv) == 2, f"c{k}",
-                        "VTRI on a twice-crossed edge must have two VVTRI neighbors"):
+            if len(vv) != 2:
+                missing(f"c{k}", "VTRI on a twice-crossed edge must have two VVTRI neighbors")
                 continue
             d1, d2 = vv
             found.append(("CFG14", frozenset((k, cell_of[d1 ^ 1], cell_of[d2 ^ 1])), (d1, d2), None))
         elif load == 3:
-            if not need(len(vv) >= 1, f"c{k}",
-                        "VTRI on a thrice-crossed edge must have a VVTRI neighbor"):
+            if not vv:
+                missing(f"c{k}", "VTRI on a thrice-crossed edge must have a VVTRI neighbor")
                 continue
-            d = min(vv, key=lambda i: str(cell_of[i ^ 1]))  # the first VVTRI in cell id order
+            # The first VVTRI in cell id order.
+            d = vv[0] if len(vv) == 1 else min(vv, key=lambda i: str(cell_of[i ^ 1]))
             found.append(("CFG13", frozenset((k, cell_of[d ^ 1])), (d,), None))
         else:
-            need(False, f"c{k}", f"VTRI inner side on edge with {load} crossings")
+            missing(f"c{k}", f"VTRI inner side on edge with {load} crossings")
 
     # Trail-indexed kinds.
     for ks, interior, pair, walls in trails:
-        if pair == ("VQUAD", "VTRI") and len(ks) == 3:
+        if pair not in _TRAIL_PAIRS:
+            continue
+        if pair == ("VQUAD", "VTRI"):
+            if len(ks) != 3:
+                continue
             two = [w for w in walls if len(edges[w].crossings) == 2]
-            if not need(len(two) == 1, "+".join([f"c{k}" for k in ks]),
-                        "VTRI-VQUAD trail of length 3 needs exactly one twice-crossed bounding edge"):
+            if len(two) != 1:
+                missing("+".join([f"c{k}" for k in ks]),
+                        "VTRI-VQUAD trail of length 3 needs exactly one twice-crossed bounding edge")
                 continue
             found.append(("CFG18", frozenset(ks), (), two[0]))
             continue
-
-        if pair not in (("XPENT", "XTRI"), ("VQUAD", "XPENT"), ("VQUAD", "XTRI")):
-            continue
-        if not need(len(ks) == 2, "+".join([f"c{k}" for k in ks]),
-                    f"{pair[0]}-{pair[1]} trail must have length 2"):
+        if len(ks) != 2:
+            missing("+".join([f"c{k}" for k in ks]), f"{pair[0]}-{pair[1]} trail must have length 2")
             continue
         b = interior[0]
         seg = b >> 1
@@ -333,8 +344,8 @@ def detect_configurations(
             d3 = next(i for i in walks[xtri] if tail[i] not in ends)
             x3 = tail[d3]
             vv = cell_of[succ[succ[d3]]]
-            if not need(kinds[vv] == "VVTRI", f"c{xtri}",
-                        f"opposite quadrant at {x3} is {kinds[vv]}, not VVTRI"):
+            if kinds[vv] != "VVTRI":
+                missing(f"c{xtri}", f"opposite quadrant at {x3} is {kinds[vv]}, not VVTRI")
                 continue
             # The first KITE across a side of the XTRI, and the dart of the segment it shares with vv at x3.
             kite, shared = next(((cell_of[i ^ 1], j) for i in walks[xtri]
@@ -342,8 +353,8 @@ def detect_configurations(
                                  for j in walks[vv]
                                  if x3 in (tail[j], tail[j ^ 1]) and cell_of[j ^ 1] == cell_of[i ^ 1]),
                                 (None, None))
-            if not need(kite is not None, f"c{xtri}",
-                        "no kite sharing a segment with the opposite-quadrant VVTRI"):
+            if kite is None:
+                missing(f"c{xtri}", "no kite sharing a segment with the opposite-quadrant VVTRI")
                 continue
             found.append(("CFG9", frozenset((xtri, xpent, kite, vv)), (shared,), None))
         else:
@@ -356,54 +367,50 @@ def detect_configurations(
             except IndexError:
                 raise CensusError(f"cell c{vq} is typed VQUAD but has {len(walk)} sides") from None
             z = cell_of[far ^ 1]
-            if not need(kinds[z] == "VVTRI", f"c{vq}",
-                        f"cell across the far side is {kinds[z]}, not VVTRI"):
+            if kinds[z] != "VVTRI":
+                missing(f"c{vq}", f"cell across the far side is {kinds[z]}, not VVTRI")
                 continue
             kind = "CFG10" if pair == ("VQUAD", "XPENT") else "CFG12"
             found.append((kind, frozenset((other, vq, z)), (far,), None))
 
     # CFG15: saturated XPENTs, one per window of three consecutive uncrossed trails.
     # End incidences: (endpoint cell, the "bwd" dart of its interior segment)
-    # -> (other end, trail length), for the trails with an XPENT end, the only
-    # ones looked up.
-    ends: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    # -> (other end's type, trail length), for the trails with an XPENT end,
+    # the only ones looked up.
+    ends: Dict[Tuple[int, int], Tuple[str, int]] = {}
     for ks, interior, pair, _ in trails:
         if "XPENT" in pair:
-            ends[ks[0], interior[0]] = (ks[-1], len(ks))
-            ends[ks[-1], interior[-1]] = (ks[0], len(ks))
-    for k, cell_type in enumerate(kinds):
-        if cell_type != "XPENT":
+            ends[ks[0], interior[0]] = (kinds[ks[-1]], len(ks))
+            ends[ks[-1], interior[-1]] = (kinds[ks[0]], len(ks))
+    for k in compress(count(), map("XPENT".__eq__, kinds)):
+        walk = walks[k]  # the tail of side i is the corner it shares with side i-1
+        profile = [ends.get((k, i & -2)) for i in walk]  # per side: (other end's type, trail length)
+        if None in profile:
+            raise CensusError(f"no trail ends at cell c{k} through {decode[walk[profile.index(None)]][:2]}")
+        if not CROSSING_EVEN_TYPES.issuperset([t for t, _ in profile]):
             continue
-        cid, walk = f"c{k}", walks[k]  # the tail of side i is the corner it shares with side i-1
-        profile = []  # per side: (other end cell type, trail length)
-        for i in walk:
-            hit = ends.get((k, i & -2))
-            if hit is None:
-                raise CensusError(f"no trail ends at cell {cid} through {decode[i][:2]}")
-            profile.append((kinds[hit[0]], hit[1]))
-        if not all(t in CROSSING_EVEN_TYPES for t, _ in profile):
-            continue
-        uncrossed = [t == "VTRI" and length == 2 for t, length in profile]
+        uncrossed = [end == ("VTRI", 2) for end in profile]
+        cid = f"c{k}"
         try:
             windows = [i for i in range(5)
                        if uncrossed[i] and uncrossed[(i + 1) % 5] and uncrossed[(i + 2) % 5]]
         except IndexError:
             raise CensusError(f"cell {cid} is typed XPENT but has {len(walk)} sides") from None
-        if not need(bool(windows), cid,
-                    "saturated XPENT without three consecutive uncrossed trails"):
+        if not windows:
+            missing(cid, "saturated XPENT without three consecutive uncrossed trails")
             continue
         for i in windows:
             ja, jb = (i + 1) % 5, (i + 2) % 5
             ca, cb = cell_of[succ[succ[walk[ja]]]], cell_of[succ[succ[walk[jb]]]]
-            ok = need(kinds[ca] == "VVTRI", cid,
-                      f"opposite quadrant at {tail[walk[ja]]} is not VVTRI") and \
-                 need(kinds[cb] == "VVTRI", cid,
-                      f"opposite quadrant at {tail[walk[jb]]} is not VVTRI")
-            if not ok:
+            if kinds[ca] != "VVTRI":
+                missing(cid, f"opposite quadrant at {tail[walk[ja]]} is not VVTRI")
+                continue
+            if kinds[cb] != "VVTRI":
+                missing(cid, f"opposite quadrant at {tail[walk[jb]]} is not VVTRI")
                 continue
             mid = decode[walk[ja]][0]
-            if not need(len(edges[mid].crossings) == 2, cid,
-                        f"middle side edge {mid} is not twice-crossed"):
+            if len(edges[mid].crossings) != 2:
+                missing(cid, f"middle side edge {mid} is not twice-crossed")
                 continue
             found.append(("CFG15", frozenset((k, ca, cb)), (), mid))
 
@@ -519,17 +526,12 @@ def census(drawing: Drawing, strict: bool = False) -> CensusReport:
     cfgs = detect_configurations(drawing, trails, strict=strict)
 
     counts: Dict[str, int] = stats(drawing).as_dict()
-    for t in CELL_COUNT_KEYS:
-        counts[t] = 0
-    for kind in kinds:
-        counts[kind] += 1
+    by_type = Counter(kinds)
+    counts.update({t: by_type[t] for t in CELL_COUNT_KEYS})
     counts["LARGE"] += counts["KITE"]  # kites are large cells
-    counts["large_size_sum"] = sum(
-        size for size, kind in zip(sizes, kinds) if kind == "LARGE" or kind == "KITE")
+    counts["large_size_sum"] = sum(compress(sizes, map(_LARGE_KINDS.__contains__, kinds)))
     counts["cells"] = len(kinds)
     counts.update(trail_counts(trails))
-    for k in CFG_KEYS:
-        counts[k] = 0
-    for c in cfgs:
-        counts[c[0]] += 1
+    by_kind = Counter(map(itemgetter(0), cfgs))
+    counts.update({k: by_kind[k] for k in CFG_KEYS})
     return CensusReport(counts, drawing, trails, cfgs)

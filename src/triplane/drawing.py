@@ -28,6 +28,7 @@ import re
 from dataclasses import asdict, dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .combmap import CombMap, Dart, MapError, smallest_first
@@ -77,21 +78,22 @@ class Drawing:
         occ: Dict[str, List[Tuple[str, int]]] = {}
         paths: Dict[str, Tuple[str, ...]] = {}  # each edge's points: end, crossings, end
         for e in edges:
-            if not (isinstance(e.id, str) and e.id):
+            eid, ends, crossings = e.id, e.ends, e.crossings
+            if not (isinstance(eid, str) and eid):
                 raise TDRError("edge ids must be nonempty strings")
-            if e.id in emap:
-                raise TDRError(f"duplicate edge id {e.id!r}")
-            u, v = e.ends if len(e.ends) == 2 else (None, None)
+            if eid in emap:
+                raise TDRError(f"duplicate edge id {eid!r}")
+            u, v = ends if len(ends) == 2 else (None, None)
             if not (isinstance(u, str) and u in vset and isinstance(v, str) and v in vset):
-                raise TDRError(f"edge {e.id!r} has an end that is not a vertex")
-            for i, x in enumerate(e.crossings):
+                raise TDRError(f"edge {eid!r} has an end that is not a vertex")
+            for i, x in enumerate(crossings):
                 if not (isinstance(x, str) and x):
-                    raise TDRError(f"edge {e.id!r}: crossing ids must be nonempty strings")
+                    raise TDRError(f"edge {eid!r}: crossing ids must be nonempty strings")
                 if x in vset:
                     raise TDRError(f"crossing id {x!r} collides with a vertex id")
-                occ.setdefault(x, []).append((e.id, i))
-            emap[e.id] = e
-            paths[e.id] = (u,) + e.crossings + (v,)
+                occ.setdefault(x, []).append((eid, i))
+            emap[eid] = e
+            paths[eid] = (u,) + crossings + (v,)
         for x, places in occ.items():
             if len(places) != 2:
                 raise TDRError(f"dangling crossing {x!r}: appears on {len(places)} edge slot(s), expected 2")
@@ -144,6 +146,7 @@ class Drawing:
 
 _DART_KEYS = frozenset(("edge", "seg", "dir"))
 _EDGE_KEYS = frozenset(("id", "ends", "crossings"))
+_DART_FIELDS = itemgetter("edge", "seg", "dir")  # a dart object's (edge, seg, dir)
 
 
 def _malformed_dart(lst: list) -> TDRError:
@@ -179,11 +182,12 @@ def parse_tdr(text: str) -> Drawing:
     for e in obj["edges"]:
         if not (isinstance(e, dict) and e.keys() == _EDGE_KEYS):
             raise TDRError(f"edge record must have exactly id, ends, crossings: {e!r}")
-        if not (isinstance(e["ends"], list) and len(e["ends"]) == 2):
+        ends, crossings = e["ends"], e["crossings"]
+        if not (isinstance(ends, list) and len(ends) == 2):
             raise TDRError(f"edge {e.get('id')!r}: ends must be a pair")
-        if not isinstance(e["crossings"], list):
+        if not isinstance(crossings, list):
             raise TDRError(f"edge {e.get('id')!r}: crossings must be a list")
-        edges.append(EdgeRecord(e["id"], (e["ends"][0], e["ends"][1]), tuple(e["crossings"])))
+        edges.append(EdgeRecord(e["id"], tuple(ends), tuple(crossings)))
     if not isinstance(obj["rotations"], dict):
         raise TDRError("rotations must be an object")
     rotations = {}
@@ -191,12 +195,14 @@ def parse_tdr(text: str) -> Drawing:
         if not isinstance(lst, list):
             raise TDRError(f"rotation at {node!r} must be a list")
         try:
-            rotations[node] = [(o["edge"], o["seg"], o["dir"]) for o in lst]
+            rotations[node] = tuple(map(_DART_FIELDS, lst))
         except (TypeError, KeyError):
             raise _malformed_dart(lst) from None
         if sum(map(len, lst)) != 3 * len(lst):  # each has edge, seg and dir, so some other key too
             raise _malformed_dart(lst)
-    return Drawing(obj["vertices"], edges, rotations)
+    vertices = obj["vertices"]
+    del obj  # the decoded objects go before the map is numbered
+    return Drawing(vertices, edges, rotations)
 
 
 def serialize_tdr(drawing: Drawing) -> str:
@@ -255,11 +261,12 @@ def validate(drawing: Drawing) -> ValidationReport:
     heavy = tuple(sorted(e.id for e in drawing.edges.values() if len(e.crossings) > 3))
     results.append(CheckResult("3-plane", not heavy, heavy))
 
-    # One pass over the crossings in id order: self-crossing, crossing of
-    # adjacent edges, and a rotation that does not alternate e1, e2, e1, e2.
+    # One pass over the crossings: self-crossing, crossing of adjacent
+    # edges, and a rotation that does not alternate e1, e2, e1, e2.  Each
+    # check's witnesses are listed in id order.
     selfx, adjacent, nonalt = [], [], []
     edges, rotations = drawing.edges, drawing.rotations
-    for x, ((e1, _), (e2, _)) in sorted(drawing.crossings.items()):
+    for x, ((e1, _), (e2, _)) in drawing.crossings.items():
         if e1 == e2:
             selfx.append(x)
         else:
@@ -270,9 +277,9 @@ def validate(drawing: Drawing) -> ValidationReport:
         if not (len(rot) == 4 and rot[0][0] == rot[2][0] and rot[1][0] == rot[3][0]
                 and (rot[0][0], rot[1][0]) in ((e1, e2), (e2, e1))):
             nonalt.append(x)
-    results.append(CheckResult("no-self-cross", not selfx, tuple(selfx)))
-    results.append(CheckResult("no-adjacent-cross", not adjacent, tuple(adjacent)))
-    results.append(CheckResult("crossing-alternation", not nonalt, tuple(nonalt)))
+    results.append(CheckResult("no-self-cross", not selfx, tuple(sorted(selfx))))
+    results.append(CheckResult("no-adjacent-cross", not adjacent, tuple(sorted(adjacent))))
+    results.append(CheckResult("crossing-alternation", not nonalt, tuple(sorted(nonalt))))
 
     cmap = drawing.planarize()
     euler = cmap.euler_characteristic()

@@ -190,8 +190,12 @@ def _chord_arrangement(m: int, chords: Sequence[Tuple[int, int]],
     Also returns why the model refuses them, naming chords by ``names``,
     or ``None`` if it accepts them all.
     """
-    # Clockwise convex model: integer parabola points in reversed order.
-    arr = _Arrangement({i: (m - 1 - i, (m - 1 - i) ** 2) for i in range(m)})
+    # Clockwise convex model: integer parabola points in reversed order, at
+    # x = m-1-i for m <= 8 (fig2 and fig3 are drawn on these) and at
+    # x = 2^(m-1-i) from m = 9 on, where three diagonals of the first can
+    # meet at one point.
+    xs = [m - 1 - i if m <= 8 else 2 ** (m - 1 - i) for i in range(m)]
+    arr = _Arrangement({i: (x, x * x) for i, x in enumerate(xs)})
     for e, (i, j) in zip(names, chords):
         reason = arr.add(e, i, j)
         if reason is not None:

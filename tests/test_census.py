@@ -20,10 +20,11 @@ from triplane.census import (
 from triplane.drawing import Drawing, validate
 from triplane.generators import gen_basic, gen_fig2, gen_fig3, ingest_geometry, random_drawing
 from triplane.geometry import parse_scene
-from triplane.saturate import saturate
+from triplane.saturate import is_3saturated, saturate
 
 import util
 from test_acceptance import CORPUS_NAMES, corpus_drawing
+from test_cli import VERDICT_CORPUS
 
 
 def scene_drawing(points, segments):
@@ -377,3 +378,33 @@ def test_census_and_validation_bytes_are_pinned():
         add("validate", lambda: validate(d).as_dict())
     assert digest.hexdigest() == (
         "21b2a06508c8f9fc1191cf53f3a0b6150f17c9204d1796b3bcecdbd45c809e2f")
+
+
+# The census on numbers, pinned: one sha256 over the trails of each drawing
+# of the verdict corpus and fig3 L=32, and one over their configurations,
+# each as tuples in the order returned (a configuration's cells sorted).
+# Recorded before the trail and configuration loops were trimmed, so a
+# reordered trail list or another designated dart fails them.
+@pytest.fixture(scope="module")
+def numbered_census():
+    out = []
+    for d in [build() for _, build in VERDICT_CORPUS] + [gen_fig3(32)]:
+        trails = _trails(d)
+        out.append((trails, detect_configurations(d, trails, strict=is_3saturated(d))))
+    return out
+
+
+def test_numbered_trails_are_pinned(numbered_census):
+    digest = hashlib.sha256()
+    for trails, _ in numbered_census:
+        digest.update(repr([(tuple(ks), tuple(interior), ends, walls)
+                            for ks, interior, ends, walls in trails]).encode())
+    assert digest.hexdigest() == "8898fa0c1c6d4b42765e70006591ef5b0c88702284c190e48f18f9fc625d74ed"
+
+
+def test_numbered_configurations_are_pinned(numbered_census):
+    digest = hashlib.sha256()
+    for _, cfgs in numbered_census:
+        digest.update(repr([(kind, tuple(sorted(ks)), tuple(designated), edge)
+                            for kind, ks, designated, edge in cfgs]).encode())
+    assert digest.hexdigest() == "8e0bf9e1ac0af38bbb53e3cce3db54507434f541c0af8b93cc959c19db0bf688"

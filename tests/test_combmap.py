@@ -235,6 +235,14 @@ def test_constructor_rejects_bad_maps():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("direction", [["fwd"], None], ids=["list", "null"])
+def test_constructor_refuses_a_direction_that_is_not_a_string(direction):
+    rotations = {"a": [("e", 0, direction)], "b": [("e", 0, "bwd")]}
+    with pytest.raises(MapError) as exc:
+        CombMap(rotations, {"e": ("a", "b")}, frozenset("ab"))
+    assert str(exc.value) == f"rotation at 'a': bad direction {direction!r}"
+
+
 def assert_numbered_as_drawing(drawing, m2, new):
     """``m2``, ``drawing``'s map with edge ``new`` inserted, against the ``Drawing`` of its rotations."""
     built = Drawing(drawing.vertices, list(drawing.edges.values()) + [new], m2.rotations)

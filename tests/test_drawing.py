@@ -125,6 +125,43 @@ _STRUCTURAL_MESSAGES = {
 }
 
 
+@pytest.mark.parametrize("direction", [["fwd"], None], ids=["list", "null"])
+def test_parse_refuses_a_direction_that_is_not_a_string(direction):
+    text = _mutate_x1(lambda o: o["rotations"]["v0"].__setitem__(0, {"edge": "e0", "seg": 0, "dir": direction}))
+    with pytest.raises(TDRError) as exc:
+        parse_tdr(text)
+    assert str(exc.value) == f"rotation at 'v0': bad direction {direction!r}"
+
+
+def test_crossing_witnesses_are_listed_in_id_order():
+    # Each crossing check fails at two crossings that the drawing stores in
+    # the reverse of their id order: the edge s crosses itself at y, then x;
+    # t1, t2 and t3, t4 share the vertex p and cross at v2, then v1; u1, u2
+    # and u3, u4 cross at w2, then w1 without alternating.
+    edges = [EdgeRecord("s", ("a", "b"), ("y", "y", "x", "x"))]
+    rotations = {"a": [("s", 0, "fwd")], "b": [("s", 4, "bwd")],
+                 "y": [("s", 0, "bwd"), ("s", 1, "fwd"), ("s", 1, "bwd"), ("s", 2, "fwd")],
+                 "x": [("s", 2, "bwd"), ("s", 3, "fwd"), ("s", 3, "bwd"), ("s", 4, "fwd")],
+                 "p": [(f"t{i}", 0, "fwd") for i in range(1, 5)]}
+    for i, x in ((1, "v2"), (3, "v1")):
+        t, u = f"t{i}", f"t{i + 1}"
+        edges += [EdgeRecord(t, ("p", f"q{i}"), (x,)), EdgeRecord(u, ("p", f"q{i + 1}"), (x,))]
+        rotations.update({f"q{i}": [(t, 1, "bwd")], f"q{i + 1}": [(u, 1, "bwd")],
+                          x: [(t, 0, "bwd"), (u, 0, "bwd"), (t, 1, "fwd"), (u, 1, "fwd")]})
+    for i, x in ((1, "w2"), (3, "w1")):
+        for j in (i, i + 1):
+            edges.append(EdgeRecord(f"u{j}", (f"c{j}", f"d{j}"), (x,)))
+            rotations.update({f"c{j}": [(f"u{j}", 0, "fwd")], f"d{j}": [(f"u{j}", 1, "bwd")]})
+        rotations[x] = [(f"u{i}", 0, "bwd"), (f"u{i}", 1, "fwd"), (f"u{i + 1}", 0, "bwd"), (f"u{i + 1}", 1, "fwd")]
+    vertices = ["a", "b", "p"] + [f"q{i}" for i in range(1, 5)] + [f"{c}{j}" for c in "cd" for j in range(1, 5)]
+    d = Drawing(vertices, edges, rotations)
+    assert list(d.crossings) == ["y", "x", "v2", "v1", "w2", "w1"]
+    witnesses = {c.name: c.witnesses for c in validate(d).checks}
+    assert witnesses["no-self-cross"] == ("x", "y")
+    assert witnesses["no-adjacent-cross"] == ("v1", "v2")
+    assert witnesses["crossing-alternation"] == ("w1", "w2")
+
+
 def _swap_v0_v1(o):
     o["rotations"]["v0"] = [{"edge": "e1", "seg": 0, "dir": "fwd"}]
     o["rotations"]["v1"] = [{"edge": "e0", "seg": 0, "dir": "fwd"}]

@@ -599,12 +599,32 @@ def test_random_drawing_unconnectable_seeds(n, budget, seed):
 # known defect): its parabola points put their three crossings at one point,
 # though each two of the chords are accepted.
 def test_chord_model_concurrent_crossings():
-    nonagon = [f"v{i}" for i in range(9)]
-    chords = [(0, 5), (2, 6), (3, 8)]
-    for pair in itertools.combinations(chords, 2):
-        add_chords(util.ngon(9), nonagon, list(pair), "g", "xg")
-    with pytest.raises(GenerationError, match="^concurrent-crossing: 'g0', 'g1', 'g2' meet at one point$"):
-        add_chords(util.ngon(9), nonagon, chords, "g", "xg")
+    # The three chords pairwise interleave; the parabola model x = 8-i put
+    # their three crossings at one point, so the 9-gon refused them.
+    d = util.ngon(9)
+    rot, edges = Rotations(d.rotations), dict(d.edges)
+    add_chords_in_face(rot, edges, [f"v{i}" for i in range(9)], [(0, 5), (2, 6), (3, 8)], "g", "xg")
+    drawn = Drawing(d.vertices, list(edges.values()), rot.lists)
+    assert validate(drawn).valid and len(drawn.crossings) == 3
+    assert [len(edges[e].crossings) for e in ("g0", "g1", "g2")] == [2, 2, 2]
+
+
+# From m = 9 on the model's corners sit at x = 2^(m-1-i): every two
+# interleaved diagonals cross properly, no two such crossings share a point,
+# and two diagonals that do not interleave meet at most at a shared corner.
+@pytest.mark.parametrize("m", range(9, 17))
+def test_chord_model_crossings_are_distinct(m):
+    corners = generators._chord_arrangement(m, (), ())[0].points
+    diagonals = [(i, j) for i, j in itertools.combinations(range(m), 2) if j - i not in (1, m - 1)]
+    at = {}
+    for (i, j), (a, b) in itertools.combinations(diagonals, 2):
+        kind, p = _meet(corners[i], corners[j], corners[a], corners[b])
+        if i < a < j < b or a < i < b < j:
+            assert kind == "proper"
+            assert at.setdefault(p, (i, j, a, b)) == (i, j, a, b)
+        else:
+            assert kind == ("shared-endpoint" if {i, j} & {a, b} else "disjoint")
+    assert len(at) == len(list(itertools.combinations(range(m), 4)))
 
 
 def _max_crossings(k, s):
