@@ -33,7 +33,6 @@ TRAIL_END_TYPES = ("LARGE", "VQUAD", "VTRI", "XPENT", "XTRI")
 CFG_KEYS = ("CFG9", "CFG10", "CFG12", "CFG13", "CFG14", "CFG15", "CFG18")
 
 CROSSING_EVEN_TYPES = frozenset({"VTRI", "XPENT", "XTRI"})
-_LARGE_KINDS = frozenset({"LARGE", "KITE"})  # kites are large cells
 
 
 class CensusError(ValueError):
@@ -255,10 +254,6 @@ NumberedConfiguration = Tuple[str, FrozenSet[int], Tuple[int, ...], Optional[str
 # The kinds whose designated segments no two configurations may share.
 DESIGNATING = ("CFG9", "CFG10", "CFG12", "CFG13", "CFG14")
 
-# The endpoint-type pairs of the trails that can make a configuration:
-# CFG18 (length 3), CFG9, CFG10 and CFG12 (length 2).
-_TRAIL_PAIRS = frozenset({("VQUAD", "VTRI"), ("XPENT", "XTRI"), ("VQUAD", "XPENT"), ("VQUAD", "XTRI")})
-
 
 def detect_configurations(
     drawing: Drawing,
@@ -319,17 +314,16 @@ def detect_configurations(
 
     # Trail-indexed kinds.
     for ks, interior, pair, walls in trails:
-        if pair not in _TRAIL_PAIRS:
-            continue
-        if pair == ("VQUAD", "VTRI"):
-            if len(ks) != 3:
-                continue
+        if pair == ("VQUAD", "VTRI") and len(ks) == 3:
             two = [w for w in walls if len(edges[w].crossings) == 2]
             if len(two) != 1:
                 missing("+".join([f"c{k}" for k in ks]),
                         "VTRI-VQUAD trail of length 3 needs exactly one twice-crossed bounding edge")
                 continue
             found.append(("CFG18", frozenset(ks), (), two[0]))
+            continue
+
+        if pair not in (("XPENT", "XTRI"), ("VQUAD", "XPENT"), ("VQUAD", "XTRI")):
             continue
         if len(ks) != 2:
             missing("+".join([f"c{k}" for k in ks]), f"{pair[0]}-{pair[1]} trail must have length 2")
@@ -529,7 +523,8 @@ def census(drawing: Drawing, strict: bool = False) -> CensusReport:
     by_type = Counter(kinds)
     counts.update({t: by_type[t] for t in CELL_COUNT_KEYS})
     counts["LARGE"] += counts["KITE"]  # kites are large cells
-    counts["large_size_sum"] = sum(compress(sizes, map(_LARGE_KINDS.__contains__, kinds)))
+    counts["large_size_sum"] = sum(
+        size for size, kind in zip(sizes, kinds) if kind == "LARGE" or kind == "KITE")
     counts["cells"] = len(kinds)
     counts.update(trail_counts(trails))
     by_kind = Counter(map(itemgetter(0), cfgs))

@@ -78,22 +78,21 @@ class Drawing:
         occ: Dict[str, List[Tuple[str, int]]] = {}
         paths: Dict[str, Tuple[str, ...]] = {}  # each edge's points: end, crossings, end
         for e in edges:
-            eid, ends, crossings = e.id, e.ends, e.crossings
-            if not (isinstance(eid, str) and eid):
+            if not (isinstance(e.id, str) and e.id):
                 raise TDRError("edge ids must be nonempty strings")
-            if eid in emap:
-                raise TDRError(f"duplicate edge id {eid!r}")
-            u, v = ends if len(ends) == 2 else (None, None)
+            if e.id in emap:
+                raise TDRError(f"duplicate edge id {e.id!r}")
+            u, v = e.ends if len(e.ends) == 2 else (None, None)
             if not (isinstance(u, str) and u in vset and isinstance(v, str) and v in vset):
-                raise TDRError(f"edge {eid!r} has an end that is not a vertex")
-            for i, x in enumerate(crossings):
+                raise TDRError(f"edge {e.id!r} has an end that is not a vertex")
+            for i, x in enumerate(e.crossings):
                 if not (isinstance(x, str) and x):
-                    raise TDRError(f"edge {eid!r}: crossing ids must be nonempty strings")
+                    raise TDRError(f"edge {e.id!r}: crossing ids must be nonempty strings")
                 if x in vset:
                     raise TDRError(f"crossing id {x!r} collides with a vertex id")
-                occ.setdefault(x, []).append((eid, i))
-            emap[eid] = e
-            paths[eid] = (u,) + crossings + (v,)
+                occ.setdefault(x, []).append((e.id, i))
+            emap[e.id] = e
+            paths[e.id] = (u,) + e.crossings + (v,)
         for x, places in occ.items():
             if len(places) != 2:
                 raise TDRError(f"dangling crossing {x!r}: appears on {len(places)} edge slot(s), expected 2")

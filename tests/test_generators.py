@@ -595,12 +595,10 @@ def test_random_drawing_unconnectable_seeds(n, budget, seed):
         random_drawing(n, budget, seed)
 
 
-# The chord model refuses three pairwise interleaving chords of a 9-gon (a
-# known defect): its parabola points put their three crossings at one point,
-# though each two of the chords are accepted.
+# Three pairwise interleaving chords of a 9-gon are drawn with their three
+# crossings at three points; the parabola corners x = 8-i put the three at
+# one point, so the model refused them.
 def test_chord_model_concurrent_crossings():
-    # The three chords pairwise interleave; the parabola model x = 8-i put
-    # their three crossings at one point, so the 9-gon refused them.
     d = util.ngon(9)
     rot, edges = Rotations(d.rotations), dict(d.edges)
     add_chords_in_face(rot, edges, [f"v{i}" for i in range(9)], [(0, 5), (2, 6), (3, 8)], "g", "xg")

@@ -3,17 +3,22 @@
 import importlib.util
 from pathlib import Path
 
+from triplane.drawing import serialize_tdr
+from triplane.generators import gen_fig3
+
 _SPEC = importlib.util.spec_from_file_location(
     "stage_times", Path(__file__).resolve().parent.parent / "tools" / "stage_times.py")
 stage_times = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(stage_times)
 
 
-def test_prints_every_stage_and_command_of_fig3_l1(capsys):
-    assert stage_times.main(["--repeats", "1", "--fig3", "1", "--fig2", "--seeds"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["raw ms, minimum of 1 fresh parse(s) per input", "fig3-L1:"]
-    rows = [line.rsplit(None, 1) for line in lines[2:]]
-    assert [name.strip() for name, _ in rows] == (list(stage_times.STAGES)
-                                                  + [" ".join(argv) for argv in stage_times.COMMANDS])
-    assert all(float(ms) >= 0 for _, ms in rows)
+def test_times_every_stage_and_command_of_fig3_l1(tmp_path):
+    text = serialize_tdr(gen_fig3(1))
+    path = tmp_path / "fig3-L1.json"
+    path.write_text(text)
+    stages = stage_times.stage_times(text)
+    commands = stage_times.command_times(str(path))
+    assert list(stages) == list(stage_times.STAGES)
+    assert list(commands) == [" ".join(argv) for argv in stage_times.COMMANDS]
+    assert all(ms >= 0 for ms in [*stages.values(), *commands.values()])
+

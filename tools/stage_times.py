@@ -2,12 +2,13 @@
 
 Usage::
 
-    python3 tools/stage_times.py [--repeats N] [--fig3 L ...] [--fig2 R ...] [--seeds S ...]
+    python3 tools/stage_times.py [--repeats N]
 
 From the root of a checkout, with its ``src`` put first on ``sys.path``.
-The inputs default to those of perfbench's ``certify`` workload, rebuilt
-with the same generator calls: fig3 L = 4, 16, 32, fig2 R = 2, 8 and the
-saturated random (24, 72) drawings of seeds 0-2.  For each input the
+The inputs are those of perfbench's ``certify`` workload, rebuilt with the
+same generator calls from ``perfbench/workloads.py``'s own constants
+(read, not copied): fig3 L = 4, 16, 32, fig2 R = 2, 8 and the saturated
+random (24, 72) drawings of seeds 0-2.  For each input the
 stages of one verdict run in order on one fresh ``parse_tdr`` of the
 input's canonical text, so no per-``Drawing`` table carries over from one
 repeat to the next:
@@ -43,7 +44,9 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))  # its modules import each other by bare name
 
 from triplane import cli  # noqa: E402
 from triplane.census import _classified, _trails, census, detect_configurations  # noqa: E402
@@ -52,19 +55,19 @@ from triplane.constraints import evaluate_constraints  # noqa: E402
 from triplane.drawing import parse_tdr, serialize_tdr  # noqa: E402
 from triplane.generators import gen_fig2, gen_fig3, random_drawing  # noqa: E402
 from triplane.saturate import filled_witness, is_3saturated, saturate  # noqa: E402
+from workloads import (CERTIFY_FIG2, CERTIFY_FIG3, CERTIFY_RANDOM_SEEDS,  # noqa: E402
+                       RANDOM_BUDGET, RANDOM_N, _VERDICT_ARGV as COMMANDS)
 
 STAGES = ("json.loads", "parse_tdr", "validate", "_classified", "filled_witness", "_trails",
           "detect_configurations", "census", "evaluate_constraints", "verify_numeric")
-COMMANDS = (("check",), ("certify", "--target", "edges"), ("certify", "--target", "crossings"))
-RANDOM_N, RANDOM_BUDGET = 24, 72
 
 
-def inputs(fig3: Sequence[int], fig2: Sequence[int], seeds: Sequence[int]) -> List[Tuple[str, str]]:
-    """(name, canonical text) of each input, in perfbench's order."""
-    out = [(f"fig3-L{L}", serialize_tdr(gen_fig3(L))) for L in fig3]
-    out += [(f"fig2-R{R}", serialize_tdr(gen_fig2(R))) for R in fig2]
+def inputs() -> List[Tuple[str, str]]:
+    """(name, canonical text) of each of perfbench's certify inputs, in its order."""
+    out = [(f"fig3-L{L}", serialize_tdr(gen_fig3(L))) for L in CERTIFY_FIG3]
+    out += [(f"fig2-R{R}", serialize_tdr(gen_fig2(R))) for R in CERTIFY_FIG2]
     out += [(f"random-s{s}", serialize_tdr(saturate(random_drawing(RANDOM_N, RANDOM_BUDGET, s))))
-            for s in seeds]
+            for s in CERTIFY_RANDOM_SEEDS]
     return out
 
 
@@ -120,17 +123,12 @@ def best(samples: List[Dict[str, float]]) -> Dict[str, float]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--repeats", type=int, default=20, help="fresh parses per input (default 20)")
-    p.add_argument("--fig3", type=int, nargs="*", default=[4, 16, 32], help="fig3 layer counts")
-    p.add_argument("--fig2", type=int, nargs="*", default=[2, 8], help="fig2 ring counts")
-    p.add_argument("--seeds", type=int, nargs="*", default=[0, 1, 2],
-                   help="seeds of the saturated random (24, 72) drawings")
     args = p.parse_args(argv)
     if args.repeats < 1:
         p.error("--repeats must be at least 1")
-    cases = inputs(args.fig3, args.fig2, args.seeds)
     print(f"raw ms, minimum of {args.repeats} fresh parse(s) per input")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in cases:
+        for name, text in inputs():
             path = Path(tmp) / f"{name}.json"
             path.write_text(text)
             stages = best([stage_times(text) for _ in range(args.repeats)])
