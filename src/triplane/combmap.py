@@ -173,21 +173,26 @@ class CombMap:
                     e, s, r = d
                 except (TypeError, ValueError):
                     raise MapError(f"rotation at {node!r}: malformed dart {d!r}") from None
-                if not (isinstance(e, str) and e in base):
+                edge = base.get(e) if isinstance(e, str) else None
+                if edge is None:
                     raise MapError(f"rotation at {node!r} names unknown edge {e!r}")
-                b, last, pts = base[e]
+                b, last, pts = edge
                 if not (type(s) is int and 0 <= s <= last):
                     raise MapError(f"rotation at {node!r}: segment index {s} out of range "
                                    f"for edge {e!r}")
-                if r not in DIRS:
+                if r == "fwd":
+                    i = b + 2 * s + 1
+                    if pts[s] != node:
+                        misplaced = True
+                elif r == "bwd":
+                    i = b + 2 * s
+                    if pts[s + 1] != node:
+                        misplaced = True
+                else:
                     raise MapError(f"rotation at {node!r}: bad direction {r!r}")
-                f = r == "fwd"
-                i = b + 2 * s + f
                 if tail[i] is not None:
                     raise MapError(f"dart {(e, s, r)!r} listed more than once")
                 tail[i] = node
-                if pts[s + 1 - f] != node:
-                    misplaced = True
                 decode[i] = d = d if type(d) is tuple else (e, s, r)
                 succ[prev] = i
                 prev = i
