@@ -11,7 +11,7 @@ and verifies the exact LP certificates behind the bounds
 
 from .census import (CensusError, CensusReport, Configuration, Trail,
                      WitnessError, census, cells, classify_cell,
-                     extract_trails)
+                     extract_trails, is_3saturated)
 from .certificate import (Certificate, CertificateError, builtin_certificate,
                           verify_numeric, verify_symbolic)
 from .combmap import CombMap, MapError
@@ -23,7 +23,7 @@ from .generators import (BASIC_NAMES, GenerationError, build_random_scene,
                          gen_basic, gen_fig2, gen_fig3, ingest_geometry,
                          random_drawing)
 from .geometry import GeometricScene, SceneError, parse_scene, serialize_scene
-from .saturate import SaturateError, is_3saturated, saturate
+from .saturate import SaturateError, saturate
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Cell, trail, and configuration censuses of a drawing.
+"""Cell, trail, and configuration censuses of a drawing, and whether it is 3-saturated.
 
 Cells are the faces of the planarization.  The size of a cell is its
 number of segment incidences plus its number of vertex incidences; a cell
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .combmap import CombMap, Dart
 from .drawing import Drawing, Segment, stats
@@ -118,6 +118,73 @@ def cells(drawing: Drawing) -> Tuple[CellRecord, ...]:
 def classify_cell(drawing: Drawing, record: CellRecord) -> str:
     """One of XTRI, XQUAD, VTRI, VQUAD, XPENT, VVTRI, KITE, LARGE, OTHER: the cell table's type of ``record``."""
     return _classified(drawing).kinds[int(record.cell_id[1:])]
+
+
+# -- filledness --------------------------------------------------------------
+
+def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
+    """First (cell id, u, v) whose cell has no uncrossed u-v edge on its boundary.
+
+    A drawing is filled when every pair of distinct vertices incident to a
+    common cell is joined by an uncrossed edge on that cell's boundary.
+    Cells are scanned in lexicographic id order and vertex pairs in
+    lexicographic order, so the witness is deterministic.
+    """
+    return next(((f"c{k}", u, v) for k, (u, v) in _witnesses(drawing)), None)
+
+
+def _witnesses(drawing: Drawing) -> Iterator[Tuple[int, Tuple[str, str]]]:
+    """Each cell ``c{k}`` that is not filled, as (k, its first unjoined pair), in cell id order.
+
+    Only LARGE and OTHER cells with two or more vertex incidences are
+    walked, by ``_cell_witness`` on the tails of their walks.  Every other
+    type has fewer than two, so no pair to join, except VVTRI and KITE:
+    their two vertices are consecutive on the walk, and a segment whose
+    ends are both vertices is a whole uncrossed edge.
+    """
+    _, incidences, _, kinds = _classified(drawing)
+    cmap = drawing.planarize()
+    walks, tail, vertices = cmap.walks(), cmap.tail, drawing._vertex_set
+    walked = [k for k, (v, kind) in enumerate(zip(incidences, kinds))
+              if v >= 2 and (kind == "LARGE" or kind == "OTHER")]
+    for k in sorted(walked, key=str):  # cell "c{k}" in id order: "c10" comes before "c2"
+        witness = _cell_witness([tail[i] for i in walks[k]], vertices)
+        if witness is not None:
+            yield k, witness
+
+
+def _cell_witness(tails: Sequence[str], vertices: FrozenSet[str]) -> Optional[Tuple[str, str]]:
+    """First unjoined pair (u, v), u < v, of distinct vertices on a face walk, given its tails.
+
+    A segment whose two ends are vertices is a whole uncrossed edge, so the
+    joined pairs are read off consecutive tails of the walk; a loop joins none.
+    """
+    verts = vertices.intersection(tails)
+    joined = {(a, b) if a < b else (b, a)
+              for a, b in zip(tails, tails[1:] + tails[:1]) if a != b and a in vertices and b in vertices}
+    if len(joined) == len(verts) * (len(verts) - 1) // 2:
+        return None  # every pair of distinct vertices is joined
+    return _first_unjoined(sorted(verts), joined)
+
+
+def _first_unjoined(verts: Sequence[str], joined: Collection[Tuple[str, str]]) -> Optional[Tuple[str, str]]:
+    """The first pair (u, v), u before v in ``verts``, that is not in ``joined``.
+
+    Every pair it passes is joined, so it makes at most ``len(joined) + 1`` tests.
+    """
+    for i, u in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            if (u, verts[j]) not in joined:
+                return (u, verts[j])
+    return None
+
+
+def is_3saturated(drawing: Drawing) -> bool:
+    """Valid on >= 3 vertices, and every cell's vertex pairs are joined along its boundary; kept on the drawing."""
+    if drawing._saturated is None:
+        drawing._saturated = (len(drawing.vertices) >= 3 and drawing._validation().valid
+                              and filled_witness(drawing) is None)
+    return drawing._saturated
 
 
 # -- trails ------------------------------------------------------------------
@@ -255,18 +322,14 @@ NumberedConfiguration = Tuple[str, FrozenSet[int], Tuple[int, ...], Optional[str
 DESIGNATING = ("CFG9", "CFG10", "CFG12", "CFG13", "CFG14")
 
 
-def detect_configurations(
-    drawing: Drawing,
-    trails: Sequence[NumberedTrail],
-    strict: bool = False,
-) -> List[NumberedConfiguration]:
+def detect_configurations(drawing: Drawing, trails: Sequence[NumberedTrail]) -> List[NumberedConfiguration]:
     """Find all configurations named by the counting rows, on numbers, given the drawing's trails on numbers.
 
     A configuration found twice (same kind and member cells) is kept once,
-    as first found.  With ``strict`` (intended for 3-saturated drawings) a
-    missing or mistyped witness cell raises :class:`WitnessError`, as does a
-    segment designated by two configurations; otherwise the affected
-    configuration is silently skipped (advisory mode).
+    as first found.  On a 3-saturated drawing, where the counting rows promise
+    them, a missing or mistyped witness cell raises :class:`WitnessError`, as
+    does a segment designated by two configurations; on any other drawing
+    the affected configuration is silently skipped.
 
     Cells are read by index and darts by number (see ``_classified``); the
     cell vertically opposite dart ``i``'s cell at the crossing ``i``
@@ -277,10 +340,11 @@ def detect_configurations(
     walks, cell_of = cmap.walks(), cmap.face_of()
     tail, succ, decode = cmap.tail, cmap.succ, cmap.decode
     edges = drawing.edges
+    strict = is_3saturated(drawing)
     found: List[NumberedConfiguration] = []
 
     def missing(obj: str, detail: str) -> None:
-        """A witness is absent: raise under ``strict``; otherwise the caller skips the configuration."""
+        """A witness is absent: raise on a 3-saturated drawing; otherwise the caller skips the configuration."""
         if strict:
             raise WitnessError(obj, detail)
 
@@ -446,10 +510,11 @@ def _raise_clash(cfgs: Sequence[Configuration]) -> None:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """A drawing's census: the ``counts`` vector, and the named cells, cell
-    types, trails and configurations behind it, each written on first read.
-    Two reports are equal when their counts, trails and configurations are."""
+    """A drawing's census: the ``counts`` vector, whether the drawing is 3-saturated
+    (so the census was strict), and the named cells, cell types, trails and configurations
+    behind it, each written on first read.  Two reports are equal when their counts, trails and configurations are."""
     counts: Dict[str, int]
+    saturated: bool = field(compare=False)
     _drawing: Drawing = field(compare=False, repr=False)
     _trails: List[NumberedTrail] = field(repr=False)
     _configurations: List[NumberedConfiguration] = field(repr=False)
@@ -509,15 +574,11 @@ class CensusReport:
         }
 
 
-def census(drawing: Drawing, strict: bool = False) -> CensusReport:
-    """Count everything the constraint rows talk about.
-
-    ``strict`` turns missing configuration witnesses into errors; use it
-    for 3-saturated inputs, where the counting rows promise them.
-    """
+def census(drawing: Drawing) -> CensusReport:
+    """Count everything the constraint rows talk about; strict on a 3-saturated drawing (``detect_configurations``)."""
     sizes, _, _, kinds = _classified(drawing)
     trails = _trails(drawing)
-    cfgs = detect_configurations(drawing, trails, strict=strict)
+    cfgs = detect_configurations(drawing, trails)
 
     counts: Dict[str, int] = stats(drawing).as_dict()
     by_type = Counter(kinds)
@@ -529,4 +590,4 @@ def census(drawing: Drawing, strict: bool = False) -> CensusReport:
     counts.update(trail_counts(trails))
     by_kind = Counter(map(itemgetter(0), cfgs))
     counts.update({k: by_kind[k] for k in CFG_KEYS})
-    return CensusReport(counts, drawing, trails, cfgs)
+    return CensusReport(counts, is_3saturated(drawing), drawing, trails, cfgs)

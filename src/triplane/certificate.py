@@ -16,11 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Mapping, Tuple
 
-from .census import census
+from .census import census, is_3saturated
 from .constraints import ROWS, _form_value, _valuation, evaluate_constraints
 from .drawing import Drawing
 from .geometry import frac_to_str
-from .saturate import is_3saturated
 
 LinearForm = Dict[str, Fraction]
 
@@ -179,7 +178,7 @@ def verify_numeric(drawing: Drawing, certificate: Certificate) -> NumericReport:
             "certificate evaluation needs a 3-saturated drawing; "
             "run saturate first (CLI: --saturate)")
 
-    rep = census(drawing, strict=True)
+    rep = census(drawing)
     val = _valuation(rep.counts)
     # Extra sanity refinement: large cells exceed size 5 by at least a sixth
     # of their total size (LARGE counts the kites too).

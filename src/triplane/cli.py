@@ -22,7 +22,7 @@ from .drawing import Drawing, TDRError, parse_tdr, serialize_tdr, validate
 from .generators import (BASIC_NAMES, GenerationError, gen_basic, gen_fig2,
                          gen_fig3, ingest_geometry, random_drawing)
 from .geometry import SceneError, frac_to_str, parse_scene
-from .saturate import SaturateError, is_3saturated, saturate
+from .saturate import SaturateError, saturate
 
 
 class _UsageError(Exception):
@@ -66,16 +66,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    d = _verdict_drawing(args)
-    _emit(census(d, strict=is_3saturated(d)).counts)
+    _emit(census(_verdict_drawing(args)).counts)
     return 0
 
 
 def _cmd_check(args) -> int:
     d = _verdict_drawing(args)
-    saturated = is_3saturated(d)
-    rep = census(d, strict=saturated)
-    creport = evaluate_constraints(rep.counts, saturated=saturated)
+    rep = census(d)
+    creport = evaluate_constraints(rep.counts, saturated=rep.saturated)
     out = creport.as_dict()
     out["density_residuals"] = {str(t): frac_to_str(density_residual(d, t)) for t in (1, 2, 5)}
     _emit(out)

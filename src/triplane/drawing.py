@@ -59,7 +59,7 @@ class Drawing:
     """
 
     __slots__ = ("vertices", "edges", "rotations", "crossings", "_map",
-                 "_vertex_set", "_report", "_cells", "_text")
+                 "_vertex_set", "_report", "_cells", "_saturated", "_text")
 
     def __init__(
         self,
@@ -82,9 +82,11 @@ class Drawing:
                 raise TDRError("edge ids must be nonempty strings")
             if e.id in emap:
                 raise TDRError(f"duplicate edge id {e.id!r}")
-            u, v = e.ends if len(e.ends) == 2 else (None, None)
+            u, v = e.ends if hasattr(e.ends, "__len__") and len(e.ends) == 2 else (None, None)
             if not (isinstance(u, str) and u in vset and isinstance(v, str) and v in vset):
                 raise TDRError(f"edge {e.id!r} has an end that is not a vertex")
+            if not isinstance(e.crossings, tuple):
+                raise TDRError(f"edge {e.id!r}: crossings must be a tuple")
             for i, x in enumerate(e.crossings):
                 if not (isinstance(x, str) and x):
                     raise TDRError(f"edge {e.id!r}: crossing ids must be nonempty strings")
@@ -114,6 +116,7 @@ class Drawing:
         self.crossings = {x: (a, b) if a < b else (b, a) for x, (a, b) in occ.items()}
         self._report: ValidationReport | None = None
         self._cells = None  # census._classified's cell table, built on first use
+        self._saturated: bool | None = None  # census.is_3saturated's answer, worked out on first use
         self._text: str | None = None
 
     # -- basic geometry of the incidence structure ------------------------

@@ -5,73 +5,15 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .census import _classified
+from .census import _cell_witness, _first_unjoined, _witnesses, filled_witness, is_3saturated  # noqa: F401 re-exported
 from .combmap import Dart, Rotations, twin
 from .drawing import Drawing, EdgeRecord
 
 
 class SaturateError(ValueError):
     """Saturation cannot proceed on this input."""
-
-
-def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
-    """First (cell id, u, v) whose cell has no uncrossed u-v edge on its boundary.
-
-    A drawing is filled when every pair of distinct vertices incident to a
-    common cell is joined by an uncrossed edge on that cell's boundary.
-    Cells are scanned in lexicographic id order and vertex pairs in
-    lexicographic order, so the witness is deterministic.
-    """
-    return next(((f"c{k}", u, v) for k, (u, v) in _witnesses(drawing)), None)
-
-
-def _witnesses(drawing: Drawing) -> Iterator[Tuple[int, Tuple[str, str]]]:
-    """Each cell ``c{k}`` that is not filled, as (k, its first unjoined pair), in cell id order.
-
-    Only LARGE and OTHER cells with two or more vertex incidences are
-    walked, by ``_cell_witness`` on the tails of their walks.  Every other
-    type has fewer than two, so no pair to join, except VVTRI and KITE:
-    their two vertices are consecutive on the walk, and a segment whose
-    ends are both vertices is a whole uncrossed edge.
-    """
-    _, incidences, _, kinds = _classified(drawing)
-    cmap = drawing.planarize()
-    walks, tail, vertices = cmap.walks(), cmap.tail, drawing._vertex_set
-    walked = [k for k, (v, kind) in enumerate(zip(incidences, kinds))
-              if v >= 2 and (kind == "LARGE" or kind == "OTHER")]
-    for k in sorted(walked, key=str):  # cell "c{k}" in id order: "c10" comes before "c2"
-        witness = _cell_witness([tail[i] for i in walks[k]], vertices)
-        if witness is not None:
-            yield k, witness
-
-
-def _cell_witness(tails: Sequence[str], vertices: FrozenSet[str]) -> Optional[Tuple[str, str]]:
-    """First unjoined pair (u, v), u < v, of distinct vertices on a face walk, given its tails.
-
-    A segment whose two ends are vertices is a whole uncrossed edge, so the
-    joined pairs are read off consecutive tails of the walk; a loop joins none.
-    """
-    verts = vertices.intersection(tails)
-    joined = {(a, b) if a < b else (b, a)
-              for a, b in zip(tails, tails[1:] + tails[:1]) if a != b and a in vertices and b in vertices}
-    if len(joined) == len(verts) * (len(verts) - 1) // 2:
-        return None  # every pair of distinct vertices is joined
-    return _first_unjoined(sorted(verts), joined)
-
-
-def _first_unjoined(verts: Sequence[str],
-                    joined: Collection[Tuple[str, str]]) -> Optional[Tuple[str, str]]:
-    """The first pair (u, v), u before v in ``verts``, that is not in ``joined``.
-
-    Every pair it passes is joined, so it makes at most ``len(joined) + 1`` tests.
-    """
-    for i, u in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            if (u, verts[j]) not in joined:
-                return (u, verts[j])
-    return None
 
 
 class _Face:
@@ -269,7 +211,3 @@ def saturate(drawing: Drawing) -> Drawing:
         raise SaturateError("saturated drawing is not filled: {1}-{2} unjoined in {0}".format(*witness))
     return out
 
-
-def is_3saturated(drawing: Drawing) -> bool:
-    """Valid on >= 3 vertices, and every cell's vertex pairs are joined along its boundary."""
-    return len(drawing.vertices) >= 3 and drawing._validation().valid and filled_witness(drawing) is None

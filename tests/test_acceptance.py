@@ -73,7 +73,7 @@ def saturated(name):
 
 @lru_cache(maxsize=None)
 def saturated_census(name):
-    return census(saturated(name), strict=True)
+    return census(saturated(name))
 
 
 # -- criterion 1: the density identity holds for every t -----------------

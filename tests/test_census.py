@@ -17,7 +17,8 @@ from triplane.census import (
     tkey,
     trail_counts,
 )
-from triplane.drawing import Drawing, validate
+from triplane.combmap import Rotations
+from triplane.drawing import Drawing, EdgeRecord, validate
 from triplane.generators import gen_basic, gen_fig2, gen_fig3, ingest_geometry, random_drawing
 from triplane.geometry import parse_scene
 from triplane.saturate import is_3saturated, saturate
@@ -260,31 +261,97 @@ def test_cfg13_takes_the_first_vvtri_in_cell_id_order():
         Configuration("CFG13", ("c10", "c9"), (("g1p0n6", 3),))]
 
 
+def _with_pendant(drawing, k):
+    """``drawing`` with a new vertex joined, inside cell ``c{k}``, to the first vertex on its walk.
+
+    The new edge is uncrossed and its darts sort after every other, so no
+    other cell changes or moves; but the new vertex is joined to no other
+    vertex of ``c{k}``, so the drawing is valid and no longer 3-saturated.
+    """
+    cmap = drawing.planarize()
+    walk = cmap.walks()[k]
+    j = next(j for j, i in enumerate(walk) if cmap.tail[i] in drawing.vertices)
+    rot = Rotations(drawing.rotations)
+    rot.splice(cmap.decode[walk[j - 1]], [("~", 0, "fwd")])
+    rot.update({"~v": (("~", 0, "bwd"),)})
+    edges = [*drawing.edges.values(), EdgeRecord("~", (cmap.tail[walk[j]], "~v"), ())]
+    out = Drawing((*drawing.vertices, "~v"), edges, rot.lists)
+    assert validate(out).valid and not is_3saturated(out)
+    return out
+
+
+# The strict refusals that a retyped cell reaches on a 3-saturated drawing,
+# each with the forcing that reaches it: (drawing, forced (cell, type)
+# pairs, the cell the unsaturated copy grows a pendant edge in, the text).
+# Two refusals no retyping reaches, since it changes no segment or crossing:
+# a VTRI's inner side on an edge crossed other than 2 or 3 times (an inner
+# side has two crossings, and a valid drawing is 3-plane), and a CFG15
+# middle side on an edge that is not twice-crossed (the cells across three
+# consecutive XPENT sides each have that side as their one inner side, so the
+# middle side's edge runs from a vertex through its two crossings to a vertex).
+_STRICT_REFUSALS = {
+    "no-unique-inner-side": (lambda: gen_fig3(1), ((0, "VTRI"),), 4,
+                             "c0: VTRI without a unique inner side"),
+    "cfg18-walls": (lambda: gen_fig3(1), ((3, "VQUAD"),), 0,
+                    r"c3\+c7\+c9: VTRI-VQUAD trail of length 3 needs exactly one twice-crossed bounding edge"),
+    "trail-length": (lambda: gen_fig3(1), ((6, "XTRI"),), 0,
+                     r"c11\+c7\+c6: XPENT-XTRI trail must have length 2"),
+    "cfg15-window": (lambda: saturate(random_drawing(10, 30, 18)), ((14, "XTRI"),), 21,
+                     "c12: saturated XPENT without three consecutive uncrossed trails"),
+    "cfg15-quadrant": (lambda: saturate(random_drawing(10, 30, 154)), ((18, "LARGE"), (7, "VTRI"), (22, "VVTRI")), 16,
+                       "c9: opposite quadrant at x2 is not VVTRI"),
+}
+
+
+@pytest.mark.parametrize("case", _STRICT_REFUSALS)
+def test_forced_strict_refusals_are_named(case):
+    build, forced, _, text = _STRICT_REFUSALS[case]
+    d = build()
+    for k, kind in forced:
+        _forced(d, kind, k)
+    assert is_3saturated(d)
+    with pytest.raises(WitnessError, match=f"^missing witness: {text}$"):
+        census(d)
+
+
+@pytest.mark.parametrize("case", _STRICT_REFUSALS)
+def test_forced_refusals_are_skipped_on_an_unsaturated_drawing(case):
+    # The same retyped cells in a copy with a pendant edge, which is not
+    # 3-saturated: the census skips the configuration and counts the rest.
+    build, forced, pendant, _ = _STRICT_REFUSALS[case]
+    original = build()
+    d = _with_pendant(original, pendant)
+    assert [_classified(d).kinds[k] for k, _ in forced] == [_classified(original).kinds[k] for k, _ in forced]
+    for k, kind in forced:
+        _forced(d, kind, k)
+    assert not census(d).saturated
+
+
 # No drawing designates one segment twice: every designated segment has a
 # VVTRI on one side, and the cell on the other side fixes the kind. So this
 # test forges trails instead: a copy of a real VQUAD-XTRI trail retyped
 # VQUAD-XPENT yields a CFG10 on the same cells and far side as the real CFG12.
-# The strict clash is reported in (kind, cell ids) order, ids as strings.
+# fig3 L=1 is 3-saturated, so the census is strict: the clash is reported
+# in (kind, cell ids) order, ids as strings.
 def test_strict_designated_segment_clash_is_named_in_kind_and_cell_id_order():
     d = gen_fig3(1)
     trails = _trails(d)
     ks, interior, pair, walls = next(t for t in trails if sorted(t[0]) == [63, 65])
-    assert pair == ("VQUAD", "XTRI") and len(detect_configurations(d, trails, strict=True)) == 48
+    assert pair == ("VQUAD", "XTRI") and len(detect_configurations(d, trails)) == 48
     as_cfg10 = (ks, interior, ("VQUAD", "XPENT"), walls)
     # CFG10 sorts before CFG12, though the real CFG12 is found first.
     with pytest.raises(WitnessError, match=r"^missing witness: CFG12@c61\+c63\+c65: designated segment "
                                            r"\('gbotn4', 1\) already claimed by CFG10@c61\+c63\+c65$"):
-        detect_configurations(d, trails + [as_cfg10], strict=True)
+        detect_configurations(d, trails + [as_cfg10])
     # Two CFG10s: the XQUAD c7 as the other end is found first, but "c65" < "c7".
     with pytest.raises(WitnessError, match=r"^missing witness: CFG10@c61\+c63\+c7: designated segment "
                                            r"\('gbotn4', 1\) already claimed by CFG10@c61\+c63\+c65$"):
-        detect_configurations(d, trails + [([63, 7], interior, ("VQUAD", "XPENT"), walls), as_cfg10],
-                              strict=True)
+        detect_configurations(d, trails + [([63, 7], interior, ("VQUAD", "XPENT"), walls), as_cfg10])
 
 
 def test_saturated_crossing_pair_counts():
     d = saturate(util.x1())
-    rep = census(d, strict=True)
+    rep = census(d)
     assert rep.counts["E"] == 7 and rep.counts["X"] == 1
     assert type_counts(rep) == {
         "XTRI": 0, "XQUAD": 0, "VTRI": 0, "VQUAD": 0, "XPENT": 0,
@@ -299,7 +366,7 @@ def test_flower_census_by_hand():
     # VVTRI, and saturation adds two outer chords making three uncrossed
     # outer triangles (size 6, hence LARGE).
     d = gen_basic("fig4-flower")
-    rep = census(d, strict=True)
+    rep = census(d)
     assert rep.counts["n"] == 5 and rep.counts["E"] == 12 and rep.counts["X"] == 5
     assert rep.counts["E0"] == 7 and rep.counts["E2"] == 5
     assert type_counts(rep) == {
@@ -315,7 +382,7 @@ def test_flower_census_by_hand():
 
 
 def test_micro_configuration_counts():
-    rep = census(gen_basic("fig3a-micro"), strict=True)
+    rep = census(gen_basic("fig3a-micro"))
     assert rep.counts["n"] == 6 and rep.counts["E"] == 14 and rep.counts["X"] == 6
     assert rep.counts["CFG9"] == 1
     assert rep.counts["CFG15"] == 2
@@ -327,14 +394,6 @@ def test_census_counts_match_report_dict():
     assert d["counts"] == rep.counts
     assert len(d["cells"]) == 2
     assert d["trails"] == []
-
-
-def test_strict_census_rejects_unsaturated_shortfalls():
-    # fig3a-micro with strict=False still counts; the strict flag only
-    # matters when a promised witness is missing, so on a genuinely
-    # saturated drawing both modes agree.
-    d = gen_basic("fig3a-micro")
-    assert census(d).counts == census(d, strict=True).counts
 
 
 def _non_alternating():
@@ -349,10 +408,10 @@ def test_census_and_validation_bytes_are_pinned():
     # One sha256 over the full census (cells, trails with their interior
     # segments and walls, configurations with their designated segments)
     # and the validation report, or the census error text, on a fixed
-    # corpus: strict censuses of fig3 L=1-4, fig2 R=1-4 and saturated
-    # random (10, 30) seeds 0-24; strict and advisory censuses and the
-    # validation of the unsaturated random (10, 30) seeds 0-24 and of
-    # the invalid fixtures.
+    # corpus: the censuses of fig3 L=1-4, fig2 R=1-4 and saturated random
+    # (10, 30) seeds 0-24; the censuses and the validation of the
+    # unsaturated random (10, 30) seeds 0-24 and of the invalid fixtures.
+    # A census is strict exactly on the 3-saturated drawings among these.
     digest = hashlib.sha256()
 
     def add(label, fn):
@@ -366,18 +425,17 @@ def test_census_and_validation_bytes_are_pinned():
                  + [gen_fig2(rings) for rings in range(1, 5)]
                  + [saturate(random_drawing(10, 30, seed)) for seed in range(25)])
     for d in saturated:
-        add("strict", lambda: census(d, strict=True).as_dict())
+        add("strict", lambda: census(d).as_dict())
     unsaturated = ([random_drawing(10, 30, seed) for seed in range(25)]
                    + [gen_basic("lens-bad")])
     for d in unsaturated:
-        add("strict", lambda: census(d, strict=True).as_dict())
         add("advisory", lambda: census(d).as_dict())
         add("validate", lambda: validate(d).as_dict())
     for d in (util.lasso(), util.adjacent_cross(), util.overloaded_line(),
               util.two_components(), _non_alternating()):
         add("validate", lambda: validate(d).as_dict())
     assert digest.hexdigest() == (
-        "21b2a06508c8f9fc1191cf53f3a0b6150f17c9204d1796b3bcecdbd45c809e2f")
+        "cfaf789cc20354f118e1706314a36a4656438ab4f93199c95cc39d9776bdbe18")
 
 
 # The census on numbers, pinned: one sha256 over the trails of each drawing
@@ -390,7 +448,7 @@ def numbered_census():
     out = []
     for d in [build() for _, build in VERDICT_CORPUS] + [gen_fig3(32)]:
         trails = _trails(d)
-        out.append((trails, detect_configurations(d, trails, strict=is_3saturated(d))))
+        out.append((trails, detect_configurations(d, trails)))
     return out
 
 

@@ -1,9 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from triplane import certificate
+
 from triplane.census import census
-from triplane.constraints import ROWS
+from triplane.cli import main
+from triplane.constraints import ROWS, evaluate_constraints
 from triplane.certificate import (
     Certificate,
     CertificateError,
@@ -12,6 +16,7 @@ from triplane.certificate import (
     verify_numeric,
     verify_symbolic,
 )
+from triplane.drawing import serialize_tdr
 from triplane.generators import gen_basic, gen_fig3
 from triplane.saturate import saturate
 
@@ -153,7 +158,7 @@ def test_numeric_report_row_contributions_decompose():
     d = saturate(util.x1())
     out = verify_numeric(d, builtin_certificate("crossings"))
     assert sum(r.contribution for r in out.rows) == out.certified_slack
-    rep = census(d, strict=True)
+    rep = census(d)
     residual = verify_symbolic(builtin_certificate("crossings"))
     val = dict(rep.counts)
     val["Vm2"] = rep.counts["n"] - 2
@@ -222,3 +227,44 @@ def test_bad_column_raises_on_every_call():
             verify_numeric(gen_fig3(1), cert)
     coefficients["3.A"] = builtin_certificate("edges").coefficients["3.A"]
     assert verify_symbolic(cert) == oracle_residual(cert)
+
+
+def _recounted(**changes):
+    """``census`` with ``changes`` added to its counts."""
+    def patched(drawing):
+        rep = census(drawing)
+        return dataclasses.replace(rep, counts={k: v + changes.get(k, 0) for k, v in rep.counts.items()})
+    return patched
+
+
+def _reslacked(row_id, slack, passed):
+    """``evaluate_constraints`` with row ``row_id`` given ``slack`` and ``passed``."""
+    def patched(counts, saturated):
+        report = evaluate_constraints(counts, saturated)
+        rows = tuple(dataclasses.replace(r, slack=slack, passed=passed) if r.id == row_id else r
+                     for r in report.rows)
+        return dataclasses.replace(report, rows=rows)
+    return patched
+
+
+# The refusals past the census that no drawing's census reaches, each made
+# by a doctored census or row report on k3: its two LARGE cells made to
+# sum to 5 each, a broken equality row, a row slack the certificate cannot
+# account for, and 10 more edges (uncrossed, so rows 8.A, 8.B and 9.A hold).
+@pytest.mark.parametrize("name,patched,message", [
+    ("census", _recounted(large_size_sum=-2), "large-cell size refinement failed on this census"),
+    ("evaluate_constraints", _reslacked("2.A", 1, False), "equality row 2.A has nonzero slack 1"),
+    ("evaluate_constraints", _reslacked("3.A", 48, True),
+     "slack decomposition failed for edges: total 5/2, certified 19/2, residual 0"),
+    ("census", _recounted(E=10, E0=10), "edges bound violated: 13 > 11/2"),
+], ids=["large-cells", "equality-row", "decomposition", "bound"])
+def test_numeric_refusals_past_the_census(monkeypatch, capsys, tmp_path, name, patched, message):
+    d = gen_basic("k3")
+    monkeypatch.setattr(certificate, name, patched)
+    with pytest.raises(CertificateError) as exc:
+        verify_numeric(d, builtin_certificate("edges"))
+    assert str(exc.value) == message
+    path = tmp_path / "k3.json"
+    path.write_text(serialize_tdr(d))
+    assert main(["certify", str(path), "--target", "edges"]) == 1
+    assert capsys.readouterr() == ("", message + "\n")

@@ -14,7 +14,7 @@ from triplane.combmap import CombMap
 from triplane.constraints import evaluate_constraints
 from triplane.drawing import Drawing, serialize_tdr, stats
 from triplane.generators import gen_basic, gen_fig2, gen_fig3, random_drawing
-from triplane.saturate import is_3saturated, saturate
+from triplane.saturate import saturate
 
 import util
 
@@ -142,6 +142,30 @@ def test_verdict_validates_and_builds_cells_once(capsys, monkeypatch, tmp_path, 
     assert (calls["cells"], calls["table"], calls["validate"], calls["CombMap"]) == (0, 1, 1, 1)
 
 
+# A verdict scans the cells for filledness once: the census reads
+# 3-saturation off the drawing, which keeps the answer, so the census,
+# the row scopes and the certificate's saturation gate share one scan.
+@pytest.mark.parametrize("argv", [["census"], ["check"], ["certify", "--target", "edges"],
+                                  ["certify", "--target", "crossings"]],
+                         ids=["census", "check", "certify-edges", "certify-crossings"])
+@pytest.mark.parametrize("build", [lambda: gen_fig3(2), lambda: random_drawing(10, 30, 3)],
+                         ids=["saturated", "unsaturated"])
+def test_verdict_scans_for_filledness_once(capsys, monkeypatch, tmp_path, argv, build):
+    p = tmp_path / "drawing.json"
+    p.write_text(serialize_tdr(build()))
+    census_mod = importlib.import_module("triplane.census")
+    witnesses = census_mod._witnesses
+    scans = []
+
+    def counted(drawing):
+        scans.append(drawing)
+        return witnesses(drawing)
+
+    monkeypatch.setattr(census_mod, "_witnesses", counted)
+    code, _, _ = run(capsys, argv[0], str(p), *argv[1:])
+    assert code in (0, 1) and len(scans) == 1
+
+
 # One verdict classifies each cell once, by the one rule set (``_kind``):
 # the filledness check, the trails and the configurations all read the
 # drawing's one cell table, and ``classify_cell`` (the named API) is not called.
@@ -227,7 +251,7 @@ def test_verdicts_name_nothing(capsys, monkeypatch, tmp_path, argv):
 def named_counts(drawing):
     """The census counts read off the named report: cell types, cells, trails and configurations."""
     census_mod = importlib.import_module("triplane.census")
-    rep = census_mod.census(drawing, strict=is_3saturated(drawing))
+    rep = census_mod.census(drawing)
     counts = dict(stats(drawing).as_dict())
     types = Counter(rep.cell_types.values())
     counts.update({t: types[t] for t in census_mod.CELL_COUNT_KEYS})

@@ -88,7 +88,7 @@ def row_map(report):
 
 
 def test_k3_saturated_rows_all_pass():
-    rep = census(gen_basic("k3"), strict=True)
+    rep = census(gen_basic("k3"))
     out = evaluate_constraints(rep.counts, saturated=True)
     assert out.all_pass
     rows = row_map(out)
@@ -99,7 +99,7 @@ def test_k3_saturated_rows_all_pass():
 
 
 def test_flower_rows_pass_with_known_slacks():
-    rep = census(gen_basic("fig4-flower"), strict=True)
+    rep = census(gen_basic("fig4-flower"))
     out = evaluate_constraints(rep.counts, saturated=True)
     assert out.all_pass
     rows = row_map(out)
@@ -134,7 +134,7 @@ def test_crossing_degree_identity_failure_example():
 
 
 def test_row_results_serialize():
-    rep = census(gen_basic("k3"), strict=True)
+    rep = census(gen_basic("k3"))
     out = evaluate_constraints(rep.counts, saturated=True)
     d = out.as_dict()
     assert d["saturated"] is True
@@ -171,7 +171,7 @@ def test_trail_pair_bound_violated_by_hexagon_witness():
     """
     d = saturate(ingest_geometry(parse_scene(json.dumps(HEXAGON_SCENE))))
     assert is_3saturated(d)
-    rep = census(d, strict=True)
+    rep = census(d)
     assert rep.counts["T_VQUAD_VTRI"] == 3
     assert rep.counts["E1"] == 3
     assert rep.counts["CFG18"] == 0
@@ -198,7 +198,7 @@ def test_trail_pair_bound_violated_by_five_vertex_witness(tmp_path, capsys):
     verdict on the unsaturated file says so with exit code 1."""
     d = saturate(ingest_geometry(parse_scene(json.dumps(FIVE_VERTEX_SCENE))))
     assert is_3saturated(d)
-    counts = census(d, strict=True).counts
+    counts = census(d).counts
     assert (counts["E"], counts["X"], counts["E1"]) == (11, 3, 2)
     assert (counts["CFG18"], counts["T_VQUAD_VTRI"]) == (0, 2)
     out = evaluate_constraints(counts, saturated=True)

@@ -239,6 +239,21 @@ def test_drawing_rejects_ill_typed_segment(seg):
     assert str(exc.value) == f"rotation at 'v0': segment index {seg} out of range for edge 'e0'"
 
 
+@pytest.mark.parametrize("ends,crossings,message", [
+    (("v0", "v2"), ["x0"], "crossings must be a tuple"),
+    (("v0", "v2"), None, "crossings must be a tuple"),
+    (5, ("x0",), "has an end that is not a vertex"),
+], ids=["crossings-list", "crossings-none", "ends-without-length"])
+def test_drawing_refuses_an_ill_typed_edge_record(ends, crossings, message):
+    # Records built in Python skip the parser's shape checks; each defect is
+    # a TDRError that names the edge, not a TypeError from deeper in.
+    d = util.x1()
+    edges = [EdgeRecord("e0", ends, crossings), d.edges["e1"]]
+    with pytest.raises(TDRError) as exc:
+        Drawing(d.vertices, edges, d.rotations)
+    assert str(exc.value).startswith("edge 'e0'") and str(exc.value).endswith(message)
+
+
 def test_parse_rejects_integer_past_the_digit_limit():
     text = serialize_tdr(util.x1()).replace('"seg":0', '"seg":1' + "0" * 5000, 1)
     with pytest.raises(TDRError, match=r"^syntax: .*digits"):

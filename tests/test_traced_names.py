@@ -37,3 +37,14 @@ def test_every_traced_name_resolves():
             if owner is None or (method and method not in vars(owner)):
                 missing.append(f"{mod_name}.{name}")
     assert not missing
+
+
+def test_traced_filledness_names_are_the_census_functions():
+    # The tracer wraps an object in every module that binds it, so the
+    # census's own filledness checks are charged to ``saturate.is_3saturated``
+    # and ``saturate.filled_witness`` only while both modules bind the same functions.
+    census = importlib.import_module("triplane.census")
+    saturate = importlib.import_module("triplane.saturate")
+    for name in ("filled_witness", "is_3saturated"):
+        assert name in traced_table()["saturate"]
+        assert getattr(saturate, name) is getattr(census, name)

@@ -17,9 +17,10 @@ repeat to the next:
 - ``parse_tdr``: the whole parse, that decode and ``Drawing(...)`` included;
 - ``validate``: the validity report the verdicts keep (``Drawing._validation``);
 - ``_classified``: the cell table;
-- ``filled_witness``: the filledness scan over the built cell table;
+- ``is_3saturated``: the filledness scan over the built cell table, whose
+  answer the drawing keeps;
 - ``_trails``, ``detect_configurations``: the trails and configurations,
-  strict when the drawing is 3-saturated;
+  which read that answer (strict when the drawing is 3-saturated);
 - ``census``: the whole census over the built cell table (it finds the
   trails and configurations again);
 - ``evaluate_constraints``: the 21 rows on the census counts;
@@ -54,11 +55,11 @@ from triplane.certificate import builtin_certificate, verify_numeric  # noqa: E4
 from triplane.constraints import evaluate_constraints  # noqa: E402
 from triplane.drawing import parse_tdr, serialize_tdr  # noqa: E402
 from triplane.generators import gen_fig2, gen_fig3, random_drawing  # noqa: E402
-from triplane.saturate import filled_witness, is_3saturated, saturate  # noqa: E402
+from triplane.saturate import is_3saturated, saturate  # noqa: E402
 from workloads import (CERTIFY_FIG2, CERTIFY_FIG3, CERTIFY_RANDOM_SEEDS,  # noqa: E402
                        RANDOM_BUDGET, RANDOM_N, _VERDICT_ARGV as COMMANDS)
 
-STAGES = ("json.loads", "parse_tdr", "validate", "_classified", "filled_witness", "_trails",
+STAGES = ("json.loads", "parse_tdr", "validate", "_classified", "is_3saturated", "_trails",
           "detect_configurations", "census", "evaluate_constraints", "verify_numeric")
 
 
@@ -95,13 +96,12 @@ def _stages(text: str) -> Dict[str, float]:
     d, ms["parse_tdr"] = _ms(parse_tdr, text)
     _, ms["validate"] = _ms(d._validation)
     _, ms["_classified"] = _ms(_classified, d)
-    _, ms["filled_witness"] = _ms(filled_witness, d)
-    strict = is_3saturated(d)
+    _, ms["is_3saturated"] = _ms(is_3saturated, d)
     trails, ms["_trails"] = _ms(_trails, d)
-    _, ms["detect_configurations"] = _ms(detect_configurations, d, trails, strict=strict)
-    rep, ms["census"] = _ms(census, d, strict=strict)
-    _, ms["evaluate_constraints"] = _ms(evaluate_constraints, rep.counts, saturated=strict)
-    if strict:
+    _, ms["detect_configurations"] = _ms(detect_configurations, d, trails)
+    rep, ms["census"] = _ms(census, d)
+    _, ms["evaluate_constraints"] = _ms(evaluate_constraints, rep.counts, saturated=rep.saturated)
+    if rep.saturated:
         _, ms["verify_numeric"] = _ms(verify_numeric, d, builtin_certificate("edges"))
     return ms
 
