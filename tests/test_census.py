@@ -411,7 +411,8 @@ def test_census_and_validation_bytes_are_pinned():
     # corpus: the censuses of fig3 L=1-4, fig2 R=1-4 and saturated random
     # (10, 30) seeds 0-24; the censuses and the validation of the
     # unsaturated random (10, 30) seeds 0-24 and of the invalid fixtures.
-    # A census is strict exactly on the 3-saturated drawings among these.
+    # A census is strict exactly on the 3-saturated drawings among these;
+    # the tags "strict" and "advisory" name the two lists.
     digest = hashlib.sha256()
 
     def add(label, fn):

@@ -1,4 +1,4 @@
-"""``saturate.filled_witness``, which walks only the cells its types leave open,
+"""``census.filled_witness``, which walks only the cells its types leave open,
 against the from-scratch reference that walks every cell."""
 
 from collections import Counter
@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 
 import test_saturate
-from triplane.census import _classified, cells
+from triplane.census import _classified, cells, filled_witness
 from triplane.drawing import Drawing, EdgeRecord
 from triplane.generators import BASIC_NAMES, gen_basic, gen_fig2, gen_fig3, random_drawing
-from triplane.saturate import filled_witness, saturate
+from triplane.saturate import saturate
 
 import util
 from test_census import _non_alternating, capped_triangle, ladder
