@@ -82,7 +82,7 @@ class Drawing:
                 raise TDRError("edge ids must be nonempty strings")
             if e.id in emap:
                 raise TDRError(f"duplicate edge id {e.id!r}")
-            u, v = e.ends if hasattr(e.ends, "__len__") and len(e.ends) == 2 else (None, None)
+            u, v = e.ends if type(e.ends) is tuple and len(e.ends) == 2 else (None, None)
             if not (isinstance(u, str) and u in vset and isinstance(v, str) and v in vset):
                 raise TDRError(f"edge {e.id!r} has an end that is not a vertex")
             if not isinstance(e.crossings, tuple):

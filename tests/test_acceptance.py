@@ -12,7 +12,6 @@ random drawings.  Two tests are expected to fail honestly:
 """
 
 import hashlib
-import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +31,7 @@ from triplane.generators import (
 )
 from triplane.saturate import is_3saturated, saturate
 
+import util
 from test_constraints import EXPECTED_ROWS
 
 RANDOM_N, RANDOM_BUDGET, RANDOM_SEEDS = 10, 30, range(200)
@@ -225,38 +225,12 @@ def test_criterion7_path_micro_instance():
 # -- criterion 8: the geometry oracle ---------------------------------------
 
 
-def intersection_params(a, b, c, d):
-    """Solve a + t(b-a) = c + u(d-c) exactly; None if parallel."""
-    rx, ry = b[0] - a[0], b[1] - a[1]
-    sx, sy = d[0] - c[0], d[1] - c[1]
-    denom = rx * sy - ry * sx
-    if denom == 0:
-        return None
-    qx, qy = c[0] - a[0], c[1] - a[1]
-    t = (qx * sy - qy * sx) / denom
-    u = (qx * ry - qy * rx) / denom
-    return t, u
-
-
-def brute_force_crossings(scene):
-    count = 0
-    for (_, (a, b)), (_, (c, d)) in itertools.combinations(scene.segments, 2):
-        params = intersection_params(scene.points[a], scene.points[b],
-                                     scene.points[c], scene.points[d])
-        if params is None:
-            continue
-        t, u = params
-        if 0 < t < 1 and 0 < u < 1:
-            count += 1
-    return count
-
-
 @pytest.mark.parametrize("seed", range(50))
 def test_criterion8_geometry_oracle(seed):
     scene = build_random_scene(9, 18, seed)
     from triplane.generators import ingest_geometry
     d = ingest_geometry(scene)
-    assert stats(d).X == brute_force_crossings(scene)
+    assert stats(d).X == util.brute_force_crossings(scene)
     assert validate(d).valid
 
 

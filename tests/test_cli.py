@@ -142,14 +142,21 @@ def test_verdict_validates_and_builds_cells_once(capsys, monkeypatch, tmp_path, 
     assert (calls["cells"], calls["table"], calls["validate"], calls["CombMap"]) == (0, 1, 1, 1)
 
 
+_VERDICTS = {"census": ["census"], "check": ["check"], "certify-edges": ["certify", "--target", "edges"],
+             "certify-crossings": ["certify", "--target", "crossings"]}
+_BUILDS = {"saturated": lambda: gen_fig3(2), "unsaturated": lambda: random_drawing(10, 30, 3)}
+
+
 # A verdict scans the cells for filledness once: the census reads
 # 3-saturation off the drawing, which keeps the answer, so the census,
 # the row scopes and the certificate's saturation gate share one scan.
-@pytest.mark.parametrize("argv", [["census"], ["check"], ["certify", "--target", "edges"],
-                                  ["certify", "--target", "crossings"]],
-                         ids=["census", "check", "certify-edges", "certify-crossings"])
-@pytest.mark.parametrize("build", [lambda: gen_fig3(2), lambda: random_drawing(10, 30, 3)],
-                         ids=["saturated", "unsaturated"])
+# ``saturate`` keeps its result's answer too, so a ``--saturate`` verdict
+# scans the saturated drawing once as well.
+@pytest.mark.parametrize("argv,build", [
+    *(pytest.param(argv, build, id=f"{b}-{a}") for b, build in _BUILDS.items() for a, argv in _VERDICTS.items()),
+    *(pytest.param(_VERDICTS[a] + ["--saturate"], _BUILDS["unsaturated"], id=f"unsaturated-{a}-saturate")
+      for a in ("census", "check", "certify-edges")),
+])
 def test_verdict_scans_for_filledness_once(capsys, monkeypatch, tmp_path, argv, build):
     p = tmp_path / "drawing.json"
     p.write_text(serialize_tdr(build()))

@@ -239,16 +239,20 @@ def test_drawing_rejects_ill_typed_segment(seg):
     assert str(exc.value) == f"rotation at 'v0': segment index {seg} out of range for edge 'e0'"
 
 
-@pytest.mark.parametrize("ends,crossings,message", [
-    (("v0", "v2"), ["x0"], "crossings must be a tuple"),
-    (("v0", "v2"), None, "crossings must be a tuple"),
-    (5, ("x0",), "has an end that is not a vertex"),
-], ids=["crossings-list", "crossings-none", "ends-without-length"])
-def test_drawing_refuses_an_ill_typed_edge_record(ends, crossings, message):
+@pytest.mark.parametrize("base,ends,crossings,message", [
+    (util.x1, ("v0", "v2"), ["x0"], "crossings must be a tuple"),
+    (util.x1, ("v0", "v2"), None, "crossings must be a tuple"),
+    (util.x1, 5, ("x0",), "has an end that is not a vertex"),
+    ("k2", "ab", (), "has an end that is not a vertex"),
+    ("k2", ["a", "b"], (), "has an end that is not a vertex"),
+], ids=["crossings-list", "crossings-none", "ends-without-length", "ends-string", "ends-list"])
+def test_drawing_refuses_an_ill_typed_edge_record(base, ends, crossings, message):
     # Records built in Python skip the parser's shape checks; each defect is
-    # a TDRError that names the edge, not a TypeError from deeper in.
-    d = util.x1()
-    edges = [EdgeRecord("e0", ends, crossings), d.edges["e1"]]
+    # a TDRError that names the edge, not a TypeError from deeper in.  Ends
+    # must be a tuple, as crossings must: "ab" and ["a", "b"] name two
+    # vertices of k2 but would be stored as given.
+    d = gen_basic(base) if isinstance(base, str) else base()
+    edges = [EdgeRecord("e0", ends, crossings)] + list(d.edges.values())[1:]
     with pytest.raises(TDRError) as exc:
         Drawing(d.vertices, edges, d.rotations)
     assert str(exc.value).startswith("edge 'e0'") and str(exc.value).endswith(message)

@@ -45,17 +45,6 @@ def scene_of(points, segments):
     }))
 
 
-def brute_force_crossings(scene):
-    pairs = itertools.combinations(scene.segments, 2)
-    count = 0
-    for (_, (a, b)), (_, (c, d)) in pairs:
-        rel = segment_relation(scene.points[a], scene.points[b],
-                               scene.points[c], scene.points[d])
-        if rel[0] == "proper":
-            count += 1
-    return count
-
-
 def test_ingest_crossing_square():
     d = ingest_geometry(scene_of(
         {"a": ["-1", "0"], "b": ["1", "0"], "c": ["0", "-1"], "d": ["0", "1"]},
@@ -78,7 +67,7 @@ def test_ingest_matches_brute_force_on_random_scenes():
     for seed in range(12):
         scene = build_random_scene(8, 16, seed)
         d = ingest_geometry(scene)
-        assert stats(d).X == brute_force_crossings(scene)
+        assert stats(d).X == util.brute_force_crossings(scene)
         assert validate(d).valid
 
 
@@ -505,7 +494,7 @@ def test_random_scene_segments_stay_in_bounds(n, seed):
         assert a in scene.points and b in scene.points
     d = ingest_geometry(scene)
     assert validate(d).valid
-    assert stats(d).X == brute_force_crossings(scene)
+    assert stats(d).X == util.brute_force_crossings(scene)
 
 
 def add_chords(d, *args):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import pytest
 
@@ -217,3 +218,12 @@ def test_saturate_names_the_failing_checks():
     # four vertices and two disjoint edges: Euler characteristic 4, two components
     with pytest.raises(SaturateError, match="^drawing is not valid: sphere, connected$"):
         saturate(util.two_components())
+
+
+def test_saturate_refuses_an_unfilled_result(monkeypatch):
+    # With no witness to insert, x1 comes back as it is, and the one
+    # 3-saturation decision on the result refuses it by its first unjoined pair.
+    monkeypatch.setattr(importlib.import_module("triplane.saturate"), "_witnesses", lambda drawing: iter(()))
+    with pytest.raises(SaturateError) as exc:
+        saturate(util.x1())
+    assert str(exc.value) == "saturated drawing is not filled: v0-v1 unjoined in c0"

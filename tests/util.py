@@ -6,6 +6,9 @@ small valid instances ``k2``, ``k3``, ``path3`` and the invalid lens are
 ``gen_basic("k2" | "k3" | "path3" | "lens-bad")``.
 """
 
+import itertools
+from fractions import Fraction
+
 from triplane.drawing import Drawing, EdgeRecord
 
 
@@ -96,3 +99,37 @@ def ngon(n):
         [EdgeRecord(f"e{i}", (f"v{i}", f"v{(i + 1) % n}"), ()) for i in range(n)],
         {f"v{i}": [(f"e{i}", 0, "fwd"), (f"e{(i - 1) % n}", 0, "bwd")] for i in range(n)},
     )
+
+
+# -- a crossing oracle independent of the geometry kernel ------------------
+
+
+def intersection_params(a, b, c, d):
+    """Solve a + t(b-a) = c + u(d-c) exactly; None if parallel."""
+    rx, ry = b[0] - a[0], b[1] - a[1]
+    sx, sy = d[0] - c[0], d[1] - c[1]
+    denom = rx * sy - ry * sx
+    if denom == 0:
+        return None
+    qx, qy = c[0] - a[0], c[1] - a[1]
+    t = Fraction(qx * sy - qy * sx, denom)
+    u = Fraction(qx * ry - qy * rx, denom)
+    return t, u
+
+
+def brute_force_crossings(scene):
+    """Proper crossings among the scene's segments, each pair solved on its own.
+
+    Solves for the parameters with ``Fraction`` instead of asking
+    ``segment_relation``, so it checks the kernel rather than repeating it.
+    """
+    count = 0
+    for (_, (a, b)), (_, (c, d)) in itertools.combinations(scene.segments, 2):
+        params = intersection_params(scene.points[a], scene.points[b],
+                                     scene.points[c], scene.points[d])
+        if params is None:
+            continue
+        t, u = params
+        if 0 < t < 1 and 0 < u < 1:
+            count += 1
+    return count
