@@ -243,15 +243,15 @@ def test_drawing_rejects_ill_typed_segment(seg):
     (util.x1, ("v0", "v2"), ["x0"], "crossings must be a tuple"),
     (util.x1, ("v0", "v2"), None, "crossings must be a tuple"),
     (util.x1, 5, ("x0",), "has an end that is not a vertex"),
-    ("k2", "ab", (), "has an end that is not a vertex"),
-    ("k2", ["a", "b"], (), "has an end that is not a vertex"),
+    (lambda: gen_basic("k2"), "ab", (), "has an end that is not a vertex"),
+    (lambda: gen_basic("k2"), ["a", "b"], (), "has an end that is not a vertex"),
 ], ids=["crossings-list", "crossings-none", "ends-without-length", "ends-string", "ends-list"])
 def test_drawing_refuses_an_ill_typed_edge_record(base, ends, crossings, message):
     # Records built in Python skip the parser's shape checks; each defect is
     # a TDRError that names the edge, not a TypeError from deeper in.  Ends
     # must be a tuple, as crossings must: "ab" and ["a", "b"] name two
     # vertices of k2 but would be stored as given.
-    d = gen_basic(base) if isinstance(base, str) else base()
+    d = base()
     edges = [EdgeRecord("e0", ends, crossings)] + list(d.edges.values())[1:]
     with pytest.raises(TDRError) as exc:
         Drawing(d.vertices, edges, d.rotations)
