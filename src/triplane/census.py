@@ -11,7 +11,8 @@ the small cell clusters the counting rows charge against.
 The census reads only the planarization, its own cell table and the edge
 records, and counts on numbers: cells by their index in ``walks()``, darts
 by number.  It reads the other edge at a crossing off the rotation, so it
-assumes alternating crossings (``validate``'s ``crossing-alternation``).
+needs alternating crossings; ``census`` and ``extract_trails`` refuse a
+drawing that ``validate`` fails with ``CensusError``, naming the failing checks.
 Cell ids (``"c{k}"``) and ``(edge, seg)`` names are written only when a
 report's cells, trails or configurations are first read.
 """
@@ -218,13 +219,14 @@ def _walls(cmap: CombMap, interior: Sequence[int], start: int) -> Tuple[str, str
 
 
 def _trails(drawing: Drawing) -> List[NumberedTrail]:
-    """The trails of the drawing on numbers; their interiors partition the inner segments.
+    """The trails of the drawing on numbers, refusing an invalid one; their interiors partition the inner segments.
 
     An inner segment, one whose two ends are crossings, with no XQUAD on
     either side is a whole 2-cell trail, read off the cells of its two
     darts, its walls the other edges at its two crossings (see ``_walls``);
     only corridors through XQUADs march.
     """
+    drawing._validation().refuse_invalid(CensusError)
     _, _, at, kinds = _classified(drawing)
     cmap = drawing.planarize()
     walks, cell_of = cmap.walks(), cmap.face_of()
@@ -287,7 +289,7 @@ def _named(drawing: Drawing, trails: Sequence[NumberedTrail]) -> Tuple[Trail, ..
 
 
 def extract_trails(drawing: Drawing) -> Tuple[Trail, ...]:
-    """The trails of the drawing; their interiors partition the inner segments."""
+    """The trails of the drawing; their interiors partition the inner segments.  Refuses an invalid drawing."""
     return _named(drawing, _trails(drawing))
 
 
@@ -373,8 +375,6 @@ def detect_configurations(drawing: Drawing, trails: Sequence[NumberedTrail]) -> 
             # The first VVTRI in cell id order.
             d = vv[0] if len(vv) == 1 else min(vv, key=lambda i: str(cell_of[i ^ 1]))
             found.append(("CFG13", frozenset((k, cell_of[d ^ 1])), (d,), None))
-        else:
-            missing(f"c{k}", f"VTRI inner side on edge with {load} crossings")
 
     # Trail-indexed kinds.
     for ks, interior, pair, walls in trails:
@@ -575,9 +575,9 @@ class CensusReport:
 
 
 def census(drawing: Drawing) -> CensusReport:
-    """Count everything the constraint rows talk about; strict on a 3-saturated drawing (``detect_configurations``)."""
-    sizes, _, _, kinds = _classified(drawing)
+    """Count everything the constraint rows talk about; refuses an invalid drawing, strict on a 3-saturated one."""
     trails = _trails(drawing)
+    sizes, _, _, kinds = _classified(drawing)
     cfgs = detect_configurations(drawing, trails)
 
     counts: Dict[str, int] = stats(drawing).as_dict()

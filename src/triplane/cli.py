@@ -49,13 +49,12 @@ def _load(path: str, parse):
 
 
 def _verdict_drawing(args) -> Drawing:
-    """The drawing of ``args.file`` that a verdict is taken on.
+    """The drawing of ``args.file`` that a verdict is taken on, saturated if ``--saturate`` is given.
 
-    An invalid drawing is refused before any saturation, with its failing
-    checks named (exit 1); a valid one is saturated if ``--saturate`` is given.
+    It is not validated here: ``saturate``, the census and ``verify_numeric``
+    each refuse an invalid drawing, with its failing checks named (exit 1).
     """
     d = _load(args.file, parse_tdr)
-    d._validation().refuse_invalid(TDRError)
     return saturate(d) if args.saturate else d
 
 

@@ -17,11 +17,13 @@ from triplane.census import (
     tkey,
     trail_counts,
 )
+from triplane.certificate import CertificateError, builtin_certificate, verify_numeric
 from triplane.combmap import Rotations
+from triplane.constraints import ConstraintError, density_residual
 from triplane.drawing import Drawing, EdgeRecord, validate
 from triplane.generators import gen_basic, gen_fig2, gen_fig3, ingest_geometry, random_drawing
 from triplane.geometry import parse_scene
-from triplane.saturate import is_3saturated, saturate
+from triplane.saturate import SaturateError, is_3saturated, saturate
 
 import util
 from test_acceptance import CORPUS_NAMES, corpus_drawing
@@ -283,12 +285,12 @@ def _with_pendant(drawing, k):
 # The strict refusals that a retyped cell reaches on a 3-saturated drawing,
 # each with the forcing that reaches it: (drawing, forced (cell, type)
 # pairs, the cell the unsaturated copy grows a pendant edge in, the text).
-# Two refusals no retyping reaches, since it changes no segment or crossing:
-# a VTRI's inner side on an edge crossed other than 2 or 3 times (an inner
-# side has two crossings, and a valid drawing is 3-plane), and a CFG15
-# middle side on an edge that is not twice-crossed (the cells across three
-# consecutive XPENT sides each have that side as their one inner side, so the
-# middle side's edge runs from a vertex through its two crossings to a vertex).
+# On a real XPENT a CFG15 middle side's edge is crossed exactly twice: the
+# cells across the window's first and third sides each have that side as
+# their one inner side, so the middle side's edge ends at a vertex just past
+# each of its two crossings.  CFG15 reads windows of three sides mod 5, so
+# a six-sided crossing cell typed XPENT has a window whose third side does
+# not follow its middle side, and that middle side's edge may be crossed thrice.
 _STRICT_REFUSALS = {
     "no-unique-inner-side": (lambda: gen_fig3(1), ((0, "VTRI"),), 4,
                              "c0: VTRI without a unique inner side"),
@@ -300,6 +302,8 @@ _STRICT_REFUSALS = {
                      "c12: saturated XPENT without three consecutive uncrossed trails"),
     "cfg15-quadrant": (lambda: saturate(random_drawing(10, 30, 154)), ((18, "LARGE"), (7, "VTRI"), (22, "VVTRI")), 16,
                        "c9: opposite quadrant at x2 is not VVTRI"),
+    "cfg15-middle-side": (lambda: saturate(random_drawing(10, 30, 446)), ((5, "XPENT"), (2, "VVTRI")), 0,
+                          "c5: middle side edge e3 is not twice-crossed"),
 }
 
 
@@ -404,6 +408,37 @@ def _non_alternating():
     return Drawing(d.vertices, list(d.edges.values()), rot)
 
 
+# Every public verdict refuses each invalid fixture itself, in its own error
+# class and with one text; the census reads only valid drawings.
+INVALID = {
+    "lens-bad": lambda: gen_basic("lens-bad"),
+    "lasso": util.lasso,
+    "adjacent-cross": util.adjacent_cross,
+    "overloaded-line": util.overloaded_line,
+    "two-components": util.two_components,
+    "non-alternating": _non_alternating,
+    "lone-vertex": lambda: Drawing(["a"], [], {"a": []}),
+}
+VERDICTS = {
+    "census": (census, CensusError),
+    "extract_trails": (extract_trails, CensusError),
+    "saturate": (saturate, SaturateError),
+    "density_residual": (lambda d: density_residual(d, 1), ConstraintError),
+    "verify_numeric": (lambda d: verify_numeric(d, builtin_certificate("edges")), CertificateError),
+}
+
+
+@pytest.mark.parametrize("verdict", VERDICTS)
+@pytest.mark.parametrize("fixture", INVALID)
+def test_every_verdict_refuses_an_invalid_drawing(fixture, verdict):
+    d = INVALID[fixture]()
+    fn, error = VERDICTS[verdict]
+    with pytest.raises(error) as info:
+        fn(d)
+    assert type(info.value) is error
+    assert str(info.value) == "drawing is not valid: " + ", ".join(validate(d).failing())
+
+
 def test_census_and_validation_bytes_are_pinned():
     # One sha256 over the full census (cells, trails with their interior
     # segments and walls, configurations with their designated segments)
@@ -436,7 +471,7 @@ def test_census_and_validation_bytes_are_pinned():
               util.two_components(), _non_alternating()):
         add("validate", lambda: validate(d).as_dict())
     assert digest.hexdigest() == (
-        "cfaf789cc20354f118e1706314a36a4656438ab4f93199c95cc39d9776bdbe18")
+        "c4bae8bbaf649af872eb780c1766acd64ad8ab35192a9e9fe05a9acf1150267d")
 
 
 # The census on numbers, pinned: one sha256 over the trails of each drawing

@@ -61,11 +61,13 @@ def test_k2_single_face():
 
 
 def test_k3_two_faces():
+    fresh = k3().planarize().face_of()  # called before walks(): it walks the faces itself
     m = k3().planarize()
     assert m.faces() == (
         (("e0", 0, "bwd"), ("e2", 0, "bwd"), ("e1", 0, "bwd")),
         (("e0", 0, "fwd"), ("e1", 0, "fwd"), ("e2", 0, "fwd")),
     )
+    assert fresh == m.face_of() == [next(k for k, w in enumerate(m.walks()) if i in w) for i in range(6)]
     assert m.euler_characteristic() == 2
     assert tail(m, ("e0", 0, "fwd")) == "a"
     assert tail(m, twin(("e0", 0, "fwd"))) == "b"
