@@ -137,17 +137,20 @@ def filled_witness(drawing: Drawing) -> Optional[Tuple[str, str, str]]:
 def _witnesses(drawing: Drawing) -> Iterator[Tuple[int, Tuple[str, str]]]:
     """Each cell ``c{k}`` that is not filled, as (k, its first unjoined pair), in cell id order.
 
-    Only LARGE and OTHER cells with two or more vertex incidences are
-    walked, by ``_cell_witness`` on the tails of their walks.  Every other
-    type has fewer than two, so no pair to join, except VVTRI and KITE:
-    their two vertices are consecutive on the walk, and a segment whose
-    ends are both vertices is a whole uncrossed edge.
+    Only LARGE cells with two or more vertex incidences and more than three
+    segments are walked, by ``_cell_witness`` on the tails of their walks.
+    Every other cell is filled by its shape.  A walk of at most three
+    segments has no unjoined pair (see ``_cell_witness``), and every VVTRI
+    and every OTHER cell with two or more vertex incidences is one: its size
+    is below 6.  The other types have fewer than two vertex incidences, so
+    no pair to join, except KITE: its two vertices are consecutive on the
+    walk, and a segment whose ends are both vertices is a whole uncrossed edge.
     """
-    _, incidences, _, kinds = _classified(drawing)
+    sizes, incidences, _, kinds = _classified(drawing)
     cmap = drawing.planarize()
     walks, tail, vertices = cmap.walks(), cmap.tail, drawing._vertex_set
-    walked = [k for k, (v, kind) in enumerate(zip(incidences, kinds))
-              if v >= 2 and (kind == "LARGE" or kind == "OTHER")]
+    walked = [k for k, (size, v, kind) in enumerate(zip(sizes, incidences, kinds))
+              if v >= 2 and size - v > 3 and kind == "LARGE"]
     for k in sorted(walked, key=str):  # cell "c{k}" in id order: "c10" comes before "c2"
         witness = _cell_witness([tail[i] for i in walks[k]], vertices)
         if witness is not None:
@@ -159,7 +162,12 @@ def _cell_witness(tails: Sequence[str], vertices: FrozenSet[str]) -> Optional[Tu
 
     A segment whose two ends are vertices is a whole uncrossed edge, so the
     joined pairs are read off consecutive tails of the walk; a loop joins none.
+    A walk of at most three darts has no unjoined pair: any two of its
+    corners are consecutive, so any two distinct vertices on it are the two
+    ends of one of its segments.
     """
+    if len(tails) <= 3:
+        return None
     verts = vertices.intersection(tails)
     joined = {(a, b) if a < b else (b, a)
               for a, b in zip(tails, tails[1:] + tails[:1]) if a != b and a in vertices and b in vertices}

@@ -36,31 +36,17 @@ class _Face:
         heapify(self.heap)
         self.into: Dict[str, Set[Dart]] = defaultdict(set)
         self.joined: Dict[Tuple[str, str], int] = {}
-        tails = [tail[d] for d in walk]
-        self._tally(walk, tails, tails[1:] + tails[:1], vertices, 1)
-        self.verts = sorted(self.into)
-
-    def _tally(self, darts: Sequence[Dart], tails: Sequence[str], heads: Sequence[str],
-               vertices: FrozenSet[str], sign: int) -> None:
-        """Count the darts (with their tails and heads) in, or out when ``sign`` is -1."""
-        for d, a, b in zip(darts, tails, heads):
-            if b not in vertices:
-                continue
-            if sign > 0:
-                self.into[b].add(d)
-            else:
-                into = self.into[b]
-                into.remove(d)
-                if not into:
-                    del self.into[b]
-                    del self.verts[bisect_left(self.verts, b)]
-            if a in vertices:
-                pair = (a, b) if a < b else (b, a)
-                left = self.joined.get(pair, 0) + sign
-                if left:
-                    self.joined[pair] = left
-                else:
-                    del self.joined[pair]
+        into, joined = self.into, self.joined
+        p, a = walk[-1], tail[walk[-1]]
+        for d in walk:
+            b = tail[d]  # the dart p before d runs from a to b
+            if b in vertices:
+                into[b].add(p)
+                if a in vertices:
+                    pair = (a, b) if a < b else (b, a)
+                    joined[pair] = joined.get(pair, 0) + 1
+            p, a = d, b
+        self.verts = sorted(into)
 
     def key(self) -> Dart:
         heap = self.heap
@@ -81,20 +67,39 @@ class _Face:
         return d
 
     def split_off(self, part: Sequence[Dart], tails: Sequence[str], vertices: FrozenSet[str]) -> None:
-        """Take away ``part`` and keep the twin of its first dart.
+        """Take away ``part`` and keep the twin of its first dart, in one pass over ``part``.
 
         ``part`` is a split-off walk, a new dart followed by old darts of
-        this face, and ``tails`` are its darts' tails.  The twin runs
-        between the same two vertices the other way and goes in first, so
-        neither end ever leaves ``verts``.
+        this face, and ``tails`` are its darts' tails.  The new dart joins
+        two vertices; its twin runs between them the other way and goes in
+        first, so neither end ever leaves ``verts``.  The old darts then go
+        from the last to the first, each running from its tail to the tail
+        after it.
         """
-        kept = twin(part[0])
-        self.darts.add(kept)
+        darts, into, joined, verts = self.darts, self.into, self.joined, self.verts
+        kept, b, a = twin(part[0]), tails[0], tails[1]  # kept runs from a to b
+        darts.add(kept)
         heappush(self.heap, kept)
-        self._tally((kept,), (tails[1],), (tails[0],), vertices, 1)
-        old = part[1:]
-        self.darts.difference_update(old)
-        self._tally(old, tails[1:], tails[2:] + tails[:1], vertices, -1)
+        into[b].add(kept)
+        pair = (a, b) if a < b else (b, a)
+        joined[pair] = joined.get(pair, 0) + 1
+        for i in range(len(part) - 1, 0, -1):
+            d, a = part[i], tails[i]  # d runs from a to b
+            darts.remove(d)
+            if b in vertices:
+                arriving = into[b]
+                arriving.remove(d)
+                if not arriving:
+                    del into[b]
+                    del verts[bisect_left(verts, b)]
+                if a in vertices:
+                    pair = (a, b) if a < b else (b, a)
+                    left = joined[pair] - 1
+                    if left:
+                        joined[pair] = left
+                    else:
+                        del joined[pair]
+            b = a
 
 
 def _smaller_side(rot: Rotations, a: Dart, b: Dart) -> List[Dart]:
@@ -162,14 +167,15 @@ def saturate(drawing: Drawing) -> Drawing:
         if not pending:
             break
         # the first pending cell in id order, as ``_witnesses`` scans them
-        key = min(pending, key=lambda k: str(bisect_left(keys, k)))
+        key = next(iter(pending)) if len(pending) == 1 else min(pending, key=lambda k: str(bisect_left(keys, k)))
         del keys[bisect_left(keys, key)]
         face, (u, v) = pending.pop(key)
         arrive_u, arrive_v = face.arrival(u, key, rot), face.arrival(v, key, rot)
 
-        while f"s{fresh}" in drawing.edges:
-            fresh += 1
         new_id = f"s{fresh}"
+        while new_id in drawing.edges:
+            fresh += 1
+            new_id = f"s{fresh}"
         fresh += 1
         edges.append(EdgeRecord(new_id, (u, v), ()))
         fwd, bwd = (new_id, 0, "fwd"), (new_id, 0, "bwd")

@@ -1,12 +1,14 @@
 """``census.filled_witness``, which walks only the cells its types leave open,
 against the from-scratch reference that walks every cell."""
 
+import importlib
 from collections import Counter
+from itertools import product
 
 import pytest
 
 import test_saturate
-from triplane.census import _classified, cells, filled_witness
+from triplane.census import _cell_witness, _classified, cells, filled_witness, is_3saturated
 from triplane.drawing import Drawing, EdgeRecord
 from triplane.generators import BASIC_NAMES, gen_basic, gen_fig2, gen_fig3, random_drawing
 from triplane.saturate import saturate
@@ -32,6 +34,21 @@ def reference_filled_witness(drawing):
             for v in verts[i + 1:]:
                 if (u, v) not in joined:
                     return (rec.cell_id, u, v)
+    return None
+
+
+def reference_cell_witness(tails, vertices):
+    """First (u, v), u < v, of distinct vertices on a walk, given its tails, with no segment joining them.
+
+    The pair-by-pair definition of ``reference_filled_witness``: dart ``i``
+    runs from ``tails[i]`` to the next tail, so its segment's ends are those two.
+    """
+    ends = {frozenset((a, tails[(i + 1) % len(tails)])) for i, a in enumerate(tails)}
+    verts = sorted(set(tails) & vertices)
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            if {u, v} not in ends:
+                return (u, v)
     return None
 
 
@@ -71,6 +88,38 @@ SPARSE = [(f"sparse-{n}-{budget}-{seed}", lambda n=n, budget=budget, seed=seed:
                          ids=[name for name, _ in CENSUS_PIN + FIXTURES + SPARSE])
 def test_witness_matches_reference(build):
     assert filled_witness(build()) == reference_filled_witness(build())
+
+
+# Three vertices and a crossing: walks with repeats, loops (a, a) and
+# crossings between vertices, such as (a, a, b) and (a, x, b).
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_cell_witness_matches_the_pair_by_pair_definition(length):
+    vertices = frozenset("abc")
+    unjoined = 0
+    for tails in product("abcx", repeat=length):
+        expected = reference_cell_witness(tails, vertices)
+        assert _cell_witness(tails, vertices) == expected, tails
+        unjoined += expected is not None
+    # No walk of at most three darts has an unjoined pair; (a, x, b, x) has one.
+    assert (unjoined == 0) == (length <= 3)
+
+
+def test_saturated_ngon_scan_walks_no_triangle(monkeypatch):
+    # All 396 cells of the saturated 200-gon are triangles of three vertices,
+    # filled by their shape, so the 3-saturation scan walks none of them.
+    out = saturate(util.ngon(200))
+    fresh = Drawing(out.vertices, list(out.edges.values()), out.rotations)
+    census_mod = importlib.import_module("triplane.census")
+    walked = []
+    witness = census_mod._cell_witness
+
+    def counted(tails, vertices):
+        walked.append(tails)
+        return witness(tails, vertices)
+
+    monkeypatch.setattr(census_mod, "_cell_witness", counted)
+    assert is_3saturated(fresh)
+    assert len(cells(fresh)) == 396 and walked == []
 
 
 def test_fixtures_hold_the_skipped_two_vertex_types():
