@@ -18,8 +18,7 @@ from typing import Dict, Mapping, Tuple
 
 from .census import census, is_3saturated
 from .constraints import ROWS, _form_value, _valuation, evaluate_constraints
-from .drawing import Drawing
-from .geometry import frac_to_str
+from .drawing import Drawing, Report
 
 LinearForm = Dict[str, Fraction]
 
@@ -123,23 +122,15 @@ def _residual(target: str, coefficients: Tuple[Tuple[str, Fraction], ...]) -> Li
 
 
 @dataclass(frozen=True)
-class RowContribution:
+class RowContribution(Report):
     id: str
     coeff: Fraction
     slack: int
     contribution: Fraction
 
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "coeff": frac_to_str(self.coeff),
-            "slack": self.slack,
-            "contribution": frac_to_str(self.contribution),
-        }
-
 
 @dataclass(frozen=True)
-class NumericReport:
+class NumericReport(Report):
     target: str
     bound: Fraction
     value: int
@@ -147,17 +138,6 @@ class NumericReport:
     certified_slack: Fraction
     residual_at_census: Fraction
     rows: Tuple[RowContribution, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "bound": frac_to_str(self.bound),
-            "value": self.value,
-            "total_slack": frac_to_str(self.total_slack),
-            "certified_slack": frac_to_str(self.certified_slack),
-            "residual_at_census": frac_to_str(self.residual_at_census),
-            "rows": [r.as_dict() for r in self.rows],
-        }
 
 
 def verify_numeric(drawing: Drawing, certificate: Certificate) -> NumericReport:
@@ -191,7 +171,8 @@ def verify_numeric(drawing: Drawing, certificate: Certificate) -> NumericReport:
             raise CertificateError(f"equality row {row.id} has nonzero slack {row.slack}")
 
     target = certificate.target
-    coeffs = certificate.coefficients
+    # An int coefficient is stored as a Fraction, so the report writes it "p/1" too.
+    coeffs = {k: c if type(c) is Fraction else Fraction(c) for k, c in certificate.coefficients.items()}
     residual_val = Fraction(_form_value(verify_symbolic(certificate), val))
     bound = Fraction(11, 2) * (val["n"] - 2)
     value = val[_target(target)[0]]

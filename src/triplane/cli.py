@@ -18,10 +18,10 @@ from .census import CensusError, census
 from .certificate import (CertificateError, TARGETS, builtin_certificate,
                           verify_numeric, verify_symbolic)
 from .constraints import ConstraintError, evaluate_constraints, density_residual
-from .drawing import Drawing, TDRError, parse_tdr, serialize_tdr, validate
+from .drawing import Drawing, TDRError, frac_to_str, parse_tdr, serialize_tdr, validate
 from .generators import (BASIC_NAMES, GenerationError, gen_basic, gen_fig2,
                          gen_fig3, ingest_geometry, random_drawing)
-from .geometry import SceneError, frac_to_str, parse_scene
+from .geometry import SceneError, parse_scene
 from .saturate import SaturateError, saturate
 
 

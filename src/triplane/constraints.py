@@ -9,7 +9,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Tuple, Union
 
 from .census import _classified
-from .drawing import Drawing
+from .drawing import Drawing, Report
 
 Rational = Union[int, Fraction]
 
@@ -92,7 +92,7 @@ def _form_value(form: Mapping[str, Rational], val: Mapping[str, int]) -> Rationa
 
 
 @dataclass(frozen=True)
-class RowResult:
+class RowResult(Report):
     id: str
     relation: str
     lhs: int
@@ -102,21 +102,9 @@ class RowResult:
     scope: str
     applicable: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "relation": self.relation,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "pass": self.passed,
-            "scope": self.scope,
-            "applicable": self.applicable,
-        }
-
 
 @dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(Report):
     rows: Tuple[RowResult, ...]
     saturated: bool
 
@@ -125,11 +113,7 @@ class ConstraintReport:
         return all(r.passed for r in self.rows if r.applicable)
 
     def as_dict(self) -> dict:
-        return {
-            "rows": [r.as_dict() for r in self.rows],
-            "saturated": self.saturated,
-            "all_pass": self.all_pass,
-        }
+        return {**super().as_dict(), "all_pass": self.all_pass}
 
 
 def evaluate_constraints(counts: Mapping[str, int], saturated: bool) -> ConstraintReport:

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -221,28 +222,49 @@ def serialize_tdr(drawing: Drawing) -> str:
     return f'{{"edges":[{edges}],"rotations":{{{rotations}}},"vertices":[{vertices}]}}\n'
 
 
+def frac_to_str(f: Fraction) -> str:
+    """A rational on the wire: ``"p/q"`` in lowest terms, ``q`` positive."""
+    return f"{f.numerator}/{f.denominator}"
+
+
+def _wire(value):
+    """One field of a report on the wire; ``type() is`` keeps Fraction's ABC checks out of the way."""
+    kind = type(value)
+    if kind is Fraction:
+        return frac_to_str(value)
+    if kind is tuple:
+        return [_wire(v) for v in value]
+    if isinstance(value, Report):
+        return value.as_dict()
+    return value
+
+
+class Report:
+    """A dataclass report, written as JSON by one rule.
+
+    ``as_dict`` writes the fields by name, ``passed`` as ``"pass"``, tuples
+    as lists, nested reports as objects and every ``Fraction`` as ``"p/q"``.
+    """
+
+    __slots__ = ()
+
+    def as_dict(self) -> dict:
+        return {"pass" if k == "passed" else k: _wire(getattr(self, k)) for k in self.__dataclass_fields__}
+
+
 # -- validation -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Report):
     name: str
     passed: bool
     witnesses: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Report):
     valid: bool
     checks: Tuple[CheckResult, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "checks": [
-                {"name": c.name, "pass": c.passed, "witnesses": list(c.witnesses)}
-                for c in self.checks
-            ],
-        }
 
     def failing(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self.checks if not c.passed)
@@ -305,7 +327,7 @@ def validate(drawing: Drawing) -> ValidationReport:
 # -- headline counts --------------------------------------------------------
 
 @dataclass(frozen=True)
-class DrawingStats:
+class DrawingStats(Report):
     n: int
     E: int
     X: int
@@ -314,9 +336,6 @@ class DrawingStats:
     E2: int
     E3: int
     Ex: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def stats(drawing: Drawing) -> DrawingStats:

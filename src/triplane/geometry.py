@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, Sequence, Tuple
 
-from .drawing import _SURROGATE, _load_json
+from .drawing import _SURROGATE, _load_json, frac_to_str
 
 Point = Tuple[Fraction, Fraction]
 
@@ -48,10 +48,6 @@ def frac_from_str(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise SceneError(f"bad rational {s!r}")
-
-
-def frac_to_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def sub(a: Point, b: Point) -> Point:

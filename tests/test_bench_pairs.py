@@ -98,12 +98,12 @@ TRACED_STDOUT = """workload certify seed 5: 1 round(s) of 8 ops, 0.477 s wall pe
 """
 
 
-def traced_stdout(combmap_calls):
-    last = json.dumps({"correct": True, "attempted": 8, "failed": 1, "metrics": {
+def traced_stdout(combmap_calls, self_s=0.0615834, failed=1, differ=0):
+    last = json.dumps({"correct": True, "attempted": 8, "failed": failed, "metrics": {
         "combmap.CombMap.calls": {"value": combmap_calls, "unit": "count"},
-        "combmap.CombMap.self_s": {"value": 0.0615834, "unit": "s"},
+        "combmap.CombMap.self_s": {"value": self_s, "unit": "s"},
         "census.cells_per_verdict": {"value": 0.0, "unit": "ratio"}}})
-    return TRACED_STDOUT.format(digest="ef" * 32, last=last)
+    return TRACED_STDOUT.format(digest="ef" * 32, last=last).replace(" 0 differ", f" {differ} differ")
 
 
 def test_parse_run_reads_a_traced_round():
@@ -116,7 +116,8 @@ def test_parse_run_reads_a_traced_round():
 def test_summarize_workload_pairs_the_sides():
     runs = {"parent": [bench_pairs.parse_run(run_stdout(v)) for v in (30.0, 31.0, 32.0)],
             "change": [bench_pairs.parse_run(run_stdout(v, digest="cd" * 32)) for v in (36.0, 37.0, 38.0)]}
-    traced = {"parent": bench_pairs.parse_run(traced_stdout(0)), "change": bench_pairs.parse_run(traced_stdout(24))}
+    traced = {"parent": [bench_pairs.parse_run(traced_stdout(0))] * 3,
+              "change": [bench_pairs.parse_run(traced_stdout(24))] * 3}
     w = bench_pairs.summarize_workload(runs, [5, 6, 7], [{"name": "ops_per_s", "better": "higher", "bound": 0.15}],
                                        traced)
     assert w["first_in_pair"] == ["parent", "change", "parent"]
@@ -124,11 +125,22 @@ def test_summarize_workload_pairs_the_sides():
     assert w["correct"] and w["digests_match_reference"] and not w["digests_agree"]
     assert w["metrics"]["ops_per_s"]["change_wins"] == "3/3"
     assert w["failed_share"] == {"parent": 0.0, "change": 0.0} and w["failed_share_no_higher"]
-    assert w["traced_round"]["parent"]["per_layer"]["combmap.CombMap.calls"] == 0
-    assert w["traced_round"]["change"] == {
-        "seed": 5, "correct": True, "failed": "1/8", "digests_match_reference": True,
-        "per_layer": {"combmap.CombMap.calls": 24, "combmap.CombMap.self_s": 0.0615834,
-                      "census.cells_per_verdict": 0.0}}
+    assert w["traced_rounds"]["parent"]["per_layer_median"]["combmap.CombMap.calls"] == 0
+    assert w["traced_rounds"]["change"] == {
+        "rounds": [{"seed": seed, "correct": True, "failed": "1/8", "digests_match_reference": True}
+                   for seed in (5, 6, 7)],
+        "per_layer_median": {"combmap.CombMap.calls": 24, "combmap.CombMap.self_s": 0.0615834,
+                             "census.cells_per_verdict": 0.0}}
+
+
+def test_one_noisy_traced_round_sets_no_per_layer_figure():
+    rounds = [bench_pairs.parse_run(traced_stdout(24, self_s=t, failed=f, differ=d))
+              for t, f, d in ((0.0145, 0, 0), (0.0249, 1, 1), (0.0146, 0, 0))]
+    traced = bench_pairs.summarize_traced(rounds, [3601, 3602, 3603])
+    assert traced["per_layer_median"]["combmap.CombMap.self_s"] == 0.0146
+    assert traced["per_layer_median"]["combmap.CombMap.calls"] == 24
+    assert [(r["seed"], r["failed"], r["digests_match_reference"]) for r in traced["rounds"]] == [
+        (3601, "0/8", True), (3602, "1/8", False), (3603, "0/8", True)]
 
 
 def test_src_lines_counts_newlines_like_wc(tmp_path):
@@ -144,7 +156,7 @@ def test_failed_share_is_over_all_attempted_operations():
     # parent 1/27 + 1/27 + 2/54 = 4/108; change 1/27 + 1/27 + 1/27 = 3/81
     parent = [bench_pairs.parse_run(run_stdout(30.0, attempted=a, failed=f)) for a, f in ((27, 1), (27, 1), (54, 2))]
     change = [bench_pairs.parse_run(run_stdout(31.0, attempted=27, failed=1)) for _ in range(3)]
-    traced = {"parent": bench_pairs.parse_run(traced_stdout(0)), "change": bench_pairs.parse_run(traced_stdout(0))}
+    traced = {side: [bench_pairs.parse_run(traced_stdout(0))] * 3 for side in bench_pairs.SIDES}
     end_to_end = [{"name": "ops_per_s", "better": "higher"}]
     w = bench_pairs.summarize_workload({"parent": parent, "change": change}, [1, 2, 3], end_to_end, traced)
     assert w["failed_share"] == {"parent": pytest.approx(1 / 27), "change": pytest.approx(1 / 27)}
@@ -177,3 +189,25 @@ def test_rev_is_null_for_an_export_inside_another_clone(tmp_path):
     export.mkdir()
     assert bench_pairs._rev(export) is None
     assert bench_pairs._rev(tmp_path / "missing") is None
+
+
+def test_main_alternates_the_sides_in_the_pairs_and_the_traced_rounds(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(checkout, workload, seed, trace=0):
+        calls.append((checkout.name, seed, trace))
+        return bench_pairs.parse_run(traced_stdout(24) if trace else run_stdout(30.0))
+
+    for side in bench_pairs.SIDES:
+        (tmp_path / side / "src" / "triplane").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "certify"}], "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", "parent", "--change", "change", "--label", "t", "--first-seed", "100",
+                             "--parent-rev", "p", "--change-rev", "c"]) == 0
+    assert calls[:4] == [("parent", 100, 0), ("change", 100, 0), ("change", 101, 0), ("parent", 101, 0)]
+    assert [c for c in calls if c[2]] == [("parent", 100, 1), ("change", 100, 1), ("change", 101, 1),
+                                         ("parent", 101, 1), ("parent", 102, 1), ("change", 102, 1)]
+    traced = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["certify"]["traced_rounds"]
+    assert [r["seed"] for r in traced["change"]["rounds"]] == [100, 101, 102]

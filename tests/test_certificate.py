@@ -200,6 +200,16 @@ def test_numeric_report_serializes_fractions_as_strings():
     assert all(isinstance(r["slack"], int) for r in d["rows"])
 
 
+def test_int_coefficient_is_written_as_a_rational():
+    cert = builtin_certificate("edges")
+    cert.coefficients["8.C"] = 1
+    out = verify_numeric(saturate(gen_fig3(1)), cert)
+    row = next(r for r in out.rows if r.id == "8.C")
+    assert type(row.coeff) is Fraction and type(row.contribution) is Fraction
+    written = next(r for r in out.as_dict()["rows"] if r["id"] == "8.C")
+    assert written == {"id": "8.C", "coeff": "1/1", "slack": row.slack, "contribution": f"{row.slack}/1"}
+
+
 def test_residual_follows_a_mutated_coefficient_dict():
     # The residual is kept per target and coefficients, so changing the
     # dict a certificate holds gives that dict's residual, never a stale one.

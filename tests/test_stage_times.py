@@ -1,10 +1,10 @@
-"""``tools/stage_times.py`` on the smallest fig3, one repeat."""
+"""``tools/stage_times.py`` on the smallest fig3 and fig2, one repeat."""
 
 import importlib.util
 from pathlib import Path
 
 from triplane.drawing import serialize_tdr
-from triplane.generators import gen_fig3
+from triplane.generators import gen_fig2, gen_fig3
 
 _SPEC = importlib.util.spec_from_file_location(
     "stage_times", Path(__file__).resolve().parent.parent / "tools" / "stage_times.py")
@@ -22,3 +22,9 @@ def test_times_every_stage_and_command_of_fig3_l1(tmp_path):
     assert list(commands) == [" ".join(argv) for argv in stage_times.COMMANDS]
     assert all(ms >= 0 for ms in [*stages.values(), *commands.values()])
 
+
+
+def test_a_drawing_that_is_not_saturated_still_times_its_constraint_report():
+    stages = stage_times.stage_times(serialize_tdr(gen_fig2(1)))
+    assert list(stages) == [s for s in stage_times.STAGES if s != "verify_numeric"]
+    assert stages["as_dict"] >= 0

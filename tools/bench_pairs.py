@@ -11,15 +11,18 @@ lists, pair ``i`` of ten runs ``python3 perfbench/run.py --workload W
 --seed <first-seed + i> --trace 0`` once in each checkout, at perfbench's
 own run length, the parent first when ``i`` is even and the change first
 when it is odd, one process at a time.  After the pairs, each side runs
-one traced round of the workload (``--trace 1``, seed ``first-seed``),
-which reports perfbench's per-layer calls and self times.  The file,
+three traced rounds of the workload (``--trace 1``, seeds ``first-seed``
+to ``first-seed + 2``, the sides alternating as in the pairs), which
+report perfbench's per-layer calls and self times.  The file,
 written to the current directory, records, per workload and end-to-end
 metric, each side's runs, median and inclusive quartiles, the pairs the
 change wins, and the change's median against the parent's with the bound
 ``BENCHMARK.json`` sets; per run, the rounds, the failed operations and
 whether the output digests match perfbench's reference; per workload,
 each side's failed share of all attempted operations, whether the
-change's is no higher, and each side's traced round; and each side's
+change's is no higher, and each side's traced rounds: each round's failed
+operations and digest check, and the median of each per-layer metric
+over the rounds, so one noisy round sets no self time; and each side's
 ``src/`` line count (``cat src/triplane/*.py | wc -l``), the Python
 version and both commits: each one given as ``--parent-rev`` or
 ``--change-rev``, else the ``HEAD`` of its checkout when the checkout is
@@ -41,6 +44,7 @@ from typing import Dict, List, Optional, Sequence
 
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest pairs the gain rule reads: nine wins in ten
+TRACED = 3  # traced rounds per side; each per-layer figure is their median
 _ROUNDS = re.compile(r"^workload \S+ seed \S+: (\d+) round\(s\)", re.M)
 _DIGESTS = re.compile(r"outputs sha256:([0-9a-f]+): (\d+) match the reference, (\d+) have none, (\d+) differ")
 
@@ -117,12 +121,25 @@ def failed_share(runs: Sequence[dict]) -> float:
     return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
 
 
+def summarize_traced(rounds: Sequence[dict], seeds: Sequence[int]) -> dict:
+    """One side's traced rounds: ``rounds[j]`` is ``parse_run`` of the round of seed ``seeds[j]``.
+
+    Each round keeps its failed operations and digest check; each per-layer
+    metric is the median over the rounds.
+    """
+    return {"rounds": [{"seed": seed, "correct": r["correct"], "failed": f"{r['failed']}/{r['attempted']}",
+                        "digests_match_reference": r["digests_match"]} for seed, r in zip(seeds, rounds)],
+            "per_layer_median": {name: statistics.median(r["metrics"][name] for r in rounds)
+                                 for name in rounds[0]["metrics"]}}
+
+
 def summarize_workload(runs: Dict[str, List[dict]], seeds: Sequence[int],
-                       end_to_end: Sequence[dict], traced: Dict[str, dict]) -> dict:
+                       end_to_end: Sequence[dict], traced: Dict[str, List[dict]]) -> dict:
     """All pairs of one workload: ``runs[side][i]`` is ``parse_run`` of pair ``i`` on that side.
 
-    ``traced[side]`` is ``parse_run`` of that side's traced round.  The
-    change must fail no larger share of its operations than the parent.
+    ``traced[side][j]`` is ``parse_run`` of that side's traced round of seed
+    ``seeds[j]``.  The change must fail no larger share of its operations
+    than the parent.
     """
     share = {side: failed_share(runs[side]) for side in SIDES}
     return {
@@ -140,10 +157,7 @@ def summarize_workload(runs: Dict[str, List[dict]], seeds: Sequence[int],
                                                 [r["metrics"][m["name"]] for r in runs["change"]],
                                                 m["better"], m.get("bound"))
                     for m in end_to_end},
-        "traced_round": {side: {"seed": seeds[0], "correct": traced[side]["correct"],
-                                "failed": f"{traced[side]['failed']}/{traced[side]['attempted']}",
-                                "digests_match_reference": traced[side]["digests_match"],
-                                "per_layer": traced[side]["metrics"]} for side in SIDES},
+        "traced_rounds": {side: summarize_traced(traced[side], seeds) for side in SIDES},
     }
 
 
@@ -192,7 +206,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{workload} pair {i + 1}/{len(seeds)}: " + ", ".join(
                 f"{side} ops_per_s {runs[side][-1]['metrics']['ops_per_s']:.3f}" for side in SIDES),
                 file=sys.stderr)
-        traced = {side: _run(getattr(args, side), workload, seeds[0], trace=1) for side in SIDES}
+        traced: Dict[str, List[dict]] = {side: [] for side in SIDES}
+        for j, seed in enumerate(seeds[:TRACED]):
+            for side in SIDES if j % 2 == 0 else SIDES[::-1]:
+                traced[side].append(_run(getattr(args, side), workload, seed, trace=1))
         workloads[workload] = summarize_workload(runs, seeds, bench["end_to_end"], traced)
 
     out = {
@@ -204,8 +221,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "method": (f"{PAIRS} pairs per workload, seeds {seeds[0]}-{seeds[-1]}; in pair i the parent runs "
                    "first when i is even (from 0), the change when it is odd; one process at a time. "
-                   "Quartiles by the inclusive method. Then one traced round per side "
-                   f"(--trace 1, seed {seeds[0]}); its self times are raw wall seconds of one round."),
+                   f"Quartiles by the inclusive method. Then {TRACED} traced rounds per side "
+                   f"(--trace 1, seeds {seeds[0]}-{seeds[TRACED - 1]}, alternating as the pairs do); "
+                   "each per-layer figure is the median over them, self times in raw wall seconds of one round."),
         "src_lines": {side: src_lines(getattr(args, side)) for side in SIDES},
         "workloads": workloads,
     }

@@ -24,7 +24,10 @@ repeat to the next:
 - ``census``: the whole census over the built cell table (it finds the
   trails and configurations again);
 - ``evaluate_constraints``: the 21 rows on the census counts;
-- ``verify_numeric``: the edge certificate over the built cell table.
+- ``verify_numeric``: the edge certificate over the built cell table;
+- ``as_dict``: the JSON writes of the ``ConstraintReport`` and, when the
+  drawing is 3-saturated, of the ``NumericReport``, both by the one report
+  rule (``drawing.Report.as_dict``).
 
 Then ``cli.main`` runs each verdict command once per repeat on a file of
 the input, every stage included.  Each figure is the minimum over the
@@ -60,7 +63,7 @@ from workloads import (CERTIFY_FIG2, CERTIFY_FIG3, CERTIFY_RANDOM_SEEDS,  # noqa
                        RANDOM_BUDGET, RANDOM_N, _VERDICT_ARGV as COMMANDS)
 
 STAGES = ("json.loads", "parse_tdr", "validate", "_classified", "is_3saturated", "_trails",
-          "detect_configurations", "census", "evaluate_constraints", "verify_numeric")
+          "detect_configurations", "census", "evaluate_constraints", "verify_numeric", "as_dict")
 
 
 def inputs() -> List[Tuple[str, str]]:
@@ -100,9 +103,12 @@ def _stages(text: str) -> Dict[str, float]:
     trails, ms["_trails"] = _ms(_trails, d)
     _, ms["detect_configurations"] = _ms(detect_configurations, d, trails)
     rep, ms["census"] = _ms(census, d)
-    _, ms["evaluate_constraints"] = _ms(evaluate_constraints, rep.counts, saturated=rep.saturated)
+    creport, ms["evaluate_constraints"] = _ms(evaluate_constraints, rep.counts, saturated=rep.saturated)
+    reports = [creport]
     if rep.saturated:
-        _, ms["verify_numeric"] = _ms(verify_numeric, d, builtin_certificate("edges"))
+        numeric, ms["verify_numeric"] = _ms(verify_numeric, d, builtin_certificate("edges"))
+        reports.append(numeric)
+    _, ms["as_dict"] = _ms(lambda: [r.as_dict() for r in reports])
     return ms
 
 
