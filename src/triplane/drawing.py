@@ -246,8 +246,6 @@ class Report:
     as lists, nested reports as objects and every ``Fraction`` as ``"p/q"``.
     """
 
-    __slots__ = ()
-
     def as_dict(self) -> dict:
         return {"pass" if k == "passed" else k: _wire(getattr(self, k)) for k in self.__dataclass_fields__}
 
