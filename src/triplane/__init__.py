@@ -10,8 +10,7 @@ and verifies the exact LP certificates behind the bounds
 """
 
 from .census import (CensusError, CensusReport, Configuration, Trail,
-                     WitnessError, census, cells, classify_cell,
-                     extract_trails, is_3saturated)
+                     WitnessError, census, extract_trails, is_3saturated)
 from .certificate import (Certificate, CertificateError, builtin_certificate,
                           verify_numeric, verify_symbolic)
 from .combmap import CombMap, MapError
@@ -33,9 +32,9 @@ __all__ = [
     "ConstraintReport", "Drawing", "EdgeRecord", "GenerationError",
     "GeometricScene", "MapError", "ROWS", "SaturateError", "SceneError",
     "TDRError", "Trail", "WitnessError", "build_random_scene",
-    "builtin_certificate", "census", "cells", "classify_cell",
-    "density_residual", "evaluate_constraints", "extract_trails",
-    "gen_basic", "gen_fig2", "gen_fig3", "ingest_geometry", "is_3saturated",
-    "parse_scene", "parse_tdr", "random_drawing", "saturate", "serialize_scene",
-    "serialize_tdr", "stats", "validate", "verify_numeric", "verify_symbolic",
+    "builtin_certificate", "census", "density_residual",
+    "evaluate_constraints", "extract_trails", "gen_basic", "gen_fig2",
+    "gen_fig3", "ingest_geometry", "is_3saturated", "parse_scene", "parse_tdr",
+    "random_drawing", "saturate", "serialize_scene", "serialize_tdr", "stats",
+    "validate", "verify_numeric", "verify_symbolic",
 ]

@@ -13,6 +13,9 @@ records, and counts on numbers: cells by their index in ``walks()``, darts
 by number.  It reads the other edge at a crossing off the rotation, so it
 needs alternating crossings; ``census`` and ``extract_trails`` refuse a
 drawing that ``validate`` fails with ``CensusError``, naming the failing checks.
+Past that it trusts the cell table ``_classified`` builds: a cell's type fixes
+its walk's length and which darts leave a vertex.  Every trail's walls are the
+other edges at the two crossings of the segment it was found from.
 Cell ids (``"c{k}"``) and ``(edge, seg)`` names are written only when a
 report's cells, trails or configurations are first read.
 """
@@ -26,7 +29,7 @@ from itertools import compress, count
 from operator import itemgetter
 from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .combmap import CombMap, Dart
+from .combmap import Dart
 from .drawing import Drawing, Segment, stats
 
 CELL_COUNT_KEYS = ("XTRI", "XQUAD", "VTRI", "VQUAD", "XPENT", "VVTRI", "KITE", "LARGE", "OTHER")
@@ -109,7 +112,9 @@ def _classified(drawing: Drawing) -> _Cells:
 
 
 def cells(drawing: Drawing) -> Tuple[CellRecord, ...]:
-    """All cells, ids assigned in sorted order of their canonical walks: the named view of the cell table."""
+    """All cells, ids assigned in sorted order of their canonical walks: the named view of the cell table.
+
+    Of any drawing, valid or not: ``census()`` is the verdict that refuses an invalid one."""
     cmap, table = drawing.planarize(), _classified(drawing)
     return tuple([CellRecord(f"c{k}", walk, size, v, size - 2 * v, size - v, len({cmap.tail[i] for i in ds}) < len(ds))
                   for k, (walk, ds, size, v) in enumerate(zip(cmap.faces(), cmap.walks(), table.sizes,
@@ -117,7 +122,9 @@ def cells(drawing: Drawing) -> Tuple[CellRecord, ...]:
 
 
 def classify_cell(drawing: Drawing, record: CellRecord) -> str:
-    """One of XTRI, XQUAD, VTRI, VQUAD, XPENT, VVTRI, KITE, LARGE, OTHER: the cell table's type of ``record``."""
+    """One of XTRI, XQUAD, VTRI, VQUAD, XPENT, VVTRI, KITE, LARGE, OTHER: the cell table's type of ``record``.
+
+    Of any drawing, valid or not: ``census()`` is the verdict that refuses an invalid one."""
     return _classified(drawing).kinds[int(record.cell_id[1:])]
 
 
@@ -210,82 +217,55 @@ class Trail(NamedTuple):
 NumberedTrail = Tuple[List[int], List[int], Tuple[str, str], Tuple[str, str]]
 
 
-def _walls(cmap: CombMap, interior: Sequence[int], start: int) -> Tuple[str, str]:
-    """The two edges crossing every segment of a marched trail's interior at its ends, sorted.
-
-    Each segment is given by its ``"bwd"`` dart ``b``, which leaves the
-    segment's last crossing; ``b + 1`` leaves its first; the next dart round
-    each is the other edge's.  ``start`` is the segment the trail was found
-    from, named if the walls fail.
-    """
-    succ, decode = cmap.succ, cmap.decode
-    sides = [(decode[succ[b + 1]][0], decode[succ[b]][0]) for b in interior]
-    good = sorted(set(sides[0]).intersection(*sides[1:]))
-    if len(good) != 2:
-        raise CensusError(f"trail through {decode[start][:2]} has no well-defined bounding edges")
-    return good[0], good[1]
-
-
 def _trails(drawing: Drawing) -> List[NumberedTrail]:
     """The trails of the drawing on numbers, refusing an invalid one; their interiors partition the inner segments.
 
     An inner segment, one whose two ends are crossings, with no XQUAD on
     either side is a whole 2-cell trail, read off the cells of its two
-    darts, its walls the other edges at its two crossings (see ``_walls``);
-    only corridors through XQUADs march.
+    darts; only corridors through XQUADs march, leaving each XQUAD (four
+    darts, no vertex) through the side opposite its entry, an inner segment.
+    Every trail's walls are the other edges at the two crossings of the segment
+    ``b`` it was found from, the next darts round from ``b + 1`` and ``b``.  An
+    XQUAD's wall sides run along the same two edges at both its crossing sides,
+    so every interior segment has these walls; and they differ, as one edge on
+    both would cross the corridor at an XQUAD's four corners.
     """
     drawing._validation().refuse_invalid(CensusError)
-    _, _, at, kinds = _classified(drawing)
+    kinds = _classified(drawing).kinds
     cmap = drawing.planarize()
-    walks, cell_of = cmap.walks(), cmap.face_of()
-    succ, decode = cmap.succ, cmap.decode
+    walks, cell_of, succ, decode = cmap.walks(), cmap.face_of(), cmap.succ, cmap.decode
     inner = cmap.inner_segments()
-    limit = len(inner) + 2
 
-    visited = set()
-    trails = []
+    visited, trails = set(), []
     for b in inner:  # each inner segment's "bwd" dart, in segment order
         if b in visited:
             continue
         first, last = cell_of[b + 1], cell_of[b]
-        t0, t1 = kinds[first], kinds[last]
-        if t0 != "XQUAD" and t1 != "XQUAD":
+        w1, w2 = decode[succ[b + 1]][0], decode[succ[b]][0]
+        if kinds[first] != "XQUAD" and kinds[last] != "XQUAD":
             ks, interior = [first, last], [b]
-            w1, w2 = decode[succ[b + 1]][0], decode[succ[b]][0]
-            walls = (w1, w2) if w1 <= w2 else (w2, w1)
         else:
-            # March away from each side of b to the first non-XQUAD: the
-            # cells met, and each inner segment crossed as its "bwd" dart.
-            halves = []
+            # March from b + 1's side to the first non-XQUAD, then, reversed, from b's: the cells met and
+            # each segment crossed as its "bwd" dart; a repeated segment needs a forged cell table.
+            ks, interior = [], [b]
             for entry in (b + 1, b):
+                ks.reverse()
+                interior.reverse()
                 cell = cell_of[entry]
-                cells_out, segs_out = [cell], []
+                ks.append(cell)
                 while kinds[cell] == "XQUAD":
-                    if len(segs_out) >= limit:
+                    if len(interior) >= len(inner):
                         raise CensusError("trail corridor does not terminate")
                     walk = walks[cell]
-                    try:
-                        exit_dart = walk[(walk.index(entry) + 2) % 4]
-                    except IndexError:
-                        raise CensusError(f"cell c{cell} is typed XQUAD but has {len(walk)} sides") from None
-                    if at[exit_dart] or at[exit_dart ^ 1]:
-                        raise CensusError("trail corridor exits through outer segment "
-                                          f"{decode[exit_dart][:2]}")
-                    segs_out.append(exit_dart & -2)
+                    exit_dart = walk[(walk.index(entry) + 2) % 4]
+                    interior.append(exit_dart & -2)
                     entry = exit_dart ^ 1
                     cell = cell_of[entry]
-                    cells_out.append(cell)
-                halves.append((cells_out, segs_out))
-            (cells_fwd, segs_fwd), (cells_bwd, segs_bwd) = halves
-            visited.update(segs_fwd)
-            visited.update(segs_bwd)
-            cells_fwd.reverse()
-            segs_fwd.reverse()
-            ks, interior = cells_fwd + cells_bwd, segs_fwd + [b] + segs_bwd
-            t0, t1 = kinds[ks[0]], kinds[ks[-1]]
-            walls = _walls(cmap, interior, b)
+                    ks.append(cell)
+            visited.update(interior)
+        t0, t1 = kinds[ks[0]], kinds[ks[-1]]
         t0, t1 = ("LARGE" if t0 == "KITE" else t0), ("LARGE" if t1 == "KITE" else t1)  # KITE reported as LARGE
-        trails.append((ks, interior, (t0, t1) if t0 <= t1 else (t1, t0), walls))
+        trails.append((ks, interior, (t0, t1) if t0 <= t1 else (t1, t0), (w1, w2) if w1 <= w2 else (w2, w1)))
     return trails
 
 
@@ -358,17 +338,15 @@ def detect_configurations(drawing: Drawing, trails: Sequence[NumberedTrail]) -> 
         if strict:
             raise WitnessError(obj, detail)
 
-    # CFG13 / CFG14: one per VTRI, across the outer sides of its inner segment.
+    # CFG13 / CFG14: one per VTRI, across the outer sides of its inner segment.  A VTRI
+    # has three darts and only one leaves a vertex, so exactly one side joins two crossings.
     for k in compress(count(), map("VTRI".__eq__, kinds)):
-        inner, sides, vv = None, 0, []  # the inner side (both ends crossings); outer darts with a VVTRI across
+        vv = []  # outer darts with a VVTRI across
         for i in walks[k]:
             if not (at[i] or at[i ^ 1]):
-                inner, sides = i, sides + 1
+                inner = i
             elif kinds[cell_of[i ^ 1]] == "VVTRI":
                 vv.append(i)
-        if sides != 1:
-            missing(f"c{k}", "VTRI without a unique inner side")
-            continue
         load = len(edges[decode[inner][0]].crossings)
         if load == 2:
             if len(vv) != 2:
@@ -428,10 +406,7 @@ def detect_configurations(drawing: Drawing, trails: Sequence[NumberedTrail]) -> 
             other = next(k for k in ks if kinds[k] != "VQUAD")
             walk = walks[vq]
             idx = next(n for n, i in enumerate(walk) if i >> 1 == seg)
-            try:
-                far = walk[(idx + 2) % 4]
-            except IndexError:
-                raise CensusError(f"cell c{vq} is typed VQUAD but has {len(walk)} sides") from None
+            far = walk[(idx + 2) % 4]  # a VQUAD's walk has four darts
             z = cell_of[far ^ 1]
             if kinds[z] != "VVTRI":
                 missing(f"c{vq}", f"cell across the far side is {kinds[z]}, not VVTRI")
@@ -442,7 +417,9 @@ def detect_configurations(drawing: Drawing, trails: Sequence[NumberedTrail]) -> 
     # CFG15: saturated XPENTs, one per window of three consecutive uncrossed trails.
     # End incidences: (endpoint cell, the "bwd" dart of its interior segment)
     # -> (other end's type, trail length), for the trails with an XPENT end,
-    # the only ones looked up.
+    # the only ones looked up.  An XPENT has five sides, each an inner segment whose trail
+    # ends here.  The VTRIs across a window's first and third sides carry the middle side's
+    # edge from each of its crossings straight to a vertex: the designated edge is twice-crossed.
     ends: Dict[Tuple[int, int], Tuple[str, int]] = {}
     for ks, interior, pair, _ in trails:
         if "XPENT" in pair:
@@ -450,18 +427,12 @@ def detect_configurations(drawing: Drawing, trails: Sequence[NumberedTrail]) -> 
             ends[ks[-1], interior[-1]] = (kinds[ks[0]], len(ks))
     for k in compress(count(), map("XPENT".__eq__, kinds)):
         walk = walks[k]  # the tail of side i is the corner it shares with side i-1
-        profile = [ends.get((k, i & -2)) for i in walk]  # per side: (other end's type, trail length)
-        if None in profile:
-            raise CensusError(f"no trail ends at cell c{k} through {decode[walk[profile.index(None)]][:2]}")
+        profile = [ends[k, i & -2] for i in walk]  # per side: (other end's type, trail length)
         if not CROSSING_EVEN_TYPES.issuperset([t for t, _ in profile]):
             continue
         uncrossed = [end == ("VTRI", 2) for end in profile]
         cid = f"c{k}"
-        try:
-            windows = [i for i in range(5)
-                       if uncrossed[i] and uncrossed[(i + 1) % 5] and uncrossed[(i + 2) % 5]]
-        except IndexError:
-            raise CensusError(f"cell {cid} is typed XPENT but has {len(walk)} sides") from None
+        windows = [i for i in range(5) if uncrossed[i] and uncrossed[(i + 1) % 5] and uncrossed[(i + 2) % 5]]
         if not windows:
             missing(cid, "saturated XPENT without three consecutive uncrossed trails")
             continue
@@ -474,11 +445,7 @@ def detect_configurations(drawing: Drawing, trails: Sequence[NumberedTrail]) -> 
             if kinds[cb] != "VVTRI":
                 missing(cid, f"opposite quadrant at {tail[walk[jb]]} is not VVTRI")
                 continue
-            mid = decode[walk[ja]][0]
-            if len(edges[mid].crossings) != 2:
-                missing(cid, f"middle side edge {mid} is not twice-crossed")
-                continue
-            found.append(("CFG15", frozenset((k, ca, cb)), (), mid))
+            found.append(("CFG15", frozenset((k, ca, cb)), (), decode[walk[ja]][0]))
 
     unique: Dict[Tuple[str, FrozenSet[int]], NumberedConfiguration] = {}
     for cfg in found:
