@@ -83,6 +83,8 @@ def _cmd_certify(args) -> int:
     if args.symbolic:
         if args.file is not None:
             raise _UsageError("certify --symbolic takes no drawing file")
+        if args.saturate:
+            raise _UsageError("certify --symbolic takes no --saturate")
         residual = verify_symbolic(builtin_certificate(args.target))
         _emit({"target": args.target,
                "residual": {v: frac_to_str(c) for v, c in residual.items()}})

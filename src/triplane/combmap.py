@@ -10,19 +10,19 @@ each of its darts, and the gap in a node's rotation just after
 ``twin(arrival)`` points into the face — that is where ``Rotations.splice``
 puts new darts when an edge is inserted inside a face.
 
-Readers of a finished map (``CombMap``) work on dart numbers: the darts in
-tuple order, so each segment's ``"bwd"`` dart comes just before its
-``"fwd"`` dart, the twin of dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers
-its segment.  This module is the only one that numbers darts; everyone
-else decodes a number through ``CombMap.decode`` or encodes a dart through
-``CombMap.encode``.  Producers that edit a map in place use the tuple-keyed
-``Rotations``.
+Both stores work on dart numbers: the twin of dart ``i`` is ``i ^ 1``, the
+``"bwd"`` one even.  A finished map (``CombMap``) numbers its darts in tuple
+order, so ``i >> 1`` numbers its segment.  Producers that edit a map in
+place use ``Rotations``, built from tuple rotations or copied from a map,
+which numbers each new segment itself.  This module is the only one that
+numbers darts; everyone else decodes a number through ``decode`` or encodes
+a dart through ``CombMap.encode``.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Dart = Tuple[str, int, str]
 
@@ -48,96 +48,118 @@ def smallest_first(darts: Tuple[Dart, ...]) -> Tuple[Dart, ...]:
 
 
 class Rotations:
-    """The dart store of producers: a rotation system, edited in place by those that insert edges.
+    """The dart store of producers: a rotation system on dart numbers, edited in place by those that insert edges.
 
-    ``tail`` maps each dart to its node, ``first`` each node to the first
-    dart given for it (``None`` for a node without darts), and ``succ``
-    each dart to the next dart counterclockwise around its tail, so a
-    face step and a splice cost the same at a node of any degree.  A
-    node's darts enter ``succ`` when the node is added.  A splice never
-    goes before a node's first dart, so ``lists`` gives each rotation
-    from that dart.  A ``Drawing`` built from ``lists`` checks the result.
+    ``decode``, ``tail`` and ``succ`` are as in ``CombMap``, with ``tail[i]``
+    ``None`` until dart ``i`` is listed; ``first`` maps each node to its first
+    dart (``None`` for a node without darts).  The store numbers each new
+    segment's darts itself (``new_segments``), so only a copied map's darts
+    are in tuple order.  A splice never goes before a node's first dart, so
+    ``lists`` gives each rotation from it; a ``Drawing`` built from ``lists``
+    checks the result.
     """
 
-    __slots__ = ("first", "succ", "tail")
+    __slots__ = ("decode", "first", "succ", "tail")
 
     def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
-        self.first, self.succ, self.tail = {}, {}, {}
-        self.update(rotations)
+        """The store of tuple rotations, each segment numbered where one of its darts is first listed."""
+        self.decode, self.first, self.succ, self.tail = [], {}, [], []
+        base: Dict[Tuple[str, int], int] = {}
+        for e, s, r in (d for darts in rotations.values() for d in darts):
+            if r not in DIRS:
+                raise MapError(f"bad direction {r!r}")
+            if (e, s) not in base:
+                base[e, s] = self.new_segments(e, (s,))
+        self.update({node: [base[e, s] + (r == "fwd") for e, s, r in darts] for node, darts in rotations.items()})
 
-    def update(self, rotations: Mapping[str, Sequence[Dart]]) -> None:
-        """Add nodes, each with its whole rotation."""
-        added = {node: tuple(darts) for node, darts in rotations.items()}
-        listed = len(self.tail) + sum(map(len, added.values()))
-        self.tail.update({d: node for node, darts in added.items() for d in darts})
-        if len(self.tail) != listed:
-            raise MapError("a dart is listed more than once")
-        for node, darts in added.items():
+    @classmethod
+    def from_map(cls, cmap: "CombMap") -> "Rotations":
+        """A copy of ``cmap``'s numbered darts and first darts, to edit while ``cmap`` stays as it is."""
+        rot = cls.__new__(cls)
+        rot.decode, rot.first, rot.succ, rot.tail = list(cmap.decode), dict(cmap.first), list(cmap.succ), list(cmap.tail)
+        return rot
+
+    def new_segments(self, edge: str, segs: Iterable[int]) -> int:
+        """Number the darts of ``edge``'s segments ``segs``: the k-th one's ``"bwd"`` dart is the result plus 2k."""
+        b = len(self.decode)
+        for s in segs:
+            self.decode += ((edge, s, "bwd"), (edge, s, "fwd"))
+        self.tail += [None] * (len(self.decode) - b)
+        self.succ += [-1] * (len(self.decode) - b)
+        return b
+
+    def update(self, rotations: Mapping[str, Sequence[int]]) -> None:
+        """Add new nodes, each with its whole rotation of darts not listed yet."""
+        succ, tail = self.succ, self.tail
+        for node, darts in rotations.items():
+            if node in self.first:
+                raise MapError(f"node {node!r} already present")
+            for i, j in zip(darts, [*darts[1:], *darts[:1]]):
+                if tail[i] is not None:
+                    raise MapError("a dart is listed more than once")
+                tail[i], succ[i] = node, j
             self.first[node] = darts[0] if darts else None
-            self.succ.update(zip(darts, darts[1:] + darts[:1]))
 
-    def darts_at(self, node: str) -> Tuple[Dart, ...]:
+    def darts_at(self, node: str) -> Tuple[int, ...]:
         """The counterclockwise darts at ``node`` from its first one; empty for an unknown node."""
-        d0 = self.first.get(node)
-        if d0 is None:
+        i0 = self.first.get(node)
+        if i0 is None:
             return ()
-        out = [d0]
-        d = self.succ[d0]
-        while d != d0:
-            out.append(d)
-            d = self.succ[d]
+        out = [i0]
+        i = self.succ[i0]
+        while i != i0:
+            out.append(i)
+            i = self.succ[i]
         return tuple(out)
 
     @property
     def lists(self) -> Dict[str, Tuple[Dart, ...]]:
-        """Every node's rotation, in the order the nodes were added."""
-        return {node: self.darts_at(node) for node in self.first}
+        """Every node's rotation as darts, in the order the nodes were added."""
+        decode = self.decode.__getitem__
+        return {node: tuple(map(decode, self.darts_at(node))) for node in self.first}
 
-    def next_dart(self, dart: Dart) -> Dart:
+    def next_dart(self, i: int) -> int:
         """Face successor: the rotation successor of the twin."""
-        edge, seg, direction = dart
-        return self.succ[edge, seg, "bwd" if direction == "fwd" else "fwd"]  # twin(dart), inlined in this hot step
+        return self.succ[i ^ 1]
 
-    def walk(self, dart: Dart) -> Tuple[Dart, ...]:
-        """The face walk that starts at ``dart``."""
+    def walk(self, i: int) -> Tuple[int, ...]:
+        """The face walk that starts at dart ``i``."""
         succ = self.succ
-        out = [dart]
-        e, s, r = dart
-        d = succ[e, s, "bwd" if r == "fwd" else "fwd"]  # next_dart, inlined in this hot loop
-        while d != dart:
-            out.append(d)
-            e, s, r = d
-            d = succ[e, s, "bwd" if r == "fwd" else "fwd"]
+        out = [i]
+        j = succ[i ^ 1]  # next_dart, inlined in this hot loop
+        while j != i:
+            out.append(j)
+            j = succ[j ^ 1]
         return tuple(out)
 
-    def splice(self, arrival: Dart, darts: Sequence[Dart]) -> None:
-        """Insert ``darts`` in order just after ``twin(arrival)``, inside the face ``arrival`` walks."""
-        t = twin(arrival)
+    def splice(self, arrival: int, darts: Sequence[int]) -> None:
+        """Insert ``darts``, not listed yet, in order just after the twin of ``arrival``, inside the face it walks."""
         succ, tail = self.succ, self.tail
+        t = arrival ^ 1
         after = succ[t]
         node = tail[t]
-        for d in darts:
-            if d in tail:
+        for i in darts:
+            if tail[i] is not None:
                 raise MapError("a dart is listed more than once")
-            tail[d] = node
-            succ[t] = d
-            t = d
+            tail[i] = node
+            succ[t] = i
+            t = i
         succ[t] = after
 
 
 class CombMap:
     """An embedded multigraph: one checked rotation system, its darts numbered densely in tuple order.
 
-    ``decode[i]`` is dart ``i``, ``tail[i]`` the node it leaves and
-    ``succ[i]`` the next dart counterclockwise around that node; all three
-    are filled by the pass that numbers and checks the darts.  The twin of
-    dart ``i`` is ``i ^ 1`` and ``i >> 1`` numbers its segment.  Edge
-    ``e``'s darts are numbered from ``base[e]``, the edges in sorted id
-    order: ``(e, s, "bwd")`` is ``base[e] + 2s`` and ``(e, s, "fwd")`` is
-    ``base[e] + 2s + 1``.  ``__init__`` is the only code that numbers darts.
+    ``decode[i]`` is dart ``i``, ``tail[i]`` the node it leaves, ``succ[i]``
+    the next dart counterclockwise around that node and ``first`` each node's
+    first dart (``None`` if it has none), all filled by the pass that numbers
+    and checks the darts.  The twin of dart ``i`` is ``i ^ 1`` and ``i >> 1``
+    numbers its segment.  Edge ``e``'s darts are numbered from ``base[e]``,
+    the edges in sorted id order: ``(e, s, "bwd")`` is ``base[e] + 2s`` and
+    ``(e, s, "fwd")`` is ``base[e] + 2s + 1``.
     """
 
-    __slots__ = ("rotations", "tail", "succ", "decode", "_base", "_walks", "_face_of")
+    __slots__ = ("rotations", "tail", "succ", "decode", "first", "_base", "_walks", "_face_of")
 
     def __init__(self, rotations: Mapping[str, Sequence], paths: Mapping[str, Sequence[str]], nodes: frozenset):
         """Number and check the rotations of a map whose edge ``e`` runs along the nodes ``paths[e]``.
@@ -162,6 +184,7 @@ class CombMap:
         decode: List[Optional[Dart]] = [None] * n
         succ = [0] * (n + 1)  # slot n holds each rotation's first dart until its last one is seen
         rot: Dict[str, Tuple[Dart, ...]] = {}
+        first: Dict[str, Optional[int]] = {}
         misplaced = False
         for node, listed in rotations.items():
             if node not in nodes:
@@ -199,6 +222,7 @@ class CombMap:
                 out.append(d)
             succ[prev] = succ[n]  # the last dart closes the cycle; a no-op for an empty rotation
             rot[node] = tuple(out)
+            first[node] = succ[n] if out else None
         succ.pop()
         if len(rot) != len(nodes):
             raise MapError("rotations must cover exactly the vertices and crossings; missing: "
@@ -212,7 +236,7 @@ class CombMap:
                         if tail[j] != t:
                             raise MapError(f"dart {d!r} missing from rotations" if tail[j] is None
                                            else f"dart {d!r} listed at {tail[j]!r} but its tail is {t!r}")
-        self.rotations, self.tail, self.succ, self.decode, self._base = rot, tail, succ, decode, base
+        self.rotations, self.tail, self.succ, self.decode, self.first, self._base = rot, tail, succ, decode, first, base
         self._walks = None
 
     def encode(self, dart) -> int:
@@ -314,13 +338,12 @@ class CombMap:
         paths = {e: pts for e, (_, _, pts) in self._base.items()}
         if edge_id in paths:
             raise MapError(f"edge id {edge_id!r} already present")
-        rot = Rotations(self.rotations)
-        walk = tuple(face)
         try:
-            known = bool(walk) and all(d in rot.tail for d in walk)
-        except TypeError:  # an unhashable entry is not a dart
-            known = False
-        if not known or any(rot.next_dart(walk[i - 1]) != walk[i] for i in range(len(walk))):
+            walk = [self.encode(d) for d in face]
+        except KeyError:
+            walk = []
+        rot = Rotations.from_map(self)
+        if not walk or any(rot.next_dart(walk[i - 1]) != walk[i] for i in range(len(walk))):
             raise MapError("not a face walk of this map")
         for k in (occurrence_u, occurrence_v):
             if type(k) is not int or not 0 <= k < len(walk):
@@ -329,7 +352,8 @@ class CombMap:
         v = rot.tail[walk[occurrence_v]]
         if u == v:
             raise MapError(f"occurrences are incidences of the same node {u!r}")
-        rot.splice(walk[occurrence_u - 1], [(edge_id, 0, "fwd")])
-        rot.splice(walk[occurrence_v - 1], [(edge_id, 0, "bwd")])
+        bwd = rot.new_segments(edge_id, (0,))
+        rot.splice(walk[occurrence_u - 1], [bwd + 1])
+        rot.splice(walk[occurrence_v - 1], [bwd])
         paths[edge_id] = (u, v)
         return CombMap(rot.lists, paths, frozenset(self.rotations))

@@ -236,13 +236,13 @@ def add_chords_in_face(
     """Insert straight chords into the face whose walk visits ``cycle``.
 
     Edits ``rot`` and ``edges`` (edge id -> record) in place.  ``cycle``
-    lists the face's vertices in walk order; of several such walks, the
-    one whose face has the smallest dart wins, then the one starting
-    nearest it.  Chords are (i, j) index pairs into the cycle, i < j,
-    non-adjacent.  New edges are named ``{edge_prefix}{k}`` in chord order
-    and new crossings ``{crossing_prefix}{k}`` ordered by model position.
-    The exact model depends only on the cycle length and the chords, so
-    faces with the same pattern share one ``_chord_model``, renamed here.
+    lists the face's vertices in walk order; of several such walks, the one
+    whose face has the smallest dart (in tuple order) wins, then the one
+    starting nearest it.  Chords are (i, j) index pairs into the cycle, i < j,
+    non-adjacent.  New edges are named ``{edge_prefix}{k}`` in chord order and
+    new crossings ``{crossing_prefix}{k}`` ordered by model position.  The
+    exact model depends only on the cycle length and the chords, so faces with
+    the same pattern share one ``_chord_model``, renamed here into numbers.
     """
     m = len(cycle)
     for i, j in chords:
@@ -254,8 +254,8 @@ def add_chords_in_face(
     for d in rot.darts_at(cycle[0]) if m else ():
         walk = rot.walk(d)
         if len(walk) == m and all(rot.tail[w] == c for w, c in zip(walk, cycle)):
-            first = walk.index(min(walk))
-            found.append((walk[first], -first % m, walk))
+            first = walk.index(min(walk, key=rot.decode.__getitem__))
+            found.append((rot.decode[walk[first]], -first % m, walk))
     if not found:
         raise GenerationError(
             f"no face with boundary cycle {list(cycle)} (is it in walk order?)")
@@ -275,8 +275,10 @@ def add_chords_in_face(
         if x in rot.first:
             raise GenerationError(f"crossing id {x!r} already used")
 
-    def named(darts: Tuple[_ChordDart, ...]) -> List[Dart]:
-        return [(eid[k], seg, direction) for k, seg, direction in darts]
+    base = [rot.new_segments(e, range(len(on) + 1)) for e, on in zip(eid, along)]  # one base number per chord
+
+    def named(darts: Tuple[_ChordDart, ...]) -> List[int]:
+        return [base[k] + 2 * seg + (direction == "fwd") for k, seg, direction in darts]
 
     for e, (i, j), on in zip(eid, pattern, along):
         edges[e] = EdgeRecord(e, (cycle[i], cycle[j]), tuple(xid[n] for n in on))

@@ -8,7 +8,7 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .census import _cell_witness, _first_unjoined, _witnesses, filled_witness, is_3saturated  # noqa: F401 re-exported
-from .combmap import Dart, Rotations, twin
+from .combmap import Dart, Rotations
 from .drawing import Drawing, EdgeRecord
 
 
@@ -19,22 +19,23 @@ class SaturateError(ValueError):
 class _Face:
     """A face not filled yet, kept up to date by taking away each part split off it.
 
-    ``darts`` holds the face's darts and ``heap`` holds them too, with the
-    darts that left popped only when they reach the top, so ``key`` (the
-    smallest dart) needs no scan of the face.  ``into`` maps each vertex on
-    the face to the face's darts that arrive there, ``verts`` lists those
-    vertices sorted, and ``joined`` counts the face's darts per vertex pair
-    they join: a segment whose ends are both vertices is a whole uncrossed
+    ``darts`` holds the face's dart numbers and ``heap`` holds them after their
+    tuples, with the darts that left popped only when they reach the top, so
+    ``key`` (the smallest dart) needs no scan of the face.  ``into`` maps each
+    vertex on the face to the face's darts that arrive there, ``verts`` lists
+    those vertices sorted, and ``joined`` counts the face's darts per vertex
+    pair they join: a segment whose ends are both vertices is a whole uncrossed
     edge, so these are the pairs ``_cell_witness`` reads off the walk.
     """
 
     __slots__ = ("darts", "heap", "into", "joined", "verts")
 
-    def __init__(self, walk: Sequence[Dart], tail: Dict[Dart, str], vertices: FrozenSet[str]):
+    def __init__(self, walk: Sequence[int], rot: Rotations, vertices: FrozenSet[str]):
+        tail, decode = rot.tail, rot.decode
         self.darts = set(walk)
-        self.heap = list(walk)
+        self.heap = [(decode[i], i) for i in walk]
         heapify(self.heap)
-        self.into: Dict[str, Set[Dart]] = defaultdict(set)
+        self.into: Dict[str, Set[int]] = defaultdict(set)
         self.joined: Dict[Tuple[str, str], int] = {}
         into, joined = self.into, self.joined
         p, a = walk[-1], tail[walk[-1]]
@@ -48,13 +49,13 @@ class _Face:
             p, a = d, b
         self.verts = sorted(into)
 
-    def key(self) -> Dart:
+    def key(self) -> int:
         heap = self.heap
-        while heap[0] not in self.darts:
+        while heap[0][1] not in self.darts:
             heappop(heap)
-        return heap[0]
+        return heap[0][1]
 
-    def arrival(self, w: str, key: Dart, rot: Rotations) -> Dart:
+    def arrival(self, w: str, key: int, rot: Rotations) -> int:
         """The dart arriving at the first occurrence of vertex ``w`` on the walk from ``key``."""
         into = self.into[w]
         if len(into) == 1:
@@ -66,7 +67,7 @@ class _Face:
             d = rot.next_dart(d)
         return d
 
-    def split_off(self, part: Sequence[Dart], tails: Sequence[str], vertices: FrozenSet[str]) -> None:
+    def split_off(self, part: Sequence[int], tails: Sequence[str], rot: Rotations, vertices: FrozenSet[str]) -> None:
         """Take away ``part`` and keep the twin of its first dart, in one pass over ``part``.
 
         ``part`` is a split-off walk, a new dart followed by old darts of
@@ -77,9 +78,9 @@ class _Face:
         after it.
         """
         darts, into, joined, verts = self.darts, self.into, self.joined, self.verts
-        kept, b, a = twin(part[0]), tails[0], tails[1]  # kept runs from a to b
+        kept, b, a = part[0] ^ 1, tails[0], tails[1]  # kept runs from a to b
         darts.add(kept)
-        heappush(self.heap, kept)
+        heappush(self.heap, (rot.decode[kept], kept))
         into[b].add(kept)
         pair = (a, b) if a < b else (b, a)
         joined[pair] = joined.get(pair, 0) + 1
@@ -102,7 +103,7 @@ class _Face:
             b = a
 
 
-def _smaller_side(rot: Rotations, a: Dart, b: Dart) -> List[Dart]:
+def _smaller_side(rot: Rotations, a: int, b: int) -> List[int]:
     """The face walk from ``a`` or from ``b``, whichever closes first when both are stepped in turn."""
     sides = ([a], [b])
     while True:
@@ -123,10 +124,11 @@ def saturate(drawing: Drawing) -> Drawing:
     routed through that cell, spliced at the first boundary occurrences of u
     and v by ``Rotations.splice``, the splice ``CombMap.insert_edge_in_face``
     also uses.  Such an edge splits that one cell in two and changes no other
-    cell, crossing or rotation, so the map is updated in place and only the
-    two new cells are examined.  It makes no loop, since a witness has
-    u < v, and no two-segment lens: the other side would be an uncrossed
-    u-v edge on the split cell, and that edge would have joined u and v.
+    cell, crossing or rotation, so a copy of the input's numbered map is
+    updated in place and only the two new cells are examined.  It makes no
+    loop, since a witness has u < v, and no two-segment lens: the other side
+    would be an uncrossed u-v edge on the split cell, and that edge would
+    have joined u and v.
 
     The two new cells are walked in turn until one closes, so only the
     smaller one is enumerated and gets its witness from its walk.  The
@@ -148,18 +150,17 @@ def saturate(drawing: Drawing) -> Drawing:
     nodes = len(drawing.vertices) + len(drawing.crossings)
     cap = max(0, 3 * nodes - 6 - cmap.num_segments()) + 1
 
-    rot = Rotations(drawing.rotations)  # edited in place; the drawing's own tables stay as they are
+    rot = Rotations.from_map(cmap)  # edited in place; the drawing's own map stays as it is
     vertices = drawing._vertex_set
-    # Every face is keyed by its smallest dart, and its index in the sorted
-    # ``keys`` is the ``c{i}`` id that ``cells`` gives it.  ``pending`` maps
-    # the key of each face that is not filled yet to its ``_Face``, built
-    # when ``_witnesses`` or a split finds the face, and its witness; filled
-    # faces are never split again, so only their keys are kept.
-    walks, decode = cmap.walks(), cmap.decode
+    # Every face is keyed by its smallest dart, a tuple, and its index in the
+    # sorted ``keys`` is the ``c{i}`` id that ``cells`` gives it.  ``pending``
+    # maps the key of each face that is not filled yet to its ``_Face``, built
+    # when ``_witnesses`` or a split finds the face, the key's number and its
+    # witness; filled faces are never split again, so only their keys are kept.
+    walks, decode = cmap.walks(), rot.decode
     keys = [decode[walk[0]] for walk in walks]
-    pending: Dict[Dart, Tuple[_Face, Tuple[str, str]]] = {
-        keys[k]: (_Face([decode[i] for i in walks[k]], rot.tail, vertices), witness)
-        for k, witness in _witnesses(drawing)}
+    pending: Dict[Dart, Tuple[_Face, int, Tuple[str, str]]] = {
+        keys[k]: (_Face(walks[k], rot, vertices), walks[k][0], witness) for k, witness in _witnesses(drawing)}
 
     edges = list(drawing.edges.values())
     fresh = 0
@@ -169,8 +170,8 @@ def saturate(drawing: Drawing) -> Drawing:
         # the first pending cell in id order, as ``_witnesses`` scans them
         key = next(iter(pending)) if len(pending) == 1 else min(pending, key=lambda k: str(bisect_left(keys, k)))
         del keys[bisect_left(keys, key)]
-        face, (u, v) = pending.pop(key)
-        arrive_u, arrive_v = face.arrival(u, key, rot), face.arrival(v, key, rot)
+        face, start, (u, v) = pending.pop(key)
+        arrive_u, arrive_v = face.arrival(u, start, rot), face.arrival(v, start, rot)
 
         new_id = f"s{fresh}"
         while new_id in drawing.edges:
@@ -178,23 +179,23 @@ def saturate(drawing: Drawing) -> Drawing:
             new_id = f"s{fresh}"
         fresh += 1
         edges.append(EdgeRecord(new_id, (u, v), ()))
-        fwd, bwd = (new_id, 0, "fwd"), (new_id, 0, "bwd")
-        rot.splice(arrive_u, [fwd])
+        bwd = rot.new_segments(new_id, (0,))
+        rot.splice(arrive_u, [bwd + 1])
         rot.splice(arrive_v, [bwd])
 
-        small = _smaller_side(rot, fwd, bwd)
-        tails = [rot.tail[d] for d in small]
-        face.split_off(small, tails, vertices)
-        small_key = min(small)
-        insort(keys, small_key)
+        small = _smaller_side(rot, bwd + 1, bwd)
+        tails = [rot.tail[i] for i in small]
+        face.split_off(small, tails, rot, vertices)
+        start = min(small, key=decode.__getitem__)
+        insort(keys, decode[start])
         witness = _cell_witness(tails, vertices)
         if witness is not None:
-            pending[small_key] = (_Face(small, rot.tail, vertices), witness)
-        key = face.key()
-        insort(keys, key)
+            pending[decode[start]] = (_Face(small, rot, vertices), start, witness)
+        start = face.key()
+        insort(keys, decode[start])
         witness = _first_unjoined(face.verts, face.joined)
         if witness is not None:
-            pending[key] = (face, witness)
+            pending[decode[start]] = (face, start, witness)
     else:
         raise SaturateError("saturation did not terminate within the edge-count bound")
 

@@ -306,9 +306,10 @@ def _with_pendant(drawing, k):
     cmap = drawing.planarize()
     walk = cmap.walks()[k]
     j = next(j for j, i in enumerate(walk) if cmap.tail[i] in drawing.vertices)
-    rot = Rotations(drawing.rotations)
-    rot.splice(cmap.decode[walk[j - 1]], [("~", 0, "fwd")])
-    rot.update({"~v": (("~", 0, "bwd"),)})
+    rot = Rotations.from_map(cmap)
+    bwd = rot.new_segments("~", (0,))
+    rot.splice(walk[j - 1], [bwd + 1])
+    rot.update({"~v": (bwd,)})
     edges = [*drawing.edges.values(), EdgeRecord("~", (cmap.tail[walk[j]], "~v"), ())]
     out = Drawing((*drawing.vertices, "~v"), edges, rot.lists)
     assert validate(out).valid and not is_3saturated(out)

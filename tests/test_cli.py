@@ -383,7 +383,8 @@ def test_certify_refuses_tiny_drawing_without_saturation_advice(capsys, tmp_path
 @pytest.mark.parametrize("with_file,flags,message", [
     (True, ["--symbolic"], "certify --symbolic takes no drawing file"),
     (False, [], "certify needs a drawing file (or --symbolic)"),
-], ids=["symbolic-with-file", "no-file"])
+    (False, ["--symbolic", "--saturate"], "certify --symbolic takes no --saturate"),
+], ids=["symbolic-with-file", "no-file", "symbolic-saturate"])
 def test_certify_usage_errors(capsys, fig3_file, with_file, flags, message):
     files = [fig3_file] if with_file else []
     assert run(capsys, "certify", *flags, *files, "--target", "edges") == (2, "", message + "\n")

@@ -3,9 +3,10 @@ import pytest
 from triplane.census import cells
 from triplane.combmap import CombMap, MapError, Rotations, twin
 from triplane.drawing import Drawing, EdgeRecord, TDRError
+from triplane.generators import random_drawing
 from triplane.saturate import filled_witness
 
-from test_acceptance import corpus_drawing
+from test_acceptance import BASIC_VALID, corpus_drawing
 
 SQUARE_VERTICES = ["p0", "p1", "p2", "p3"]
 SQUARE_EDGES = [EdgeRecord(f"s{i}", (f"p{i}", f"p{(i + 1) % 4}"), ()) for i in range(4)]
@@ -126,48 +127,96 @@ def test_insert_diagonal_in_square():
     assert other in m2.faces()
 
 
+def _numbers(rot):
+    """Each dart of the store by its tuple, to reach a named dart's number."""
+    return {d: i for i, d in enumerate(rot.decode)}
+
+
 def test_rotations_walks_match_combmap_faces_after_splice():
-    rot = Rotations(square_map().rotations)
-    face = rot.walk(("s0", 0, "fwd"))
-    assert [rot.tail[d] for d in face] == ["p0", "p1", "p2", "p3"]
+    m = square_map()
+    rot = Rotations.from_map(m)
+    decoded = lambda walk: tuple(rot.decode[i] for i in walk)  # noqa: E731
+    face = rot.walk(m.encode(("s0", 0, "fwd")))
+    assert [rot.tail[i] for i in face] == ["p0", "p1", "p2", "p3"]
     # a chord p0-p2 inside that face: each end goes in after the dart arriving there
-    fwd, bwd = ("d0", 0, "fwd"), ("d0", 0, "bwd")
+    bwd = rot.new_segments("d0", (0,))
+    fwd = bwd + 1
+    assert (rot.decode[fwd], rot.decode[bwd]) == (("d0", 0, "fwd"), ("d0", 0, "bwd"))
     rot.splice(face[3], [fwd])
     rot.splice(face[1], [bwd])
     assert rot.tail[fwd] == "p0" and rot.tail[bwd] == "p2"
-    split = {rot.walk(fwd), rot.walk(bwd)}
-    assert split == {(fwd, ("s2", 0, "fwd"), ("s3", 0, "fwd")),
-                     (bwd, ("s0", 0, "fwd"), ("s1", 0, "fwd"))}
+    split = {decoded(rot.walk(fwd)), decoded(rot.walk(bwd))}
+    assert split == {(("d0", 0, "fwd"), ("s2", 0, "fwd"), ("s3", 0, "fwd")),
+                     (("d0", 0, "bwd"), ("s0", 0, "fwd"), ("s1", 0, "fwd"))}
     chord = EdgeRecord("d0", ("p0", "p2"), ())
     faces = Drawing(SQUARE_VERTICES, SQUARE_EDGES + [chord], rot.lists).planarize().faces()
     assert len(faces) == 3
-    assert all(rot.walk(w[0]) == w for w in faces)
+    number = _numbers(rot)
+    assert all(decoded(rot.walk(number[w[0]])) == w for w in faces)
     assert split < set(faces)  # "d0" sorts first, so both new faces start at a d0 dart
 
 
 def test_rotations_lists_keep_each_first_dart_and_refuse_repeated_darts():
     square_rotations = square_map().rotations
     rot = Rotations(square_rotations)
-    rot.splice(("s3", 0, "fwd"), [("d0", 0, "fwd"), ("d1", 0, "fwd")])
+    number = _numbers(rot)
+    d0, d1 = rot.new_segments("d0", (0,)), rot.new_segments("d1", (0,))
+    rot.splice(number["s3", 0, "fwd"], [d0 + 1, d1 + 1])
     assert rot.lists == {**square_rotations, "p0": (("s0", 0, "fwd"), ("s3", 0, "bwd"),
                                                     ("d0", 0, "fwd"), ("d1", 0, "fwd"))}
     assert rot.darts_at("p9") == ()
     with pytest.raises(MapError):
-        rot.splice(("s0", 0, "fwd"), [("d0", 0, "fwd")])
+        rot.splice(number["s0", 0, "fwd"], [d0 + 1])
+    with pytest.raises(MapError):
+        rot.update({"q": (d1 + 1,)})
     with pytest.raises(MapError):
         Rotations({"a": [("e0", 0, "fwd"), ("e0", 0, "fwd")]})
+
+
+def test_rotations_refuse_a_node_already_present():
+    rot = Rotations(square_map().rotations)
+    bwd = rot.new_segments("d0", (0,))
+    with pytest.raises(MapError, match="'p0' already present"):
+        rot.update({"p0": (bwd,)})
+    with pytest.raises(MapError, match="'p0' already present"):
+        Rotations.from_map(square_map()).update({"p0": ()})
 
 
 def test_rotations_built_from_a_map_are_independent():
     # What ``saturate`` relies on: splicing its own store leaves the map it read alone.
     m = square_map()
-    before, faces = dict(m.rotations), m.faces()
-    other = Rotations(m.rotations)
+    before, faces, succ = dict(m.rotations), m.faces(), list(m.succ)
+    other = Rotations.from_map(m)
     assert other.lists == before
-    other.splice(("s0", 0, "fwd"), [("d0", 0, "fwd")])
-    assert m.rotations == before and m.faces() == faces
+    other.splice(m.encode(("s0", 0, "fwd")), [other.new_segments("d0", (0,)) + 1])
+    assert m.rotations == before and m.faces() == faces and m.succ == succ
     assert Drawing(SQUARE_VERTICES, SQUARE_EDGES, m.rotations).planarize().faces() == faces
-    assert other.darts_at("p1") == (("s1", 0, "fwd"), ("s0", 0, "bwd"), ("d0", 0, "fwd"))
+    assert [other.decode[i] for i in other.darts_at("p1")] == [("s1", 0, "fwd"), ("s0", 0, "bwd"), ("d0", 0, "fwd")]
+
+
+STORE_DRAWINGS = ([f"fig3-L{L}" for L in (1, 2, 3)] + [f"fig2-R{R}" for R in (1, 2)]
+                  + [f"basic-{name}" for name in BASIC_VALID] + [f"random-s{s}" for s in range(10)])
+
+
+def store_drawing(name):
+    kind, _, arg = name.partition("-")
+    return random_drawing(10, 30, int(arg[1:])) if kind == "random" else corpus_drawing(name)
+
+
+@pytest.mark.parametrize("name", STORE_DRAWINGS)
+def test_rotations_lists_give_back_the_rotations_they_are_built_from(name):
+    d = store_drawing(name)
+    assert Rotations(d.rotations).lists == d.rotations
+    assert Rotations.from_map(d.planarize()).lists == d.rotations
+
+
+@pytest.mark.parametrize("name", STORE_DRAWINGS)
+def test_rotations_copied_from_a_map_walk_its_faces_on_its_numbers(name):
+    cmap = store_drawing(name).planarize()
+    rot = Rotations.from_map(cmap)
+    assert all(rot.walk(walk[0]) == walk for walk in cmap.walks())
+    assert sum(map(len, cmap.walks())) == len(rot.succ)
+    assert rot.first == {node: (cmap.encode(darts[0]) if darts else None) for node, darts in cmap.rotations.items()}
 
 
 def test_insert_parallel_edge_in_k2():

@@ -84,6 +84,24 @@ def numbering_lapses(path):
 
 def test_census_and_saturate_stay_on_numbers():
     # After the planarization the census and the filledness check read cell
-    # and dart numbers; ids and tuples are written only for their results.
-    assert [f for path in SOURCES if path.name in ("census.py", "saturate.py")
+    # and dart numbers, and the producers edit ``Rotations`` on dart numbers;
+    # ids and tuples are written only for their results.
+    assert [f for path in SOURCES if path.name in ("census.py", "generators.py", "saturate.py")
             for f in numbering_lapses(path)] == []
+
+
+def tuple_twin_imports(path):
+    """(file, name) for every import of ``twin`` from ``combmap`` and every ``combmap.twin``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "combmap":
+            found += [(path.name, alias.name) for alias in node.names if alias.name in ("twin", "*")]
+        if isinstance(node, ast.Attribute) and node.attr == "twin" and ast.unparse(node.value).endswith("combmap"):
+            found.append((path.name, "combmap.twin"))
+    return found
+
+
+def test_producers_take_twins_on_numbers():
+    # A producer's twin of dart ``i`` is ``i ^ 1``; tuple twins are for readers of dart tuples.
+    assert [f for path in SOURCES if path.name in ("generators.py", "saturate.py")
+            for f in tuple_twin_imports(path)] == []

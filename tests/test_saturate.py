@@ -105,6 +105,27 @@ def test_large_ngon_bytes_are_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == NGON_SHA256[n]
 
 
+# sha256 of the saturated random (24, 72) drawings' bytes, the inputs of
+# perfbench's saturate workload, recorded before the producers' dart store
+# went onto dart numbers.
+RANDOM_SHA256 = {
+    0: "f3e8f9d832e219de7b23f9af25308223328a68111d5d9962332ed506e4b10683",
+    1: "5877a8e5bfc466382e1a4c77b079c7a6397981f23aa8317a1029b2acaf24fe70",
+    2: "2f69ad00a14e5bdfeabf1511c50eb1c5bcb17fe42e8a258ac387e08f999165ee",
+    3: "147d40e5aaf53066d8170f19fcb28731f49177d2b305705796253a880cb2783e",
+    4: "1e58e620f251f1044ecd50b70e1f99a763f1591312a6040b5b28e9dd1199a7da",
+    5: "4f39438966c3d17e1468def611912e5966bf987361c11ab9d259c0f638af5a3e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_SHA256))
+def test_random_bytes_are_pinned_and_keep_each_first_dart(seed):
+    d = random_drawing(24, 72, seed)
+    out = saturate(d)
+    assert hashlib.sha256(serialize_tdr(out).encode()).hexdigest() == RANDOM_SHA256[seed]
+    assert {node: out.rotations[node][:1] for node in d.rotations} == {node: darts[:1] for node, darts in d.rotations.items()}
+
+
 def test_face_steps_grow_linearly(monkeypatch):
     # Each split walks only its smaller side, so doubling the n-gon about
     # doubles the face steps; re-walking whole faces would quadruple them.

@@ -1,7 +1,9 @@
-"""``tools/stage_times.py`` on the smallest fig3 and fig2, one repeat."""
+"""``tools/stage_times.py`` on the smallest fig3 and fig2 and a small n-gon, one repeat."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from triplane.drawing import serialize_tdr
 from triplane.generators import gen_fig2, gen_fig3
@@ -22,9 +24,21 @@ def test_times_every_stage_and_command_of_fig3_l1(tmp_path):
     assert list(commands) == [" ".join(argv) for argv in stage_times.COMMANDS]
     assert all(ms >= 0 for ms in [*stages.values(), *commands.values()])
 
-
-
 def test_a_drawing_that_is_not_saturated_still_times_its_constraint_report():
     stages = stage_times.stage_times(serialize_tdr(gen_fig2(1)))
     assert list(stages) == [s for s in stage_times.STAGES if s != "verify_numeric"]
     assert stages["as_dict"] >= 0
+
+
+def test_times_every_saturate_stage_of_a_small_ngon():
+    stages = stage_times.saturate_times(stage_times.ngon_tdr(8))
+    assert list(stages) == list(stage_times.SATURATE_STAGES)
+    assert all(ms >= 0 for ms in stages.values())
+    whole, *parts = stages.values()
+    assert stage_times.insertions(stages) == pytest.approx(whole - sum(parts))
+
+
+def test_saturate_inputs_are_perfbenchs():
+    names = [name for name, _ in stage_times.saturate_inputs()]
+    assert names == [f"ngon-{n}" for n in stage_times.SATURATE_NGONS] + [
+        f"random-s{s}" for s in stage_times.SATURATE_RANDOM_SEEDS]

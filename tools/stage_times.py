@@ -1,4 +1,4 @@
-"""Where one verdict spends its time: raw milliseconds per stage on perfbench's certify inputs.
+"""Where one verdict and one saturation spend their time: raw milliseconds per stage on perfbench's inputs.
 
 Usage::
 
@@ -30,8 +30,25 @@ repeat to the next:
   rule (``drawing.Report.as_dict``).
 
 Then ``cli.main`` runs each verdict command once per repeat on a file of
-the input, every stage included.  Each figure is the minimum over the
-repeats, in raw wall milliseconds (``time.perf_counter``); nothing is
+the input, every stage included.
+
+Then come the inputs of perfbench's ``saturate`` workload, rebuilt the
+same way: the chord-free n-gons of ``SATURATE_NGONS`` (``ngon_tdr``) and
+the random (24, 72) drawings of ``SATURATE_RANDOM_SEEDS``.  For each, on
+fresh parses of its text:
+
+- ``saturate``: the whole ``saturate``;
+- ``input validate``, ``input cells + witnesses``: the input's validity
+  report and its cell table with the scan for unfilled cells
+  (``census._witnesses``), as ``saturate`` starts;
+- ``output Drawing``, ``output validate``, ``is_3saturated``: the output
+  rebuilt from its rotations as ``saturate`` ends, its validity report and
+  its filledness decision;
+- ``insertions``: the whole less those five, from their minima, so it
+  holds the insertions and every face record, and takes the others' noise
+  too.
+
+Each figure is the minimum over the repeats, in raw wall milliseconds (``time.perf_counter``); nothing is
 scaled, so compare figures taken on the same machine only.  ``json.loads``
 runs no code that any change touches, so it is the control: a stage
 difference no larger than the two sides' ``json.loads`` difference decides
@@ -56,17 +73,20 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.append(str(ROOT / "perfbench"))  # its modules import each other by bare name
 
 from triplane import cli  # noqa: E402
-from triplane.census import _classified, _trails, census, detect_configurations  # noqa: E402
+from triplane.census import _classified, _trails, _witnesses, census, detect_configurations  # noqa: E402
 from triplane.certificate import builtin_certificate, verify_numeric  # noqa: E402
 from triplane.constraints import evaluate_constraints  # noqa: E402
-from triplane.drawing import parse_tdr, serialize_tdr  # noqa: E402
+from triplane.drawing import Drawing, parse_tdr, serialize_tdr  # noqa: E402
 from triplane.generators import gen_fig2, gen_fig3, random_drawing  # noqa: E402
 from triplane.saturate import is_3saturated, saturate  # noqa: E402
 from workloads import (CERTIFY_FIG2, CERTIFY_FIG3, CERTIFY_RANDOM_SEEDS,  # noqa: E402
-                       RANDOM_BUDGET, RANDOM_N, _VERDICT_ARGV as COMMANDS)
+                       RANDOM_BUDGET, RANDOM_N, SATURATE_NGONS, SATURATE_RANDOM_SEEDS,
+                       _VERDICT_ARGV as COMMANDS, ngon_tdr)
 
 STAGES = ("json.loads", "parse_tdr", "validate", "_classified", "is_3saturated", "_trails",
           "detect_configurations", "census", "evaluate_constraints", "verify_numeric", "as_dict")
+SATURATE_STAGES = ("saturate", "input validate", "input cells + witnesses", "output Drawing",
+                   "output validate", "is_3saturated")
 
 
 def inputs() -> List[Tuple[str, str]]:
@@ -78,6 +98,14 @@ def inputs() -> List[Tuple[str, str]]:
     return out
 
 
+def saturate_inputs() -> List[Tuple[str, str]]:
+    """(name, text) of each of perfbench's saturate inputs, in its order, as perfbench parses them."""
+    out = [(f"ngon-{n}", ngon_tdr(n)) for n in SATURATE_NGONS]
+    out += [(f"random-s{s}", serialize_tdr(random_drawing(RANDOM_N, RANDOM_BUDGET, s)))
+            for s in SATURATE_RANDOM_SEEDS]
+    return out
+
+
 def _ms(fn: Callable, *args, **kwargs):
     """``fn(*args, **kwargs)`` and its raw wall time in ms."""
     t0 = time.perf_counter()
@@ -85,15 +113,25 @@ def _ms(fn: Callable, *args, **kwargs):
     return result, (time.perf_counter() - t0) * 1e3
 
 
-def stage_times(text: str) -> Dict[str, float]:
-    """Each stage's raw ms for one verdict on a fresh parse of ``text``, the cyclic collector paused as ``cli.main`` pauses it."""
+def _paused(stages: Callable[[str], Dict[str, float]], text: str) -> Dict[str, float]:
+    """``stages(text)`` with the cyclic collector paused, as ``cli.main`` pauses it."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _stages(text)
+        return stages(text)
     finally:
         if collecting:
             gc.enable()
+
+
+def stage_times(text: str) -> Dict[str, float]:
+    """Each stage's raw ms for one verdict on a fresh parse of ``text``."""
+    return _paused(_stages, text)
+
+
+def saturate_times(text: str) -> Dict[str, float]:
+    """Each ``SATURATE_STAGES`` stage's raw ms for the saturation of ``text``, on fresh parses."""
+    return _paused(_saturate_stages, text)
 
 
 def _stages(text: str) -> Dict[str, float]:
@@ -113,6 +151,23 @@ def _stages(text: str) -> Dict[str, float]:
         reports.append(numeric)
     _, ms["as_dict"] = _ms(lambda: [r.as_dict() for r in reports])
     return ms
+
+
+def _saturate_stages(text: str) -> Dict[str, float]:
+    ms: Dict[str, float] = {}
+    out, ms["saturate"] = _ms(saturate, parse_tdr(text))
+    d = parse_tdr(text)
+    _, ms["input validate"] = _ms(d._validation)
+    _, ms["input cells + witnesses"] = _ms(lambda: list(_witnesses(d)))
+    rebuilt, ms["output Drawing"] = _ms(Drawing, out.vertices, list(out.edges.values()), out.rotations)
+    _, ms["output validate"] = _ms(rebuilt._validation)
+    _, ms["is_3saturated"] = _ms(is_3saturated, rebuilt)
+    return ms
+
+
+def insertions(ms: Dict[str, float]) -> float:
+    """The whole ``saturate`` of ``saturate_times`` figures less the other five stages."""
+    return 2 * ms["saturate"] - sum(ms.values())
 
 
 def command_times(path: str) -> Dict[str, float]:
@@ -145,6 +200,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name}:")
             for k, v in {**stages, **commands}.items():
                 print(f"  {k:<28}{v:9.3f}")
+    for name, text in saturate_inputs():
+        print(f"saturate {name}:")
+        ms = best([saturate_times(text) for _ in range(args.repeats)])
+        for k, v in {**ms, "insertions": insertions(ms)}.items():
+            print(f"  {k:<28}{v:9.3f}")
     return 0
 
 
