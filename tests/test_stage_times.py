@@ -24,6 +24,7 @@ def test_times_every_stage_and_command_of_fig3_l1(tmp_path):
     assert list(commands) == [" ".join(argv) for argv in stage_times.COMMANDS]
     assert all(ms >= 0 for ms in [*stages.values(), *commands.values()])
 
+
 def test_a_drawing_that_is_not_saturated_still_times_its_constraint_report():
     stages = stage_times.stage_times(serialize_tdr(gen_fig2(1)))
     assert list(stages) == [s for s in stage_times.STAGES if s != "verify_numeric"]

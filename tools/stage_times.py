@@ -48,11 +48,11 @@ fresh parses of its text:
   holds the insertions and every face record, and takes the others' noise
   too.
 
-Each figure is the minimum over the repeats, in raw wall milliseconds (``time.perf_counter``); nothing is
-scaled, so compare figures taken on the same machine only.  ``json.loads``
-runs no code that any change touches, so it is the control: a stage
-difference no larger than the two sides' ``json.loads`` difference decides
-nothing.
+Each figure is the minimum over the repeats, in raw wall milliseconds
+(``time.perf_counter``); nothing is scaled, so compare figures taken on the
+same machine only.  ``json.loads`` runs no code that any change touches, so
+it is the control: a stage difference no larger than the two sides'
+``json.loads`` difference decides nothing.
 """
 
 from __future__ import annotations
