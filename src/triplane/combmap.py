@@ -64,13 +64,16 @@ class Rotations:
     def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
         """The store of tuple rotations, each segment numbered where one of its darts is first listed."""
         self.decode, self.first, self.succ, self.tail = [], {}, [], []
-        base: Dict[Tuple[str, int], int] = {}
-        for e, s, r in (d for darts in rotations.values() for d in darts):
-            if r not in DIRS:
-                raise MapError(f"bad direction {r!r}")
-            if (e, s) not in base:
-                base[e, s] = self.new_segments(e, (s,))
-        self.update({node: [base[e, s] + (r == "fwd") for e, s, r in darts] for node, darts in rotations.items()})
+        number: Dict[Tuple[str, int], int] = {}
+        lists: Dict[str, List[int]] = {}
+        for node, darts in rotations.items():
+            out = lists[node] = []
+            for e, s, r in darts:
+                if r not in DIRS:
+                    raise MapError(f"bad direction {r!r}")
+                out.append(2 * number.setdefault((e, s), len(number)) + (r == "fwd"))
+        self.new_segments(number)
+        self.update(lists)
 
     @classmethod
     def from_map(cls, cmap: "CombMap") -> "Rotations":
@@ -79,26 +82,27 @@ class Rotations:
         rot.decode, rot.first, rot.succ, rot.tail = list(cmap.decode), dict(cmap.first), list(cmap.succ), list(cmap.tail)
         return rot
 
-    def new_segments(self, edge: str, segs: Iterable[int]) -> int:
-        """Number the darts of ``edge``'s segments ``segs``: the k-th one's ``"bwd"`` dart is the result plus 2k."""
+    def new_segments(self, segments: Iterable[Tuple[str, int]]) -> int:
+        """Number the darts of the ``(edge, seg)`` segments, in order: the k-th one's ``"bwd"`` dart is the result plus 2k."""
         b = len(self.decode)
-        for s in segs:
-            self.decode += ((edge, s, "bwd"), (edge, s, "fwd"))
+        self.decode += [(e, s, r) for e, s in segments for r in ("bwd", "fwd")]
         self.tail += [None] * (len(self.decode) - b)
         self.succ += [-1] * (len(self.decode) - b)
         return b
 
     def update(self, rotations: Mapping[str, Sequence[int]]) -> None:
         """Add new nodes, each with its whole rotation of darts not listed yet."""
-        succ, tail = self.succ, self.tail
+        first, succ, tail = self.first, self.succ, self.tail
         for node, darts in rotations.items():
-            if node in self.first:
+            if node in first:
                 raise MapError(f"node {node!r} already present")
-            for i, j in zip(darts, [*darts[1:], *darts[:1]]):
+            prev = darts[-1] if darts else None
+            for i in darts:
                 if tail[i] is not None:
                     raise MapError("a dart is listed more than once")
-                tail[i], succ[i] = node, j
-            self.first[node] = darts[0] if darts else None
+                tail[i] = node
+                succ[prev] = prev = i  # the last dart's successor is the first
+            first[node] = darts[0] if darts else None
 
     def darts_at(self, node: str) -> Tuple[int, ...]:
         """The counterclockwise darts at ``node`` from its first one; empty for an unknown node."""
@@ -168,11 +172,12 @@ class CombMap:
         that it is new, and its tail, which is node ``seg`` (``"fwd"``) or
         ``seg + 1`` (``"bwd"``) of its edge's path.  The same pass fills
         ``tail``, ``succ`` and ``decode``, and ``rotations`` keeps each
-        node's darts as a tuple.  Raises ``MapError`` at the first rotation
-        given for a node outside ``nodes`` and at the first malformed,
-        unknown or repeated dart; then for nodes without a rotation; then
-        for the first dart, in the order of ``paths``, that is missing from
-        the rotations or listed at a node not its tail.
+        node's darts as a tuple of tuples: the one given, when it is one.
+        Raises ``MapError`` at the first rotation given for a node outside
+        ``nodes`` and at the first malformed, unknown or repeated dart; then
+        for nodes without a rotation; then for the first dart, in the order
+        of ``paths``, that is missing from the rotations or listed at a node
+        not its tail.
         """
         base: Dict[str, Tuple[int, int, Sequence[str]]] = {}
         n = 0
@@ -189,17 +194,17 @@ class CombMap:
         for node, listed in rotations.items():
             if node not in nodes:
                 raise MapError(f"rotation given for unknown node {node!r}")
-            out = []
+            given = type(listed) is tuple  # kept as the rotation while every dart is a tuple too
             prev = n
             for d in listed:
                 try:
                     e, s, r = d
                 except (TypeError, ValueError):
                     raise MapError(f"rotation at {node!r}: malformed dart {d!r}") from None
-                edge = base.get(e) if isinstance(e, str) else None
-                if edge is None:
-                    raise MapError(f"rotation at {node!r} names unknown edge {e!r}")
-                b, last, pts = edge
+                try:
+                    b, last, pts = base[e]
+                except (KeyError, TypeError):  # TypeError: an unhashable edge
+                    raise MapError(f"rotation at {node!r} names unknown edge {e!r}") from None
                 if not (type(s) is int and 0 <= s <= last):
                     raise MapError(f"rotation at {node!r}: segment index {s} out of range "
                                    f"for edge {e!r}")
@@ -216,13 +221,23 @@ class CombMap:
                 if tail[i] is not None:
                     raise MapError(f"dart {(e, s, r)!r} listed more than once")
                 tail[i] = node
-                decode[i] = d = d if type(d) is tuple else (e, s, r)
+                if type(d) is not tuple:
+                    d, given = (e, s, r), False
+                decode[i] = d
                 succ[prev] = i
                 prev = i
-                out.append(d)
-            succ[prev] = succ[n]  # the last dart closes the cycle; a no-op for an empty rotation
-            rot[node] = tuple(out)
-            first[node] = succ[n] if out else None
+            succ[prev] = i0 = succ[n]  # the last dart closes the cycle; a no-op for an empty rotation
+            first[node] = None if prev == n else i0
+            if given:
+                rot[node] = listed
+            elif prev == n:
+                rot[node] = ()
+            else:  # the darts as tuples, in the order given
+                out, j = [decode[i0]], succ[i0]
+                while j != i0:
+                    out.append(decode[j])
+                    j = succ[j]
+                rot[node] = tuple(out)
         succ.pop()
         if len(rot) != len(nodes):
             raise MapError("rotations must cover exactly the vertices and crossings; missing: "
@@ -352,7 +367,7 @@ class CombMap:
         v = rot.tail[walk[occurrence_v]]
         if u == v:
             raise MapError(f"occurrences are incidences of the same node {u!r}")
-        bwd = rot.new_segments(edge_id, (0,))
+        bwd = rot.new_segments([(edge_id, 0)])
         rot.splice(walk[occurrence_u - 1], [bwd + 1])
         rot.splice(walk[occurrence_v - 1], [bwd])
         paths[edge_id] = (u, v)

@@ -79,23 +79,27 @@ class Drawing:
         occ: Dict[str, List[Tuple[str, int]]] = {}
         paths: Dict[str, Tuple[str, ...]] = {}  # each edge's points: end, crossings, end
         for e in edges:
-            if not (isinstance(e.id, str) and e.id):
+            eid, ends, xs = e
+            if not (isinstance(eid, str) and eid):
                 raise TDRError("edge ids must be nonempty strings")
-            if e.id in emap:
-                raise TDRError(f"duplicate edge id {e.id!r}")
-            u, v = e.ends if type(e.ends) is tuple and len(e.ends) == 2 else (None, None)
+            if eid in emap:
+                raise TDRError(f"duplicate edge id {eid!r}")
+            u, v = ends if type(ends) is tuple and len(ends) == 2 else (None, None)
             if not (isinstance(u, str) and u in vset and isinstance(v, str) and v in vset):
-                raise TDRError(f"edge {e.id!r} has an end that is not a vertex")
-            if not isinstance(e.crossings, tuple):
-                raise TDRError(f"edge {e.id!r}: crossings must be a tuple")
-            for i, x in enumerate(e.crossings):
+                raise TDRError(f"edge {eid!r} has an end that is not a vertex")
+            if not isinstance(xs, tuple):
+                raise TDRError(f"edge {eid!r}: crossings must be a tuple")
+            emap[eid] = e
+            if not xs:
+                paths[eid] = (u, v)
+                continue
+            for i, x in enumerate(xs):
                 if not (isinstance(x, str) and x):
-                    raise TDRError(f"edge {e.id!r}: crossing ids must be nonempty strings")
+                    raise TDRError(f"edge {eid!r}: crossing ids must be nonempty strings")
                 if x in vset:
                     raise TDRError(f"crossing id {x!r} collides with a vertex id")
-                occ.setdefault(x, []).append((e.id, i))
-            emap[e.id] = e
-            paths[e.id] = (u,) + e.crossings + (v,)
+                occ.setdefault(x, []).append((eid, i))
+            paths[eid] = (u, *xs, v)
         for x, places in occ.items():
             if len(places) != 2:
                 raise TDRError(f"dangling crossing {x!r}: appears on {len(places)} edge slot(s), expected 2")
@@ -215,7 +219,7 @@ def serialize_tdr(drawing: Drawing) -> str:
                       f'"ends":[{q[e.ends[0]]},{q[e.ends[1]]}],"id":{q[e.id]}}}'
                       for e in map(drawing.edges.__getitem__, sorted(drawing.edges))])
     rot = drawing.rotations
-    rotations = ",".join([q[node] + ":[" + ",".join([f'{{"dir":"{d}","edge":{q[e]},"seg":{seg:d}}}'
+    rotations = ",".join([q[node] + ":[" + ",".join([f'{{"dir":"{d}","edge":{q[e]},"seg":{seg}}}'
                                                    for e, seg, d in smallest_first(rot[node])]) + "]"
                           for node in sorted(rot)])
     vertices = ",".join([q[v] for v in sorted(drawing.vertices)])

@@ -11,8 +11,9 @@ every face walk maps orientation-faithfully onto a clockwise polygon, the
 computed rotations splice consistently into the global counterclockwise
 rotation system, which every face edits in place; one ``Drawing`` is
 built at the end.  The model depends only on the cycle length and the
-chords, so each such pattern is computed once and renamed for every face
-that has it.
+chords, so each such pattern is computed once, and numbered once as
+offsets from one base number; every face with that pattern numbers all
+its chords' segments from one base and adds it to each offset.
 Scene ingestion, random scenes and the chord model all accept their
 segments through one exact arrangement, so the three share one rule set
 and one pass, ``_Arrangement.darts``, that turns segments into darts; the
@@ -22,6 +23,7 @@ small straight-line basics are ingested scenes too.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -225,6 +227,33 @@ def _chord_model(m: int, chords: Tuple[Tuple[int, int], ...]) -> Optional[_Chord
     return along, crossings, splices
 
 
+_ChordOffsets = Tuple[Tuple[Tuple[int, ...], ...],                 # along
+                      Tuple[Tuple[int, Tuple[int, ...]], ...],     # crossings
+                      Tuple[Tuple[int, Tuple[int, ...]], ...]]     # splices
+
+
+@functools.lru_cache(maxsize=16)
+def _chord_offsets(m: int, chords: Tuple[Tuple[int, int], ...]) -> Optional[_ChordOffsets]:
+    """``_chord_model(m, chords)`` with each dart numbered as an offset from one base number.
+
+    Chord k has ``len(along[k]) + 1`` segments; the chords' segments are laid
+    out chord after chord from offset 0, so dart ``(k, seg, dir)`` becomes
+    ``start[k] + 2*seg + (dir == "fwd")``, where ``start[k]`` is twice the
+    segment count of the chords before k.  ``along`` is the model's own;
+    ``None`` if the model refuses the chords.
+    """
+    model = _chord_model(m, chords)
+    if model is None:
+        return None
+    along, crossings, splices = model
+    start = [0, *itertools.accumulate(2 * len(on) + 2 for on in along)]
+
+    def offsets(darts: Tuple[_ChordDart, ...]) -> Tuple[int, ...]:
+        return tuple(start[k] + 2 * seg + (direction == "fwd") for k, seg, direction in darts)
+
+    return along, tuple((n, offsets(d)) for n, d in crossings), tuple((i, offsets(d)) for i, d in splices)
+
+
 def add_chords_in_face(
     rot: Rotations,
     edges: Dict[str, EdgeRecord],
@@ -242,7 +271,9 @@ def add_chords_in_face(
     non-adjacent.  New edges are named ``{edge_prefix}{k}`` in chord order and
     new crossings ``{crossing_prefix}{k}`` ordered by model position.  The
     exact model depends only on the cycle length and the chords, so faces with
-    the same pattern share one ``_chord_model``, renamed here into numbers.
+    the same pattern share one ``_chord_model`` and its ``_chord_offsets``: the
+    store numbers all the chords' segments from one base, added here to each
+    cached offset.
     """
     m = len(cycle)
     for i, j in chords:
@@ -265,26 +296,22 @@ def add_chords_in_face(
     for e in eid:
         if e in edges:
             raise GenerationError(f"edge id {e!r} already used")
-    model = _chord_model(m, pattern)
-    if model is None:  # the refusal names the caller's edge ids, so it is rebuilt, not cached
+    offsets = _chord_offsets(m, pattern)
+    if offsets is None:  # the refusal names the caller's edge ids, so it is rebuilt, not cached
         raise GenerationError(_chord_arrangement(m, pattern, eid)[1])
-    along, crossings, splices = model
+    along, crossings, splices = offsets
 
     xid = [f"{crossing_prefix}{n}" for n in range(len(crossings))]
     for x in xid:
         if x in rot.first:
             raise GenerationError(f"crossing id {x!r} already used")
 
-    base = [rot.new_segments(e, range(len(on) + 1)) for e, on in zip(eid, along)]  # one base number per chord
-
-    def named(darts: Tuple[_ChordDart, ...]) -> List[int]:
-        return [base[k] + 2 * seg + (direction == "fwd") for k, seg, direction in darts]
-
+    b = rot.new_segments([(e, s) for e, on in zip(eid, along) for s in range(len(on) + 1)])
     for e, (i, j), on in zip(eid, pattern, along):
-        edges[e] = EdgeRecord(e, (cycle[i], cycle[j]), tuple(xid[n] for n in on))
-    rot.update({xid[n]: named(darts) for n, darts in crossings})
-    for i, darts in splices:
-        rot.splice(aligned[i - 1], named(darts))
+        edges[e] = EdgeRecord(e, (cycle[i], cycle[j]), tuple([xid[n] for n in on]))
+    rot.update({xid[n]: [b + o for o in offs] for n, offs in crossings})
+    for i, offs in splices:
+        rot.splice(aligned[i - 1], [b + o for o in offs])
 
 
 # -- the nested-rings families ------------------------------------------------

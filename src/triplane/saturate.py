@@ -179,7 +179,7 @@ def saturate(drawing: Drawing) -> Drawing:
             new_id = f"s{fresh}"
         fresh += 1
         edges.append(EdgeRecord(new_id, (u, v), ()))
-        bwd = rot.new_segments(new_id, (0,))
+        bwd = rot.new_segments([(new_id, 0)])
         rot.splice(arrive_u, [bwd + 1])
         rot.splice(arrive_v, [bwd])
 

@@ -307,7 +307,7 @@ def _with_pendant(drawing, k):
     walk = cmap.walks()[k]
     j = next(j for j, i in enumerate(walk) if cmap.tail[i] in drawing.vertices)
     rot = Rotations.from_map(cmap)
-    bwd = rot.new_segments("~", (0,))
+    bwd = rot.new_segments([("~", 0)])
     rot.splice(walk[j - 1], [bwd + 1])
     rot.update({"~v": (bwd,)})
     edges = [*drawing.edges.values(), EdgeRecord("~", (cmap.tail[walk[j]], "~v"), ())]

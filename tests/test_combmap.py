@@ -139,7 +139,7 @@ def test_rotations_walks_match_combmap_faces_after_splice():
     face = rot.walk(m.encode(("s0", 0, "fwd")))
     assert [rot.tail[i] for i in face] == ["p0", "p1", "p2", "p3"]
     # a chord p0-p2 inside that face: each end goes in after the dart arriving there
-    bwd = rot.new_segments("d0", (0,))
+    bwd = rot.new_segments([("d0", 0)])
     fwd = bwd + 1
     assert (rot.decode[fwd], rot.decode[bwd]) == (("d0", 0, "fwd"), ("d0", 0, "bwd"))
     rot.splice(face[3], [fwd])
@@ -160,7 +160,7 @@ def test_rotations_lists_keep_each_first_dart_and_refuse_repeated_darts():
     square_rotations = square_map().rotations
     rot = Rotations(square_rotations)
     number = _numbers(rot)
-    d0, d1 = rot.new_segments("d0", (0,)), rot.new_segments("d1", (0,))
+    d0, d1 = rot.new_segments([("d0", 0)]), rot.new_segments([("d1", 0)])
     rot.splice(number["s3", 0, "fwd"], [d0 + 1, d1 + 1])
     assert rot.lists == {**square_rotations, "p0": (("s0", 0, "fwd"), ("s3", 0, "bwd"),
                                                     ("d0", 0, "fwd"), ("d1", 0, "fwd"))}
@@ -175,7 +175,7 @@ def test_rotations_lists_keep_each_first_dart_and_refuse_repeated_darts():
 
 def test_rotations_refuse_a_node_already_present():
     rot = Rotations(square_map().rotations)
-    bwd = rot.new_segments("d0", (0,))
+    bwd = rot.new_segments([("d0", 0)])
     with pytest.raises(MapError, match="'p0' already present"):
         rot.update({"p0": (bwd,)})
     with pytest.raises(MapError, match="'p0' already present"):
@@ -188,7 +188,7 @@ def test_rotations_built_from_a_map_are_independent():
     before, faces, succ = dict(m.rotations), m.faces(), list(m.succ)
     other = Rotations.from_map(m)
     assert other.lists == before
-    other.splice(m.encode(("s0", 0, "fwd")), [other.new_segments("d0", (0,)) + 1])
+    other.splice(m.encode(("s0", 0, "fwd")), [other.new_segments([("d0", 0)]) + 1])
     assert m.rotations == before and m.faces() == faces and m.succ == succ
     assert Drawing(SQUARE_VERTICES, SQUARE_EDGES, m.rotations).planarize().faces() == faces
     assert [other.decode[i] for i in other.darts_at("p1")] == [("s1", 0, "fwd"), ("s0", 0, "bwd"), ("d0", 0, "fwd")]

@@ -430,6 +430,31 @@ def test_planarization_matches_checked_map(build):
         assert segment_ends(d, dart[:2]) == pts[dart[1]:dart[1] + 2]
 
 
+def test_drawing_keeps_tuple_rotations_and_tuples_the_others():
+    # A rotation given as a tuple of tuples is kept as it is; any other form
+    # is stored as one, and numbered into the same tables.
+    d = gen_fig3(2)
+    given = {node: tuple(darts) for node, darts in d.rotations.items()}
+    kept = Drawing(d.vertices, list(d.edges.values()), given)
+    assert all(kept.rotations[node] is darts for node, darts in given.items())
+    ref = kept.planarize()
+    variants = (
+        {node: list(darts) for node, darts in given.items()},
+        {node: tuple(list(dart) for dart in darts) for node, darts in given.items()},
+        {node: (list(darts[0]), *darts[1:-1], list(darts[-1])) for node, darts in given.items()},
+    )
+    for rotations in variants:
+        other = Drawing(d.vertices, list(d.edges.values()), rotations)
+        assert other.rotations == given
+        assert all(type(r) is tuple and all(type(x) is tuple for x in r) for r in other.rotations.values())
+        m = other.planarize()
+        assert (m.decode, m.tail, m.succ, m.first) == (ref.decode, ref.tail, ref.succ, ref.first)
+        assert all(type(x) is tuple for x in m.decode)
+    for empty in ((), []):
+        lone = Drawing(["a"], [], {"a": empty})
+        assert lone.rotations == {"a": ()} and lone.planarize().first == {"a": None}
+
+
 def test_edgeless_single_vertex_is_not_a_sphere():
     # V - S + F over the face walks: one vertex, no segment, no walk.
     report = validate(Drawing(["a"], [], {"a": []}))

@@ -23,6 +23,7 @@ from triplane.generators import (
     _PENT_CHORDS,
     _Arrangement,
     _chord_model,
+    _chord_offsets,
     add_chords_in_face,
     build_random_scene,
     gen_basic,
@@ -534,14 +535,36 @@ def test_add_chords_rejects_used_ids(prefixes, text):
         add_chords(util.ngon(6), [f"v{i}" for i in range(6)], [(0, 2), (1, 3)], *prefixes)
 
 
-# Faces with the same (cycle length, chords) pattern share one exact model:
-# fig3's side faces share one, its caps one more each unless L is odd (the
-# two caps then match), and every fig2 face is a pentagram.
+# Faces with the same (cycle length, chords) pattern share one exact model
+# and one numbering of it: fig3's side faces share one, its caps one more
+# each unless L is odd (the two caps then match), and every fig2 face is a
+# pentagram.
 @pytest.mark.parametrize("gen,size,patterns", [(gen_fig3, 32, 3), (gen_fig3, 33, 2), (gen_fig2, 8, 1)])
 def test_chord_model_is_built_once_per_pattern(gen, size, patterns):
     _chord_model.cache_clear()
+    _chord_offsets.cache_clear()
     gen(size)
     assert _chord_model.cache_info().misses == patterns
+    assert _chord_offsets.cache_info().misses == patterns
+
+
+# The patterns of fig3 (both caps) and fig2, numbered by the rule the fill
+# used to apply to every face: chord k's segments from base[k], the bases
+# laid out chord after chord.
+@pytest.mark.parametrize("m,chords", [(6, _HEX_SIDE), (6, _HEX_CAPS[0]), (6, _HEX_CAPS[1]), (5, _PENT_CHORDS)],
+                         ids=["hex-side", "hex-cap-even", "hex-cap-odd", "pentagram"])
+def test_chord_offsets_follow_the_renaming_rule(m, chords):
+    along, crossings, splices = _chord_model(m, chords)
+    base = list(itertools.accumulate((2 * len(on) + 2 for on in along[:-1]), initial=0))
+
+    def renamed(darts):
+        return tuple(base[k] + 2 * seg + (direction == "fwd") for k, seg, direction in darts)
+
+    offsets = _chord_offsets(m, chords)
+    assert offsets == (along, tuple((n, renamed(d)) for n, d in crossings),
+                       tuple((i, renamed(d)) for i, d in splices))
+    listed = sorted(o for _, offs in offsets[1] + offsets[2] for o in offs)
+    assert listed == list(range(sum(2 * len(on) + 2 for on in along)))  # every new dart once
 
 
 def test_chord_model_is_made_of_tuples():

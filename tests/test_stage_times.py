@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from triplane import generators
+from triplane.combmap import Rotations
 from triplane.drawing import serialize_tdr
 from triplane.generators import gen_fig2, gen_fig3
 
@@ -43,3 +45,20 @@ def test_saturate_inputs_are_perfbenchs():
     names = [name for name, _ in stage_times.saturate_inputs()]
     assert names == [f"ngon-{n}" for n in stage_times.SATURATE_NGONS] + [
         f"random-s{s}" for s in stage_times.SATURATE_RANDOM_SEEDS]
+
+
+@pytest.mark.parametrize("make", [lambda: gen_fig3(1), lambda: gen_fig2(1)], ids=["fig3-L1", "fig2-R1"])
+def test_times_every_producer_stage_and_puts_the_producers_back(make):
+    before = (generators.Rotations, generators.add_chords_in_face, generators.Drawing,
+              Rotations.__dict__["lists"])
+    stages = stage_times.generate_times(make)
+    assert list(stages) == list(stage_times.GENERATE_STAGES)
+    assert all(ms > 0 for ms in stages.values())
+    assert (generators.Rotations, generators.add_chords_in_face, generators.Drawing,
+            Rotations.__dict__["lists"]) == before
+
+
+def test_generate_inputs_are_perfbenchs():
+    names = [name for name, _ in stage_times.generate_inputs()]
+    assert names == [f"fig3-L{L}" for L in stage_times.GENERATE_FIG3] + [
+        f"fig2-R{R}" for R in stage_times.GENERATE_FIG2]

@@ -1,4 +1,4 @@
-"""Where one verdict and one saturation spend their time: raw milliseconds per stage on perfbench's inputs.
+"""Where one verdict, one saturation and one family build spend their time: raw ms per stage on perfbench's inputs.
 
 Usage::
 
@@ -48,6 +48,22 @@ fresh parses of its text:
   holds the insertions and every face record, and takes the others' noise
   too.
 
+Last come the producers of perfbench's ``generate`` workload: ``gen_fig3``
+at each L of ``GENERATE_FIG3`` and ``gen_fig2`` at each R of
+``GENERATE_FIG2``, each written by ``serialize_tdr`` as the workload's
+operation writes it.  One run of the operation, untouched, gives
+``whole``; a second run, with the stages below wrapped in timers for its
+length, gives:
+
+- ``ring store``: the numbered store built from the rings' and spokes'
+  tuple rotations (``Rotations(...)`` in ``generators._filled_rings``);
+- ``chord fill``: every ``add_chords_in_face`` call, summed;
+- ``Rotations.lists``: the store's rotations read back as dart tuples;
+- ``output Drawing``: the one ``Drawing(...)`` built from them;
+- ``serialize_tdr``: its canonical text;
+
+and ``json.loads`` of that text is the control of these stages.
+
 Each figure is the minimum over the repeats, in raw wall milliseconds
 (``time.perf_counter``); nothing is scaled, so compare figures taken on the
 same machine only.  ``json.loads`` runs no code that any change touches, so
@@ -59,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -66,13 +83,15 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.append(str(ROOT / "perfbench"))  # its modules import each other by bare name
 
-from triplane import cli  # noqa: E402
+from triplane import cli, generators  # noqa: E402
+from triplane.combmap import Rotations  # noqa: E402
 from triplane.census import _classified, _trails, _witnesses, census, detect_configurations  # noqa: E402
 from triplane.certificate import builtin_certificate, verify_numeric  # noqa: E402
 from triplane.constraints import evaluate_constraints  # noqa: E402
@@ -80,13 +99,15 @@ from triplane.drawing import Drawing, parse_tdr, serialize_tdr  # noqa: E402
 from triplane.generators import gen_fig2, gen_fig3, random_drawing  # noqa: E402
 from triplane.saturate import is_3saturated, saturate  # noqa: E402
 from workloads import (CERTIFY_FIG2, CERTIFY_FIG3, CERTIFY_RANDOM_SEEDS,  # noqa: E402
-                       RANDOM_BUDGET, RANDOM_N, SATURATE_NGONS, SATURATE_RANDOM_SEEDS,
+                       GENERATE_FIG2, GENERATE_FIG3, RANDOM_BUDGET, RANDOM_N, SATURATE_NGONS, SATURATE_RANDOM_SEEDS,
                        _VERDICT_ARGV as COMMANDS, ngon_tdr)
 
 STAGES = ("json.loads", "parse_tdr", "validate", "_classified", "is_3saturated", "_trails",
           "detect_configurations", "census", "evaluate_constraints", "verify_numeric", "as_dict")
 SATURATE_STAGES = ("saturate", "input validate", "input cells + witnesses", "output Drawing",
                    "output validate", "is_3saturated")
+GENERATE_STAGES = ("json.loads", "ring store", "chord fill", "Rotations.lists", "output Drawing",
+                   "serialize_tdr", "whole")
 
 
 def inputs() -> List[Tuple[str, str]]:
@@ -103,6 +124,13 @@ def saturate_inputs() -> List[Tuple[str, str]]:
     out = [(f"ngon-{n}", ngon_tdr(n)) for n in SATURATE_NGONS]
     out += [(f"random-s{s}", serialize_tdr(random_drawing(RANDOM_N, RANDOM_BUDGET, s)))
             for s in SATURATE_RANDOM_SEEDS]
+    return out
+
+
+def generate_inputs() -> List[Tuple[str, Callable[[], Drawing]]]:
+    """(name, producer) of each of perfbench's fig3 and fig2 generate operations, in its order."""
+    out = [(f"fig3-L{L}", functools.partial(gen_fig3, L)) for L in GENERATE_FIG3]
+    out += [(f"fig2-R{R}", functools.partial(gen_fig2, R)) for R in GENERATE_FIG2]
     return out
 
 
@@ -165,6 +193,36 @@ def _saturate_stages(text: str) -> Dict[str, float]:
     return ms
 
 
+def _timer(ms: Dict[str, float], stage: str, fn: Callable) -> Callable:
+    """``fn``, adding the raw ms of each call to ``ms[stage]``."""
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            ms[stage] = ms.get(stage, 0.0) + (time.perf_counter() - t0) * 1e3
+    return timed
+
+
+def generate_times(make: Callable[[], Drawing]) -> Dict[str, float]:
+    """Each ``GENERATE_STAGES`` stage's raw ms for ``serialize_tdr(make())``, as perfbench's operation runs it."""
+    gc.collect()  # as perfbench collects before each operation
+    _, whole = _ms(lambda: serialize_tdr(make()))
+    ms = dict.fromkeys(GENERATE_STAGES[1:-2], 0.0)
+    gc.collect()
+    with contextlib.ExitStack() as stack:
+        for owner, name, stage in ((generators, "Rotations", "ring store"),
+                                   (generators, "add_chords_in_face", "chord fill"),
+                                   (generators, "Drawing", "output Drawing")):
+            stack.enter_context(mock.patch.object(owner, name, _timer(ms, stage, getattr(owner, name))))
+        stack.enter_context(mock.patch.object(
+            Rotations, "lists", property(_timer(ms, "Rotations.lists", Rotations.lists.fget))))
+        d = make()
+    text, ms["serialize_tdr"] = _ms(serialize_tdr, d)
+    _, control = _ms(json.loads, text)
+    return {"json.loads": control, **ms, "whole": whole}
+
+
 def insertions(ms: Dict[str, float]) -> float:
     """The whole ``saturate`` of ``saturate_times`` figures less the other five stages."""
     return 2 * ms["saturate"] - sum(ms.values())
@@ -204,6 +262,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"saturate {name}:")
         ms = best([saturate_times(text) for _ in range(args.repeats)])
         for k, v in {**ms, "insertions": insertions(ms)}.items():
+            print(f"  {k:<28}{v:9.3f}")
+    for name, make in generate_inputs():
+        print(f"generate {name}:")
+        for k, v in best([generate_times(make) for _ in range(args.repeats)]).items():
             print(f"  {k:<28}{v:9.3f}")
     return 0
 
