@@ -12,11 +12,11 @@ puts new darts when an edge is inserted inside a face.
 
 Both stores work on dart numbers: the twin of dart ``i`` is ``i ^ 1``, the
 ``"bwd"`` one even.  A finished map (``CombMap``) numbers its darts in tuple
-order, so ``i >> 1`` numbers its segment.  Producers that edit a map in
-place use ``Rotations``, built from tuple rotations or copied from a map,
-which numbers each new segment itself.  This module is the only one that
-numbers darts; everyone else decodes a number through ``decode`` or encodes
-a dart through ``CombMap.encode``.
+order, so ``i >> 1`` numbers its segment.  Producers use ``Rotations``,
+which starts empty or as a copy of a map (``from_map``) and numbers each
+new segment itself, so it never numbers tuple rotations.  This module is
+the only one that numbers darts; everyone else decodes a number through
+``decode`` or encodes a dart through ``CombMap.encode``.
 """
 
 from __future__ import annotations
@@ -31,12 +31,6 @@ DIRS = ("fwd", "bwd")
 
 class MapError(ValueError):
     """Raised when a rotation system does not describe a map."""
-
-
-def twin(dart: Dart) -> Dart:
-    """The same segment traversed in the other direction."""
-    edge, seg, direction = dart
-    return (edge, seg, "bwd" if direction == "fwd" else "fwd")
 
 
 def smallest_first(darts: Tuple[Dart, ...]) -> Tuple[Dart, ...]:
@@ -61,19 +55,9 @@ class Rotations:
 
     __slots__ = ("decode", "first", "succ", "tail")
 
-    def __init__(self, rotations: Mapping[str, Sequence[Dart]]):
-        """The store of tuple rotations, each segment numbered where one of its darts is first listed."""
+    def __init__(self):
+        """An empty store; ``new_segments`` numbers its darts and ``update`` lists them at their nodes."""
         self.decode, self.first, self.succ, self.tail = [], {}, [], []
-        number: Dict[Tuple[str, int], int] = {}
-        lists: Dict[str, List[int]] = {}
-        for node, darts in rotations.items():
-            out = lists[node] = []
-            for e, s, r in darts:
-                if r not in DIRS:
-                    raise MapError(f"bad direction {r!r}")
-                out.append(2 * number.setdefault((e, s), len(number)) + (r == "fwd"))
-        self.new_segments(number)
-        self.update(lists)
 
     @classmethod
     def from_map(cls, cmap: "CombMap") -> "Rotations":
@@ -315,11 +299,11 @@ class CombMap:
 
     def component_of(self, node: str) -> frozenset:
         """The nodes joined to ``node``: the tails of the faces reached from its first face across segments."""
-        listed = self.rotations[node]
-        if not listed:
+        i0 = self.first[node]
+        if i0 is None:
             return frozenset((node,))
         walks, face_of, tail = self.walks(), self._face_of, self.tail
-        start = face_of[self.encode(listed[0])]
+        start = face_of[i0]
         seen = bytearray(len(walks))
         seen[start] = 1
         stack = [start]

@@ -327,21 +327,27 @@ def _filled_rings(
     vertex i to vertex i+1; ``spokes`` are (id, inner end, outer end), at
     most one outward and one inward spoke per vertex.  The nested-rings
     embedding puts at each vertex, counterclockwise: the outward spoke, the
-    ring successor, the inward spoke, the ring predecessor.  ``fills`` are
+    ring successor, the inward spoke, the ring predecessor.  The store
+    numbers the ring and spoke segments in one ``new_segments`` call and
+    links every ring vertex's rotation on those numbers in one ``update``,
+    as the chord fill links its crossings.  ``fills`` are
     ``add_chords_in_face`` arguments (cycle, chords, edge prefix, crossing
-    prefix), applied in order to the one shared rotation system.
+    prefix), applied in order to that one store.
     """
     edges = {e: EdgeRecord(e, (vs[i], vs[(i + 1) % len(vs)]), ())
              for vs, es in rings for i, e in enumerate(es)}
     edges.update((s, EdgeRecord(s, (a, b), ())) for s, a, b in spokes)
-    outward = {a: (s, 0, "fwd") for s, a, _ in spokes}
-    inward = {b: (s, 0, "bwd") for s, _, b in spokes}
+    system = Rotations()
+    base = system.new_segments([(e, 0) for e in edges])
+    bwd = {e: base + 2 * k for k, e in enumerate(edges)}  # each edge's "bwd" dart; its "fwd" one is next
+    outward = {a: bwd[s] + 1 for s, a, _ in spokes}
+    inward = {b: bwd[s] for s, _, b in spokes}
     rotations = {}
     for vs, es in rings:
         for i, v in enumerate(vs):
-            darts = (outward.get(v), (es[i], 0, "fwd"), inward.get(v), (es[i - 1], 0, "bwd"))
-            rotations[v] = [d for d in darts if d]
-    system = Rotations(rotations)
+            darts = (outward.get(v), bwd[es[i]] + 1, inward.get(v), bwd[es[i - 1]])
+            rotations[v] = [d for d in darts if d is not None]
+    system.update(rotations)
     for cycle, chords, edge_prefix, crossing_prefix in fills:
         add_chords_in_face(system, edges, cycle, chords, edge_prefix, crossing_prefix)
     return Drawing([v for vs, _ in rings for v in vs], list(edges.values()), system.lists)

@@ -11,11 +11,11 @@ table and rotation successors must agree with the walks and the rotations.
 import pytest
 
 from triplane.census import CellRecord, cells
-from triplane.combmap import twin
 from triplane.drawing import Drawing, EdgeRecord, validate
 from triplane.generators import BASIC_NAMES, gen_basic, gen_fig2, gen_fig3, random_drawing
 
 import util
+from util import twin
 from test_acceptance import CORPUS_NAMES, corpus_drawing, saturated
 from test_census import capped_triangle, ladder
 

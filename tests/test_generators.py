@@ -13,7 +13,7 @@ from triplane.census import census
 from triplane.certificate import builtin_certificate, verify_numeric
 from triplane.constraints import ROWS, evaluate_constraints
 from triplane.combmap import Rotations
-from triplane.drawing import Drawing, serialize_tdr, stats, validate
+from triplane.drawing import Drawing, EdgeRecord, serialize_tdr, stats, validate
 from triplane import generators
 from triplane.generators import (
     BASIC_NAMES,
@@ -440,6 +440,29 @@ def test_family_bytes_are_pinned_beyond_the_corpus(gen, sizes, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# The rings and spokes alone, no face filled: the store numbers their
+# segments itself, and the drawing must be the one built from their tuple
+# rotations by the nested-rings rule (counterclockwise: outward spoke, ring
+# successor, inward spoke, ring predecessor).
+@pytest.mark.parametrize("gen", [gen_fig3, gen_fig2], ids=["fig3-L1", "fig2-R1"])
+def test_ring_layout_without_fills_is_its_tuple_rotations(monkeypatch, gen):
+    filled_rings, calls = generators._filled_rings, []
+    monkeypatch.setattr(generators, "_filled_rings", lambda *args: calls.append(args))
+    gen(1)
+    [(rings, spokes, _)] = calls
+    edges = [EdgeRecord(e, (vs[i], vs[(i + 1) % len(vs)]), ()) for vs, es in rings for i, e in enumerate(es)]
+    edges += [EdgeRecord(s, (a, b), ()) for s, a, b in spokes]
+    outward = {a: (s, 0, "fwd") for s, a, _ in spokes}
+    inward = {b: (s, 0, "bwd") for s, _, b in spokes}
+    rotations = {v: tuple(d for d in (outward.get(v), (es[i], 0, "fwd"), inward.get(v), (es[i - 1], 0, "bwd")) if d)
+                 for vs, es in rings for i, v in enumerate(vs)}
+    expected = Drawing([v for vs, _ in rings for v in vs], edges, rotations)
+    d = filled_rings(rings, spokes, [])
+    assert d == expected and d.rotations == expected.rotations
+    assert list(d.edges) == list(expected.edges)
+    assert len(rings) == 2 and spokes  # two rings and the spokes that join them
+
+
 def test_gen_basic_names():
     for name in BASIC_NAMES:
         d = gen_basic(name)
@@ -499,7 +522,7 @@ def test_random_scene_segments_stay_in_bounds(n, seed):
 
 
 def add_chords(d, *args):
-    add_chords_in_face(Rotations(d.rotations), dict(d.edges), *args)
+    add_chords_in_face(Rotations.from_map(d.planarize()), dict(d.edges), *args)
 
 
 def test_add_chords_rejects_unknown_face():
@@ -612,7 +635,7 @@ def test_random_drawing_unconnectable_seeds(n, budget, seed):
 # one point, so the model refused them.
 def test_chord_model_concurrent_crossings():
     d = util.ngon(9)
-    rot, edges = Rotations(d.rotations), dict(d.edges)
+    rot, edges = Rotations.from_map(d.planarize()), dict(d.edges)
     add_chords_in_face(rot, edges, [f"v{i}" for i in range(9)], [(0, 5), (2, 6), (3, 8)], "g", "xg")
     drawn = Drawing(d.vertices, list(edges.values()), rot.lists)
     assert validate(drawn).valid and len(drawn.crossings) == 3

@@ -21,10 +21,12 @@ import pytest
 
 from triplane.census import census
 from triplane.cli import main
-from triplane.combmap import smallest_first, twin
+from triplane.combmap import smallest_first
 from triplane.drawing import Drawing, EdgeRecord, serialize_tdr
 from triplane.generators import gen_fig2, gen_fig3, random_drawing
 from triplane.saturate import saturate
+
+from util import twin
 
 DRAWINGS = (
     [(f"fig3-L{k}", lambda k=k: gen_fig3(k)) for k in range(1, 4)]

@@ -12,6 +12,12 @@ from fractions import Fraction
 from triplane.drawing import Drawing, EdgeRecord
 
 
+def twin(dart):
+    """The same segment traversed in the other direction, for tests that read dart tuples."""
+    edge, seg, direction = dart
+    return (edge, seg, "bwd" if direction == "fwd" else "fwd")
+
+
 def x1():
     """Two edges crossing once: the diagonals of a square."""
     return Drawing(
