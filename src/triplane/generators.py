@@ -31,7 +31,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .combmap import Dart, Rotations
 from .drawing import Drawing, EdgeRecord
-from .geometry import GeometricScene, Point, SceneError, _meet, ccw_from, ccw_sorted, sub
+from .geometry import GeometricScene, Point, SceneError, _crossing, _meet, ccw_from, ccw_sorted, sub
 from .saturate import saturate
 
 
@@ -54,14 +54,18 @@ class _Arrangement:
 
     The points are scaled once by the lcm of their coordinates'
     denominators and kept as ``int`` pairs, so every predicate runs in
-    integers, and crossings are the reduced triples of ``geometry._meet``
-    in the scaled frame; ``Fraction`` is built only for sort keys.  A
-    positive scale keeps every orientation, every order along a segment
-    and the sorted order of the crossings.  No lattice point lies strictly
-    inside a segment whose direction is primitive (gcd 1), so only the
-    others are scanned for points on them.  A closed bounding box per
-    segment skips the pairs and points that cannot meet it, and a pair
-    with a shared end is settled by one orientation unless it is collinear.
+    integers, and crossings are the reduced triples of
+    ``geometry._crossing`` in the scaled frame; ``Fraction`` is built only
+    for sort keys.  A positive scale keeps every orientation, every order
+    along a segment and the sorted order of the crossings.  The lattice
+    points strictly inside a segment whose direction r has g = gcd(r) are
+    its g - 1 steps of r/g, none when r is primitive; they are looked up in
+    ``at``, the point at each coordinate, unless there are more of them
+    than points, when the points are scanned instead.  A closed bounding
+    box per segment skips the pairs that cannot meet it, a pair with a
+    shared end is settled by one orientation unless it is collinear, and
+    every other pair by one ``_crossing`` test; only a degenerate pair
+    (collinear or touching) goes on to ``_meet`` for its kind.
     ``darts`` walks each accepted segment once into darts and directions.
     """
 
@@ -70,10 +74,10 @@ class _Arrangement:
         self.points = {k: (x.numerator * (scale // x.denominator),
                            y.numerator * (scale // y.denominator))
                        for k, (x, y) in points.items()}
-        seen: Dict[Tuple[int, int], Hashable] = {}
+        self.at: Dict[Tuple[int, int], Hashable] = {}
         for k in sorted(self.points):  # points must be distinct
-            if seen.setdefault(self.points[k], k) != k:
-                raise SceneError(f"coincident-endpoints: {seen[self.points[k]]!r} and {k!r}")
+            if self.at.setdefault(self.points[k], k) != k:
+                raise SceneError(f"coincident-endpoints: {self.at[self.points[k]]!r} and {k!r}")
         self.segments: List[Tuple[str, Hashable, Hashable, int, int, int, int]] = []  # (sid, u, v, closed box)
         self.crossings: Dict[str, List[Tuple[_Triple, str]]] = {}  # (point, other segment)
         self.owner: Dict[_Triple, Tuple[str, str]] = {}            # crossing -> (older, newer)
@@ -82,28 +86,47 @@ class _Arrangement:
         """Accept segment ``sid`` from u to v, or return why it is refused."""
         pts = self.points
         a, b = pts[u], pts[v]
-        ax, ay = a
-        rx, ry = b[0] - ax, b[1] - ay
+        (ax, ay), (bx, by) = a, b
+        rx, ry = bx - ax, by - ay
         # strict tests on closed boxes: only what the predicates would call disjoint is skipped
-        xlo, xhi, ylo, yhi = min(ax, b[0]), max(ax, b[0]), min(ay, b[1]), max(ay, b[1])
-        if math.gcd(rx, ry) > 1:  # else no lattice point lies strictly between a and b
-            for nm, (px, py) in pts.items():
-                if (xlo <= px <= xhi and ylo <= py <= yhi
-                        and nm != u and nm != v and rx * (py - ay) == ry * (px - ax)):
-                    return f"vertex-on-edge: point {nm!r} lies on segment {sid!r}"
+        xlo, xhi = (ax, bx) if ax < bx else (bx, ax)
+        ylo, yhi = (ay, by) if ay < by else (by, ay)
+        g = math.gcd(rx, ry)
+        if g > 1:  # else no lattice point lies strictly between a and b
+            if g - 1 <= len(pts):  # walk the lattice points inside
+                at, sx, sy = self.at, rx // g, ry // g
+                on, x, y = [], ax, ay
+                for _ in range(g - 1):
+                    x += sx
+                    y += sy
+                    if (x, y) in at:
+                        on.append(at[x, y])
+            else:
+                on = [nm for nm, (px, py) in pts.items()
+                      if (xlo <= px <= xhi and ylo <= py <= yhi
+                          and nm != u and nm != v and rx * (py - ay) == ry * (px - ax))]
+            if on:  # the first in point order
+                nm = on[0] if len(on) == 1 else next(nm for nm in pts if nm in on)
+                return f"vertex-on-edge: point {nm!r} lies on segment {sid!r}"
         found: List[Tuple[_Triple, str]] = []
+        ka = rx * ay - ry * ax  # q is on the line through a and b iff rx * qy - ry * qx == ka
         for o, c, d, oxlo, oxhi, oylo, oyhi in self.segments:
             if oxhi < xlo or oxlo > xhi or oyhi < ylo or oylo > yhi:
                 continue
             if c == u or c == v or d == u or d == v:
-                qx, qy = pts[d if c == u or c == v else c]
-                if rx * (qy - ay) != ry * (qx - ax):
+                qx, qy = pts[d] if c == u or c == v else pts[c]
+                if rx * qy - ry * qx != ka:
                     continue  # segments with a shared end meet only there, unless collinear
-            # the points are distinct, so a shared endpoint is a shared name: never a crossing
-            kind, p = _meet(a, b, pts[c], pts[d])
-            if kind == "disjoint" or kind == "shared-endpoint":
-                continue
-            if kind != "proper":
+                p = ()
+            else:
+                p = _crossing(ax, ay, rx, ry, pts[c], pts[d])
+                if p is None:
+                    continue
+            if not p:  # collinear or touching
+                # the points are distinct, so a shared endpoint is a shared name: never a crossing
+                kind = _meet(a, b, pts[c], pts[d])[0]
+                if kind == "disjoint" or kind == "shared-endpoint":
+                    continue
                 return f"{kind}: {o!r} and {sid!r}"
             if p in self.owner:  # o is one of the two owners
                 o1, o2 = self.owner[p]

@@ -4,8 +4,10 @@ Every predicate is decided by sign computations, never by floating point.
 Scene coordinates are ``fractions.Fraction``, but the predicates take
 ``int`` or ``Fraction`` coordinates alike: the arrangement in
 ``generators`` scales a scene once by the lcm of its denominators and runs
-``_meet`` on ``int`` pairs, where two segments meet in a reduced integer
-triple, so ``Fraction`` appears only at the scene-JSON boundary, in the
+the one crossing test, ``_crossing``, on ``int`` pairs, where two segments
+cross in a reduced integer triple; ``_meet`` calls the same test and
+decides only the degenerate pairs it leaves (collinear or touching) by
+itself.  So ``Fraction`` appears only at the scene-JSON boundary, in the
 sort keys that order the arrangement's crossings, and in
 ``segment_relation``'s return.  A scene is a set of labelled points and
 straight segments between them::
@@ -87,20 +89,20 @@ def _meet(a: Point, b: Point, c: Point, d: Point):
     """The kind of ``segment_relation`` and where the segments meet, or ``None``.
 
     An endpoint case gives the endpoint as passed; a proper crossing gives
-    the triple ``(x*w, y*w, w)`` with ``w > 0``, reduced to ``gcd == 1`` on
-    ``int`` points, so equal points are equal triples.  The cases are
-    decided on the numerators of the two segment parameters, so ``int``
-    inputs need no division.
+    ``_crossing``'s triple.  The cases are decided on the numerators of the
+    two segment parameters, so ``int`` inputs need no division; only the
+    degenerate pairs that ``_crossing`` leaves are decided here.
     """
     rx, ry = b[0] - a[0], b[1] - a[1]
+    hit = _crossing(a[0], a[1], rx, ry, c, d)
+    if hit is None:
+        return ("disjoint", None)
+    if hit:
+        return ("proper", hit)
     sx, sy = d[0] - c[0], d[1] - c[1]
     cax, cay = c[0] - a[0], c[1] - a[1]
     denom = rx * sy - ry * sx
-    un = cax * ry - cay * rx
-    if denom == 0:
-        if un != 0:
-            return ("disjoint", None)
-        # collinear: compare 1-d intervals along r
+    if denom == 0:  # collinear: compare 1-d intervals along r
         t0 = cax * rx + cay * ry
         t1 = (d[0] - a[0]) * rx + (d[1] - a[1]) * ry
         lo, hi = min(t0, t1), max(t0, t1)
@@ -112,21 +114,45 @@ def _meet(a: Point, b: Point, c: Point, d: Point):
         if lo == myhi:
             return ("shared-endpoint", c if t0 == lo else d)
         return ("collinear-overlap", None)
+    # they touch: an end of one lies on the other
+    tn, un = cax * sy - cay * sx, cax * ry - cay * rx
+    if denom < 0:
+        denom, tn, un = -denom, -tn, -un
+    u_end = un == 0 or un == denom
+    if tn == 0 or tn == denom:
+        return ("shared-endpoint" if u_end else "endpoint-on-interior", a if tn == 0 else b)
+    return ("endpoint-on-interior", c if un == 0 else d)
+
+
+def _crossing(ax, ay, rx, ry, c: Point, d: Point):
+    """How segment ab, given as ``a = (ax, ay)`` and ``r = b - a``, meets segment cd.
+
+    ``None`` if they are disjoint; the proper crossing as the triple
+    ``(x*w, y*w, w)`` with ``w > 0``, reduced to ``gcd == 1`` on ``int``
+    points, so equal points are equal triples; or ``()`` if they are
+    degenerate: collinear (overlapping, touching or apart) or touching
+    where an end of one lies on the other.  The one crossing test of the
+    package: ``_meet`` calls it first, and the arrangement calls it on
+    each pair its box test keeps, with r worked out once per segment.
+    """
+    sx, sy = d[0] - c[0], d[1] - c[1]
+    cax, cay = c[0] - ax, c[1] - ay
+    denom = rx * sy - ry * sx
+    un = cax * ry - cay * rx
+    if denom == 0:
+        return None if un else ()
     tn = cax * sy - cay * sx
     if denom < 0:
         denom, tn, un = -denom, -tn, -un
     if not (0 <= tn <= denom and 0 <= un <= denom):
-        return ("disjoint", None)
-    u_end = un == 0 or un == denom
-    if tn == 0 or tn == denom:
-        return ("shared-endpoint" if u_end else "endpoint-on-interior", a if tn == 0 else b)
-    if u_end:
-        return ("endpoint-on-interior", c if un == 0 else d)
-    x, y = a[0] * denom + tn * rx, a[1] * denom + tn * ry
+        return None
+    if tn == 0 or tn == denom or un == 0 or un == denom:
+        return ()
+    x, y = ax * denom + tn * rx, ay * denom + tn * ry
     if type(denom) is int:  # every coordinate is an int
         g = math.gcd(x, y, denom)
-        return ("proper", (x // g, y // g, denom // g))
-    return ("proper", (x, y, denom))
+        return (x // g, y // g, denom // g)
+    return (x, y, denom)
 
 
 def _half(v: Point) -> int:

@@ -287,12 +287,15 @@ def test_box_test_decides_as_brute_force(seed):
 def test_box_test_bounds_kernel_calls(monkeypatch):
     calls = 0
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _meet(*args)
+    def counting(kernel):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+        return counted
 
-    monkeypatch.setattr(generators, "_meet", counted)
+    monkeypatch.setattr(generators, "_crossing", counting(generators._crossing))
+    monkeypatch.setattr(generators, "_meet", counting(_meet))
     for s in range(20):
         try:
             build_random_scene(24, 72, s)
@@ -767,6 +770,16 @@ def test_random_scene_bytes_are_pinned():
     assert validate(wide).valid
     digest.update(serialize_tdr(wide).encode())
     assert digest.hexdigest() == "ab32227a9dcb2e2255e3eef2eca2a051b67aea3b8d6fe7c2cde8c5408dd00de2"
+
+
+# At the sizes the arrangement's lattice walk and crossing test were made
+# for; both scenes connect.  Recorded before either went in.
+@pytest.mark.parametrize("n,budget,seed,digest", [
+    (80, 240, 0, "ee3a60015a66ba121465b22b9d7c84bd5425fee233e9642b79b3a11c6723b426"),
+    (160, 480, 4, "31de3ad2a9ef7abbe4f5bea6a578b65650f704e42fbc0986172ee6a38aee9fc2"),
+])
+def test_larger_random_drawing_bytes_are_pinned(n, budget, seed, digest):
+    assert hashlib.sha256(serialize_tdr(random_drawing(n, budget, seed)).encode()).hexdigest() == digest
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)

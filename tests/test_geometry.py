@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from triplane.geometry import (
     GeometricScene,
     SceneError,
+    _crossing,
     _meet,
     ccw_from,
     ccw_sorted,
@@ -300,3 +301,43 @@ def test_segment_relation_is_the_kernel_converted(coord, seed):
         else:
             assert rel == (kind,)
     assert {"disjoint", "proper"} <= kinds
+
+
+# _crossing is the one crossing test: _meet's proper crossings are its
+# triples, its disjoint pairs are _meet's disjoint pairs that are not
+# collinear, and what it leaves degenerate is collinear or an end on the other.
+@pytest.mark.parametrize("coord", [
+    lambda rng: rng.randint(-4, 4),
+    lambda rng: Fraction(rng.randint(-12, 12), rng.randint(1, 3)),
+    lambda rng: rng.choice((-1, 1)) * 10 ** 40 + rng.randint(-3, 3) * 10 ** 39,
+], ids=["int", "fraction", "1e40"])
+@pytest.mark.parametrize("seed", range(3))
+def test_crossing_is_meets_kernel(coord, seed):
+    answers = set()
+    for a, b, c, d in _seeded_quads(seed, coord):
+        hit = _crossing(a[0], a[1], b[0] - a[0], b[1] - a[1], c, d)
+        kind, where = _meet(a, b, c, d)
+        collinear = orient(a, b, c) == 0 and orient(a, b, d) == 0
+        if hit is None:
+            assert kind == "disjoint" and not collinear
+        elif hit == ():
+            assert kind != "proper" and (kind != "disjoint" or collinear)
+        else:
+            assert kind == "proper" and hit == where
+        answers.add(hit if hit is None or hit == () else "proper")
+    assert answers >= {None, "proper"}
+
+
+@pytest.mark.parametrize("a,b,c,d", [
+    ((0, 0), (4, 0), (1, 0), (3, 0)),   # collinear, overlapping
+    ((0, 0), (1, 0), (2, 0), (3, 0)),   # collinear, apart
+    ((0, 0), (2, 0), (2, 0), (3, 1)),   # a shared end
+    ((0, 0), (2, 0), (1, 0), (1, 1)),   # an end on the interior
+    ((0, 0), (2, 2), (2, 0), (1, 1)),   # an end on the interior, from the other side
+])
+@pytest.mark.parametrize("as_fraction", [False, True])
+def test_crossing_leaves_degenerate_pairs_to_meet(a, b, c, d, as_fraction):
+    if as_fraction:
+        a, b, c, d = (P(*q) for q in (a, b, c, d))
+    assert _crossing(a[0], a[1], b[0] - a[0], b[1] - a[1], c, d) == ()
+    assert _meet(a, b, c, d)[0] in ("collinear-overlap", "disjoint", "shared-endpoint", "endpoint-on-interior")

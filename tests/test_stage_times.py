@@ -1,4 +1,4 @@
-"""``tools/stage_times.py`` on the smallest fig3 and fig2 and a small n-gon, one repeat."""
+"""``tools/stage_times.py`` on the smallest fig3 and fig2, a small n-gon and small random scenes, one repeat."""
 
 import importlib.util
 from pathlib import Path
@@ -62,3 +62,26 @@ def test_generate_inputs_are_perfbenchs():
     names = [name for name, _ in stage_times.generate_inputs()]
     assert names == [f"fig3-L{L}" for L in stage_times.GENERATE_FIG3] + [
         f"fig2-R{R}" for R in stage_times.GENERATE_FIG2]
+
+
+def test_times_every_random_scene_stage_and_puts_the_producers_back():
+    before = (generators._Arrangement.add, generators._drawing_of)
+    stages = stage_times.random_times(8, 16, 0)
+    assert list(stages) == list(stage_times.RANDOM_STAGES)
+    assert all(ms > 0 for ms in stages.values())
+    assert (generators._Arrangement.add, generators._drawing_of) == before
+
+
+def test_a_random_scene_that_raises_is_printed_as_raised(capsys):
+    stage_times.print_random("random-n16-s33", (16, 48, 33), 1)
+    stage_times.print_random("random-n8-s0", (8, 16, 0), 1)
+    first, second, *rows = capsys.readouterr().out.splitlines()
+    assert first == "generate random-n16-s33: raised GenerationError: could not connect the scene for n=16, seed=33"
+    assert second == "generate random-n8-s0:"
+    assert [row.split()[0] for row in rows] == [stage.split()[0] for stage in stage_times.RANDOM_STAGES]
+
+
+def test_random_inputs_are_perfbenchs():
+    assert stage_times.random_inputs() == [
+        (f"random-n{stage_times.RANDOM_N}-s{s}", (stage_times.RANDOM_N, stage_times.RANDOM_BUDGET, s))
+        for s in stage_times.GENERATE_RANDOM_SEEDS]

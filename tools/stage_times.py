@@ -1,4 +1,4 @@
-"""Where one verdict, one saturation and one family build spend their time: raw ms per stage on perfbench's inputs.
+"""Where one verdict, one saturation, one family build and one random scene spend their time: raw ms per stage on perfbench's inputs.
 
 Usage::
 
@@ -66,6 +66,21 @@ length, gives:
 
 and ``json.loads`` of that text is the control of these stages.
 
+Then come the random scenes of that workload: ``build_random_scene`` at
+``RANDOM_N`` points and ``RANDOM_BUDGET`` segments for each seed of
+``GENERATE_RANDOM_SEEDS``, ingested and written as its operation does.
+One untouched run gives ``whole``; a second one gives:
+
+- ``build_random_scene``: the scene, every candidate segment tried;
+- ``ingest adds``: the ``_Arrangement.add`` calls of ``ingest_geometry``,
+  summed, with the scene's segments accepted again;
+- ``_drawing_of``: the drawing built from that arrangement;
+- ``serialize_tdr``: its canonical text;
+
+with ``json.loads`` of that text as the control.  A seed whose scene
+raises ``GenerationError`` (perfbench counts it as a failed operation) is
+printed with what it raised.
+
 Each figure is the minimum over the repeats, in raw wall milliseconds
 (``time.perf_counter``); nothing is scaled, so compare figures taken on the
 same machine only.  ``json.loads`` runs no code that any change touches, so
@@ -98,17 +113,19 @@ from triplane.census import _classified, _trails, _witnesses, census, detect_con
 from triplane.certificate import builtin_certificate, verify_numeric  # noqa: E402
 from triplane.constraints import evaluate_constraints  # noqa: E402
 from triplane.drawing import Drawing, parse_tdr, serialize_tdr  # noqa: E402
-from triplane.generators import gen_fig2, gen_fig3, random_drawing  # noqa: E402
+from triplane.generators import (GenerationError, build_random_scene, gen_fig2, gen_fig3,  # noqa: E402
+                                  ingest_geometry, random_drawing)
 from triplane.saturate import is_3saturated, saturate  # noqa: E402
 from workloads import (CERTIFY_FIG2, CERTIFY_FIG3, CERTIFY_RANDOM_SEEDS,  # noqa: E402
-                       GENERATE_FIG2, GENERATE_FIG3, RANDOM_BUDGET, RANDOM_N, SATURATE_NGONS, SATURATE_RANDOM_SEEDS,
-                       _VERDICT_ARGV as COMMANDS, ngon_tdr)
+                       GENERATE_FIG2, GENERATE_FIG3, GENERATE_RANDOM_SEEDS, RANDOM_BUDGET, RANDOM_N, SATURATE_NGONS,
+                       SATURATE_RANDOM_SEEDS, _VERDICT_ARGV as COMMANDS, ngon_tdr)
 
 STAGES = ("json.loads", "parse_tdr", "validate", "_classified", "is_3saturated", "_trails",
           "detect_configurations", "census", "evaluate_constraints", "verify_numeric", "as_dict")
 SATURATE_STAGES = ("saturate", "input validate", "input cells + witnesses", "output Drawing",
                    "output validate", "is_3saturated")
 GENERATE_STAGES = ("json.loads", "chord fill", "Rotations.lists", "output Drawing", "serialize_tdr", "whole")
+RANDOM_STAGES = ("json.loads", "build_random_scene", "ingest adds", "_drawing_of", "serialize_tdr", "whole")
 
 
 def inputs() -> List[Tuple[str, str]]:
@@ -133,6 +150,11 @@ def generate_inputs() -> List[Tuple[str, Callable[[], Drawing]]]:
     out = [(f"fig3-L{L}", functools.partial(gen_fig3, L)) for L in GENERATE_FIG3]
     out += [(f"fig2-R{R}", functools.partial(gen_fig2, R)) for R in GENERATE_FIG2]
     return out
+
+
+def random_inputs() -> List[Tuple[str, Tuple[int, int, int]]]:
+    """(name, (n, budget, seed)) of each of perfbench's random24 generate operations, in its order."""
+    return [(f"random-n{RANDOM_N}-s{s}", (RANDOM_N, RANDOM_BUDGET, s)) for s in GENERATE_RANDOM_SEEDS]
 
 
 def _ms(fn: Callable, *args, **kwargs):
@@ -222,6 +244,33 @@ def generate_times(make: Callable[[], Drawing]) -> Dict[str, float]:
     return {"json.loads": control, **ms, "whole": whole}
 
 
+def random_times(n: int, budget: int, seed: int) -> Dict[str, float]:
+    """Each ``RANDOM_STAGES`` stage's raw ms for the random scene's operation; its ``GenerationError`` propagates."""
+    gc.collect()
+    _, whole = _ms(lambda: serialize_tdr(ingest_geometry(build_random_scene(n, budget, seed))))
+    gc.collect()
+    scene, built = _ms(build_random_scene, n, budget, seed)
+    ms = {"build_random_scene": built, "ingest adds": 0.0, "_drawing_of": 0.0}
+    with mock.patch.object(generators._Arrangement, "add", _timer(ms, "ingest adds", generators._Arrangement.add)), \
+            mock.patch.object(generators, "_drawing_of", _timer(ms, "_drawing_of", generators._drawing_of)):
+        d = ingest_geometry(scene)
+    text, ms["serialize_tdr"] = _ms(serialize_tdr, d)
+    _, control = _ms(json.loads, text)
+    return {"json.loads": control, **ms, "whole": whole}
+
+
+def print_random(name: str, args: Tuple[int, int, int], repeats: int) -> None:
+    """The table of one random scene's ``random_times``, the minimum over ``repeats``, or what it raised."""
+    try:
+        ms = best([random_times(*args) for _ in range(repeats)])
+    except GenerationError as exc:
+        print(f"generate {name}: raised GenerationError: {exc}")
+        return
+    print(f"generate {name}:")
+    for k, v in ms.items():
+        print(f"  {k:<28}{v:9.3f}")
+
+
 def insertions(ms: Dict[str, float]) -> float:
     """The whole ``saturate`` of ``saturate_times`` figures less the other five stages."""
     return 2 * ms["saturate"] - sum(ms.values())
@@ -272,6 +321,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ms = best([generate_times(make) for _ in range(args.repeats)])
         for k, v in {**ms, "ring layout": ring_layout(ms)}.items():
             print(f"  {k:<28}{v:9.3f}")
+    for name, params in random_inputs():
+        print_random(name, params, args.repeats)
     return 0
 
 
