@@ -184,8 +184,9 @@ def test_add_decides_as_the_oracle_on_seeded_scenes(name):
     decide_both(points, _candidates(rng, points, 60))
 
 
-# The chord models of m >= 9 put the corners at x = 2^(m-1-i), where every
-# chord's g - 1 exceeds m: the points are scanned.
+# The chord models of m >= 9 put the corners at x = 2^(m-1-i): a chord
+# between x = 2^a and 2^b has g = |2^a - 2^b|, so most chords scan the
+# points, and the shortest ones walk.
 @pytest.mark.parametrize("m", [9, 10, 11])
 def test_add_decides_as_the_oracle_on_chord_models(m):
     xs = [2 ** (m - 1 - i) for i in range(m)]

@@ -328,16 +328,16 @@ def test_crossing_is_meets_kernel(coord, seed):
     assert answers >= {None, "proper"}
 
 
-@pytest.mark.parametrize("a,b,c,d", [
-    ((0, 0), (4, 0), (1, 0), (3, 0)),   # collinear, overlapping
-    ((0, 0), (1, 0), (2, 0), (3, 0)),   # collinear, apart
-    ((0, 0), (2, 0), (2, 0), (3, 1)),   # a shared end
-    ((0, 0), (2, 0), (1, 0), (1, 1)),   # an end on the interior
-    ((0, 0), (2, 2), (2, 0), (1, 1)),   # an end on the interior, from the other side
+@pytest.mark.parametrize("a,b,c,d,kind", [
+    ((0, 0), (4, 0), (1, 0), (3, 0), "collinear-overlap"),
+    ((0, 0), (1, 0), (2, 0), (3, 0), "disjoint"),              # collinear, apart
+    ((0, 0), (2, 0), (2, 0), (3, 1), "shared-endpoint"),
+    ((0, 0), (2, 0), (1, 0), (1, 1), "endpoint-on-interior"),
+    ((1, 1), (1, 0), (0, 0), (2, 0), "endpoint-on-interior"),  # an end of the first on the second
 ])
 @pytest.mark.parametrize("as_fraction", [False, True])
-def test_crossing_leaves_degenerate_pairs_to_meet(a, b, c, d, as_fraction):
+def test_crossing_leaves_degenerate_pairs_to_meet(a, b, c, d, kind, as_fraction):
     if as_fraction:
         a, b, c, d = (P(*q) for q in (a, b, c, d))
     assert _crossing(a[0], a[1], b[0] - a[0], b[1] - a[1], c, d) == ()
-    assert _meet(a, b, c, d)[0] in ("collinear-overlap", "disjoint", "shared-endpoint", "endpoint-on-interior")
+    assert _meet(a, b, c, d)[0] == kind
