@@ -93,7 +93,7 @@ class _Arrangement:
         ylo, yhi = (ay, by) if ay < by else (by, ay)
         g = math.gcd(rx, ry)
         if g > 1:  # else no lattice point lies strictly between a and b
-            if g - 1 <= len(pts):  # walk the lattice points inside
+            if g - 1 <= len(pts):  # walk the lattice points inside: never more steps than the scan has points
                 at, sx, sy = self.at, rx // g, ry // g
                 on, x, y = [], ax, ay
                 for _ in range(g - 1):

@@ -168,14 +168,7 @@ def saturate(drawing: Drawing) -> Drawing:
         if not pending:
             break
         # the first pending cell in id order, as ``_witnesses`` scans them
-        if len(pending) == 1:
-            key = next(iter(pending))
-        elif len(pending) == 2:
-            key, other = pending
-            if str(bisect_left(keys, other)) < str(bisect_left(keys, key)):
-                key = other
-        else:
-            key = min(pending, key=lambda k: str(bisect_left(keys, k)))
+        key = next(iter(pending)) if len(pending) == 1 else min(pending, key=lambda k: str(bisect_left(keys, k)))
         del keys[bisect_left(keys, key)]
         face, start, (u, v) = pending.pop(key)
         arrive_u, arrive_v = face.arrival(u, start, rot), face.arrival(v, start, rot)
