@@ -31,7 +31,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .combmap import Dart, Rotations
 from .drawing import Drawing, EdgeRecord
-from .geometry import GeometricScene, Point, SceneError, _crossing, _meet, ccw_from, ccw_sorted, sub
+from .geometry import GeometricScene, Point, SceneError, _crossing, _meet, _upper, ccw_from, ccw_sorted, cross, sub
 from .saturate import saturate
 
 
@@ -55,9 +55,10 @@ class _Arrangement:
     The points are scaled once by the lcm of their coordinates'
     denominators and kept as ``int`` pairs, so every predicate runs in
     integers, and crossings are the reduced triples of
-    ``geometry._crossing`` in the scaled frame; ``Fraction`` is built only
-    for sort keys.  A positive scale keeps every orientation, every order
-    along a segment and the sorted order of the crossings.  The lattice
+    ``geometry._crossing`` in the scaled frame, sorted by exact integer
+    keys; no ``Fraction`` is built.  A positive scale keeps every
+    orientation, every order along a segment and the sorted order of the
+    crossings.  The lattice
     points strictly inside a segment whose direction r has g = gcd(r) are
     its g - 1 steps of r/g, none when r is primitive; they are looked up in
     ``at``, the point at each coordinate, unless there are more of them
@@ -152,7 +153,9 @@ class _Arrangement:
         the points in sorted order, then the crossings, keyed by their triples, as found.
         Points on a line lie along it in sorted (x, then y) order, reversed from a larger first end.
         """
-        order = sorted(self.owner, key=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])))
+        # distinct x1/w1 and x2/w2 differ by at least 1/(w1*w2) >= 1/K, so the floors of x*K/w keep their order
+        K = max((t[2] for t in self.owner), default=1) ** 2
+        order = sorted(self.owner, key=lambda t: (t[0] * K // t[2], t[1] * K // t[2]))
         index = {p: i for i, p in enumerate(order)}
         pts = self.points
         along: Dict[str, List[_Triple]] = {}
@@ -167,6 +170,17 @@ class _Arrangement:
                 items[a].append(((sid, i, "fwd"), fwd))
                 items[b].append(((sid, i, "bwd"), bwd))
         return index, along, items
+
+
+def _crossing_rotation(items: List[Tuple[Dart, Tuple[int, int]]]) -> List[Dart]:
+    """``ccw_sorted(items)`` at a proper crossing, whose ``darts`` items are (bwd, fwd) of each segment: with
+    each pair's upper half-plane dart first, the segments alternate, ordered by one cross product."""
+    (a, va), (a2, va2), (b, vb), (b2, vb2) = items
+    if not _upper(va):
+        a, a2, va = a2, a, va2
+    if not _upper(vb):
+        b, b2, vb = b2, b, vb2
+    return [a, b, a2, b2] if cross(va, vb) > 0 else [b, a, b2, a2]
 
 
 # -- geometric ingestion -----------------------------------------------------
@@ -196,7 +210,8 @@ def _drawing_of(arr: _Arrangement) -> Drawing:
     index, along, items = arr.darts()
     xname = {p: f"{prefix}{i}" for p, i in index.items()}
     edges = [EdgeRecord(sid, (u, v), tuple(xname[p] for p in along[sid])) for sid, u, v, *_ in arr.segments]
-    rotations = {xname.get(p, p): ccw_sorted(darts) for p, darts in items.items()}
+    rotations = {p: ccw_sorted(items[p]) for p in sorted(arr.points)}
+    rotations.update((xname[p], _crossing_rotation(items[p])) for p in arr.owner)
     return Drawing(sorted(arr.points), edges, rotations)
 
 
@@ -244,7 +259,7 @@ def _chord_model(m: int, chords: Tuple[Tuple[int, int], ...]) -> Optional[_Chord
         return None
     order, on, items = arr.darts()
     along = tuple(tuple(order[p] for p in on[k]) for k in range(len(chords)))
-    crossings = tuple((order[p], tuple(ccw_sorted(items[p]))) for p in arr.owner)
+    crossings = tuple((order[p], tuple(_crossing_rotation(items[p]))) for p in arr.owner)
     at = arr.points
     splices = tuple((i, tuple(ccw_from(sub(at[(i - 1) % m], at[i]), items[i]))) for i in range(m) if items[i])
     return along, crossings, splices

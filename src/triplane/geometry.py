@@ -7,8 +7,7 @@ Scene coordinates are ``fractions.Fraction``, but the predicates take
 the one crossing test, ``_crossing``, on ``int`` pairs, where two segments
 cross in a reduced integer triple; ``_meet`` calls the same test and
 decides only the degenerate pairs it leaves (collinear or touching) by
-itself.  So ``Fraction`` appears only at the scene-JSON boundary, in the
-sort keys that order the arrangement's crossings, and in
+itself.  So ``Fraction`` appears only at the scene-JSON boundary and in
 ``segment_relation``'s return.  A scene is a set of labelled points and
 straight segments between them::
 
@@ -155,39 +154,43 @@ def _crossing(ax, ay, rx, ry, c: Point, d: Point):
     return (x, y, denom)
 
 
-def _half(v: Point) -> int:
-    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+def _upper(v: Point) -> bool:
+    """``v`` points into the upper half-plane: y > 0, or y = 0 and x > 0."""
+    return v[1] > 0 or (v[1] == 0 and v[0] > 0)
 
 
-def _cmp_dir(v: Point, w: Point) -> int:
-    hv, hw = _half(v), _half(w)
-    if hv != hw:
-        return -1 if hv < hw else 1
-    c = cross(v, w)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+def _turn(p: Tuple[object, Point], q: Tuple[object, Point]):
+    """Negative iff item p's direction comes before q's counterclockwise, within one half-plane."""
+    (_, (px, py)), (_, (qx, qy)) = p, q
+    return qx * py - qy * px
+
+
+_BY_TURN = cmp_to_key(_turn)
 
 
 def ccw_sorted(items: Sequence[Tuple[object, Point]]) -> List[object]:
-    """Sort (key, direction) items counterclockwise from the positive x-axis.
+    """Sort (key, direction) items counterclockwise from the positive x-axis: the upper half-plane,
+    then the lower one, in each of which one cross product orders two items.
 
     Two items with the same direction are an error: a drawing cannot have
     two darts leaving a node the same way.
     """
-    ordered = sorted(items, key=cmp_to_key(lambda p, q: _cmp_dir(p[1], q[1])))
-    for (k1, v1), (k2, v2) in zip(ordered, ordered[1:]):
-        if _cmp_dir(v1, v2) == 0:
-            raise SceneError(f"darts {k1!r} and {k2!r} leave a node in the same direction")
-    return [k for k, _ in ordered]
+    halves: Tuple[list, list] = ([], [])
+    for item in items:
+        halves[not _upper(item[1])].append(item)
+    for half in halves:
+        half.sort(key=_BY_TURN)
+        for p, q in zip(half, half[1:]):
+            if not _turn(p, q):  # opposite directions lie in different halves
+                raise SceneError(f"darts {p[0]!r} and {q[0]!r} leave a node in the same direction")
+    return [k for half in halves for k, _ in half]
 
 
 def ccw_from(base: Point, items: Sequence[Tuple[object, Point]]) -> List[object]:
     """Sort items counterclockwise, starting with the first at or after ``base``."""
     ordered = ccw_sorted(items)
-    start = sum(1 for _, v in items if _cmp_dir(v, base) < 0)  # items before base
+    up = _upper(base)
+    start = sum(1 for _, v in items if _upper(v) > up or (_upper(v) == up and cross(v, base) > 0))  # items before base
     return ordered[start:] + ordered[:start]
 
 

@@ -1,10 +1,16 @@
-"""``_Arrangement.add`` against the rule it replaced, decision by decision.
+"""``_Arrangement.add`` and ``_Arrangement.darts`` against the rules they replaced.
 
 ``_add_oracle`` is ``add`` as it was before the one crossing test and the
 lattice walk: every pair that passes the box test and shares no end goes to
 ``_meet``, and a segment whose direction is not primitive scans every point.
 Both must return the same after every step, ``None`` or the same refusal
 text, and end with the same segments, crossings and owners.
+
+``_fraction_order`` is the crossing order ``darts`` gave by ``Fraction``
+keys, and ``test_geometry.ccw_sorted_oracle`` the one comparison sort that
+gave every node's rotation, crossings included: ``darts``' integer keys and
+``generators._crossing_rotation``'s one orientation sign must agree with
+them at every crossing.
 """
 
 import math
@@ -13,8 +19,11 @@ from fractions import Fraction
 
 import pytest
 
-from triplane.generators import _Arrangement
-from triplane.geometry import _meet
+from triplane import generators
+from triplane.generators import GenerationError, _Arrangement, _crossing_rotation, _random_arrangement
+from triplane.geometry import _meet, ccw_from, ccw_sorted, sub
+
+from test_geometry import ccw_from_oracle, ccw_sorted_oracle
 
 
 def _add_oracle(arr, sid, u, v):
@@ -206,3 +215,105 @@ def test_the_scenes_reach_every_branch():
             texts.add(outcome.split(":")[0] if outcome else None)
     assert texts == {None, "vertex-on-edge", "collinear-overlap", "concurrent-crossing", "too-many-crossings"}
     assert branches == {(kind, inside) for kind in ("walk", "scan") for inside in (0, 1, 2)} | {("primitive", 0)}
+
+
+def _fraction_order(owner):
+    """The crossings in the order ``darts`` gave them by ``Fraction`` keys."""
+    return sorted(owner, key=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])))
+
+
+def check_order(arr):
+    """``arr.darts()``'s crossing order against the oracle's; the crossings and the items at each node."""
+    index, _, items = arr.darts()
+    assert sorted(index, key=index.__getitem__) == _fraction_order(arr.owner)
+    return index, items
+
+
+def check_darts(arr):
+    """``check_order``, and every node's rotation against the oracle; the crossing count."""
+    _, items = check_order(arr)
+    for p in arr.owner:
+        assert _crossing_rotation(items[p]) == ccw_sorted_oracle(items[p]), p
+    for p in arr.points:
+        assert ccw_sorted(items[p]) == ccw_sorted_oracle(items[p]), p
+    return len(arr.owner)
+
+
+def _recorded_arrangement(monkeypatch, n, budget, seed):
+    """The arrangement ``_random_arrangement`` builds, kept when the scene cannot connect."""
+    made = []
+
+    class Recorded(_Arrangement):
+        def __init__(self, points):
+            super().__init__(points)
+            made.append(self)
+
+    monkeypatch.setattr(generators, "_Arrangement", Recorded)
+    try:
+        _random_arrangement(n, budget, seed)
+    except GenerationError:
+        assert (n, budget, seed) == (24, 72, 15)  # the one unconnectable input here
+    return made[-1]
+
+
+@pytest.mark.parametrize("n,budget,seed", [(24, 72, s) for s in range(20)] + [(40, 120, 0), (40, 120, 1)])
+def test_darts_decide_as_the_oracles_on_random_scenes(monkeypatch, n, budget, seed):
+    assert check_darts(_recorded_arrangement(monkeypatch, n, budget, seed)) > 20
+
+
+# The chords of each m-cycle in five seeded orders, each accepted as far as the model allows.
+@pytest.mark.parametrize("m", [9, 10, 11])
+def test_darts_decide_as_the_oracles_on_chord_models(m):
+    xs = [2 ** (m - 1 - i) for i in range(m)]
+    crossings = 0
+    for seed in range(5):
+        arr = _Arrangement({i: (x, x * x) for i, x in enumerate(xs)})
+        chords = [(i, j) for i in range(m) for j in range(i + 2, m) if (i, j) != (0, m - 1)]
+        random.Random(m + 100 * seed).shuffle(chords)
+        for k, (i, j) in enumerate(chords):
+            arr.add(f"c{k}", i, j)
+        crossings += check_darts(arr)
+        _, _, items = arr.darts()
+        for i in range(m):  # the chord fill's splices start from the face's boundary
+            base = sub(arr.points[(i - 1) % m], arr.points[i])
+            assert ccw_from(base, items[i]) == ccw_from_oracle(base, items[i])
+    assert crossings > 30
+
+
+def _key_triples(seed):
+    """Reduced triples (x, y, w) with w from 1 to 1e40, negative coordinates and equal x/w."""
+    rng = random.Random(seed)
+    triples = set()
+    for _ in range(80):
+        w = rng.choice((1, 2, 3, rng.randint(1, 10 ** 6), 10 ** 40 + rng.randint(0, 9)))
+        triples.add((rng.randint(-3 * w, 3 * w), rng.randint(-3 * w, 3 * w), w))
+    for x, _, w in list(triples)[:20]:  # the same x/w, another y
+        triples.add((2 * x, rng.randint(-6 * w, 6 * w), 2 * w))
+    return {(x // g, y // g, w // g) for x, y, w in triples for g in [math.gcd(x, y, w)]}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_darts_integer_key_orders_as_fractions(seed):
+    arr = _Arrangement({})
+    arr.owner = dict.fromkeys(_key_triples(seed), ("s", "t"))
+    assert len(check_order(arr)[0]) > 80
+
+
+def _neighbour_pairs():
+    """Pairs whose x/w differ by 1/(w1*w2), the least two denominators allow: consecutive Fibonacci
+    ratios.  The one with the larger x/w has the smaller y, so only the x key orders them."""
+    fib = [1, 2]
+    while len(fib) < 60:
+        fib.append(fib[-2] + fib[-1])
+    for k in range(len(fib) - 2):
+        for sign in (1, -1):
+            pair = (sign * fib[k], fib[k + 1]), (sign * fib[k + 1], fib[k + 2])
+            lo, hi = sorted(pair, key=lambda t: Fraction(*t))
+            yield {(lo[0], 1, lo[1]), (hi[0], 0, hi[1])}
+
+
+def test_darts_integer_key_orders_the_closest_neighbours():
+    for owner in _neighbour_pairs():
+        arr = _Arrangement({})
+        arr.owner = dict.fromkeys(owner, ("s", "t"))
+        check_order(arr)

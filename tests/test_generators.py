@@ -782,6 +782,37 @@ def test_larger_random_drawing_bytes_are_pinned(n, budget, seed, digest):
     assert hashlib.sha256(serialize_tdr(random_drawing(n, budget, seed)).encode()).hexdigest() == digest
 
 
+# perfbench's generate random inputs, one pin each: the (24, 72) seeds but
+# 15, which cannot connect (test_random_drawing_unconnectable_seeds), and the
+# (40, 120) ones.  Recorded before the crossings' rotations and order were
+# decided by integer signs.
+@pytest.mark.parametrize("n,budget,seed,digest", [
+    (24, 72, 0, "5aedf33dc28e1158eb7d22b053105bd2c3d4e209aef4b6547363fde591873d43"),
+    (24, 72, 1, "ce6ddbd965fa0cd54602c164ba61350531d375cafd4136c1312636916182d1da"),
+    (24, 72, 2, "17a57eb91706d7eac3af8692b2bf4165509271dc55d99e32775d888ef580d553"),
+    (24, 72, 3, "1cb338ab3bc1b5f0539537860f8b978ee6e6dc7d8cb18df6905b460bd1d7b547"),
+    (24, 72, 4, "e0c940314cb423ff10026a06e0db7516de1f35cafbd0aaadf4da3e7f0b4dcd25"),
+    (24, 72, 5, "5e86954faa1a4c34e3596501201b3c0de71f2880a73c8051c0a9953c954ba92f"),
+    (24, 72, 6, "8eacb1333952b4cf45fcb8e77db29dba78eb80182be1ae37d9b1330d57a62305"),
+    (24, 72, 7, "63fed7b969cb4684e552b86c188133a2225a035fc3533b53a9b2924f225df0bd"),
+    (24, 72, 8, "230ce3a0e0f2041efe4451fbd0cb0107f189335aec6b7856dd75880f65305c59"),
+    (24, 72, 9, "f3b8d11b500c6756b3aa17d04a7649cbd42d0d729741c9d0ddbe301d10507f81"),
+    (24, 72, 10, "10cf7d3987aad4f50ea7d9e93dc7d547c32f8eda3b6946437a9399231c1656b9"),
+    (24, 72, 11, "9f2fb54445a775b36a14ff152d54fa8cf51c69e15307a7b14220c4bd2b3aaa2d"),
+    (24, 72, 12, "48ab21f1d5e746cc7404b65c89c32fb6ba3008e08d11a7a1e8ee320a446c8725"),
+    (24, 72, 13, "7e33120f44e5deb1573832ad81a73248962c7a0b395273abd1a7948e81d05419"),
+    (24, 72, 14, "ae0e9266fc4ded33a1ef66a796a10dc87e10f47b742bf4c20af4f2fdb3b8c720"),
+    (24, 72, 16, "4291f5185330c0c2c2929dc6ae3cfe11706d1ab38298c53be45ed08698b2f684"),
+    (24, 72, 17, "5279f47da2330b77d455fafac12e0d00977beba1e3230c3837471109481b6535"),
+    (24, 72, 18, "f08244a464849af260b97d6133f9c8e9574f7ae677265167017f3083098fcf6e"),
+    (24, 72, 19, "0620164e273f06520c6bc5e2e17ac4c067489214b2d7ba195ff30478404d233b"),
+    (40, 120, 0, "02f06fc2a70073d28a37a3f926dcfe388bc110f0fa5cd80dee79d53283190829"),
+    (40, 120, 1, "9fe15b8e08ca2de33b4dac9bf9062c36f5a0beaa02646c07b41fc7202da1745a"),
+])
+def test_generate_random_bytes_are_pinned(n, budget, seed, digest):
+    assert hashlib.sha256(serialize_tdr(random_drawing(n, budget, seed)).encode()).hexdigest() == digest
+
+
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 

@@ -4,6 +4,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,101 @@ def test_ccw_from_rotates_to_base():
     items = [("e", P(1, 0)), ("n", P(0, 1)), ("w", P(-1, 0)), ("s", P(0, -1))]
     assert ccw_from(P(-1, 0), items) == ["w", "s", "e", "n"]
     assert ccw_from(P(1, -1), items) == ["e", "n", "w", "s"]
+
+
+# ``ccw_sorted`` and ``ccw_from`` as they were before the two half-planes
+# were sorted apart: one comparison sort over (half-plane, cross product).
+def _half_oracle(v):
+    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+
+def _cmp_dir_oracle(v, w):
+    hv, hw = _half_oracle(v), _half_oracle(w)
+    if hv != hw:
+        return -1 if hv < hw else 1
+    c = v[0] * w[1] - v[1] * w[0]
+    return -1 if c > 0 else 1 if c < 0 else 0
+
+
+def ccw_sorted_oracle(items):
+    ordered = sorted(items, key=cmp_to_key(lambda p, q: _cmp_dir_oracle(p[1], q[1])))
+    for (k1, v1), (k2, v2) in zip(ordered, ordered[1:]):
+        if _cmp_dir_oracle(v1, v2) == 0:
+            raise SceneError(f"darts {k1!r} and {k2!r} leave a node in the same direction")
+    return [k for k, _ in ordered]
+
+
+def ccw_from_oracle(base, items):
+    ordered = ccw_sorted_oracle(items)
+    start = sum(1 for _, v in items if _cmp_dir_oracle(v, base) < 0)
+    return ordered[start:] + ordered[:start]
+
+
+def _either(sort, *args):
+    """What ``sort(*args)`` returns, or the text of the ``SceneError`` it raises."""
+    try:
+        return sort(*args)
+    except SceneError as exc:
+        return f"SceneError: {exc}"
+
+
+_DIRECTION_COORDS = {
+    "int": (lambda rng: rng.randint(-3, 3), lambda rng: rng.randint(2, 5)),
+    "fraction": (lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                 lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 4))),
+    "1e40": (lambda rng: rng.choice((-1, 0, 1)) * 10 ** 40 + rng.randint(-3, 3) * 10 ** 39,
+             lambda rng: rng.randint(2, 5)),
+}
+
+
+def _directions(rng, coord, factor):
+    """1-8 nonzero directions: random ones, axis ones, opposites and positive multiples of earlier ones."""
+    out, count = [], rng.randint(1, 8)
+    while len(out) < count:
+        pick = rng.random()
+        if out and pick < 0.2:  # the opposite of an earlier one
+            x, y = rng.choice(out)
+            v = (-x, -y)
+        elif out and pick < 0.3:  # the same direction again, refused
+            x, y = rng.choice(out)
+            f = factor(rng)
+            v = (f * x, f * y)
+        elif pick < 0.5:  # along an axis
+            c = coord(rng) or 1
+            v = rng.choice(((c, 0 * c), (0 * c, c)))
+        else:
+            v = (coord(rng), coord(rng))
+        if v != (0, 0):
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("kind", _DIRECTION_COORDS)
+def test_ccw_sorted_and_ccw_from_decide_as_the_oracle(kind):
+    coord, factor = _DIRECTION_COORDS[kind]
+    rng = random.Random(kind)
+    refused = accepted = opposite = axis = 0
+    for _ in range(400):
+        dirs = _directions(rng, coord, factor)
+        items = [(f"d{i}", v) for i, v in enumerate(dirs)]
+        got = _either(ccw_sorted, items)
+        assert got == _either(ccw_sorted_oracle, items), items
+        refused += isinstance(got, str)
+        accepted += not isinstance(got, str)
+        opposite += any((-x, -y) in dirs for x, y in dirs)
+        axis += any(0 in v for v in dirs)
+        for base in [*dirs, *((-x, -y) for x, y in dirs), (coord(rng) or 1, 0), (0, -(coord(rng) or 1))]:
+            assert _either(ccw_from, base, items) == _either(ccw_from_oracle, base, items), (base, items)
+    assert min(refused, accepted, opposite, axis) > 20
+
+
+def test_ccw_sorted_names_the_first_pair_in_one_direction_as_the_oracle():
+    items = [("a", (0, -2)), ("b", (3, 1)), ("c", (0, -1)), ("d", (6, 2)), ("e", (-1, 0))]
+    with pytest.raises(SceneError, match="^darts 'b' and 'd' leave a node in the same direction$"):
+        ccw_sorted(items)
+    assert _either(ccw_sorted_oracle, items) == "SceneError: darts 'b' and 'd' leave a node in the same direction"
+    with pytest.raises(SceneError, match="^darts 'a' and 'c' leave a node in the same direction$"):
+        ccw_sorted(items[:1] + items[2:])
 
 
 def test_scene_round_trip():

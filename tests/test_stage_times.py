@@ -65,11 +65,13 @@ def test_generate_inputs_are_perfbenchs():
 
 
 def test_times_every_random_scene_stage_and_puts_the_producers_back():
-    before = (generators._Arrangement.add, generators._drawing_of)
+    before = (generators._Arrangement.add, generators._Arrangement.darts, generators._drawing_of, generators.Drawing)
     stages = stage_times.random_times(8, 16, 0)
     assert list(stages) == list(stage_times.RANDOM_STAGES)
     assert all(ms > 0 for ms in stages.values())
-    assert (generators._Arrangement.add, generators._drawing_of) == before
+    assert stages["_Arrangement.darts"] + stages["output Drawing"] < stages["_drawing_of"]
+    assert (generators._Arrangement.add, generators._Arrangement.darts, generators._drawing_of,
+            generators.Drawing) == before
 
 
 def test_a_random_scene_that_raises_is_printed_as_raised(capsys):

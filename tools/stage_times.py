@@ -74,7 +74,11 @@ One untouched run gives ``whole``; a second one gives:
 - ``build_random_scene``: the scene, every candidate segment tried;
 - ``ingest adds``: the ``_Arrangement.add`` calls of ``ingest_geometry``,
   summed, with the scene's segments accepted again;
-- ``_drawing_of``: the drawing built from that arrangement;
+- ``_drawing_of``: the drawing built from that arrangement, of which
+  ``_Arrangement.darts`` (the segments walked into darts and directions,
+  the crossings ordered) and ``output Drawing`` (the one ``Drawing(...)``
+  built from its rotations) are timed again on their own, so the
+  rotations and names are ``_drawing_of`` less those two;
 - ``serialize_tdr``: its canonical text;
 
 with ``json.loads`` of that text as the control.  A seed whose scene
@@ -125,7 +129,8 @@ STAGES = ("json.loads", "parse_tdr", "validate", "_classified", "is_3saturated",
 SATURATE_STAGES = ("saturate", "input validate", "input cells + witnesses", "output Drawing",
                    "output validate", "is_3saturated")
 GENERATE_STAGES = ("json.loads", "chord fill", "Rotations.lists", "output Drawing", "serialize_tdr", "whole")
-RANDOM_STAGES = ("json.loads", "build_random_scene", "ingest adds", "_drawing_of", "serialize_tdr", "whole")
+RANDOM_STAGES = ("json.loads", "build_random_scene", "ingest adds", "_drawing_of", "_Arrangement.darts",
+                 "output Drawing", "serialize_tdr", "whole")
 
 
 def inputs() -> List[Tuple[str, str]]:
@@ -250,9 +255,13 @@ def random_times(n: int, budget: int, seed: int) -> Dict[str, float]:
     _, whole = _ms(lambda: serialize_tdr(ingest_geometry(build_random_scene(n, budget, seed))))
     gc.collect()
     scene, built = _ms(build_random_scene, n, budget, seed)
-    ms = {"build_random_scene": built, "ingest adds": 0.0, "_drawing_of": 0.0}
-    with mock.patch.object(generators._Arrangement, "add", _timer(ms, "ingest adds", generators._Arrangement.add)), \
-            mock.patch.object(generators, "_drawing_of", _timer(ms, "_drawing_of", generators._drawing_of)):
+    ms = {"build_random_scene": built, **dict.fromkeys(RANDOM_STAGES[2:-2], 0.0)}
+    with contextlib.ExitStack() as stack:
+        for owner, name, stage in ((generators._Arrangement, "add", "ingest adds"),
+                                   (generators._Arrangement, "darts", "_Arrangement.darts"),
+                                   (generators, "_drawing_of", "_drawing_of"),
+                                   (generators, "Drawing", "output Drawing")):
+            stack.enter_context(mock.patch.object(owner, name, _timer(ms, stage, getattr(owner, name))))
         d = ingest_geometry(scene)
     text, ms["serialize_tdr"] = _ms(serialize_tdr, d)
     _, control = _ms(json.loads, text)
