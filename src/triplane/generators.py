@@ -58,16 +58,16 @@ class _Arrangement:
     ``geometry._crossing`` in the scaled frame, sorted by exact integer
     keys; no ``Fraction`` is built.  A positive scale keeps every
     orientation, every order along a segment and the sorted order of the
-    crossings.  The lattice
-    points strictly inside a segment whose direction r has g = gcd(r) are
-    its g - 1 steps of r/g, none when r is primitive; they are looked up in
-    ``at``, the point at each coordinate, unless there are more of them
-    than points, when the points are scanned instead.  A closed bounding
-    box per segment skips the pairs that cannot meet it, a pair with a
-    shared end is settled by one orientation unless it is collinear, and
-    every other pair by one ``_crossing`` test; only a degenerate pair
-    (collinear or touching) goes on to ``_meet`` for its kind.
-    ``darts`` walks each accepted segment once into darts and directions.
+    crossings.  The lattice points strictly inside a segment whose
+    direction r has g = gcd(r) are its g - 1 steps of r/g, none when r is
+    primitive; they are looked up in ``at``, the point at each coordinate,
+    unless there are more of them than points, when the points are
+    scanned instead.  A closed bounding box per segment skips the pairs
+    that cannot meet it, a pair with a shared end is settled by one
+    orientation unless it is collinear, and every other pair by one
+    ``_crossing`` test; only a degenerate pair (collinear or touching) goes
+    on to ``_meet`` for its kind.  ``darts`` walks each accepted segment
+    once into darts and directions.
     """
 
     def __init__(self, points: Mapping[Hashable, Point]):
